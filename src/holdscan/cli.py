@@ -187,14 +187,15 @@ def _make_record(row: list[str], has_sign: bool, where: str) -> HoldingsRecord:
 
 
 def write_csv(matrix: OwnershipMatrix, path: str | Path) -> None:
-    """Export normalized shares as an ingestible CSV."""
-    lines = ["investor,stock,amount"]
-    for i, inv in enumerate(matrix.investor_labels):
-        for j, stk in enumerate(matrix.stock_labels):
-            value = float(matrix.entries[i, j])
-            if value > 0:
-                lines.append(f"{inv},{stk},{value!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Export normalized shares as an ingestible CSV, quoting labels as needed."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["investor", "stock", "amount"])
+        for i, inv in enumerate(matrix.investor_labels):
+            for j, stk in enumerate(matrix.stock_labels):
+                value = float(matrix.entries[i, j])
+                if value > 0:
+                    writer.writerow([inv, stk, repr(value)])
 
 
 def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.ndarray:

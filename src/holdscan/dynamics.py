@@ -27,11 +27,18 @@ from .errors import (
 )
 from .spectral import whiten
 
-#: Slack on identities exact in real arithmetic.
+#: Slack on identities exact in real arithmetic, relative to the largest
+#: compared term once that exceeds one (absolute below).
 _EXACT_TOL = 1e-9
 
-#: Centering tolerance on the capitalization-weighted mean of returns.
+#: Centering tolerance on the capitalization-weighted mean of returns,
+#: relative to the weighted mean absolute return once that exceeds one.
 _CENTER_TOL = 1e-10
+
+
+def _tol(*terms: "np.typing.ArrayLike") -> float:
+    """``_EXACT_TOL`` scaled by the largest magnitude among the terms."""
+    return _EXACT_TOL * max(1.0, *(float(np.max(np.abs(t))) for t in terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +110,9 @@ def fire_sale(matrix: OwnershipMatrix, delta: "np.typing.ArrayLike") -> FireSale
     perp_term = float(perp_whitened @ perp_whitened)
     bound = parallel_term + res.rho**2 * float(p @ (perp * perp))
 
-    if abs(severity - (parallel_term + perp_term)) > _EXACT_TOL:
+    if abs(severity - (parallel_term + perp_term)) > _tol(severity, parallel_term, perp_term):
         raise InternalConsistencyError("severity split violates the exact identity")
-    if severity > bound + _EXACT_TOL:
+    if severity > bound + _tol(severity, bound):
         raise InternalConsistencyError("severity exceeds its spectral bound")
     return FireSaleResult(
         delta_parallel=parallel,
@@ -146,26 +153,27 @@ def active_variance(
     if project:
         r = r - float(s @ r)
     centered = float(s @ r)
-    if abs(centered) > _CENTER_TOL:
+    center_tol = _CENTER_TOL * max(1.0, float(s @ np.abs(r)))
+    if abs(centered) > center_tol:
         raise NotCentered(
             f"capitalization-weighted mean of returns is {centered!r}, "
-            f"expected 0 within {_CENTER_TOL:g}"
+            f"expected 0 within {center_tol:g}"
         )
 
     res = whiten(matrix)
     q = matrix.entries / p[:, None]
     alpha_profile = (q - s[None, :]) @ r
     alpha_operator = (matrix.entries - np.outer(p, s)) @ r / p
-    if np.max(np.abs(alpha_profile - alpha_operator)) > _EXACT_TOL:
+    if np.max(np.abs(alpha_profile - alpha_operator)) > _tol(alpha_profile, alpha_operator, r):
         raise InternalConsistencyError("active-return computations disagree")
 
     variance = float(p @ (alpha_profile * alpha_profile))
     whitened_returns = np.sqrt(s) * r
     operator_variance = float(np.sum((res.residual @ whitened_returns) ** 2))
-    if abs(variance - operator_variance) > _EXACT_TOL:
+    if abs(variance - operator_variance) > _tol(variance, operator_variance):
         raise InternalConsistencyError("variance disagrees with its operator form")
     bound = res.rho**2 * float(s @ (r * r))
-    if variance > bound + _EXACT_TOL:
+    if variance > bound + _tol(variance, bound):
         raise InternalConsistencyError("variance exceeds its spectral bound")
 
     capacity = None
@@ -194,6 +202,6 @@ def isotropic_capacity(matrix: OwnershipMatrix, sigma: float) -> float:
     v = np.sqrt(marg.s)
     covariance = sigma**2 * (np.eye(matrix.m) - np.outer(v, v))
     trace = float(np.trace(ell @ covariance @ ell.T))
-    if abs(value - trace) > _EXACT_TOL * max(1.0, abs(value)):
+    if abs(value - trace) > _tol(value, trace):
         raise InternalConsistencyError("capacity disagrees with the trace formula")
     return value

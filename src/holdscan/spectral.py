@@ -19,11 +19,6 @@ from .core import OwnershipMatrix, _freeze, require_active
 from .dependence import dependence_index
 from .errors import InternalConsistencyError
 
-#: Off-diagonal convergence threshold of the one-sided Jacobi sweep,
-#: relative to the geometric mean of the paired column norms.
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
-
 #: Slack on identities that are exact in real arithmetic.
 _SPECTRAL_TOL = 1e-9
 
@@ -65,7 +60,7 @@ def whiten(matrix: OwnershipMatrix) -> SpectralResidual:
     v = np.sqrt(marg.s)
     k = matrix.entries / np.outer(u, v)
     ell = k - np.outer(u, v)
-    sigma = _jacobi_singular_values(k)
+    sigma = np.linalg.svd(k, compute_uv=False)
 
     if abs(float(u @ u) - 1.0) > 2e-12 or abs(float(v @ v) - 1.0) > 2e-12:
         raise InternalConsistencyError("square-root marginals are not unit vectors")
@@ -107,54 +102,3 @@ def spectral_identity_gap(matrix: OwnershipMatrix) -> float:
     res = whiten(matrix)
     tail = float(np.sum(np.square(res.singular_values[1:])))
     return abs(dependence_index(matrix).index - tail)
-
-
-def _jacobi_singular_values(matrix: np.ndarray) -> np.ndarray:
-    """Singular values by one-sided Jacobi rotations, descending.
-
-    Works on whichever orientation has fewer columns. Each sweep visits
-    column pairs in a fixed order and rotates them to orthogonality; the
-    sweep loop stops once every normalized off-diagonal inner product is
-    below the threshold. Deterministic and accurate for the small, nearly
-    rank-deficient matrices produced by whitening.
-    """
-    work = matrix if matrix.shape[0] >= matrix.shape[1] else matrix.T
-    work = np.array(work, dtype=float)
-    ncols = work.shape[1]
-    if ncols == 1:
-        return np.array([float(np.linalg.norm(work[:, 0]))])
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        worst = 0.0
-        for i in range(ncols - 1):
-            for j in range(i + 1, ncols):
-                x = work[:, i]
-                y = work[:, j]
-                a = float(x @ x)
-                b = float(y @ y)
-                d = float(x @ y)
-                scale = np.sqrt(a * b)
-                if scale <= 0.0:
-                    continue
-                rel = abs(d) / scale
-                if rel > worst:
-                    worst = rel
-                if rel <= _JACOBI_TOL:
-                    continue
-                tau = (b - a) / (2.0 * d)
-                sign = 1.0 if tau >= 0 else -1.0
-                t = sign / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                rotated_i = c * x - s * y
-                rotated_j = s * x + c * y
-                work[:, i] = rotated_i
-                work[:, j] = rotated_j
-        if worst <= _JACOBI_TOL:
-            break
-    else:
-        raise InternalConsistencyError("Jacobi sweep failed to orthogonalize columns")
-
-    values = np.sqrt(np.sum(work * work, axis=0))
-    values.sort()
-    return values[::-1]

@@ -569,38 +569,61 @@ class _Forest:
     """Rooted parent-pointer view of a vertex's support forest.
 
     Each support cell is the edge between its investor vertex and its
-    stock vertex (offset by the row count); climbing parent pointers to
-    the lowest common ancestor yields the unique cycle closed by any
-    nonbasic cell within one component.
+    stock vertex (offset by the row count); ``adjacency[v]`` maps each
+    neighbour of vertex v to the value of their cell. Climbing parent
+    pointers to the lowest common ancestor yields the unique cycle closed
+    by any nonbasic cell within one component. Every component hangs from
+    its smallest vertex, so the order in which a cycle's cells are summed
+    depends only on the support, never on the pivots that led to it.
     """
 
     def __init__(self, mat: np.ndarray):
         n, m = mat.shape
         nv = n + m
-        adjacency: list[list[tuple[int, float]]] = [[] for _ in range(nv)]
+        self.adjacency: list[dict[int, float]] = [{} for _ in range(nv)]
         for i, j in zip(*np.nonzero(mat > 0)):
             value = float(mat[i, j])
-            adjacency[int(i)].append((n + int(j), value))
-            adjacency[n + int(j)].append((int(i), value))
+            self.adjacency[int(i)][n + int(j)] = value
+            self.adjacency[n + int(j)][int(i)] = value
         self.parent = [-1] * nv
         self.parent_value = [0.0] * nv  # cell value on the edge to the parent
         self.depth = [0] * nv
         self.component = [-1] * nv
         for root in range(nv):
-            if self.component[root] >= 0:
-                continue
-            self.component[root] = root
-            stack = [root]
-            while stack:
-                vtx = stack.pop()
-                for nxt, value in adjacency[vtx]:
-                    if self.component[nxt] >= 0:
-                        continue
-                    self.component[nxt] = root
-                    self.parent[nxt] = vtx
-                    self.parent_value[nxt] = value
-                    self.depth[nxt] = self.depth[vtx] + 1
+            if self.component[root] < 0:
+                self._hang(root, -1, root)
+
+    def _hang(self, top: int, above: int, component: int) -> None:
+        """Hang the tree containing ``top`` from ``above`` (-1: as a root)."""
+        adjacency, parent, value = self.adjacency, self.parent, self.parent_value
+        depth, comp = self.depth, self.component
+        parent[top] = above
+        value[top] = adjacency[top][above] if above >= 0 else 0.0
+        depth[top] = depth[above] + 1 if above >= 0 else 0
+        comp[top] = component
+        stack = [top]
+        while stack:
+            vtx = stack.pop()
+            for nxt, cell in adjacency[vtx].items():
+                if nxt == parent[vtx]:
+                    continue
+                parent[nxt] = vtx
+                value[nxt] = cell
+                depth[nxt] = depth[vtx] + 1
+                comp[nxt] = component
+                stack.append(nxt)
+
+    def _rehang_as_root(self, vtx: int) -> None:
+        """Re-root the tree containing ``vtx`` at its smallest vertex."""
+        seen = {vtx}
+        stack = [vtx]
+        while stack:
+            for nxt in self.adjacency[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
                     stack.append(nxt)
+        root = min(seen)
+        self._hang(root, -1, root)
 
     def cycle(self, a: int, b: int) -> tuple[float, float, int] | None:
         """Gain ingredients of the cycle closed by the nonbasic edge (a, b).
@@ -653,35 +676,51 @@ class _Forest:
             count += 2
         return float(theta), signed, count
 
-    def path_cells(self, a: int, b: int, n: int) -> list[tuple[tuple[int, int], float]]:
-        """Cells on the path from a to b with their flow signs."""
-        parent, depth = self.parent, self.depth
-        cells_a: list[tuple[tuple[int, int], float]] = []
-        cells_b: list[tuple[tuple[int, int], float]] = []
-        sign_a = sign_b = -1.0
-        da, db = depth[a], depth[b]
-        while da > db:
-            cells_a.append((_edge_cell(a, parent[a], n), sign_a))
-            sign_a = -sign_a
-            a = parent[a]
-            da -= 1
-        while db > da:
-            cells_b.append((_edge_cell(b, parent[b], n), sign_b))
-            sign_b = -sign_b
-            b = parent[b]
-            db -= 1
-        while a != b:
-            cells_a.append((_edge_cell(a, parent[a], n), sign_a))
-            sign_a = -sign_a
-            a = parent[a]
-            cells_b.append((_edge_cell(b, parent[b], n), sign_b))
-            sign_b = -sign_b
-            b = parent[b]
-        return cells_a + cells_b
+    def pivot(self, a: int, b: int, theta: float) -> None:
+        """Push ``theta`` around the cycle closed by the nonbasic edge (a, b).
 
+        Path cells alternately shrink and grow from each endpoint; those
+        driven to zero leave the support. Only vertices whose path to
+        their root crossed a leaving cell are re-hung: the piece holding
+        an endpoint joins the other endpoint's tree through the entering
+        cell, and every other cut piece becomes a tree of its own.
+        """
+        adjacency, parent, value, depth = (
+            self.adjacency, self.parent, self.parent_value, self.depth,
+        )
+        sides: tuple[list[int], list[int]] = ([], [])  # path cells cut on each side
+        ends = [a, b]
+        signs = [-1.0, -1.0]
+        while ends[0] != ends[1]:
+            side = 0 if depth[ends[0]] >= depth[ends[1]] else 1
+            vtx = ends[side]
+            above = parent[vtx]
+            x = value[vtx] + signs[side] * theta
+            if x == 0.0:
+                del adjacency[vtx][above], adjacency[above][vtx]
+                sides[side].append(vtx)
+            else:
+                value[vtx] = adjacency[vtx][above] = adjacency[above][vtx] = x
+            signs[side] = -signs[side]
+            ends[side] = above
+        adjacency[a][b] = adjacency[b][a] = theta
+        cut_a, cut_b = sides
+        if not cut_a:
+            self._hang(b, a, self.component[a])
+        elif not cut_b:
+            self._hang(a, b, self.component[b])
+        else:
+            self._rehang_as_root(a)
+        for vtx in cut_a[1:] + cut_b[1:]:
+            self._rehang_as_root(vtx)
 
-def _edge_cell(child: int, parent: int, n: int) -> tuple[int, int]:
-    return (child, parent - n) if child < n else (parent, child - n)
+    def matrix(self, n: int, m: int) -> np.ndarray:
+        """Cell values as a dense investor-by-stock matrix."""
+        mat = np.zeros((n, m))
+        for i in range(n):
+            for vtx, value in self.adjacency[i].items():
+                mat[i, vtx - n] = value
+        return mat
 
 
 def _hill_climb(mat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -694,8 +733,8 @@ def _hill_climb(mat: np.ndarray) -> tuple[np.ndarray, float]:
     improving pivot, so a full quiet pass certifies local optimality.
     """
     n, m = mat.shape
-    obj = float(np.sum(mat * mat))
     forest = _Forest(mat)
+    adjacency = forest.adjacency
     total = n * m
     cursor = 0
     quiet = 0
@@ -703,7 +742,7 @@ def _hill_climb(mat: np.ndarray) -> tuple[np.ndarray, float]:
         i, j = divmod(cursor, m)
         cursor = (cursor + 1) % total
         quiet += 1
-        if mat[i, j] > 0:
+        if n + j in adjacency[i]:
             continue
         ingredients = forest.cycle(i, n + j)
         if ingredients is None:
@@ -714,14 +753,10 @@ def _hill_climb(mat: np.ndarray) -> tuple[np.ndarray, float]:
         gain = theta * theta * (1.0 + length) + 2.0 * theta * signed
         if gain <= _PIVOT_GAIN_TOL or theta <= 0.0:
             continue
-        for cell, sign in forest.path_cells(i, n + j, n):
-            mat[cell] += sign * theta
-        mat[i, j] += theta
-        mat[mat < 0] = 0.0
-        obj = float(np.sum(mat * mat))
-        forest = _Forest(mat)
+        forest.pivot(i, n + j, theta)
         quiet = 0
-    return mat, obj
+    mat = forest.matrix(n, m)
+    return mat, float(np.sum(mat * mat))
 
 
 # -- shared helpers --------------------------------------------------------

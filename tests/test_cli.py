@@ -1,8 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as nptest
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holdscan as hs
 from holdscan import cli
@@ -189,6 +193,29 @@ def test_round_trip_reingestion(tmp_path, golden_csv):
     again = cli.ingest(exported)
     nptest.assert_array_equal(matrix.entries, again.entries)
     assert cli.dashboard(matrix) == cli.dashboard(again)
+
+
+# labels with commas, quotes and inner spaces; ingest strips outer whitespace
+label_sets = st.lists(
+    st.text(alphabet='ab ,"', min_size=1, max_size=6).filter(lambda lab: lab == lab.strip()),
+    min_size=1,
+    max_size=4,
+    unique=True,
+).map(sorted)
+
+
+@given(label_sets, label_sets, st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_write_csv_round_trip(investors, stocks, seed):
+    raw = np.random.default_rng(seed).random((len(investors), len(stocks))) + 1e-3
+    matrix = hs.normalize(raw, investors, stocks)
+    with tempfile.TemporaryDirectory() as tmp:
+        exported = Path(tmp) / "export.csv"
+        cli.write_csv(matrix, exported)
+        again = cli.ingest(exported)
+    assert again.investor_labels == matrix.investor_labels
+    assert again.stock_labels == matrix.stock_labels
+    nptest.assert_allclose(again.entries, matrix.entries, rtol=1e-14, atol=0)
 
 
 def test_main_exit_codes(tmp_path, golden_csv, capsys, monkeypatch):

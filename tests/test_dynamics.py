@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as nptest
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holdscan as hs
 from holdscan.errors import DimensionMismatch, NotCentered, OutOfRange
@@ -179,3 +181,24 @@ def test_expected_variance_general_covariance():
 def test_alpha_result_carries_capacity(golden):
     result = hs.active_variance(golden, np.array([1.0, -1.0]), dispersion=2.0)
     assert result.isotropic_capacity == pytest.approx(4.0 * 7.0 / 30.0, abs=1e-6)
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
+@settings(max_examples=60, deadline=None)
+def test_severity_and_variance_scale_quadratically(seed, c):
+    # the identity checks must hold in any units: scaling the shock or the
+    # returns by c scales severity and variance by c**2
+    rng = np.random.default_rng(seed)
+    matrix = random_active(rng, 8, 6)
+    marg = hs.marginals(matrix)
+    delta = rng.standard_normal(8)
+    returns = rng.standard_normal(6)
+    returns -= float(marg.s @ returns)
+    unit_shock = hs.fire_sale(matrix, delta)
+    shock = hs.fire_sale(matrix, c * delta)
+    assert shock.severity == pytest.approx(c**2 * unit_shock.severity, rel=1e-9)
+    assert shock.bound == pytest.approx(c**2 * unit_shock.bound, rel=1e-9)
+    unit_alpha = hs.active_variance(matrix, returns)
+    alpha = hs.active_variance(matrix, c * returns)
+    assert alpha.variance == pytest.approx(c**2 * unit_alpha.variance, rel=1e-9)
+    assert alpha.worst_case_bound == pytest.approx(c**2 * unit_alpha.worst_case_bound, rel=1e-9)

@@ -4,7 +4,6 @@ import pytest
 
 import holdscan as hs
 from holdscan.errors import InactiveSupport
-from holdscan.spectral import _jacobi_singular_values
 
 from conftest import random_active
 
@@ -107,14 +106,17 @@ def test_mode_bounds_sandwich_random():
 
 
 def test_jacobi_matches_lapack_oracle():
+    # squared singular values are the eigenvalues of the smaller Gram matrix
     rng = np.random.default_rng(55)
-    for _ in range(30):
-        n = int(rng.integers(1, 12))
-        m = int(rng.integers(1, 12))
-        work = rng.standard_normal((n, m))
-        mine = _jacobi_singular_values(work)
-        reference = np.linalg.svd(work, compute_uv=False)
-        nptest.assert_allclose(mine, reference, rtol=0, atol=1e-10)
+    shapes = [(9, 4), (4, 9), (1, 7), (7, 1)]
+    shapes += [(int(rng.integers(1, 12)), int(rng.integers(1, 12))) for _ in range(30)]
+    for n, m in shapes:
+        res = hs.whiten(random_active(rng, n, m))
+        k = res.whitened
+        gram = k.T @ k if m <= n else k @ k.T
+        oracle = np.sort(np.linalg.eigvalsh(gram))[::-1]
+        assert len(res.singular_values) == min(n, m)
+        nptest.assert_allclose(np.square(res.singular_values), oracle, rtol=0, atol=1e-12)
 
 
 def test_jacobi_near_rank_one_accuracy():

@@ -276,3 +276,113 @@ def test_local_search_path_is_deterministic():
     assert nx.is_forest(support_graph(first.matrix))
     # the heuristic value is a lower bound on the certified maximum
     assert first.objective <= hs.max_micro(marg).objective + 1e-12
+
+
+def power_law_marginals(seed, n, m):
+    rng = np.random.default_rng(seed)
+    p = (rng.permutation(n) + 1.0) ** -1.0 * rng.uniform(0.5, 1.5, n)
+    s = (rng.permutation(m) + 1.0) ** -0.8 * rng.uniform(0.5, 1.5, m)
+    return hs.Marginals(p / p.sum(), s / s.sum())
+
+
+#: Local-search maxima recorded before the spanning forest was updated in
+#: place: (n, m, budget, objective as float.hex, flat indices of the support).
+#: Book k of the table is ``power_law_marginals(k // 2, n, m)``.
+LOCAL_SEARCH_PINS = [
+    (12, 10, 1, '0x1.161fa4e126bc2p-3', [
+        4, 8, 9, 12, 29, 32, 33, 35, 39, 41, 46, 49, 50, 59, 67, 68, 75, 80, 96, 106,
+        114
+    ]),
+    (12, 10, 64, '0x1.1773177c71a3cp-3', [
+        6, 10, 29, 33, 34, 35, 42, 46, 53, 67, 68, 75, 81, 90, 91, 95, 105, 106, 108,
+        109, 114
+    ]),
+    (20, 16, 1, '0x1.68609f5a6f2e7p-4', [
+        7, 17, 18, 27, 33, 38, 45, 47, 58, 62, 75, 83, 98, 118, 129, 147, 148, 159, 161,
+        167, 168, 169, 170, 172, 176, 177, 206, 218, 227, 252, 261, 285, 303, 309, 316
+    ]),
+    (20, 16, 64, '0x1.68609f5a6f2e7p-4', [
+        7, 17, 18, 27, 33, 38, 45, 47, 58, 62, 75, 83, 98, 118, 129, 147, 148, 159, 161,
+        167, 168, 169, 170, 172, 176, 177, 206, 218, 227, 252, 261, 285, 303, 309, 316
+    ]),
+    (40, 30, 1, '0x1.602a9c2633a90p-4', [
+        2, 53, 80, 99, 103, 107, 109, 112, 114, 115, 116, 117, 119, 133, 176, 186, 189,
+        219, 221, 228, 238, 241, 257, 277, 309, 344, 370, 395, 426, 477, 509, 532, 564,
+        573, 578, 582, 594, 623, 635, 688, 715, 728, 769, 780, 796, 828, 843, 885, 916,
+        917, 947, 974, 975, 984, 1014, 1027, 1062, 1085, 1087, 1100, 1104, 1120, 1133,
+        1134, 1142, 1144, 1157, 1188, 1191
+    ]),
+    (40, 30, 64, '0x1.602a9c2633a90p-4', [
+        2, 53, 80, 99, 103, 107, 109, 112, 114, 115, 116, 117, 119, 133, 176, 186, 189,
+        219, 221, 228, 238, 241, 257, 277, 309, 344, 370, 395, 426, 477, 509, 532, 564,
+        573, 578, 582, 594, 623, 635, 688, 715, 728, 769, 780, 796, 828, 843, 885, 916,
+        917, 947, 974, 975, 984, 1014, 1027, 1062, 1085, 1087, 1100, 1104, 1120, 1133,
+        1134, 1142, 1144, 1157, 1188, 1191
+    ]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(LOCAL_SEARCH_PINS)))
+def test_local_search_pinned_vertices(case):
+    n, m, budget, objective, support = LOCAL_SEARCH_PINS[case]
+    sol = hs.max_micro(power_law_marginals(case // 2, n, m), budget)
+    assert not sol.certified
+    assert sol.objective == float.fromhex(objective)
+    assert np.array_equal(np.flatnonzero(sol.matrix > 0), support)
+
+
+@pytest.mark.parametrize("case", range(len(LOCAL_SEARCH_PINS)))
+def test_local_search_is_locally_optimal(case):
+    # oracle: every nonbasic cell closes a cycle through the support forest
+    # (found by networkx); pushing flow around it must not gain
+    from holdscan.transport import _PIVOT_GAIN_TOL
+
+    n, m, budget, _, _ = LOCAL_SEARCH_PINS[case]
+    mat = hs.max_micro(power_law_marginals(case // 2, n, m), budget).matrix
+    g = support_graph(mat)
+    assert nx.is_forest(g)
+    for i, j in zip(*np.nonzero(mat == 0)):
+        a, b = int(i), n + int(j)
+        if not nx.has_path(g, a, b):
+            continue
+        path = nx.shortest_path(g, a, b)
+        values = np.array([mat[min(u, v), max(u, v) - n] for u, v in zip(path, path[1:])])
+        signs = np.where(np.arange(values.size) % 2 == 0, -1.0, 1.0)
+        theta = float(values[signs < 0].min())
+        gain = theta * theta * (1.0 + values.size) + 2.0 * theta * float(signs @ values)
+        assert gain <= _PIVOT_GAIN_TOL
+
+
+def test_forest_pivot_matches_rebuild():
+    # degenerate pivots (several cells reach zero at once) split the forest;
+    # updating it in place must agree with rebuilding it from scratch
+    from holdscan.transport import _Forest, _support_is_forest
+
+    rng = np.random.default_rng(17)
+    cut_counts = set()
+    for _ in range(300):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+        mat = np.zeros((n, m))
+        for cell in rng.permutation(n * m)[: n + m - 1]:
+            grown = mat.copy()
+            grown.flat[cell] = float(rng.integers(1, 3))  # small values make ties
+            if _support_is_forest(grown):
+                mat = grown
+        forest = _Forest(mat)
+        for _ in range(5):
+            closing = [
+                (int(i), n + int(j))
+                for i, j in zip(*np.nonzero(mat == 0))
+                if forest.cycle(int(i), n + int(j)) is not None
+            ]
+            if not closing:
+                break
+            a, b = closing[int(rng.integers(len(closing)))]
+            support = np.count_nonzero(mat)
+            forest.pivot(a, b, forest.cycle(a, b)[0])
+            mat = forest.matrix(n, m)
+            cut_counts.add(support + 1 - np.count_nonzero(mat))
+            fresh = _Forest(mat)
+            for name in ("parent", "parent_value", "depth", "component"):
+                assert getattr(forest, name) == getattr(fresh, name)
+    assert {1, 2, 3} <= cut_counts
