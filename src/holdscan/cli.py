@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,16 +43,6 @@ SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class HoldingsRecord:
-    """One parsed input row before aggregation."""
-
-    investor_id: str
-    stock_id: str
-    amount: float
-    sign: str | None = None
-
-
-@dataclass(frozen=True)
 class Dashboard:
     """The six headline diagnostics plus effective numbers.
 
@@ -77,34 +69,34 @@ class Dashboard:
 def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     """Read a holdings file into a share matrix or a signed book.
 
-    Duplicate (investor, stock) rows are summed; labels are ordered
-    lexicographically so ingestion is deterministic.
+    Duplicate (investor, stock) rows are summed in file order; labels are
+    ordered lexicographically so ingestion is deterministic.
     """
-    records, has_sign_column = (
+    rows, has_sign_column = (
         _read_csv(Path(path)) if fmt == "csv" else _read_json(Path(path))
     )
     if has_sign_column and not signed:
         raise MixedSignWithoutFlag(
             "input carries a sign column; pass --signed to ingest it"
         )
-    if not records:
+    if not rows:
         raise ParseError(f"{path}: no holdings records found")
-    investors = sorted({rec.investor_id for rec in records})
-    stocks = sorted({rec.stock_id for rec in records})
+    investor_col, stock_col, amounts, legs = zip(*rows)
+    investors = sorted(set(investor_col))
+    stocks = sorted(set(stock_col))
+    n, m = len(investors), len(stocks)
     inv_index = {lab: i for i, lab in enumerate(investors)}
     stk_index = {lab: j for j, lab in enumerate(stocks)}
-
+    cells = [
+        (leg * n + inv_index[inv]) * m + stk_index[stk]
+        for inv, stk, leg in zip(investor_col, stock_col, legs)
+    ]
+    # bincount adds each cell's lots one by one in file order
+    raw = np.bincount(cells, weights=amounts, minlength=(1 + signed) * n * m)
     if not signed:
-        raw = np.zeros((len(investors), len(stocks)))
-        for rec in records:
-            raw[inv_index[rec.investor_id], stk_index[rec.stock_id]] += rec.amount
-        return normalize(raw, investors, stocks)
+        return normalize(raw.reshape(n, m), investors, stocks)
 
-    plus = np.zeros((len(investors), len(stocks)))
-    minus = np.zeros((len(investors), len(stocks)))
-    for rec in records:
-        target = minus if rec.sign == "-" else plus
-        target[inv_index[rec.investor_id], stk_index[rec.stock_id]] += rec.amount
+    plus, minus = raw.reshape(2, n, m)
     both = (plus > 0) & (minus > 0)
     if np.any(both):
         i, j = map(int, np.argwhere(both)[0])
@@ -117,33 +109,45 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     return signed_from_raw(plus, minus, investors, stocks)
 
 
-def _read_csv(path: Path) -> tuple[list[HoldingsRecord], bool]:
+def _csv_rows(path: Path) -> tuple[list[str] | None, Iterator[tuple[int, list[str]]]]:
+    """Header row (None for an empty file) and the numbered non-blank rows after it.
+
+    Rows are checked against the header's width as they are drawn, so a
+    caller validates the header before any row error can surface.
+    """
     try:
-        text = path.read_text(encoding="utf-8")
+        reader = csv.reader(path.read_text(encoding="utf-8").splitlines())
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
+    header = next(reader, None)
+
+    def body() -> Iterator[tuple[int, list[str]]]:
+        for lineno, row in enumerate(reader, start=2):
+            if not "".join(row).strip():
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+            yield lineno, row
+
+    return header, body()
+
+
+def _read_csv(path: Path) -> tuple[list[tuple[str, str, float, int]], bool]:
+    header, body = _csv_rows(path)
+    if header is None:
         raise ParseError(f"{path}: empty file, expected a header line")
-    header = [col.strip() for col in rows[0]]
-    if header[:3] != ["investor", "stock", "amount"] or len(header) > 4 or (
-        len(header) == 4 and header[3] != "sign"
+    names = [col.strip() for col in header]
+    if names[:3] != ["investor", "stock", "amount"] or len(names) > 4 or (
+        len(names) == 4 and names[3] != "sign"
     ):
         raise ParseError(
-            f"{path}:1: header must be investor,stock,amount[,sign], got {rows[0]!r}"
+            f"{path}:1: header must be investor,stock,amount[,sign], got {header!r}"
         )
-    has_sign = len(header) == 4
-    records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not col.strip() for col in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-        records.append(_make_record(row, has_sign, f"{path}:{lineno}"))
-    return records, has_sign
+    has_sign = len(names) == 4
+    return [_parse_row(row, has_sign, f"{path}:{lineno}") for lineno, row in body], has_sign
 
 
-def _read_json(path: Path) -> tuple[list[HoldingsRecord], bool]:
+def _read_json(path: Path) -> tuple[list[tuple[str, str, float, int]], bool]:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -152,7 +156,7 @@ def _read_json(path: Path) -> tuple[list[HoldingsRecord], bool]:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(payload, list):
         raise ParseError(f"{path}: expected a JSON array of holdings records")
-    records = []
+    rows = []
     has_sign = False
     for pos, item in enumerate(payload, start=1):
         if not isinstance(item, dict) or not {"investor", "stock", "amount"} <= set(item):
@@ -164,11 +168,12 @@ def _read_json(path: Path) -> tuple[list[HoldingsRecord], bool]:
         row = [str(item["investor"]), str(item["stock"]), str(item["amount"])]
         if sign is not None:
             row.append(str(sign))
-        records.append(_make_record(row, sign is not None, f"{path}: record {pos}"))
-    return records, has_sign
+        rows.append(_parse_row(row, sign is not None, f"{path}: record {pos}"))
+    return rows, has_sign
 
 
-def _make_record(row: list[str], has_sign: bool, where: str) -> HoldingsRecord:
+def _parse_row(row: list[str], has_sign: bool, where: str) -> tuple[str, str, float, int]:
+    """Validated ``(investor, stock, amount, leg)``; ``leg`` is 1 for a short row."""
     investor, stock = row[0].strip(), row[1].strip()
     if not investor or not stock:
         raise ParseError(f"{where}: empty investor or stock label")
@@ -176,14 +181,15 @@ def _make_record(row: list[str], has_sign: bool, where: str) -> HoldingsRecord:
         amount = float(row[2])
     except ValueError:
         raise ParseError(f"{where}: amount {row[2]!r} is not a number") from None
-    if not np.isfinite(amount) or amount < 0:
+    if not math.isfinite(amount) or amount < 0:
         raise ParseError(f"{where}: amount must be finite and nonnegative, got {row[2]!r}")
-    sign = None
+    leg = 0
     if has_sign:
         sign = row[3].strip() or "+"
         if sign not in ("+", "-"):
             raise ParseError(f"{where}: sign must be + or -, got {row[3]!r}")
-    return HoldingsRecord(investor, stock, amount, sign)
+        leg = int(sign == "-")
+    return investor, stock, amount, leg
 
 
 def write_csv(matrix: OwnershipMatrix, path: str | Path) -> None:
@@ -201,18 +207,11 @@ def write_csv(matrix: OwnershipMatrix, path: str | Path) -> None:
 def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.ndarray:
     """CSV of label,value pairs covering every active label exactly once."""
     path = Path(path)
-    try:
-        rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not rows or [c.strip() for c in rows[0]] != ["label", "value"]:
+    header, body = _csv_rows(path)
+    if header is None or [c.strip() for c in header] != ["label", "value"]:
         raise ParseError(f"{path}:1: header must be label,value")
     seen: dict[str, float] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not col.strip() for col in row):
-            continue
-        if len(row) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+    for lineno, row in body:
         label = row[0].strip()
         if label in seen:
             raise ParseError(f"{path}:{lineno}: duplicate label {label!r}")
@@ -665,13 +664,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="report format"
         )
-        p.add_argument("--seed", type=int, default=0, help="seed for any search")
+
+    def add_search(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=0, help="seed for the maximum search")
         p.add_argument(
             "--max-budget", type=int, default=64, help="restarts for the maximum search"
         )
 
     p = sub.add_parser("dashboard", help="full six-number diagnostic dashboard")
     add_common(p)
+    add_search(p)
     p.add_argument(
         "--psi",
         action=argparse.BooleanOptionalAction,
@@ -686,6 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="feasible-range sparsity score")
     add_common(p)
+    add_search(p)
     p.set_defaults(func=_cmd_psi)
 
     p = sub.add_parser("shock", help="fire-sale impact of a liquidation shock")

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OwnershipMatrix, TOL_NORM, marginals, require_active, restrict_active
+from .core import (
+    OwnershipMatrix, TOL_NORM, _unique_label, marginals, require_active, restrict_active
+)
 from .dependence import dependence_index, merger_delta, _row_pair
 from .errors import (
     IndexOutOfRange,
@@ -232,8 +234,3 @@ def nonid_family(t: float) -> tuple[OwnershipMatrix, float, float]:
         raise InternalConsistencyError("family dependence formula failed")
     return matrix, micro_formula, dependence_formula
 
-
-def _unique_label(candidate: str, taken: "tuple[str, ...] | list[str]") -> str:
-    while candidate in taken:
-        candidate += "*"
-    return candidate

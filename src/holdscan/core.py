@@ -24,6 +24,7 @@ from .errors import (
     LabelNotFound,
     NegativeEntry,
     NonFiniteEntry,
+    NotAProbabilityVector,
     NotNormalized,
 )
 
@@ -55,6 +56,28 @@ def _label_tuple(labels: Sequence[str] | None, count: int, side: str) -> tuple[s
         dup = next(lab for lab in out if lab in seen or seen.add(lab))
         raise DuplicateLabel(f"duplicate {side} label {dup!r}")
     return out
+
+
+def _unique_label(candidate: str, taken: Sequence[str]) -> str:
+    """``candidate`` with ``*`` appended until it is not in ``taken``."""
+    while candidate in taken:
+        candidate += "*"
+    return candidate
+
+
+def _probability_vector(values: "np.typing.ArrayLike", name: str) -> np.ndarray:
+    vec = np.asarray(values, dtype=float)
+    if vec.ndim != 1 or vec.size == 0:
+        raise DimensionMismatch(f"{name} must be a nonempty 1-d vector")
+    if not np.all(np.isfinite(vec)):
+        raise NonFiniteEntry(f"{name} must be finite")
+    if np.any(vec < 0):
+        raise NotAProbabilityVector(f"{name} must be nonnegative")
+    if abs(float(vec.sum()) - 1.0) > TOL_NORM:
+        raise NotAProbabilityVector(
+            f"{name} sums to {float(vec.sum())!r}, expected 1 within {TOL_NORM:g}"
+        )
+    return vec
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,22 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import OwnershipMatrix, _freeze, require_active
+from .core import OwnershipMatrix, _freeze, _probability_vector, _unique_label, require_active
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InternalConsistencyError,
     InvalidPartition,
-    NonFiniteEntry,
-    NotAProbabilityVector,
     SameInvestor,
     SupportMismatch,
 )
-from .core import TOL_NORM
 
 #: Cross-form agreement tolerance; disagreement beyond it is treated as
 #: catastrophic cancellation and re-examined under compensated summation.
@@ -200,7 +196,8 @@ def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit
         between += mass * float(np.sum((mean_profile - s) ** 2 / s))
         spread = q[idx] - mean_profile[None, :]
         within += float(np.sum(p[idx, None] * spread * spread / s[None, :]))
-        merged_labels.append(_joined_label(matrix.investor_labels, idx, merged_labels))
+        joined = "+".join(matrix.investor_labels[i] for i in idx)
+        merged_labels.append(_unique_label(joined, merged_labels))
 
     merged = OwnershipMatrix(merged_rows, tuple(merged_labels), matrix.stock_labels)
     return AggregationSplit(between=between, within=within, merged=merged)
@@ -231,24 +228,3 @@ def _row_pair(n: int, a: int, b: int) -> tuple[int, int]:
         raise SameInvestor(f"need two distinct investors, got {a} twice")
     return a, b
 
-
-def _joined_label(labels: Sequence[str], idx: Iterable[int], taken: Sequence[str]) -> str:
-    name = "+".join(labels[i] for i in idx)
-    while name in taken:
-        name += "*"
-    return name
-
-
-def _probability_vector(values: "np.typing.ArrayLike", name: str) -> np.ndarray:
-    vec = np.asarray(values, dtype=float)
-    if vec.ndim != 1 or vec.size == 0:
-        raise DimensionMismatch(f"{name} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(vec)):
-        raise NonFiniteEntry(f"{name} must be finite")
-    if np.any(vec < 0):
-        raise NotAProbabilityVector(f"{name} must be nonnegative")
-    if abs(float(vec.sum()) - 1.0) > TOL_NORM:
-        raise NotAProbabilityVector(
-            f"{name} sums to {float(vec.sum())!r}, expected 1 within {TOL_NORM:g}"
-        )
-    return vec

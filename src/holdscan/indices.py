@@ -15,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_SUPPORT, TOL_NORM, OwnershipMatrix, _freeze, profiles, require_active
-from .errors import (
-    DimensionMismatch,
-    InternalConsistencyError,
-    NonFiniteEntry,
-    NotAProbabilityVector,
+from .core import (
+    EPS_SUPPORT, OwnershipMatrix, _freeze, _probability_vector, profiles, require_active
 )
+from .errors import InternalConsistencyError
 
 #: Slack on identities that hold exactly in real arithmetic.
 _IDENTITY_TOL = 1e-12
@@ -86,17 +83,7 @@ def herfindahl(weights: "np.typing.ArrayLike") -> float:
 
     Lies in [1/len(weights), 1]; the reciprocal is the effective count.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise DimensionMismatch("weights must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(w)):
-        raise NonFiniteEntry("weights must be finite")
-    if np.any(w < 0):
-        raise NotAProbabilityVector("weights must be nonnegative")
-    if abs(float(w.sum()) - 1.0) > TOL_NORM:
-        raise NotAProbabilityVector(
-            f"weights sum to {float(w.sum())!r}, expected 1 within {TOL_NORM:g}"
-        )
+    w = _probability_vector(weights, "weights")
     return float(w @ w)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import holdscan as hs
 from holdscan import cli
 from holdscan.errors import (
+    AllZeroMatrix,
     InternalConsistencyError,
     MixedSignWithoutFlag,
     ParseError,
@@ -352,3 +354,147 @@ def test_decompose_subcommand(golden_csv, capsys):
     payload = json.loads(capsys.readouterr().out)
     contributions = [row["dependence_contribution"] for row in payload["investors"]]
     assert max(contributions) == contributions[1]
+
+
+# (case, reader, file text or None for a missing file, error type, message);
+# "{path}" in the message stands for the file's path. Reader "csv"/"json"
+# ingests an unsigned book, "signed" a signed CSV book, and "vector" reads
+# a label,value file for investors ("a", "b").
+PARSE_ERROR_CASES = [
+    ("csv-bad-header", "csv", "investor,stock,value\na,x,1\n", ParseError,
+     "{path}:1: header must be investor,stock,amount[,sign], "
+     "got ['investor', 'stock', 'value']"),
+    ("csv-extra-header-column", "csv", "investor,stock,amount,side\n", ParseError,
+     "{path}:1: header must be investor,stock,amount[,sign], "
+     "got ['investor', 'stock', 'amount', 'side']"),
+    ("csv-column-count", "csv", "investor,stock,amount\na,x,1\nb,y,2,3\n", ParseError,
+     "{path}:3: expected 3 columns, got 4"),
+    ("csv-blank-rows-skipped", "csv", "investor,stock,amount\n\n , ,\na,x,1\nb,y,abc\n",
+     ParseError, "{path}:5: amount 'abc' is not a number"),
+    ("csv-empty-label", "csv", "investor,stock,amount\n ,x,1\n", ParseError,
+     "{path}:2: empty investor or stock label"),
+    ("csv-non-numeric", "csv", "investor,stock,amount\na,x,12a\n", ParseError,
+     "{path}:2: amount '12a' is not a number"),
+    ("csv-nan", "csv", "investor,stock,amount\na,x,nan\n", ParseError,
+     "{path}:2: amount must be finite and nonnegative, got 'nan'"),
+    ("csv-inf", "csv", "investor,stock,amount\na,x,1\na,y, inf\n", ParseError,
+     "{path}:3: amount must be finite and nonnegative, got ' inf'"),
+    ("csv-negative", "csv", "investor,stock,amount\na,x,-3\n", ParseError,
+     "{path}:2: amount must be finite and nonnegative, got '-3'"),
+    ("csv-bad-sign", "signed", "investor,stock,amount,sign\na,x,1,+\na,y,1,*\n", ParseError,
+     "{path}:3: sign must be + or -, got '*'"),
+    ("csv-empty-file", "csv", "", ParseError, "{path}: empty file, expected a header line"),
+    ("csv-header-only", "csv", "investor,stock,amount\n\n", ParseError,
+     "{path}: no holdings records found"),
+    ("csv-missing-file", "csv", None, ParseError,
+     "{path}: [Errno 2] No such file or directory: '{path}'"),
+    ("csv-all-zero", "csv", "investor,stock,amount\na,x,0\n", AllZeroMatrix,
+     "raw holdings sum to zero"),
+    ("json-invalid", "json", '[\n{"investor": "a"\n', ParseError,
+     "{path}:3: invalid JSON: Expecting ',' delimiter"),
+    ("json-not-array", "json", '{"investor": "a"}', ParseError,
+     "{path}: expected a JSON array of holdings records"),
+    ("json-missing-keys", "json",
+     '[{"investor": "a", "stock": "x", "amount": 1}, {"investor": "b", "amount": 1}]',
+     ParseError, "{path}: record 2 must carry investor, stock, and amount"),
+    ("json-bad-amount", "json", '[{"investor": "a", "stock": "x", "amount": "x1"}]',
+     ParseError, "{path}: record 1: amount 'x1' is not a number"),
+    ("json-bad-sign", "json",
+     '[{"investor": "a", "stock": "x", "amount": 1, "sign": "long"}]',
+     ParseError, "{path}: record 1: sign must be + or -, got 'long'"),
+    ("signed-long-and-short", "signed",
+     "investor,stock,amount,sign\nh2,s1,1,+\nh1,s2,1,-\nh2,s1,2,-\nh1,s2,1,+\n", ParseError,
+     "{path}: investor 'h1' is both long and short stock 's2'; net the book before ingestion"),
+    ("signed-all-zero", "signed", "investor,stock,amount,sign\nh1,s1,0,+\nh1,s2,0,-\n",
+     AllZeroMatrix, "{path}: all amounts are zero"),
+    ("vector-bad-header", "vector", "label,amount\na,1\nb,2\n", ParseError,
+     "{path}:1: header must be label,value"),
+    ("vector-empty-file", "vector", "", ParseError, "{path}:1: header must be label,value"),
+    ("vector-column-count", "vector", "label,value\na,1\n\nb,2,3\n", ParseError,
+     "{path}:4: expected 2 columns, got 3"),
+    ("vector-duplicate-label", "vector", "label,value\na,1\n , \n a ,2\n", ParseError,
+     "{path}:4: duplicate label 'a'"),
+    ("vector-non-numeric", "vector", "label,value\na,1\nb,two\n", ParseError,
+     "{path}:3: value 'two' is not a number"),
+    ("vector-missing-label", "vector", "label,value\na,1\n", ParseError,
+     "{path}: missing investor value for 'b'"),
+    ("vector-unknown-label", "vector", "label,value\na,1\nc,3\nb,2\n", ParseError,
+     "{path}: unknown investor label 'c'"),
+    ("vector-missing-file", "vector", None, ParseError,
+     "{path}: [Errno 2] No such file or directory: '{path}'"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader,text,error,message",
+    [case[1:] for case in PARSE_ERROR_CASES],
+    ids=[case[0] for case in PARSE_ERROR_CASES],
+)
+def test_parse_error_messages(tmp_path, reader, text, error, message):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as caught:
+        if reader == "vector":
+            cli._read_vector(path, ("a", "b"), "investor")
+        else:
+            cli.ingest(path, fmt="json" if reader == "json" else "csv", signed=reader == "signed")
+    assert type(caught.value) is error
+    assert str(caught.value) == message.format(path=path)
+
+
+# lots with repeated (investor, stock) pairs; a cell's leg is fixed by its labels
+lot_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b,c", 'd"e', "a b"]),
+        st.sampled_from(["x", "y, z", '"q"']),
+        st.floats(0.0, 1e6, allow_nan=False) | st.sampled_from([0.1, 0.2, 0.3, 1e-300]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(lot_rows, st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_ingest_sums_lots_in_file_order(rows, with_sign, seed):
+    investors = sorted({row[0] for row in rows})
+    stocks = sorted({row[1] for row in rows})
+    short = np.random.default_rng(seed).random((len(investors), len(stocks))) < 0.5
+    raw = np.zeros((2, len(investors), len(stocks)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lots.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["investor", "stock", "amount"] + ["sign"] * with_sign)
+            for inv, stk, amount in rows:
+                i, j = investors.index(inv), stocks.index(stk)
+                leg = int(with_sign and short[i, j])
+                raw[leg, i, j] += amount
+                writer.writerow([inv, stk, repr(amount)] + ["+-"[leg]] * with_sign)
+        total = float(raw[0].sum() + raw[1].sum())
+        if total <= 0.0:
+            with pytest.raises(AllZeroMatrix):
+                cli.ingest(path, signed=with_sign)
+            return
+        if with_sign:
+            book = cli.ingest(path, signed=True)
+            assert book.investor_labels == tuple(investors)
+            assert book.stock_labels == tuple(stocks)
+            assert np.array_equal(book.plus, raw[0] / total)
+            assert np.array_equal(book.minus, raw[1] / total)
+        else:
+            matrix = cli.ingest(path)
+            assert matrix.investor_labels == tuple(investors)
+            assert matrix.stock_labels == tuple(stocks)
+            assert np.array_equal(matrix.entries, raw[0] / total)
+
+
+def test_search_flags_only_on_search_commands(golden_csv, capsys):
+    assert cli.main(["decompose", str(golden_csv), "--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert cli.main(["renyi", str(golden_csv), "--alpha", "2", "--max-budget", "8"]) == 2
+    capsys.readouterr()
+    argv = ["psi", str(golden_csv), "--seed", "1", "--max-budget", "8", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["certified"] is True

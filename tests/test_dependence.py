@@ -108,6 +108,14 @@ def test_aggregate_whole_partition(golden):
     nptest.assert_allclose(split.merged.entries, [[0.5, 0.5]], atol=1e-15)
 
 
+def test_aggregate_label_collision_disambiguated():
+    matrix = hs.OwnershipMatrix(
+        np.array([[0.3, 0.1], [0.2, 0.2], [0.1, 0.1]]), ["a", "a+b", "b"]
+    )
+    split = hs.aggregate(matrix, hs.Partition(((0, 2), (1,))))
+    assert split.merged.investor_labels == ("a+b", "a+b*")
+
+
 def test_aggregate_two_group_partition_against_oracle(golden):
     # oracle: evaluate the between/within sums directly from the formulas
     marg = hs.marginals(golden)
