@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,33 +66,38 @@ class Dashboard:
 # -- ingestion ---------------------------------------------------------------
 
 
+#: Holdings as columns in file order: investor and stock labels (stripped),
+#: amounts, and legs (1 for a short row, else 0).
+_Columns = tuple[list[str], list[str], np.ndarray, np.ndarray]
+
+
 def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     """Read a holdings file into a share matrix or a signed book.
 
     Duplicate (investor, stock) rows are summed in file order; labels are
     ordered lexicographically so ingestion is deterministic.
     """
-    rows, has_sign_column = (
+    (investor_col, stock_col, amounts, legs), has_sign_column = (
         _read_csv(Path(path)) if fmt == "csv" else _read_json(Path(path))
     )
     if has_sign_column and not signed:
         raise MixedSignWithoutFlag(
             "input carries a sign column; pass --signed to ingest it"
         )
-    if not rows:
+    if not investor_col:
         raise ParseError(f"{path}: no holdings records found")
-    investor_col, stock_col, amounts, legs = zip(*rows)
     investors = sorted(set(investor_col))
     stocks = sorted(set(stock_col))
     n, m = len(investors), len(stocks)
     inv_index = {lab: i for i, lab in enumerate(investors)}
     stk_index = {lab: j for j, lab in enumerate(stocks)}
-    cells = [
-        (leg * n + inv_index[inv]) * m + stk_index[stk]
-        for inv, stk, leg in zip(investor_col, stock_col, legs)
-    ]
+    count = len(investor_col)
+    rows = np.fromiter(map(inv_index.__getitem__, investor_col), np.intp, count)
+    cols = np.fromiter(map(stk_index.__getitem__, stock_col), np.intp, count)
     # bincount adds each cell's lots one by one in file order
-    raw = np.bincount(cells, weights=amounts, minlength=(1 + signed) * n * m)
+    raw = np.bincount(
+        (legs * n + rows) * m + cols, weights=amounts, minlength=(1 + signed) * n * m
+    )
     if not signed:
         return normalize(raw.reshape(n, m), investors, stocks)
 
@@ -109,31 +114,49 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     return signed_from_raw(plus, minus, investors, stocks)
 
 
-def _csv_rows(path: Path) -> tuple[list[str] | None, Iterator[tuple[int, list[str]]]]:
-    """Header row (None for an empty file) and the numbered non-blank rows after it.
-
-    Rows are checked against the header's width as they are drawn, so a
-    caller validates the header before any row error can surface.
-    """
+def _csv_header(path: Path) -> tuple[list[str] | None, Iterator[list[str]]]:
+    """The header row (None for an empty file) and the reader left after it."""
     try:
         reader = csv.reader(path.read_text(encoding="utf-8").splitlines())
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    header = next(reader, None)
-
-    def body() -> Iterator[tuple[int, list[str]]]:
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            yield lineno, row
-
-    return header, body()
+    try:
+        return next(reader, None), reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}:1: {exc}") from exc
 
 
-def _read_csv(path: Path) -> tuple[list[tuple[str, str, float, int]], bool]:
-    header, body = _csv_rows(path)
+def _csv_columns(
+    path: Path, reader: Iterator[list[str]], width: int
+) -> tuple[list[list[str]], ParseError | None]:
+    """The rows after the header as ``width`` columns of strings.
+
+    Entry k of every column comes from line k + 2; a blank row stays in
+    place, as blank strings, for the caller to skip. Reading stops at the
+    first non-blank row of another width, and that row's error is returned
+    rather than raised, so the caller can first report a bad row above it.
+    """
+    fields: list[str] = []
+    extend = fields.extend
+    error = None
+    try:
+        for row in reader:
+            if len(row) != width:
+                if "".join(row).strip():
+                    error = ParseError(
+                        f"{path}:{len(fields) // width + 2}: "
+                        f"expected {width} columns, got {len(row)}"
+                    )
+                    break
+                row = [""] * width
+            extend(row)
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{len(fields) // width + 2}: {exc}") from exc
+    return [fields[k::width] for k in range(width)], error
+
+
+def _read_csv(path: Path) -> tuple[_Columns, bool]:
+    header, reader = _csv_header(path)
     if header is None:
         raise ParseError(f"{path}: empty file, expected a header line")
     names = [col.strip() for col in header]
@@ -144,10 +167,41 @@ def _read_csv(path: Path) -> tuple[list[tuple[str, str, float, int]], bool]:
             f"{path}:1: header must be investor,stock,amount[,sign], got {header!r}"
         )
     has_sign = len(names) == 4
-    return [_parse_row(row, has_sign, f"{path}:{lineno}") for lineno, row in body], has_sign
+    columns, width_error = _csv_columns(path, reader, len(names))
+    investors = list(map(str.strip, columns[0]))
+    stocks = list(map(str.strip, columns[1]))
+    lines: Sequence[int] = range(2, len(investors) + 2)
+    if "" in investors or "" in stocks:
+        # a blank row has empty labels, so only then can there be one to drop
+        keep = [k for k, row in enumerate(zip(*columns)) if "".join(row).strip()]
+        lines = [k + 2 for k in keep]
+        columns = [[col[k] for k in keep] for col in columns]
+        investors = [investors[k] for k in keep]
+        stocks = [stocks[k] for k in keep]
+    signs = list(map(str.strip, columns[3])) if has_sign else []
+    try:
+        amounts = np.fromiter(map(float, columns[2]), float, len(lines))
+    except ValueError:
+        amounts = None
+    if (
+        amounts is None
+        or "" in investors
+        or "" in stocks
+        or not set(signs) <= {"", "+", "-"}
+        or not np.all(np.isfinite(amounts) & (amounts >= 0))
+    ):
+        for lineno, *row in zip(lines, *columns):
+            _parse_row(row, has_sign, f"{path}:{lineno}")  # raises at the first bad row
+    if width_error is not None:
+        raise width_error
+    if has_sign:
+        legs = np.fromiter(map("-".__eq__, signs), np.intp, len(signs))
+    else:
+        legs = np.zeros(len(lines), np.intp)
+    return (investors, stocks, amounts, legs), has_sign
 
 
-def _read_json(path: Path) -> tuple[list[tuple[str, str, float, int]], bool]:
+def _read_json(path: Path) -> tuple[_Columns, bool]:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -156,7 +210,7 @@ def _read_json(path: Path) -> tuple[list[tuple[str, str, float, int]], bool]:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(payload, list):
         raise ParseError(f"{path}: expected a JSON array of holdings records")
-    rows = []
+    columns: tuple[list, list, list, list] = ([], [], [], [])
     has_sign = False
     for pos, item in enumerate(payload, start=1):
         if not isinstance(item, dict) or not {"investor", "stock", "amount"} <= set(item):
@@ -168,8 +222,11 @@ def _read_json(path: Path) -> tuple[list[tuple[str, str, float, int]], bool]:
         row = [str(item["investor"]), str(item["stock"]), str(item["amount"])]
         if sign is not None:
             row.append(str(sign))
-        rows.append(_parse_row(row, sign is not None, f"{path}: record {pos}"))
-    return rows, has_sign
+        parsed = _parse_row(row, sign is not None, f"{path}: record {pos}")
+        for column, value in zip(columns, parsed):
+            column.append(value)
+    investors, stocks, amounts, legs = columns
+    return (investors, stocks, np.array(amounts, float), np.array(legs, np.intp)), has_sign
 
 
 def _parse_row(row: list[str], has_sign: bool, where: str) -> tuple[str, str, float, int]:
@@ -207,18 +264,23 @@ def write_csv(matrix: OwnershipMatrix, path: str | Path) -> None:
 def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.ndarray:
     """CSV of label,value pairs covering every active label exactly once."""
     path = Path(path)
-    header, body = _csv_rows(path)
+    header, reader = _csv_header(path)
     if header is None or [c.strip() for c in header] != ["label", "value"]:
         raise ParseError(f"{path}:1: header must be label,value")
+    (label_col, value_col), width_error = _csv_columns(path, reader, 2)
     seen: dict[str, float] = {}
-    for lineno, row in body:
-        label = row[0].strip()
+    for lineno, (raw_label, value) in enumerate(zip(label_col, value_col), start=2):
+        if not (raw_label + value).strip():
+            continue
+        label = raw_label.strip()
         if label in seen:
             raise ParseError(f"{path}:{lineno}: duplicate label {label!r}")
         try:
-            seen[label] = float(row[1])
+            seen[label] = float(value)
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: value {row[1]!r} is not a number") from None
+            raise ParseError(f"{path}:{lineno}: value {value!r} is not a number") from None
+    if width_error is not None:
+        raise width_error
     missing = [lab for lab in labels if lab not in seen]
     if missing:
         raise ParseError(f"{path}: missing {kind} value for {missing[0]!r}")
@@ -229,7 +291,7 @@ def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.nda
 
 
 def _read_partition(path: str | Path, matrix: OwnershipMatrix) -> Partition:
-    """One group per line, comma-separated investor labels."""
+    """One group per line, comma-separated investor labels, quoted CSV-style as needed."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -239,8 +301,12 @@ def _read_partition(path: str | Path, matrix: OwnershipMatrix) -> Partition:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        try:
+            tokens = next(csv.reader([line], skipinitialspace=True))
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
         members = []
-        for token in line.split(","):
+        for token in tokens:
             label = token.strip()
             if not label:
                 raise ParseError(f"{path}:{lineno}: empty label in group")
@@ -537,9 +603,10 @@ def _cmd_alpha(args) -> str:
 def _cmd_merge(args) -> str:
     matrix = ingest(args.file, args.input_format)
     try:
-        first, second = (tok.strip() for tok in args.pair.split(",", 1))
-    except ValueError:
-        raise ParseError(f"--pair expects two comma-separated labels, got {args.pair!r}")
+        tokens = next(csv.reader([args.pair], skipinitialspace=True))
+        first, second = (tok.strip() for tok in tokens)
+    except (ValueError, csv.Error):
+        raise ParseError(f"--pair expects two comma-separated labels, got {args.pair!r}") from None
     delta = merge_investors(
         matrix, matrix.investor_index(first), matrix.investor_index(second)
     )

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -422,6 +423,12 @@ PARSE_ERROR_CASES = [
      "{path}: unknown investor label 'c'"),
     ("vector-missing-file", "vector", None, ParseError,
      "{path}: [Errno 2] No such file or directory: '{path}'"),
+    ("csv-field-too-large", "csv", "investor,stock,amount\na,x,1\n\nb," + "y" * 131073 + ",1\n",
+     ParseError, "{path}:4: field larger than field limit (131072)"),
+    ("csv-header-field-too-large", "csv", "investor,stock," + "a" * 131073 + "\n", ParseError,
+     "{path}:1: field larger than field limit (131072)"),
+    ("vector-field-too-large", "vector", "label,value\na,1\nb," + "9" * 131073 + "\n",
+     ParseError, "{path}:3: field larger than field limit (131072)"),
 ]
 
 
@@ -443,12 +450,15 @@ def test_parse_error_messages(tmp_path, reader, text, error, message):
     assert str(caught.value) == message.format(path=path)
 
 
-# lots with repeated (investor, stock) pairs; a cell's leg is fixed by its labels
+# lots with repeated (investor, stock) pairs; a cell's leg is fixed by its labels.
+# Amounts are written as repr() of a float or as another spelling float() accepts.
 lot_rows = st.lists(
     st.tuples(
         st.sampled_from(["a", "b,c", 'd"e', "a b"]),
         st.sampled_from(["x", "y, z", '"q"']),
-        st.floats(0.0, 1e6, allow_nan=False) | st.sampled_from([0.1, 0.2, 0.3, 1e-300]),
+        st.floats(0.0, 1e6, allow_nan=False).map(repr)
+        | st.sampled_from(["0.1", "0.2", "0.3", "1e-300", " 1.5 ", "1_000", "+2e-3", "-0.0",
+                           "\t7\t", "1E3", ".5", "5.", "0_0.2_5"]),
     ),
     min_size=1,
     max_size=40,
@@ -470,8 +480,8 @@ def test_ingest_sums_lots_in_file_order(rows, with_sign, seed):
             for inv, stk, amount in rows:
                 i, j = investors.index(inv), stocks.index(stk)
                 leg = int(with_sign and short[i, j])
-                raw[leg, i, j] += amount
-                writer.writerow([inv, stk, repr(amount)] + ["+-"[leg]] * with_sign)
+                raw[leg, i, j] += float(amount)
+                writer.writerow([inv, stk, amount] + ["+-"[leg]] * with_sign)
         total = float(raw[0].sum() + raw[1].sum())
         if total <= 0.0:
             with pytest.raises(AllZeroMatrix):
@@ -498,3 +508,125 @@ def test_search_flags_only_on_search_commands(golden_csv, capsys):
     argv = ["psi", str(golden_csv), "--seed", "1", "--max-budget", "8", "--format", "json"]
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["certified"] is True
+
+
+# (case, file text, message): one file with several bad rows; the first in
+# file order is reported. "{path}" stands for the file's path.
+FIRST_BAD_ROW_CASES = [
+    ("width-after-bad-amount", "investor,stock,amount\na,x,1\nb,y,zz\nc,z,1,2\n",
+     "{path}:3: amount 'zz' is not a number"),
+    ("width-before-bad-amount", "investor,stock,amount\na,x,1\nc,z,1,2\nb,y,zz\n",
+     "{path}:3: expected 3 columns, got 4"),
+    ("empty-label-after-bad-sign", "investor,stock,amount,sign\na,x,1,+\nb,y,1,*\n ,z,1,-\n",
+     "{path}:3: sign must be + or -, got '*'"),
+    ("bad-sign-after-empty-label", "investor,stock,amount,sign\na,x,1,+\nb, ,1,-\nb,y,1,*\n",
+     "{path}:3: empty investor or stock label"),
+    ("nan-after-non-numeric", "investor,stock,amount\na,x,1\nb,y,1.2.3\nc,z,nan\n",
+     "{path}:3: amount '1.2.3' is not a number"),
+    ("non-numeric-after-nan", "investor,stock,amount\na,x,NaN\nb,y,abc\n",
+     "{path}:2: amount must be finite and nonnegative, got 'NaN'"),
+    ("label-before-amount-in-one-row", "investor,stock,amount\na,x,1\n ,y,abc\n",
+     "{path}:3: empty investor or stock label"),
+    ("blank-rows-between", "investor,stock,amount\na,x,1\n\n , ,\n,,,,\nb,y,-2\n\t, ,\nc,z,1,2\n",
+     "{path}:6: amount must be finite and nonnegative, got '-2'"),
+    ("blank-rows-before-width", "investor,stock,amount\na,x,1\n\n , , \nc,z\nb,y,-2\n",
+     "{path}:5: expected 3 columns, got 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [case[1:] for case in FIRST_BAD_ROW_CASES],
+    ids=[case[0] for case in FIRST_BAD_ROW_CASES],
+)
+def test_first_bad_row_in_file_order(tmp_path, text, message):
+    path = tmp_path / "lots.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        cli.ingest(path, signed=text.startswith("investor,stock,amount,sign"))
+    assert str(caught.value) == message.format(path=path)
+
+
+def test_main_csv_field_limit_exits_2(tmp_path, golden_csv, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text("investor,stock,amount\na," + "x" * 131073 + ",1\n", encoding="utf-8")
+    assert cli.main(["decompose", str(big)]) == 2
+    assert capsys.readouterr().err == f"error: {big}:2: field larger than field limit (131072)\n"
+    shocks = tmp_path / "shocks.csv"
+    shocks.write_text("label,value\n" + "i" * 131073 + ",1\n", encoding="utf-8")
+    assert cli.main(["shock", str(golden_csv), "--shocks", str(shocks)]) == 2
+    assert "field larger than field limit" in capsys.readouterr().err
+    groups = tmp_path / "groups.txt"
+    groups.write_text("inv1\n\ninv2," + "i" * 131073 + "\n", encoding="utf-8")
+    assert cli.main(["aggregate", str(golden_csv), "--groups", str(groups)]) == 2
+    assert capsys.readouterr().err == f"error: {groups}:3: field larger than field limit (131072)\n"
+
+
+def test_comma_labels_named_on_command_line(tmp_path, capsys):
+    def run(argv):
+        assert cli.main(argv + ["--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    raw = [[3.0, 1.0], [1.0, 2.0], [2.0, 0.0]]
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    cli.write_csv(hs.normalize(raw, ["A", "b", "c"], ["x", "y"]), plain)
+    cli.write_csv(hs.normalize(raw, ["Acme, Inc.", "b", "c"], ["x", "y"]), quoted)
+    assert '"Acme, Inc."' in quoted.read_text(encoding="utf-8")
+
+    plain_groups = tmp_path / "plain_groups.txt"
+    plain_groups.write_text("A,c\nb\n", encoding="utf-8")
+    quoted_groups = tmp_path / "quoted_groups.txt"
+    quoted_groups.write_text('"Acme, Inc.", c\n\nb\n', encoding="utf-8")
+    expected = run(["aggregate", str(plain), "--groups", str(plain_groups)])
+    got = run(["aggregate", str(quoted), "--groups", str(quoted_groups)])
+    assert got["groups"] == ["Acme, Inc.+c", "b"]
+    assert {k: got[k] for k in ("between", "within", "total")} == {
+        k: expected[k] for k in ("between", "within", "total")
+    }
+
+    assert run(["merge", str(quoted), "--pair", '"Acme, Inc.",b']) == run(
+        ["merge", str(plain), "--pair", "A,b"]
+    )
+    assert cli.main(["merge", str(quoted), "--pair", "Acme, Inc.,b"]) == 2
+    assert "--pair expects two comma-separated labels" in capsys.readouterr().err
+
+
+def _row_by_row_first_error(path, has_sign):
+    """The first row error of a holdings CSV, checking one row at a time, or None."""
+    reader = csv.reader(path.read_text(encoding="utf-8").splitlines())
+    width = len(next(reader))
+    for lineno, row in enumerate(reader, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != width:
+            return f"{path}:{lineno}: expected {width} columns, got {len(row)}"
+        try:
+            cli._parse_row(row, has_sign, f"{path}:{lineno}")
+        except ParseError as exc:
+            return str(exc)
+    return None
+
+
+messy_fields = st.sampled_from(
+    ["a", "b", " a ", "c,d", "", " ", "\t", "1", "0", " 2.5 ", "1_0", "-1", "-0.0", "nan",
+     "inf", "x1", "1e400", "+", "-", "*"]
+)
+
+
+@given(st.lists(st.lists(messy_fields, max_size=5), min_size=1, max_size=12), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_csv_errors_match_row_by_row_check(rows, with_sign):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lots.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["investor", "stock", "amount"] + ["sign"] * with_sign)
+            writer.writerows(rows)
+        expected = _row_by_row_first_error(path, with_sign)
+        try:
+            cli.ingest(path, signed=with_sign)
+            got = None
+        except (ParseError, AllZeroMatrix) as exc:
+            # errors found after the rows are read carry no line number
+            got = str(exc) if re.match(rf"{re.escape(str(path))}:\d", str(exc)) else None
+        assert got == expected
