@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -114,12 +115,18 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     return signed_from_raw(plus, minus, investors, stocks)
 
 
-def _csv_header(path: Path) -> tuple[list[str] | None, Iterator[list[str]]]:
-    """The header row (None for an empty file) and the reader left after it."""
+def _read_text(path: Path) -> io.StringIO:
+    """The file's text with its line breaks as written, for ``csv.reader``."""
     try:
-        reader = csv.reader(path.read_text(encoding="utf-8").splitlines())
+        with open(path, encoding="utf-8", newline="") as handle:
+            return io.StringIO(handle.read(), newline="")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _csv_header(path: Path) -> tuple[list[str] | None, Iterator[list[str]]]:
+    """The header row (None for an empty file) and the reader left after it."""
+    reader = csv.reader(_read_text(path))
     try:
         return next(reader, None), reader
     except csv.Error as exc:
@@ -253,12 +260,15 @@ def write_csv(matrix: OwnershipMatrix, path: str | Path) -> None:
     """Export normalized shares as an ingestible CSV, quoting labels as needed."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
+        # the minimal quoting leaves a carriage return bare, where it would end the row
+        quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(["investor", "stock", "amount"])
         for i, inv in enumerate(matrix.investor_labels):
             for j, stk in enumerate(matrix.stock_labels):
                 value = float(matrix.entries[i, j])
                 if value > 0:
-                    writer.writerow([inv, stk, repr(value)])
+                    row = [inv, stk, repr(value)]
+                    (quoted if "\r" in inv + stk else writer).writerow(row)
 
 
 def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.ndarray:
@@ -293,25 +303,22 @@ def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.nda
 def _read_partition(path: str | Path, matrix: OwnershipMatrix) -> Partition:
     """One group per line, comma-separated investor labels, quoted CSV-style as needed."""
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    reader = csv.reader(_read_text(path), skipinitialspace=True)
     groups = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            tokens = next(csv.reader([line], skipinitialspace=True))
-        except csv.Error as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        members = []
-        for token in tokens:
-            label = token.strip()
-            if not label:
-                raise ParseError(f"{path}:{lineno}: empty label in group")
-            members.append(matrix.investor_index(label))
-        groups.append(tuple(members))
+    lineno = 0
+    try:
+        for lineno, tokens in enumerate(reader, start=1):
+            if len(tokens) < 2 and not "".join(tokens).strip():
+                continue
+            members = []
+            for token in tokens:
+                label = token.strip()
+                if not label:
+                    raise ParseError(f"{path}:{lineno}: empty label in group")
+                members.append(matrix.investor_index(label))
+            groups.append(tuple(members))
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{lineno + 1}: {exc}") from exc
     if not groups:
         raise ParseError(f"{path}: no groups found")
     return Partition(tuple(groups))

@@ -239,6 +239,17 @@ def require_active(matrix: OwnershipMatrix) -> Marginals:
     return marg
 
 
+def held_cells(matrix: OwnershipMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices, column indices and values of the held cells, in row-major order.
+
+    A cell is held iff its entry exceeds ``EPS_SUPPORT``, which is zero, so
+    the held cells are the nonzero ones; no n-by-m temporary is built.
+    """
+    flat = np.flatnonzero(matrix.entries)
+    rows, cols = np.divmod(flat, matrix.m)
+    return rows, cols, matrix.entries.ravel()[flat]
+
+
 def profiles(matrix: OwnershipMatrix) -> Profiles:
     """Within-portfolio weights and within-stock owner shares.
 

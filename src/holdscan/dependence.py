@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OwnershipMatrix, _freeze, _probability_vector, _unique_label, require_active
+from .core import (
+    OwnershipMatrix, _freeze, _probability_vector, _unique_label, held_cells, require_active
+)
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -63,7 +65,7 @@ class DependenceReport:
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint nonempty groups of investor indices.
+    """Disjoint nonempty groups of distinct investor indices.
 
     Coverage of the full investor set is checked against a concrete
     matrix inside :func:`aggregate`.
@@ -80,6 +82,9 @@ class Partition:
                 raise InvalidPartition("empty group")
             if any(i < 0 for i in members):
                 raise InvalidPartition("negative investor index")
+            repeated = [a for a, b in zip(members, members[1:]) if a == b]
+            if repeated:
+                raise InvalidPartition(f"investor {repeated[0]} appears twice in one group")
             overlap = seen.intersection(members)
             if overlap:
                 raise InvalidPartition(f"investor {min(overlap)} appears in two groups")
@@ -125,22 +130,35 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
     profile decompositions are computed independently and must agree to
     1e-10; on disagreement the definitional form is recomputed with
     compensated summation before failing.
+
+    Every sum runs over the held cells only: an empty cell deviates from
+    the benchmark by its whole mass ``p_i * s_j``, so the empty cells enter
+    through their total benchmark mass. Beyond one pass over the entries,
+    time and memory are O(nnz + n + m).
     """
     marg = require_active(matrix)
     p, s = marg.p, marg.s
-    e = matrix.entries
-    bench = np.outer(p, s)
+    n, m = matrix.shape
+    rows, cols, e = held_cells(matrix)
+    p_h, s_h = p[rows], s[cols]
+    bench = p_h * s_h
     dev = e - bench
+    terms = dev * dev / bench
+    # benchmark mass of the empty cells; exactly zero when there are none
+    unheld = float(p.sum() * s.sum() - bench.sum()) if e.size < n * m else 0.0
 
-    definitional = float(np.sum(dev * dev / bench))
+    definitional = float(terms.sum()) + unheld
     closed = float(np.sum(e * e / bench) - 1.0)
-    ratio = e / bench
-    likelihood = float(np.sum(bench * (ratio - 1.0) ** 2))
+    likelihood = float(np.sum(bench * (e / bench - 1.0) ** 2)) + unheld
 
-    q = e / p[:, None]
-    investor_contrib = p * np.sum((q - s[None, :]) ** 2 / s[None, :], axis=1)
-    r = e / s[None, :]
-    stock_contrib = s * np.sum((r - p[:, None]) ** 2 / p[:, None], axis=0)
+    investor_contrib = p * (
+        np.bincount(rows, (e / p_h - s_h) ** 2 / s_h, minlength=n)
+        + _empty_mass(rows, s_h, s, n)
+    )
+    stock_contrib = s * (
+        np.bincount(cols, (e / s_h - p_h) ** 2 / p_h, minlength=m)
+        + _empty_mass(cols, p_h, p, m)
+    )
 
     forms = (
         closed,
@@ -150,7 +168,7 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
     )
     index = definitional
     if any(abs(f - definitional) > _FORM_TOL for f in forms):
-        compensated = math.fsum((dev * dev / bench).ravel().tolist())
+        compensated = math.fsum([*terms.tolist(), unheld])
         if any(abs(f - compensated) > _FORM_TOL for f in forms):
             raise InternalConsistencyError(
                 "dependence forms disagree beyond tolerance even under "
@@ -162,6 +180,19 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
         investor_contributions=investor_contrib,
         stock_contributions=stock_contrib,
     )
+
+
+def _empty_mass(
+    line: np.ndarray, weights: np.ndarray, total: np.ndarray, size: int
+) -> np.ndarray:
+    """For each of ``size`` rows (or columns), the mass of ``total`` it leaves empty.
+
+    Held cell k lies on line ``line[k]`` and carries ``weights[k]`` of
+    ``total``. A line with no empty cell gets exactly zero, not the rounding
+    noise of ``total.sum()`` minus its own weights.
+    """
+    gap = total.sum() - np.bincount(line, weights, minlength=size)
+    return np.where(np.bincount(line, minlength=size) < total.size, gap, 0.0)
 
 
 def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit:

@@ -198,9 +198,15 @@ def test_round_trip_reingestion(tmp_path, golden_csv):
     assert cli.dashboard(matrix) == cli.dashboard(again)
 
 
-# labels with commas, quotes and inner spaces; ingest strips outer whitespace
+# labels with commas, quotes, and inner spaces and line breaks of every kind
+# that str.splitlines() knows; ingest strips outer whitespace
+_label_edge = st.sampled_from('ab,"')
+_label_inner = st.text(alphabet='ab ,"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029', max_size=4)
 label_sets = st.lists(
-    st.text(alphabet='ab ,"', min_size=1, max_size=6).filter(lambda lab: lab == lab.strip()),
+    st.one_of(
+        _label_edge,
+        st.builds(lambda a, mid, b: a + mid + b, _label_edge, _label_inner, _label_edge),
+    ),
     min_size=1,
     max_size=4,
     unique=True,
@@ -560,6 +566,13 @@ def test_main_csv_field_limit_exits_2(tmp_path, golden_csv, capsys):
     groups.write_text("inv1\n\ninv2," + "i" * 131073 + "\n", encoding="utf-8")
     assert cli.main(["aggregate", str(golden_csv), "--groups", str(groups)]) == 2
     assert capsys.readouterr().err == f"error: {groups}:3: field larger than field limit (131072)\n"
+
+
+def test_aggregate_rejects_repeated_investor(tmp_path, golden_csv, capsys):
+    groups = tmp_path / "groups.txt"
+    groups.write_text("inv1,inv1,inv2\ninv3\n", encoding="utf-8")
+    assert cli.main(["aggregate", str(golden_csv), "--groups", str(groups)]) == 2
+    assert capsys.readouterr().err == "error: investor 0 appears twice in one group\n"
 
 
 def test_comma_labels_named_on_command_line(tmp_path, capsys):

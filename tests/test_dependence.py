@@ -179,6 +179,13 @@ def test_partition_validation(golden):
         hs.aggregate(golden, hs.Partition(((0, 1), (5,))))
 
 
+def test_partition_rejects_repeated_investor():
+    with pytest.raises(InvalidPartition, match="investor 0 appears twice in one group"):
+        hs.Partition(((0, 0, 1),))
+    with pytest.raises(InvalidPartition, match="investor 2 appears twice in one group"):
+        hs.Partition(((1, 2, 2), (0,)))
+
+
 def test_merger_delta_golden_pair(golden):
     # two-sided oracle: closed form and an explicit before/after recomputation
     marg = hs.marginals(golden)
