@@ -120,8 +120,24 @@ def _read_text(path: Path) -> io.StringIO:
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             return io.StringIO(handle.read(), newline="")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _record_lines(path: Path) -> list[int]:
+    """The line each CSV record starts on, read again to word an error.
+
+    A quoted line break makes a record span lines. The list ends with the
+    line after the last record read: where a record that failed to parse starts.
+    """
+    reader = csv.reader(_read_text(path))
+    starts = [1]
+    try:
+        for _ in reader:
+            starts.append(reader.line_num + 1)
+    except csv.Error:
+        pass
+    return starts
 
 
 def _csv_header(path: Path) -> tuple[list[str] | None, Iterator[list[str]]]:
@@ -138,10 +154,11 @@ def _csv_columns(
 ) -> tuple[list[list[str]], ParseError | None]:
     """The rows after the header as ``width`` columns of strings.
 
-    Entry k of every column comes from line k + 2; a blank row stays in
-    place, as blank strings, for the caller to skip. Reading stops at the
-    first non-blank row of another width, and that row's error is returned
-    rather than raised, so the caller can first report a bad row above it.
+    Entry k of every column comes from record k + 1 of the file (the
+    header is record 0); a blank row stays in place, as blank strings, for
+    the caller to skip. Reading stops at the first non-blank row of another
+    width, and that row's error is returned rather than raised, so the
+    caller can first report a bad row above it.
     """
     fields: list[str] = []
     extend = fields.extend
@@ -151,14 +168,14 @@ def _csv_columns(
             if len(row) != width:
                 if "".join(row).strip():
                     error = ParseError(
-                        f"{path}:{len(fields) // width + 2}: "
+                        f"{path}:{_record_lines(path)[len(fields) // width + 1]}: "
                         f"expected {width} columns, got {len(row)}"
                     )
                     break
                 row = [""] * width
             extend(row)
     except csv.Error as exc:
-        raise ParseError(f"{path}:{len(fields) // width + 2}: {exc}") from exc
+        raise ParseError(f"{path}:{_record_lines(path)[len(fields) // width + 1]}: {exc}") from exc
     return [fields[k::width] for k in range(width)], error
 
 
@@ -177,17 +194,17 @@ def _read_csv(path: Path) -> tuple[_Columns, bool]:
     columns, width_error = _csv_columns(path, reader, len(names))
     investors = list(map(str.strip, columns[0]))
     stocks = list(map(str.strip, columns[1]))
-    lines: Sequence[int] = range(2, len(investors) + 2)
+    records: Sequence[int] = range(1, len(investors) + 1)
     if "" in investors or "" in stocks:
         # a blank row has empty labels, so only then can there be one to drop
         keep = [k for k, row in enumerate(zip(*columns)) if "".join(row).strip()]
-        lines = [k + 2 for k in keep]
+        records = [k + 1 for k in keep]
         columns = [[col[k] for k in keep] for col in columns]
         investors = [investors[k] for k in keep]
         stocks = [stocks[k] for k in keep]
     signs = list(map(str.strip, columns[3])) if has_sign else []
     try:
-        amounts = np.fromiter(map(float, columns[2]), float, len(lines))
+        amounts = np.fromiter(map(float, columns[2]), float, len(records))
     except ValueError:
         amounts = None
     if (
@@ -197,21 +214,22 @@ def _read_csv(path: Path) -> tuple[_Columns, bool]:
         or not set(signs) <= {"", "+", "-"}
         or not np.all(np.isfinite(amounts) & (amounts >= 0))
     ):
-        for lineno, *row in zip(lines, *columns):
-            _parse_row(row, has_sign, f"{path}:{lineno}")  # raises at the first bad row
+        starts = _record_lines(path)
+        for record, *row in zip(records, *columns):
+            _parse_row(row, has_sign, f"{path}:{starts[record]}")  # raises at the first bad row
     if width_error is not None:
         raise width_error
     if has_sign:
         legs = np.fromiter(map("-".__eq__, signs), np.intp, len(signs))
     else:
-        legs = np.zeros(len(lines), np.intp)
+        legs = np.zeros(len(records), np.intp)
     return (investors, stocks, amounts, legs), has_sign
 
 
 def _read_json(path: Path) -> tuple[_Columns, bool]:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
@@ -279,16 +297,18 @@ def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.nda
         raise ParseError(f"{path}:1: header must be label,value")
     (label_col, value_col), width_error = _csv_columns(path, reader, 2)
     seen: dict[str, float] = {}
-    for lineno, (raw_label, value) in enumerate(zip(label_col, value_col), start=2):
+    for record, (raw_label, value) in enumerate(zip(label_col, value_col), start=1):
         if not (raw_label + value).strip():
             continue
         label = raw_label.strip()
         if label in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate label {label!r}")
+            raise ParseError(f"{path}:{_record_lines(path)[record]}: duplicate label {label!r}")
         try:
             seen[label] = float(value)
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: value {value!r} is not a number") from None
+            raise ParseError(
+                f"{path}:{_record_lines(path)[record]}: value {value!r} is not a number"
+            ) from None
     if width_error is not None:
         raise width_error
     missing = [lab for lab in labels if lab not in seen]
@@ -305,20 +325,21 @@ def _read_partition(path: str | Path, matrix: OwnershipMatrix) -> Partition:
     path = Path(path)
     reader = csv.reader(_read_text(path), skipinitialspace=True)
     groups = []
-    lineno = 0
+    next_line = 1  # where the next record starts; a quoted line break spans lines
     try:
-        for lineno, tokens in enumerate(reader, start=1):
+        for tokens in reader:
+            line, next_line = next_line, reader.line_num + 1
             if len(tokens) < 2 and not "".join(tokens).strip():
                 continue
             members = []
             for token in tokens:
                 label = token.strip()
                 if not label:
-                    raise ParseError(f"{path}:{lineno}: empty label in group")
+                    raise ParseError(f"{path}:{line}: empty label in group")
                 members.append(matrix.investor_index(label))
             groups.append(tuple(members))
     except csv.Error as exc:
-        raise ParseError(f"{path}:{lineno + 1}: {exc}") from exc
+        raise ParseError(f"{path}:{next_line}: {exc}") from exc
     if not groups:
         raise ParseError(f"{path}: no groups found")
     return Partition(tuple(groups))
@@ -338,6 +359,13 @@ def dashboard(
 
     ``compute_psi=None`` decides automatically from the label count.
     """
+    return _dashboard(matrix, compute_psi, max_budget, seed)[0]
+
+
+def _dashboard(
+    matrix: OwnershipMatrix, compute_psi: bool | None, max_budget: int, seed: int
+) -> tuple[Dashboard, DependenceReport]:
+    """The dashboard and the dependence report it was built from."""
     summary = concentration_summary(matrix)
     dep = dependence_index(matrix)
     res = whiten(matrix)
@@ -365,7 +393,7 @@ def dashboard(
         N_M=summary.effective_cells,
         psi_certified=certified,
         psi_reason=reason,
-    )
+    ), dep
 
 
 def report(
@@ -496,10 +524,7 @@ def _headline_payload(delta: OperationDelta) -> dict:
 
 def _cmd_dashboard(args) -> str:
     matrix = ingest(args.file, args.input_format)
-    dash = dashboard(
-        matrix, compute_psi=args.psi, max_budget=args.max_budget, seed=args.seed
-    )
-    dep = dependence_index(matrix)
+    dash, dep = _dashboard(matrix, args.psi, args.max_budget, args.seed)
     flags = {
         "psi": args.psi,
         "max_budget": args.max_budget,

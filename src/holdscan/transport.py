@@ -10,9 +10,9 @@ The minimizer is found by exact blockwise dual ascent on the threshold
 multipliers: given the column multipliers, each row multiplier solves a
 piecewise-linear monotone equation in closed form (a simplex-projection
 style threshold solve), and vice versa. The maximizer is found either by
-exhaustive enumeration of spanning-tree supports (small systems, exact
-and certified) or by vertex local search along improving polytope edges
-(large systems, a certified lower bound only).
+decoding every spanning tree from its bipartite Prüfer code (small
+systems, exact and certified) or by vertex local search along improving
+polytope edges (large systems, a certified lower bound only).
 
 The feasible-range sparsity score locates an observed matrix between the
 fixed-marginal minimum and maximum.
@@ -41,9 +41,12 @@ TOL_FEAS = 1e-8
 #: Convergence tolerance of the dual-ascent minimizer (marginal residuals).
 TOL_KKT = 1e-10
 
-#: Exhaustive vertex enumeration is used when the spanning-tree count of
-#: the complete bipartite support graph does not exceed this.
+#: The maximum is certified by decoding every spanning tree of the complete
+#: bipartite support graph when their count does not exceed this.
 MAX_ENUMERATION = 1_000_000
+
+#: Prüfer codes decoded at once; keeps the enumeration's memory near 1 MB.
+_CHUNK = 1024
 
 #: Negative dust tolerated when solving a tree system before the tree is
 #: declared infeasible.
@@ -180,10 +183,11 @@ def max_micro(marg: Marginals, budget: int = 64, *, seed: int = 0) -> TransportS
 
     Exhaustive and certified when the spanning-tree count of the complete
     bipartite graph on active rows and columns is at most
-    ``MAX_ENUMERATION``; otherwise a seeded multi-start vertex local
-    search returning a lower bound (``certified=False``). Ties between
-    vertices break toward the lexicographically smallest support, so the
-    reported argmax is deterministic.
+    ``MAX_ENUMERATION`` (every tree's vertex, from its Prüfer code);
+    otherwise a seeded multi-start vertex local search returning a lower
+    bound (``certified=False``). Ties between vertices break toward the
+    lexicographically smallest support, so the reported argmax is
+    deterministic.
     """
     if budget < 1:
         raise OutOfRange(f"budget must be positive, got {budget}")
@@ -382,129 +386,96 @@ def _active_set_finish(
 
 
 def _enumerate_max(p: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
-    best_obj = -1.0
-    best_support: tuple[tuple[int, int], ...] | None = None
-    best_mat: np.ndarray | None = None
-    for tree in _iter_spanning_trees(p.size, s.size):
-        mat = _tree_vertex(tree, p, s)
-        if mat is None:
-            continue
-        obj = float(np.sum(mat * mat))
-        support = tuple(zip(*np.nonzero(mat > 0)))
-        if obj > best_obj + 1e-15 or (
-            abs(obj - best_obj) <= 1e-15
-            and best_support is not None
-            and support < best_support
-        ):
-            best_obj, best_support, best_mat = obj, support, mat
-    if best_mat is None:
-        raise InternalConsistencyError("no feasible vertex found during enumeration")
-    return best_mat, best_obj
+    """Best vertex over every spanning tree of the complete bipartite graph.
 
-
-def _iter_spanning_trees(n: int, m: int):
-    """Spanning trees of the complete bipartite graph, as cell tuples.
-
-    Edges are scanned in row-major cell order and trees are emitted in
-    lexicographic order of their cell-index sets. A cheap connectivity
-    prune keeps dead branches from being explored.
+    Trees are decoded ``_CHUNK`` Prüfer codes at a time. Among the trees
+    within 1e-15 of the best objective, the one whose support (positive
+    cells in row-major order) is lexicographically smallest wins.
     """
-    nv = n + m
-    cells = [(i, j) for i in range(n) for j in range(m)]
-    ecount = len(cells)
-    parent = list(range(nv))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def can_still_connect(start: int, comps: int) -> bool:
-        link: dict[int, int] = {}
-
-        def lfind(x: int) -> int:
-            while link.get(x, x) != x:
-                x = link[x]
-            return x
-
-        remaining = comps
-        for idx in range(start, ecount):
-            i, j = cells[idx]
-            ru, rv = lfind(find(i)), lfind(find(n + j))
-            if ru != rv:
-                link[ru] = rv
-                remaining -= 1
-                if remaining == 1:
-                    return True
-        return remaining == 1
-
-    chosen: list[int] = []
-
-    def recurse(start: int, comps: int):
-        if comps == 1:
-            yield tuple(cells[idx] for idx in chosen)
-            return
-        if ecount - start < comps - 1 or not can_still_connect(start, comps):
-            return
-        for idx in range(start, ecount):
-            if ecount - idx < comps - 1:
-                break
-            i, j = cells[idx]
-            ru, rv = find(i), find(n + j)
-            if ru == rv:
-                continue
-            parent[ru] = rv
-            chosen.append(idx)
-            yield from recurse(idx + 1, comps - 1)
-            chosen.pop()
-            parent[ru] = ru
-
-    yield from recurse(0, nv)
+    n, m = p.size, s.size
+    total = vertex_count(n, m)
+    best = -1.0
+    # near-best trees, one per support and sorted by it: code, objective and
+    # support (flat cells, padded with -1 so that a prefix sorts first)
+    kept = (np.empty(0, np.intp), np.empty(0), np.empty((0, n + m - 1), np.intp))
+    for start in range(0, total, _CHUNK):
+        codes = np.arange(start, min(start + _CHUNK, total))
+        rows, cols, values = _decode_trees(codes, p, s)
+        cells = np.maximum(values, 0.0)
+        feasible = np.all(values >= -_TREE_NEG_TOL, axis=1)
+        obj = np.where(feasible, np.sum(cells * cells, axis=1), -np.inf)
+        if obj.max() < best - 1e-15:
+            continue
+        best = max(best, float(obj.max()))
+        near = np.flatnonzero(obj >= best - 1e-15)
+        flat = np.where(cells[near] > 0, rows[near] * m + cols[near], n * m)
+        support = np.sort(flat, axis=1)
+        support[support == n * m] = -1
+        codes, obj, support = (
+            np.concatenate(pair) for pair in zip(kept, (codes[near], obj[near], support))
+        )
+        order = np.argsort(-obj, kind="stable")
+        keep = order[np.unique(support[order], axis=0, return_index=True)[1]]
+        keep = keep[obj[keep] >= best - 1e-15]
+        kept = codes[keep], obj[keep], support[keep]
+    if best < 0.0:
+        raise InternalConsistencyError("no feasible vertex found during enumeration")
+    rows, cols, values = _decode_trees(kept[0][:1], p, s)
+    mat = np.zeros((n, m))
+    mat[rows[0], cols[0]] = np.maximum(values[0], 0.0)
+    return mat, float(np.sum(mat * mat))
 
 
-def _tree_vertex(
-    tree: tuple[tuple[int, int], ...], p: np.ndarray, s: np.ndarray
-) -> np.ndarray | None:
-    """Unique matrix supported on a spanning tree with the given marginals.
+def _decode_trees(
+    codes: np.ndarray, p: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spanning trees of K_{n,m} from their bipartite Prüfer codes, with values.
 
-    Solved by repeated leaf elimination. Returns None when the tree forces
-    a negative cell (the basic solution is infeasible).
+    Code k reads as mixed-radix digits A in rows^(m-1) and B in
+    cols^(n-1), and a vertex's degree is one plus its count in A or B.
+    Each step removes one leaf: the smallest leaf row, joined to the next
+    column of B, if there is one; otherwise the smallest leaf column,
+    joined to the next row of A. (Once one row is left, the rest of A
+    names it, so it is no leaf while two or more columns remain.) The
+    removed leaf's residual mass is the edge value and leaves its
+    neighbour, so the values solve the tree's marginal system; the last
+    row and column share what is left. Vertices are rows 0..n-1, then
+    columns n..n+m-1. Returns the row, column and value of every edge,
+    each of shape (len(codes), n+m-1).
     """
     n, m = p.size, s.size
     nv = n + m
-    residual = np.concatenate([p, s])
-    incident: list[list[int]] = [[] for _ in range(nv)]
-    for eid, (i, j) in enumerate(tree):
-        incident[i].append(eid)
-        incident[n + j].append(eid)
-    degree = [len(edges) for edges in incident]
-    used = [False] * len(tree)
-    values = np.zeros(len(tree))
-    stack = [vtx for vtx in range(nv) if degree[vtx] == 1]
-    while stack:
-        vtx = stack.pop()
-        if degree[vtx] != 1:
-            continue
-        eid = next(e for e in incident[vtx] if not used[e])
-        used[eid] = True
-        i, j = tree[eid]
-        other = n + j if vtx == i else i
-        amount = residual[vtx]
-        if amount < -_TREE_NEG_TOL:
-            return None
-        values[eid] = amount
-        residual[vtx] = 0.0
-        residual[other] -= amount
-        degree[vtx] -= 1
-        degree[other] -= 1
-        if degree[other] == 1:
-            stack.append(other)
-    if not all(used) or np.min(values) < -_TREE_NEG_TOL:
-        return None
-    mat = np.zeros((n, m))
-    for eid, (i, j) in enumerate(tree):
-        mat[i, j] = max(values[eid], 0.0)
-    return mat
+    base = np.arange(codes.size) * nv  # each code's offset in the flat arrays
+    # per code: A, a spare, B, a spare, as vertices; a spare digit is read
+    # only on the branch not taken
+    radix = np.repeat([n, 1, m, 1], [m - 1, 1, n - 1, 1])
+    digits = codes[:, None] // np.cumprod(np.r_[1, radix[:-1]]) % radix
+    digits += np.repeat([0, n], [m, n])
+    named = np.delete(digits, [m - 1, nv - 1], axis=1) + base[:, None]
+    degree = 1 + np.bincount(named.ravel(), minlength=codes.size * nv)
+    by_code = degree.reshape(-1, nv)
+    digits = digits.ravel()
+    next_a, next_b = base.copy(), base + m
+    residual = np.tile(np.concatenate([p, s]), codes.size)
+    ends = np.empty((2, codes.size, nv - 1), np.intp)  # each edge's leaf and neighbour
+    values = np.empty((codes.size, nv - 1))
+    for step in range(nv - 2):
+        row_leaf = by_code[:, :n] == 1
+        take_row = row_leaf.any(axis=1)
+        leaf = np.where(
+            take_row, row_leaf.argmax(axis=1), n + (by_code[:, n:] == 1).argmax(axis=1)
+        )
+        other = np.where(take_row, digits[next_b], digits[next_a])
+        values[:, step] = residual[base + leaf]
+        residual[base + other] -= values[:, step]
+        degree[base + leaf] = 0
+        degree[base + other] -= 1
+        ends[:, :, step] = leaf, other
+        next_b += take_row
+        next_a += ~take_row
+    ends[:, :, -1] = (by_code[:, :n] > 0).argmax(axis=1), n + (by_code[:, n:] > 0).argmax(axis=1)
+    values[:, -1] = residual[base + ends[0, :, -1]]
+    return ends.min(axis=0), ends.max(axis=0) - n, values
 
 
 def _northwest_vertex(

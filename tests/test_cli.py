@@ -643,3 +643,95 @@ def test_csv_errors_match_row_by_row_check(rows, with_sign):
             # errors found after the rows are read carry no line number
             got = str(exc) if re.match(rf"{re.escape(str(path))}:\d", str(exc)) else None
         assert got == expected
+
+
+# (case, reader, file text, message): a quoted line break makes one record
+# span several lines, and an error names the physical line on which the
+# bad record starts. Reader "groups" reads a --groups file for the golden
+# book. "{path}" stands for the file's path.
+QUOTED_BREAK_CASES = [
+    ("csv-after-break", "csv", 'investor,stock,amount\n"a\nb",x,1\nc,y,oops\n',
+     "{path}:4: amount 'oops' is not a number"),
+    ("csv-after-crlf-break", "csv", 'investor,stock,amount\r\n"a\r\nb",x,1\r\nc,y,oops\r\n',
+     "{path}:4: amount 'oops' is not a number"),
+    ("csv-after-cr-break", "csv", 'investor,stock,amount\n"a\rb",x,1\nc,y,-1\n',
+     "{path}:4: amount must be finite and nonnegative, got '-1'"),
+    ("csv-in-broken-row", "csv", 'investor,stock,amount\na,x,1\n"a\n\nb",x,oops\n',
+     "{path}:3: amount 'oops' is not a number"),
+    ("csv-blank-then-break", "csv", 'investor,stock,amount\n\n"a\nb",x,1\n\n ,y,1\n',
+     "{path}:6: empty investor or stock label"),
+    ("csv-width-after-break", "csv", 'investor,stock,amount\n"a\nb",x,1\n\nc,y\n',
+     "{path}:5: expected 3 columns, got 2"),
+    ("csv-field-limit-after-break", "csv",
+     'investor,stock,amount\n"a\nb",x,1\nc,' + "y" * 131073 + ",1\n",
+     "{path}:4: field larger than field limit (131072)"),
+    ("vector-after-break", "vector", 'label,value\n"a\nx",1\nb,two\n',
+     "{path}:4: value 'two' is not a number"),
+    ("vector-duplicate-after-break", "vector", 'label,value\n"a\n\nb",1\nb,2\nb,3\n',
+     "{path}:6: duplicate label 'b'"),
+    ("vector-width-after-break", "vector", 'label,value\n"a\nx",1\nb,2,3\n',
+     "{path}:4: expected 2 columns, got 3"),
+    ("groups-after-break", "groups", 'inv1\n"\n"\ninv2,\n',
+     "{path}:4: empty label in group"),
+    ("groups-field-limit-after-break", "groups", 'inv1\n"\n"\ninv2,' + "i" * 131073 + "\n",
+     "{path}:4: field larger than field limit (131072)"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader,text,message",
+    [case[1:] for case in QUOTED_BREAK_CASES],
+    ids=[case[0] for case in QUOTED_BREAK_CASES],
+)
+def test_error_lines_after_quoted_break(tmp_path, golden, reader, text, message):
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError) as caught:
+        if reader == "vector":
+            cli._read_vector(path, ("a", "b"), "investor")
+        elif reader == "groups":
+            cli._read_partition(path, golden)
+        else:
+            cli.ingest(path)
+    assert str(caught.value) == message.format(path=path)
+
+
+def test_non_utf8_input_exits_2(tmp_path, golden_csv, capsys):
+    def fails_on(path, argv):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "can't decode byte 0xff" in err
+
+    holdings = tmp_path / "holdings.csv"
+    holdings.write_bytes(b"investor,stock,amount\n\xff\xfe,x,1\nb,y,2\n")
+    fails_on(holdings, ["decompose", str(holdings)])
+    records = tmp_path / "holdings.json"
+    records.write_bytes(b'[{"investor": "\xff\xfe", "stock": "x", "amount": 1}]')
+    fails_on(records, ["decompose", str(records), "--input-format", "json"])
+    shocks = tmp_path / "shocks.csv"
+    shocks.write_bytes(b"label,value\ninv1,1\ninv2,\xff\xfe\ninv3,0\n")
+    fails_on(shocks, ["shock", str(golden_csv), "--shocks", str(shocks)])
+    groups = tmp_path / "groups.txt"
+    groups.write_bytes(b"inv1,inv2\n\xff\xfe\n")
+    fails_on(groups, ["aggregate", str(golden_csv), "--groups", str(groups)])
+
+
+def test_dashboard_computes_dependence_once(golden_csv, capsys, monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return hs.dependence_index(matrix)
+
+    monkeypatch.setattr(cli, "dependence_index", counted)
+    for fmt in ("text", "json"):
+        calls.clear()
+        assert cli.main(["dashboard", str(golden_csv), "--format", fmt]) == 0
+        assert len(calls) == 1
+        matrix = cli.ingest(golden_csv)
+        flags = {"psi": None, "max_budget": 64, "format": fmt, "input_format": "csv"}
+        expect = cli.report(
+            matrix, cli.dashboard(matrix), hs.dependence_index(matrix), fmt, 0, flags
+        )
+        assert capsys.readouterr().out == expect

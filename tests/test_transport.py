@@ -353,6 +353,221 @@ def test_local_search_is_locally_optimal(case):
         assert gain <= _PIVOT_GAIN_TOL
 
 
+# -- certified maximum: the Prüfer decode against a recursive oracle ----------
+
+
+def oracle_spanning_trees(n, m):
+    """Spanning trees of K_{n,m} as cell tuples, by recursive edge choice.
+
+    Edges are scanned in row-major cell order and trees are emitted in
+    lexicographic order of their cell-index sets. A cheap connectivity
+    prune keeps dead branches from being explored.
+    """
+    nv = n + m
+    cells = [(i, j) for i in range(n) for j in range(m)]
+    ecount = len(cells)
+    parent = list(range(nv))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def can_still_connect(start, comps):
+        link = {}
+
+        def lfind(x):
+            while link.get(x, x) != x:
+                x = link[x]
+            return x
+
+        remaining = comps
+        for idx in range(start, ecount):
+            i, j = cells[idx]
+            ru, rv = lfind(find(i)), lfind(find(n + j))
+            if ru != rv:
+                link[ru] = rv
+                remaining -= 1
+                if remaining == 1:
+                    return True
+        return remaining == 1
+
+    chosen = []
+
+    def recurse(start, comps):
+        if comps == 1:
+            yield tuple(cells[idx] for idx in chosen)
+            return
+        if ecount - start < comps - 1 or not can_still_connect(start, comps):
+            return
+        for idx in range(start, ecount):
+            if ecount - idx < comps - 1:
+                break
+            i, j = cells[idx]
+            ru, rv = find(i), find(n + j)
+            if ru == rv:
+                continue
+            parent[ru] = rv
+            chosen.append(idx)
+            yield from recurse(idx + 1, comps - 1)
+            chosen.pop()
+            parent[ru] = ru
+
+    yield from recurse(0, nv)
+
+
+def oracle_tree_vertex(tree, p, s):
+    """The matrix on a spanning tree with marginals (p, s); None if infeasible.
+
+    Leaf elimination in stack order: each leaf's residual mass is its
+    edge's value and is taken from the neighbour.
+    """
+    n, m = p.size, s.size
+    nv = n + m
+    residual = np.concatenate([p, s])
+    incident = [[] for _ in range(nv)]
+    for eid, (i, j) in enumerate(tree):
+        incident[i].append(eid)
+        incident[n + j].append(eid)
+    degree = [len(edges) for edges in incident]
+    used = [False] * len(tree)
+    values = np.zeros(len(tree))
+    stack = [vtx for vtx in range(nv) if degree[vtx] == 1]
+    while stack:
+        vtx = stack.pop()
+        if degree[vtx] != 1:
+            continue
+        eid = next(e for e in incident[vtx] if not used[e])
+        used[eid] = True
+        i, j = tree[eid]
+        other = n + j if vtx == i else i
+        amount = residual[vtx]
+        if amount < -1e-12:
+            return None
+        values[eid] = amount
+        residual[vtx] = 0.0
+        residual[other] -= amount
+        degree[vtx] -= 1
+        degree[other] -= 1
+        if degree[other] == 1:
+            stack.append(other)
+    assert all(used)
+    mat = np.zeros((n, m))
+    for eid, (i, j) in enumerate(tree):
+        mat[i, j] = max(values[eid], 0.0)
+    return mat
+
+
+def oracle_max(p, s):
+    """Best oracle vertex, in tree order; a near tie (1e-15) goes to the smaller support."""
+    best_obj, best_support, best_mat = -1.0, None, None
+    for tree in oracle_spanning_trees(p.size, s.size):
+        mat = oracle_tree_vertex(tree, p, s)
+        if mat is None:
+            continue
+        obj = float(np.sum(mat * mat))
+        support = tuple(np.flatnonzero(mat > 0))
+        if obj > best_obj + 1e-15 or (abs(obj - best_obj) <= 1e-15 and support < best_support):
+            best_obj, best_support, best_mat = obj, support, mat
+    return best_mat, best_obj
+
+
+def lognormal_marginals(seed, n, m):
+    rng = np.random.default_rng(seed)
+    p = rng.lognormal(size=n)
+    s = rng.lognormal(size=m)
+    return hs.Marginals(p / p.sum(), s / s.sum())
+
+
+SMALL_SHAPES = [
+    (n, m) for n in range(1, 6) for m in range(1, 6) if hs.vertex_count(n, m) <= 4096
+]
+
+
+@pytest.mark.parametrize("n, m", SMALL_SHAPES)
+def test_decoded_trees_match_oracle(n, m):
+    from holdscan.transport import _decode_trees
+
+    marg = lognormal_marginals(10 * n + m, n, m)
+    total = hs.vertex_count(n, m)
+    rows, cols, values = _decode_trees(np.arange(total), marg.p, marg.s)
+    decoded = {}
+    for r, c, v in zip(rows, cols, values):
+        decoded[frozenset(zip(r.tolist(), c.tolist()))] = (r, c, v)
+    trees = list(oracle_spanning_trees(n, m))
+    assert len(decoded) == len(trees) == total
+    assert set(decoded) == {frozenset(tree) for tree in trees}
+    for tree in trees:
+        expect = oracle_tree_vertex(tree, marg.p, marg.s)
+        r, c, v = decoded[frozenset(tree)]
+        assert (expect is not None) == bool(np.all(v >= -1e-12))
+        if expect is not None:
+            got = np.zeros((n, m))
+            got[r, c] = np.maximum(v, 0.0)
+            nptest.assert_allclose(got, expect, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (4, 1), (1, 7), (6, 1)])
+def test_enumeration_single_row_or_column(n, m):
+    # one investor or one stock: the star is the only tree and the only vertex
+    marg = lognormal_marginals(n + m, n, m)
+    sol = hs.max_micro(marg)
+    assert sol.certified
+    expect = marg.s[None, :] if n == 1 else marg.p[:, None]
+    nptest.assert_allclose(sol.matrix, expect, rtol=0, atol=1e-15)
+    oracle_mat, oracle_obj = oracle_max(marg.p, marg.s)
+    nptest.assert_allclose(sol.matrix, oracle_mat, rtol=0, atol=1e-15)
+    assert abs(sol.objective - oracle_obj) <= 1e-15
+
+
+#: Shapes whose oracle enumeration stays within a second.
+ORACLE_SHAPES = [(n, m) for n, m in SMALL_SHAPES if 1 < hs.vertex_count(n, m) <= 500]
+
+
+@given(st.sampled_from(ORACLE_SHAPES), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_certified_max_matches_oracle_lognormal(shape, seed):
+    marg = lognormal_marginals(seed, *shape)
+    sol = hs.max_micro(marg)
+    oracle_mat, oracle_obj = oracle_max(marg.p, marg.s)
+    assert sol.certified
+    assert abs(sol.objective - oracle_obj) <= 1e-15
+    assert np.array_equal(np.flatnonzero(sol.matrix > 0), np.flatnonzero(oracle_mat > 0))
+
+
+@given(st.sampled_from(ORACLE_SHAPES), st.data())
+@settings(max_examples=40, deadline=None)
+def test_certified_max_matches_oracle_degenerate(shape, data):
+    # uniform and small-integer masses tie many vertices; rounding dust of
+    # about 1e-17 may then pick another support of the same objective
+    n, m = shape
+    masses = st.integers(1, 3) if data.draw(st.booleans()) else st.just(1)
+    p = np.array(data.draw(st.lists(masses, min_size=n, max_size=n)), float)
+    s = np.array(data.draw(st.lists(masses, min_size=m, max_size=m)), float)
+    marg = hs.Marginals(p / p.sum(), s / s.sum())
+    sol = hs.max_micro(marg)
+    _, oracle_obj = oracle_max(marg.p, marg.s)
+    assert sol.certified
+    assert abs(sol.objective - oracle_obj) <= 1e-15
+    assert hs.is_feasible(sol.matrix, marg)
+    assert nx.is_forest(support_graph(sol.matrix))
+
+
+def test_certified_max_memory_is_chunked():
+    import tracemalloc
+
+    marg = lognormal_marginals(2, 4, 6)
+    assert hs.vertex_count(4, 6) == 221_184
+    tracemalloc.start()
+    try:
+        sol = hs.max_micro(marg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.certified
+    assert peak < 2_000_000
+
+
 def test_forest_pivot_matches_rebuild():
     # degenerate pivots (several cells reach zero at once) split the forest;
     # updating it in place must agree with rebuilding it from scratch
