@@ -324,6 +324,7 @@ def _read_partition(path: str | Path, matrix: OwnershipMatrix) -> Partition:
     """One group per line, comma-separated investor labels, quoted CSV-style as needed."""
     path = Path(path)
     reader = csv.reader(_read_text(path), skipinitialspace=True)
+    index = {label: i for i, label in enumerate(matrix.investor_labels)}
     groups = []
     next_line = 1  # where the next record starts; a quoted line break spans lines
     try:
@@ -336,7 +337,9 @@ def _read_partition(path: str | Path, matrix: OwnershipMatrix) -> Partition:
                 label = token.strip()
                 if not label:
                     raise ParseError(f"{path}:{line}: empty label in group")
-                members.append(matrix.investor_index(label))
+                if label not in index:
+                    raise ParseError(f"{path}:{line}: unknown investor label {label!r}")
+                members.append(index[label])
             groups.append(tuple(members))
     except csv.Error as exc:
         raise ParseError(f"{path}:{next_line}: {exc}") from exc
@@ -479,21 +482,13 @@ def _render(payload: dict, fmt: str) -> str:
         return _dump_json(payload)
     lines: list[str] = []
 
-    def walk(prefix: str, obj) -> None:
-        if isinstance(obj, dict):
-            for key, val in obj.items():
-                walk(f"{prefix}{key}.", val) if isinstance(val, dict) else walk_leaf(
-                    f"{prefix}{key}", val
-                )
-        else:
-            walk_leaf(prefix.rstrip("."), obj)
-
-    def walk_leaf(name: str, val) -> None:
-        if isinstance(val, list):
-            shown = " ".join(_fmt(x) for x in val)
-        else:
-            shown = _fmt(val)
-        lines.append(f"{name:<28} {shown}")
+    def walk(prefix: str, obj: dict) -> None:
+        for key, val in obj.items():
+            if isinstance(val, dict):
+                walk(f"{prefix}{key}.", val)
+            else:
+                shown = " ".join(map(_fmt, val)) if isinstance(val, list) else _fmt(val)
+                lines.append(f"{prefix + key:<28} {shown}")
 
     walk("", payload)
     return "\n".join(lines) + "\n"
@@ -563,16 +558,9 @@ def _cmd_decompose(args) -> str:
     if args.format == "json":
         return _dump_json(payload)
     lines = ["side     label        mass     conc     dependence"]
-    for row in payload["investors"]:
-        lines.append(
-            f"investor {row['label']:<12} {_fmt(row['mass']):<8} "
-            f"{_fmt(row['portfolio_concentration']):<8} {_fmt(row['dependence_contribution'])}"
-        )
-    for row in payload["stocks"]:
-        lines.append(
-            f"stock    {row['label']:<12} {_fmt(row['mass']):<8} "
-            f"{_fmt(row['owner_concentration']):<8} {_fmt(row['dependence_contribution'])}"
-        )
+    for side, rows in (("investor", payload["investors"]), ("stock", payload["stocks"])):
+        for label, mass, conc, dep in map(dict.values, rows):
+            lines.append(f"{side:<8} {label:<12} {_fmt(mass):<8} {_fmt(conc):<8} {_fmt(dep)}")
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,7 @@ from .errors import (
     NotCentered,
     OutOfRange,
 )
-from .spectral import whiten
+from .spectral import SpectralResidual, whiten
 
 #: Slack on identities exact in real arithmetic, relative to the largest
 #: compared term once that exceeds one (absolute below).
@@ -39,6 +39,15 @@ _CENTER_TOL = 1e-10
 def _tol(*terms: "np.typing.ArrayLike") -> float:
     """``_EXACT_TOL`` scaled by the largest magnitude among the terms."""
     return _EXACT_TOL * max(1.0, *(float(np.max(np.abs(t))) for t in terms))
+
+
+def _finite_vector(values: "np.typing.ArrayLike", name: str, size: int, side: str) -> np.ndarray:
+    vec = np.asarray(values, dtype=float)
+    if vec.shape != (size,):
+        raise DimensionMismatch(f"{name} length {vec.shape} does not match {size} {side}")
+    if not np.all(np.isfinite(vec)):
+        raise NonFiniteEntry(f"{name} must be finite")
+    return vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,13 +95,7 @@ def fire_sale(matrix: OwnershipMatrix, delta: "np.typing.ArrayLike") -> FireSale
     returning.
     """
     marg = require_active(matrix)
-    shock = np.asarray(delta, dtype=float)
-    if shock.shape != (matrix.n,):
-        raise DimensionMismatch(
-            f"shock length {shock.shape} does not match {matrix.n} investors"
-        )
-    if not np.all(np.isfinite(shock)):
-        raise NonFiniteEntry("shock must be finite")
+    shock = _finite_vector(delta, "shock", matrix.n, "investors")
 
     p, s = marg.p, marg.s
     res = whiten(matrix)
@@ -142,13 +145,7 @@ def active_variance(
     capacity is attached.
     """
     marg = require_active(matrix)
-    r = np.asarray(returns, dtype=float)
-    if r.shape != (matrix.m,):
-        raise DimensionMismatch(
-            f"returns length {r.shape} does not match {matrix.m} stocks"
-        )
-    if not np.all(np.isfinite(r)):
-        raise NonFiniteEntry("returns must be finite")
+    r = _finite_vector(returns, "returns", matrix.m, "stocks")
     p, s = marg.p, marg.s
     if project:
         r = r - float(s @ r)
@@ -178,7 +175,7 @@ def active_variance(
 
     capacity = None
     if dispersion is not None:
-        capacity = isotropic_capacity(matrix, dispersion)
+        capacity = _isotropic_capacity(matrix, dispersion, res)
     return ActiveVarianceResult(
         alpha=alpha_profile,
         variance=variance,
@@ -194,14 +191,16 @@ def isotropic_capacity(matrix: OwnershipMatrix, sigma: float) -> float:
     cross-checked against the covariance trace formula on the residual
     operator.
     """
+    return _isotropic_capacity(matrix, sigma, whiten(matrix))
+
+
+def _isotropic_capacity(matrix: OwnershipMatrix, sigma: float, res: SpectralResidual) -> float:
     if not np.isfinite(sigma) or sigma < 0:
         raise OutOfRange(f"dispersion must be a nonnegative scalar, got {sigma!r}")
-    marg = require_active(matrix)
     value = sigma**2 * dependence_index(matrix).index
-    ell = whiten(matrix).residual
-    v = np.sqrt(marg.s)
-    covariance = sigma**2 * (np.eye(matrix.m) - np.outer(v, v))
-    trace = float(np.trace(ell @ covariance @ ell.T))
+    # tr(L C L^T) for the covariance C = sigma^2 (I - v v^T), v = res.col_unit
+    ell = res.residual
+    trace = sigma**2 * (float(np.sum(ell * ell)) - float(np.sum((ell @ res.col_unit) ** 2)))
     if abs(value - trace) > _tol(value, trace):
         raise InternalConsistencyError("capacity disagrees with the trace formula")
     return value

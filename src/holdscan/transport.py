@@ -7,9 +7,10 @@ structure, while its maximizers sit at extreme points, which are exactly
 the feasible matrices whose bipartite support graph is a forest.
 
 The minimizer is found by exact blockwise dual ascent on the threshold
-multipliers: given the column multipliers, each row multiplier solves a
-piecewise-linear monotone equation in closed form (a simplex-projection
-style threshold solve), and vice versa. The maximizer is found either by
+multipliers, each side solved in closed form given the other, and is
+finished by conjugate gradients on the guessed support. A row holds its
+k largest column multipliers, so the support acts through sorted prefix
+sums and the solver forms no n x m array. The maximizer is found either by
 decoding every spanning tree from its bipartite Prüfer code (small
 systems, exact and certified) or by vertex local search along improving
 polytope edges (large systems, a certified lower bound only).
@@ -20,6 +21,7 @@ fixed-marginal minimum and maximum.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +67,8 @@ class TransportSolution:
     when the vertex set was exhaustively enumerated, otherwise the
     objective is a lower bound on the true maximum. For the minimum,
     ``multipliers`` carries the dual pair reproducing the matrix through
-    the additive threshold rule.
+    the additive threshold rule; it is unique only up to a shift along
+    (1, -1), which leaves every cell unchanged.
     """
 
     matrix: np.ndarray
@@ -157,17 +160,13 @@ def min_micro(marg: Marginals, *, init_mu: "np.typing.ArrayLike | None" = None) 
         if sub_mu0.shape != (marg.m,):
             raise DimensionMismatch("init_mu must have one entry per stock")
         sub_mu0 = sub_mu0[cols]
-    sub, lam_a, mu_a = _dual_ascent_min(p[rows], s[cols], sub_mu0)
-
-    full = np.zeros((marg.n, marg.m))
-    full[np.ix_(rows, cols)] = sub
-    lam = np.empty(marg.n)
-    mu = np.empty(marg.m)
-    lam[rows] = lam_a
-    mu[cols] = mu_a
+    lam_a, mu_a = _dual_ascent_min(p[rows], s[cols], sub_mu0)
     # Inactive rows/columns get multipliers low enough to zero their cells.
-    lam[np.setdiff1d(np.arange(marg.n), rows)] = -abs(mu_a.max()) - 1.0
-    mu[np.setdiff1d(np.arange(marg.m), cols)] = -abs(lam.max()) - 1.0
+    lam = np.full(marg.n, -abs(mu_a.max()) - 1.0)
+    lam[rows] = lam_a
+    mu = np.full(marg.m, -abs(lam.max()) - 1.0)
+    mu[cols] = mu_a
+    full = np.maximum(0.0, (lam[:, None] + mu[None, :]) / 2.0)
     return TransportSolution(
         matrix=full,
         objective=float(np.sum(full * full)),
@@ -276,8 +275,6 @@ def family_2x2(a: float, b: float) -> TransportFamily2x2:
 
 def transport_matrix_2x2(a: float, b: float, x: float) -> np.ndarray:
     """The member of the 2x2 family with corner cell ``x``."""
-    _check_open_unit(a, "a")
-    _check_open_unit(b, "b")
     fam = family_2x2(a, b)
     lo, hi = fam.interval
     if x < lo - 1e-12 or x > hi + 1e-12:
@@ -321,65 +318,81 @@ _FINISH_TOL = 1e-3
 
 def _dual_ascent_min(
     p: np.ndarray, s: np.ndarray, mu0: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     n, m = p.size, s.size
+    target = np.concatenate([p, s])
+    null = np.concatenate([np.ones(n), -np.ones(m)])  # J is singular along it
+    floor = (n + m) * np.finfo(float).eps * float(target.max())  # rounding in n + m sums
+    duals = np.empty(n + m)  # (lam, mu)
     # Start at the multipliers of the affine (sign-unconstrained) projection:
     # exact in one pass whenever that projection is already nonnegative.
-    mu = mu0.copy() if mu0 is not None else 2.0 * s / n - 1.0 / (n * m)
+    duals[n:] = mu0 if mu0 is not None else 2.0 * s / n - 1.0 / (n * m)
     cap = 100 * (n + m)
-    tried_support: np.ndarray | None = None
     for _ in range(cap):
-        lam = _threshold_solve(p, mu)
-        mu = _threshold_solve(s, lam)
-        cells = np.maximum(0.0, (lam[:, None] + mu[None, :]) / 2.0)
-        row_res = float(np.max(np.abs(cells.sum(axis=1) - p)))
-        col_res = float(np.max(np.abs(cells.sum(axis=0) - s)))
-        if max(row_res, col_res) <= TOL_KKT:
-            return cells, lam, mu
-        if max(row_res, col_res) <= _FINISH_TOL:
-            support = cells > 0
-            if tried_support is None or not np.array_equal(support, tried_support):
-                tried_support = support
-                finished = _active_set_finish(p, s, support)
-                if finished is not None:
-                    return finished
+        duals[:n] = _threshold_solve(p, duals[n:])
+        duals[n:] = _threshold_solve(s, duals[:n])
+        duals -= (duals @ null) / duals.size * null  # an offset along null costs cells digits
+        support = _support_operator(duals, n)
+        gap = target - support(duals)
+        if np.max(np.abs(gap)) <= TOL_KKT:
+            return duals[:n], duals[n:]
+        if np.max(np.abs(gap)) <= _FINISH_TOL:
+            finished = duals + _active_set_finish(support, gap, floor)
+            # kept only if its own cells meet the marginals: the KKT certificate
+            if np.max(np.abs(target - _support_operator(finished, n)(finished))) <= TOL_KKT:
+                return finished[:n], finished[n:]
     raise ConvergenceFailure(
         f"dual ascent missed tolerance {TOL_KKT:g} within {cap} iterations"
     )
 
 
-def _active_set_finish(
-    p: np.ndarray, s: np.ndarray, support: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Exact multiplier solve on a guessed support pattern.
+def _support_operator(duals: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """z -> J z, J = ½[diag(k) B; Bᵀ diag(c)] on the support of duals = (lam, mu).
 
-    On the support the minimizer is affine in the multipliers, so the
-    marginal constraints become a linear system. Returns None when the
-    guess fails complementarity or feasibility, in which case the ascent
-    continues.
+    Row i of the 0/1 support B holds its k[i] largest mu, column j its c[j]
+    largest lam, so B and Bᵀ are prefix sums in sorted order. J duals
+    stacks the row and column sums of the cells max(0, (lam[i] + mu[j]) / 2).
     """
-    n, m = support.shape
-    row_counts = support.sum(axis=1)
-    col_counts = support.sum(axis=0)
-    if np.any(row_counts == 0) or np.any(col_counts == 0):
-        return None
-    system = np.zeros((n + m, n + m))
-    system[:n, :n] = np.diag(row_counts)
-    system[:n, n:] = support
-    system[n:, :n] = support.T
-    system[n:, n:] = np.diag(col_counts)
-    rhs = np.concatenate([2.0 * p, 2.0 * s])
-    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    lam, mu = solution[:n], solution[n:]
-    grid = (lam[:, None] + mu[None, :]) / 2.0
-    if np.any(grid[support] < -1e-12) or np.any(grid[~support] > 1e-12):
-        return None
-    cells = np.maximum(0.0, grid)
-    row_res = float(np.max(np.abs(cells.sum(axis=1) - p)))
-    col_res = float(np.max(np.abs(cells.sum(axis=0) - s)))
-    if max(row_res, col_res) > TOL_KKT:
-        return None
-    return cells, lam, mu
+    lam, mu = duals[:n], duals[n:]
+    by_mu = np.argsort(-mu, kind="stable")
+    by_lam = np.argsort(-lam, kind="stable")
+    k = np.searchsorted(-mu[by_mu], lam)  # how many mu[j] exceed -lam[i]
+    c = np.searchsorted(-lam[by_lam], mu)
+
+    def apply(z: np.ndarray) -> np.ndarray:
+        x, y = z[:n], z[n:]
+        row = k * x + y[by_mu].cumsum()[k - 1] * (k > 0)
+        col = x[by_lam].cumsum()[c - 1] * (c > 0) + c * y
+        return np.concatenate([row, col]) / 2.0
+
+    return apply
+
+
+def _active_set_finish(
+    support: Callable[[np.ndarray], np.ndarray], gap: np.ndarray, floor: float
+) -> np.ndarray:
+    """The step d with J d = gap: exact multipliers if the support was guessed right.
+
+    Conjugate gradients through the prefix-sum operator; J is positive
+    semidefinite, so they stop on a direction without curvature or below ``floor``.
+    """
+    step = np.zeros_like(gap)
+    r = gap.copy()
+    direction = gap.copy()
+    rr = float(r @ r)
+    for _ in range(gap.size):
+        jd = support(direction)
+        curvature = float(direction @ jd)
+        if curvature <= 0.0:
+            break
+        alpha = rr / curvature
+        step += alpha * direction
+        r -= alpha * jd
+        rr, rr_old = float(r @ r), rr
+        if abs(r).max() <= floor:
+            break
+        direction = r + (rr / rr_old) * direction
+    return step
 
 
 # -- maximizer internals ---------------------------------------------------

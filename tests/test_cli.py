@@ -279,6 +279,29 @@ def test_alpha_subcommand_with_projection(tmp_path, golden_csv, capsys):
     assert payload["variance"] == pytest.approx(7 / 30, rel=1e-4)
 
 
+def test_alpha_with_dispersion_whitens_once(tmp_path, golden_csv, capsys, monkeypatch):
+    import holdscan.dynamics as dynamics
+
+    rets = tmp_path / "rets.csv"
+    rets.write_text("label,value\nstk1,1.5\nstk2,-0.5\n", encoding="utf-8")
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(matrix):
+            calls.append(name)
+            return fn(matrix)
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "whiten", counted("whiten", hs.whiten))
+    monkeypatch.setattr(dynamics, "dependence_index", counted("dep", hs.dependence_index))
+    argv = ["alpha", str(golden_csv), "--returns", str(rets), "--project-returns",
+            "--dispersion", "2", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert sorted(calls) == ["dep", "whiten"]
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["isotropic_capacity"] == pytest.approx(4.0 * 7.0 / 30.0, rel=1e-5)
+
+
 def test_vector_file_validation(tmp_path, golden_csv, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("label,value\ninv1,1.0\n", encoding="utf-8")
@@ -361,6 +384,15 @@ def test_decompose_subcommand(golden_csv, capsys):
     payload = json.loads(capsys.readouterr().out)
     contributions = [row["dependence_contribution"] for row in payload["investors"]]
     assert max(contributions) == contributions[1]
+    assert cli.main(["decompose", str(golden_csv)]) == 0
+    assert capsys.readouterr().out == (
+        "side     label        mass     conc     dependence\n"
+        "investor inv1         0.4      0.625    0.1\n"
+        "investor inv2         0.3      0.722222 0.133333\n"
+        "investor inv3         0.3      0.5      0\n"
+        "stock    stk1         0.5      0.46     0.116667\n"
+        "stock    stk2         0.5      0.38     0.116667\n"
+    )
 
 
 # (case, reader, file text or None for a missing file, error type, message);
@@ -568,6 +600,13 @@ def test_main_csv_field_limit_exits_2(tmp_path, golden_csv, capsys):
     assert capsys.readouterr().err == f"error: {groups}:3: field larger than field limit (131072)\n"
 
 
+def test_aggregate_names_file_and_line_of_unknown_label(tmp_path, golden_csv, capsys):
+    groups = tmp_path / "groups.txt"
+    groups.write_text("inv2,inv3\ninv1,zzz\n", encoding="utf-8")
+    assert cli.main(["aggregate", str(golden_csv), "--groups", str(groups)]) == 2
+    assert capsys.readouterr().err == f"error: {groups}:2: unknown investor label 'zzz'\n"
+
+
 def test_aggregate_rejects_repeated_investor(tmp_path, golden_csv, capsys):
     groups = tmp_path / "groups.txt"
     groups.write_text("inv1,inv1,inv2\ninv3\n", encoding="utf-8")
@@ -675,6 +714,10 @@ QUOTED_BREAK_CASES = [
      "{path}:4: empty label in group"),
     ("groups-field-limit-after-break", "groups", 'inv1\n"\n"\ninv2,' + "i" * 131073 + "\n",
      "{path}:4: field larger than field limit (131072)"),
+    ("groups-unknown-after-break", "groups", 'inv1\n"\n"\ninv2,zzz\n',
+     "{path}:4: unknown investor label 'zzz'"),
+    ("groups-unknown-in-broken-record", "groups", 'inv1\n"inv\n2",inv3\n',
+     "{path}:2: unknown investor label 'inv\\n2'"),
 ]
 
 

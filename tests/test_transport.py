@@ -601,3 +601,99 @@ def test_forest_pivot_matches_rebuild():
             for name in ("parent", "parent_value", "depth", "component"):
                 assert getattr(forest, name) == getattr(fresh, name)
     assert {1, 2, 3} <= cut_counts
+
+
+def oracle_min(p, s):
+    """The dense minimizer: block sweeps, then exact ``lstsq`` finishes.
+
+    Builds the n x m residual grid every sweep and solves the (n+m)^2
+    support system densely. Returns the full matrix and its objective.
+    Always starts cold: from a warm start far along (1, -1) its cells
+    lose digits to the offset.
+    """
+    from holdscan.transport import TOL_KKT, _threshold_solve
+
+    rows, cols = np.flatnonzero(p > 0), np.flatnonzero(s > 0)
+    pa, sa = p[rows], s[cols]
+    n, m = pa.size, sa.size
+
+    def finish(support):
+        k, c = support.sum(axis=1), support.sum(axis=0)
+        if np.any(k == 0) or np.any(c == 0):
+            return None
+        system = np.block([[np.diag(k), support], [support.T, np.diag(c)]]).astype(float)
+        sol, *_ = np.linalg.lstsq(system, np.concatenate([2 * pa, 2 * sa]), rcond=None)
+        grid = (sol[:n, None] + sol[None, n:]) / 2.0
+        if np.any(grid[support] < -1e-12) or np.any(grid[~support] > 1e-12):
+            return None
+        cells = np.maximum(0.0, grid)
+        if max(np.max(np.abs(cells.sum(axis=1) - pa)), np.max(np.abs(cells.sum(axis=0) - sa))) > TOL_KKT:
+            return None
+        return cells
+
+    mu = 2.0 * sa / n - 1.0 / (n * m)
+    tried = None
+    for _ in range(100 * (n + m)):
+        lam = _threshold_solve(pa, mu)
+        mu = _threshold_solve(sa, lam)
+        cells = np.maximum(0.0, (lam[:, None] + mu[None, :]) / 2.0)
+        res = max(np.max(np.abs(cells.sum(axis=1) - pa)), np.max(np.abs(cells.sum(axis=0) - sa)))
+        if res <= TOL_KKT:
+            break
+        if res <= 1e-3 and (tried is None or not np.array_equal(cells > 0, tried)):
+            tried = cells > 0
+            finished = finish(tried)
+            if finished is not None:
+                cells = finished
+                break
+    else:
+        raise AssertionError("oracle did not converge")
+    full = np.zeros((p.size, s.size))
+    full[np.ix_(rows, cols)] = cells
+    return full, float(np.sum(full * full))
+
+
+def drawn_masses(data, size, kind):
+    if kind == "uniform":
+        return np.ones(size)
+    if kind == "lognormal":
+        return np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).lognormal(size=size)
+    values = data.draw(st.lists(st.integers(0, 3) if kind == "zeros" else st.integers(1, 3),
+                                min_size=size, max_size=size))
+    values[data.draw(st.integers(0, size - 1))] += 1  # keep at least one active label
+    return np.array(values, float)
+
+
+@given(
+    st.integers(1, 60),
+    st.integers(1, 60),
+    st.sampled_from(["uniform", "lognormal", "tied", "zeros"]),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_min_micro_matches_dense_oracle(n, m, kind, warm, data):
+    p, s = drawn_masses(data, n, kind), drawn_masses(data, m, kind)
+    marg = hs.Marginals(p / p.sum(), s / s.sum())
+    mu0 = np.random.default_rng(n * m).standard_normal(m) * 2.0 / m if warm else None
+    sol = hs.min_micro(marg, init_mu=mu0)
+    expect, objective = oracle_min(marg.p, marg.s)
+    nptest.assert_allclose(sol.matrix, expect, rtol=0, atol=1e-9)
+    assert abs(sol.objective - objective) <= 1e-12 * objective
+    lam, mu = sol.multipliers
+    nptest.assert_array_equal(sol.matrix, np.maximum(0.0, (lam[:, None] + mu[None, :]) / 2.0))
+
+
+def test_min_micro_solver_memory_is_matrix_free():
+    import tracemalloc
+
+    from holdscan.transport import _dual_ascent_min
+
+    marg = power_law_marginals(7, 300, 200)
+    tracemalloc.start()
+    try:
+        _dual_ascent_min(marg.p, marg.s, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 200 * 8 / 4
