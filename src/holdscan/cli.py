@@ -316,7 +316,10 @@ def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.nda
         raise ParseError(f"{path}: missing {kind} value for {missing[0]!r}")
     extra = [lab for lab in seen if lab not in labels]
     if extra:
-        raise ParseError(f"{path}: unknown {kind} label {extra[0]!r}")
+        record = next(k for k, raw in enumerate(label_col, 1) if raw.strip() == extra[0])
+        raise ParseError(
+            f"{path}:{_record_lines(path)[record]}: unknown {kind} label {extra[0]!r}"
+        )
     return np.array([seen[lab] for lab in labels])
 
 

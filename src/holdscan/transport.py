@@ -554,11 +554,14 @@ class _Forest:
 
     Each support cell is the edge between its investor vertex and its
     stock vertex (offset by the row count); ``adjacency[v]`` maps each
-    neighbour of vertex v to the value of their cell. Climbing parent
-    pointers to the lowest common ancestor yields the unique cycle closed
-    by any nonbasic cell within one component. Every component hangs from
-    its smallest vertex, so the order in which a cycle's cells are summed
-    depends only on the support, never on the pivots that led to it.
+    neighbour of vertex v to the value of their cell, ``parent_value[v]``
+    the value of the cell to v's parent, and ``component[v]`` the root of
+    v's tree. `_hill_climb` walks these pointers to the lowest common
+    ancestor to price the unique cycle closed by a nonbasic cell within
+    one component; the forest only builds, pivots and reads back. Every
+    component hangs from its smallest vertex, so the order in which a
+    cycle's cells are summed depends only on the support, never on the
+    pivots that led to it.
     """
 
     def __init__(self, mat: np.ndarray):
@@ -588,12 +591,13 @@ class _Forest:
         stack = [top]
         while stack:
             vtx = stack.pop()
+            up, below = parent[vtx], depth[vtx] + 1
             for nxt, cell in adjacency[vtx].items():
-                if nxt == parent[vtx]:
+                if nxt == up:
                     continue
                 parent[nxt] = vtx
                 value[nxt] = cell
-                depth[nxt] = depth[vtx] + 1
+                depth[nxt] = below
                 comp[nxt] = component
                 stack.append(nxt)
 
@@ -608,57 +612,6 @@ class _Forest:
                     stack.append(nxt)
         root = min(seen)
         self._hang(root, -1, root)
-
-    def cycle(self, a: int, b: int) -> tuple[float, float, int] | None:
-        """Gain ingredients of the cycle closed by the nonbasic edge (a, b).
-
-        Returns (theta, signed_sum, length) where theta is the flow that
-        drives the first shrinking cell to zero, signed_sum is the
-        alternating sum of cell values around the path, and length counts
-        path cells; None when a and b live in different components.
-        """
-        if self.component[a] != self.component[b]:
-            return None
-        depth, parent, value = self.depth, self.parent, self.parent_value
-        theta = np.inf
-        signed = 0.0
-        count = 0
-        sign_a = -1.0  # first edge out of each endpoint balances that endpoint
-        sign_b = -1.0
-        da, db = depth[a], depth[b]
-        while da > db:
-            x = value[a]
-            signed += sign_a * x
-            if sign_a < 0 and x < theta:
-                theta = x
-            sign_a = -sign_a
-            a = parent[a]
-            da -= 1
-            count += 1
-        while db > da:
-            x = value[b]
-            signed += sign_b * x
-            if sign_b < 0 and x < theta:
-                theta = x
-            sign_b = -sign_b
-            b = parent[b]
-            db -= 1
-            count += 1
-        while a != b:
-            x = value[a]
-            signed += sign_a * x
-            if sign_a < 0 and x < theta:
-                theta = x
-            sign_a = -sign_a
-            a = parent[a]
-            x = value[b]
-            signed += sign_b * x
-            if sign_b < 0 and x < theta:
-                theta = x
-            sign_b = -sign_b
-            b = parent[b]
-            count += 2
-        return float(theta), signed, count
 
     def pivot(self, a: int, b: int, theta: float) -> None:
         """Push ``theta`` around the cycle closed by the nonbasic edge (a, b).
@@ -713,32 +666,88 @@ def _hill_climb(mat: np.ndarray) -> tuple[np.ndarray, float]:
     Each nonbasic cell whose endpoints lie in one tree component closes a
     unique cycle; pushing flow around it until a basic cell hits zero is
     an edge of the polytope, and convexity puts the larger objective at
-    the far vertex. Scans candidates circularly and takes the first
-    improving pivot, so a full quiet pass certifies local optimality.
+    the far vertex. Scans cells in circular row-major order from the one
+    after the last pivot and takes the first improving pivot, so a full
+    quiet pass certifies local optimality. Each cycle is walked up the
+    parent pointers from the deeper end first, then from both ends in
+    turn, summing its cells in that order.
     """
     n, m = mat.shape
     forest = _Forest(mat)
-    adjacency = forest.adjacency
-    total = n * m
-    cursor = 0
-    quiet = 0
-    while quiet < total:
-        i, j = divmod(cursor, m)
-        cursor = (cursor + 1) % total
-        quiet += 1
-        if n + j in adjacency[i]:
-            continue
-        ingredients = forest.cycle(i, n + j)
-        if ingredients is None:
-            continue
-        theta, signed, length = ingredients
-        # entering cell contributes theta^2; each path cell (x -> x+s*theta)
-        # contributes 2*s*x*theta + theta^2
-        gain = theta * theta * (1.0 + length) + 2.0 * theta * signed
-        if gain <= _PIVOT_GAIN_TOL or theta <= 0.0:
-            continue
-        forest.pivot(i, n + j, theta)
-        quiet = 0
+    adjacency, parent, value = forest.adjacency, forest.parent, forest.parent_value
+    depth, component = forest.depth, forest.component
+    inf, gain_tol = np.inf, _PIVOT_GAIN_TOL
+    row, col = 0, 0  # the cell the next pass starts from
+    while True:
+        # one circular pass: row `row` from `col`, the other rows, row `row` up to `col`
+        for step in range(n + 1):
+            i = (row + step) % n
+            basic, comp_i, depth_i = adjacency[i], component[i], depth[i]
+            for vb in range(n + (col if step == 0 else 0), n + (col if step == n else m)):
+                if vb in basic or component[vb] != comp_i:
+                    continue
+                # climb to the lowest common ancestor; the first cell out of
+                # each endpoint shrinks, and shrinking and growing alternate
+                # (cycles are a few cells long: while loops beat building ranges)
+                a, b = i, vb
+                da, db = depth_i, depth[vb]
+                theta = inf
+                signed = 0.0
+                shrink_a = shrink_b = True
+                while da > db:
+                    da -= 1
+                    x = value[a]
+                    if shrink_a:
+                        signed -= x
+                        if x < theta:
+                            theta = x
+                    else:
+                        signed += x
+                    shrink_a = not shrink_a
+                    a = parent[a]
+                while db > da:
+                    db -= 1
+                    x = value[b]
+                    if shrink_b:
+                        signed -= x
+                        if x < theta:
+                            theta = x
+                    else:
+                        signed += x
+                    shrink_b = not shrink_b
+                    b = parent[b]
+                while a != b:
+                    x = value[a]
+                    if shrink_a:
+                        signed -= x
+                        if x < theta:
+                            theta = x
+                    else:
+                        signed += x
+                    shrink_a = not shrink_a
+                    a = parent[a]
+                    x = value[b]
+                    if shrink_b:
+                        signed -= x
+                        if x < theta:
+                            theta = x
+                    else:
+                        signed += x
+                    shrink_b = not shrink_b
+                    b = parent[b]
+                length = depth_i + depth[vb] - 2 * depth[a]
+                # entering cell contributes theta^2; each path cell (x -> x+s*theta)
+                # contributes 2*s*x*theta + theta^2
+                gain = theta * theta * (1.0 + length) + 2.0 * theta * signed
+                if gain > gain_tol and theta > 0.0:
+                    break
+            else:
+                continue  # no improving pivot in this row
+            break  # pivot on (i, vb)
+        else:
+            break  # a full pass without an improving pivot
+        forest.pivot(i, vb, theta)
+        row, col = (i, vb - n + 1) if vb - n + 1 < m else ((i + 1) % n, 0)
     mat = forest.matrix(n, m)
     return mat, float(np.sum(mat * mat))
 

@@ -458,7 +458,7 @@ PARSE_ERROR_CASES = [
     ("vector-missing-label", "vector", "label,value\na,1\n", ParseError,
      "{path}: missing investor value for 'b'"),
     ("vector-unknown-label", "vector", "label,value\na,1\nc,3\nb,2\n", ParseError,
-     "{path}: unknown investor label 'c'"),
+     "{path}:3: unknown investor label 'c'"),
     ("vector-missing-file", "vector", None, ParseError,
      "{path}: [Errno 2] No such file or directory: '{path}'"),
     ("csv-field-too-large", "csv", "investor,stock,amount\na,x,1\n\nb," + "y" * 131073 + ",1\n",
@@ -710,6 +710,8 @@ QUOTED_BREAK_CASES = [
      "{path}:6: duplicate label 'b'"),
     ("vector-width-after-break", "vector", 'label,value\n"a\nx",1\nb,2,3\n',
      "{path}:4: expected 2 columns, got 3"),
+    ("vector-unknown-after-break", "vector", 'label,value\na,"1\n"\nb,2\n\nzzz,3\n',
+     "{path}:6: unknown investor label 'zzz'"),
     ("groups-after-break", "groups", 'inv1\n"\n"\ninv2,\n',
      "{path}:4: empty label in group"),
     ("groups-field-limit-after-break", "groups", 'inv1\n"\n"\ninv2,' + "i" * 131073 + "\n",

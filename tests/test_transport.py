@@ -568,6 +568,117 @@ def test_certified_max_memory_is_chunked():
     assert peak < 2_000_000
 
 
+def oracle_cycle(forest, a, b):
+    """Gain ingredients of the cycle closed by the nonbasic edge (a, b).
+
+    The cycle walk as a function of its own, priced one cell at a time
+    with a signed multiplier. Returns (theta, signed_sum, length): theta
+    is the flow that drives the first shrinking cell to zero, signed_sum
+    the alternating sum of cell values around the path and length the
+    number of path cells; None when a and b lie in different components.
+    """
+    if forest.component[a] != forest.component[b]:
+        return None
+    depth, parent, value = forest.depth, forest.parent, forest.parent_value
+    theta = np.inf
+    signed = 0.0
+    count = 0
+    sign_a = -1.0  # first edge out of each endpoint balances that endpoint
+    sign_b = -1.0
+    da, db = depth[a], depth[b]
+    while da > db:
+        x = value[a]
+        signed += sign_a * x
+        if sign_a < 0 and x < theta:
+            theta = x
+        sign_a = -sign_a
+        a = parent[a]
+        da -= 1
+        count += 1
+    while db > da:
+        x = value[b]
+        signed += sign_b * x
+        if sign_b < 0 and x < theta:
+            theta = x
+        sign_b = -sign_b
+        b = parent[b]
+        db -= 1
+        count += 1
+    while a != b:
+        x = value[a]
+        signed += sign_a * x
+        if sign_a < 0 and x < theta:
+            theta = x
+        sign_a = -sign_a
+        a = parent[a]
+        x = value[b]
+        signed += sign_b * x
+        if sign_b < 0 and x < theta:
+            theta = x
+        sign_b = -sign_b
+        b = parent[b]
+        count += 2
+    return float(theta), signed, count
+
+
+def oracle_hill_climb(mat):
+    """The local search with ``oracle_cycle`` and a flat ``divmod`` scan.
+
+    Visits cells in circular row-major order and takes the first
+    improving pivot, as `_hill_climb` does. Returns the local maximum and
+    its objective.
+    """
+    from holdscan.transport import _PIVOT_GAIN_TOL, _Forest
+
+    n, m = mat.shape
+    forest = _Forest(mat)
+    total = n * m
+    cursor = 0
+    quiet = 0
+    while quiet < total:
+        i, j = divmod(cursor, m)
+        cursor = (cursor + 1) % total
+        quiet += 1
+        if n + j in forest.adjacency[i]:
+            continue
+        ingredients = oracle_cycle(forest, i, n + j)
+        if ingredients is None:
+            continue
+        theta, signed, length = ingredients
+        gain = theta * theta * (1.0 + length) + 2.0 * theta * signed
+        if gain <= _PIVOT_GAIN_TOL or theta <= 0.0:
+            continue
+        forest.pivot(i, n + j, theta)
+        quiet = 0
+    mat = forest.matrix(n, m)
+    return mat, float(np.sum(mat * mat))
+
+
+@given(
+    st.integers(1, 25),
+    st.integers(1, 20),
+    st.sampled_from(["lognormal", "power-law", "tied"]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_hill_climb_matches_oracle_walk(n, m, kind, data):
+    # 1-3 integer masses tie cell values, so one pivot can cut several cells
+    from holdscan.transport import _hill_climb, _northwest_vertex
+
+    if kind == "power-law":
+        marg = power_law_marginals(data.draw(st.integers(0, 2**32 - 1)), n, m)
+    else:
+        p, s = drawn_masses(data, n, kind), drawn_masses(data, m, kind)
+        marg = hs.Marginals(p / p.sum(), s / s.sum())
+    rows = np.array(data.draw(st.permutations(range(n))))
+    cols = np.array(data.draw(st.permutations(range(m))))
+    start = _northwest_vertex(marg.p, marg.s, rows, cols)
+    mat, objective = _hill_climb(start)
+    expect, expect_objective = oracle_hill_climb(start)
+    assert np.array_equal(np.flatnonzero(mat), np.flatnonzero(expect))
+    assert objective == expect_objective
+
+
 def test_forest_pivot_matches_rebuild():
     # degenerate pivots (several cells reach zero at once) split the forest;
     # updating it in place must agree with rebuilding it from scratch
@@ -588,13 +699,13 @@ def test_forest_pivot_matches_rebuild():
             closing = [
                 (int(i), n + int(j))
                 for i, j in zip(*np.nonzero(mat == 0))
-                if forest.cycle(int(i), n + int(j)) is not None
+                if oracle_cycle(forest, int(i), n + int(j)) is not None
             ]
             if not closing:
                 break
             a, b = closing[int(rng.integers(len(closing)))]
             support = np.count_nonzero(mat)
-            forest.pivot(a, b, forest.cycle(a, b)[0])
+            forest.pivot(a, b, oracle_cycle(forest, a, b)[0])
             mat = forest.matrix(n, m)
             cut_counts.add(support + 1 - np.count_nonzero(mat))
             fresh = _Forest(mat)
