@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .comparative import OperationDelta, dilute, merge_investors, nonid_family, remove_stock
-from .core import OwnershipMatrix, marginals, normalize
+from .core import OwnershipMatrix, held_cells, marginals, normalize
 from .dependence import DependenceReport, Partition, aggregate, dependence_index
 from .dynamics import active_variance, fire_sale
 from .errors import (
@@ -281,12 +281,10 @@ def write_csv(matrix: OwnershipMatrix, path: str | Path) -> None:
         # the minimal quoting leaves a carriage return bare, where it would end the row
         quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(["investor", "stock", "amount"])
-        for i, inv in enumerate(matrix.investor_labels):
-            for j, stk in enumerate(matrix.stock_labels):
-                value = float(matrix.entries[i, j])
-                if value > 0:
-                    row = [inv, stk, repr(value)]
-                    (quoted if "\r" in inv + stk else writer).writerow(row)
+        rows, cols, values = held_cells(matrix)
+        for i, j, value in zip(rows.tolist(), cols.tolist(), values.tolist()):
+            inv, stk = matrix.investor_labels[i], matrix.stock_labels[j]
+            (quoted if "\r" in inv + stk else writer).writerow([inv, stk, repr(value)])
 
 
 def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.ndarray:

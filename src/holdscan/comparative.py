@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    OwnershipMatrix, TOL_NORM, _unique_label, marginals, require_active, restrict_active
+    OwnershipMatrix, TOL_NORM, _scaled_tol, _unique_label, marginals, require_active,
+    restrict_active,
 )
 from .dependence import dependence_index, merger_delta, _row_pair
 from .errors import (
@@ -26,7 +27,8 @@ from .errors import (
 )
 from .indices import micro_concentration
 
-#: Agreement required between predicted and recomputed indices.
+#: Agreement required between predicted and recomputed indices, relative
+#: to the larger of the two once that exceeds one (absolute below).
 _LAW_TOL = 1e-9
 
 
@@ -73,7 +75,9 @@ class OperationDelta:
             (self.predicted_after.dependence, self.after.dependence),
         )
         for predicted, actual in pairs:
-            if predicted is not None and abs(predicted - actual) > _LAW_TOL:
+            if predicted is None:
+                continue
+            if abs(predicted - actual) > _scaled_tol(_LAW_TOL, predicted, actual):
                 raise InternalConsistencyError(
                     f"closed-form prediction {predicted!r} disagrees with "
                     f"recomputed value {actual!r}"

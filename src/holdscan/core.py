@@ -42,6 +42,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scaled_tol(base: float, *terms: "np.typing.ArrayLike") -> float:
+    """``base`` times the largest magnitude among the terms once that exceeds one.
+
+    The slack of an identity exact in real arithmetic: absolute while the
+    compared terms are below one, relative above, so that rounding in large
+    terms never trips a check.
+    """
+    return base * max(1.0, *(float(np.max(np.abs(t))) for t in terms))
+
+
 def _label_tuple(labels: Sequence[str] | None, count: int, side: str) -> tuple[str, ...]:
     if labels is None:
         prefix = side[0].upper()

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    OwnershipMatrix, _freeze, _probability_vector, _unique_label, held_cells, require_active
+    OwnershipMatrix, _freeze, _probability_vector, _scaled_tol, _unique_label, held_cells,
+    require_active,
 )
 from .errors import (
     DimensionMismatch,
@@ -35,7 +36,8 @@ from .errors import (
     SupportMismatch,
 )
 
-#: Cross-form agreement tolerance; disagreement beyond it is treated as
+#: Cross-form agreement tolerance, relative to the largest form once that
+#: exceeds one (absolute below); disagreement beyond it is treated as
 #: catastrophic cancellation and re-examined under compensated summation.
 _FORM_TOL = 1e-10
 
@@ -167,9 +169,10 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
         float(stock_contrib.sum()),
     )
     index = definitional
-    if any(abs(f - definitional) > _FORM_TOL for f in forms):
+    tol = _scaled_tol(_FORM_TOL, definitional, *forms)
+    if any(abs(f - definitional) > tol for f in forms):
         compensated = math.fsum([*terms.tolist(), unheld])
-        if any(abs(f - compensated) > _FORM_TOL for f in forms):
+        if any(abs(f - compensated) > tol for f in forms):
             raise InternalConsistencyError(
                 "dependence forms disagree beyond tolerance even under "
                 "compensated summation"

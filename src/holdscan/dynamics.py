@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OwnershipMatrix, _freeze, require_active
+from .core import OwnershipMatrix, _freeze, _scaled_tol, require_active
 from .dependence import dependence_index
 from .errors import (
     DimensionMismatch,
@@ -34,11 +34,6 @@ _EXACT_TOL = 1e-9
 #: Centering tolerance on the capitalization-weighted mean of returns,
 #: relative to the weighted mean absolute return once that exceeds one.
 _CENTER_TOL = 1e-10
-
-
-def _tol(*terms: "np.typing.ArrayLike") -> float:
-    """``_EXACT_TOL`` scaled by the largest magnitude among the terms."""
-    return _EXACT_TOL * max(1.0, *(float(np.max(np.abs(t))) for t in terms))
 
 
 def _finite_vector(values: "np.typing.ArrayLike", name: str, size: int, side: str) -> np.ndarray:
@@ -113,9 +108,10 @@ def fire_sale(matrix: OwnershipMatrix, delta: "np.typing.ArrayLike") -> FireSale
     perp_term = float(perp_whitened @ perp_whitened)
     bound = parallel_term + res.rho**2 * float(p @ (perp * perp))
 
-    if abs(severity - (parallel_term + perp_term)) > _tol(severity, parallel_term, perp_term):
+    split_tol = _scaled_tol(_EXACT_TOL, severity, parallel_term, perp_term)
+    if abs(severity - (parallel_term + perp_term)) > split_tol:
         raise InternalConsistencyError("severity split violates the exact identity")
-    if severity > bound + _tol(severity, bound):
+    if severity > bound + _scaled_tol(_EXACT_TOL, severity, bound):
         raise InternalConsistencyError("severity exceeds its spectral bound")
     return FireSaleResult(
         delta_parallel=parallel,
@@ -161,16 +157,17 @@ def active_variance(
     q = matrix.entries / p[:, None]
     alpha_profile = (q - s[None, :]) @ r
     alpha_operator = (matrix.entries - np.outer(p, s)) @ r / p
-    if np.max(np.abs(alpha_profile - alpha_operator)) > _tol(alpha_profile, alpha_operator, r):
+    alpha_tol = _scaled_tol(_EXACT_TOL, alpha_profile, alpha_operator, r)
+    if np.max(np.abs(alpha_profile - alpha_operator)) > alpha_tol:
         raise InternalConsistencyError("active-return computations disagree")
 
     variance = float(p @ (alpha_profile * alpha_profile))
     whitened_returns = np.sqrt(s) * r
     operator_variance = float(np.sum((res.residual @ whitened_returns) ** 2))
-    if abs(variance - operator_variance) > _tol(variance, operator_variance):
+    if abs(variance - operator_variance) > _scaled_tol(_EXACT_TOL, variance, operator_variance):
         raise InternalConsistencyError("variance disagrees with its operator form")
     bound = res.rho**2 * float(s @ (r * r))
-    if variance > bound + _tol(variance, bound):
+    if variance > bound + _scaled_tol(_EXACT_TOL, variance, bound):
         raise InternalConsistencyError("variance exceeds its spectral bound")
 
     capacity = None
@@ -201,6 +198,6 @@ def _isotropic_capacity(matrix: OwnershipMatrix, sigma: float, res: SpectralResi
     # tr(L C L^T) for the covariance C = sigma^2 (I - v v^T), v = res.col_unit
     ell = res.residual
     trace = sigma**2 * (float(np.sum(ell * ell)) - float(np.sum((ell @ res.col_unit) ** 2)))
-    if abs(value - trace) > _tol(value, trace):
+    if abs(value - trace) > _scaled_tol(_EXACT_TOL, value, trace):
         raise InternalConsistencyError("capacity disagrees with the trace formula")
     return value

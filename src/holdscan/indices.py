@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OwnershipMatrix, _freeze, _probability_vector, held_cells, require_active
+from .core import (
+    OwnershipMatrix, _freeze, _probability_vector, _scaled_tol, held_cells, require_active
+)
 from .errors import InternalConsistencyError
 
-#: Slack on identities that hold exactly in real arithmetic.
+#: Slack on identities that hold exactly in real arithmetic, relative to the
+#: compared terms once they exceed one (absolute below).
 _IDENTITY_TOL = 1e-12
 
 
@@ -135,9 +138,9 @@ def micro_decomposition(matrix: OwnershipMatrix) -> MicroDecomposition:
     investor_terms = marg.p**2 * c
     stock_terms = marg.s**2 * d
     micro = float(np.sum(e * e))  # micro_concentration, summed over the held cells
-    if abs(float(investor_terms.sum()) - micro) > _IDENTITY_TOL or abs(
-        float(stock_terms.sum()) - micro
-    ) > _IDENTITY_TOL:
+    by_investor, by_stock = float(investor_terms.sum()), float(stock_terms.sum())
+    tol = _scaled_tol(_IDENTITY_TOL, micro, by_investor, by_stock)
+    if abs(by_investor - micro) > tol or abs(by_stock - micro) > tol:
         raise InternalConsistencyError("micro decomposition sums disagree with direct value")
     return MicroDecomposition(
         investor_terms=investor_terms,
@@ -163,6 +166,7 @@ def support_bounds(matrix: OwnershipMatrix) -> tuple[float, float, float]:
     lower_col = float(np.sum(marg.s**2 / dec.col_support))
     upper = min(float(marg.p @ marg.p), float(marg.s @ marg.s))
     micro = micro_concentration(matrix)
-    if micro < max(lower_row, lower_col) - _IDENTITY_TOL or micro > upper + _IDENTITY_TOL:
+    tol = _scaled_tol(_IDENTITY_TOL, micro, lower_row, lower_col, upper)
+    if micro < max(lower_row, lower_col) - tol or micro > upper + tol:
         raise InternalConsistencyError("support bounds fail to sandwich the observed value")
     return lower_row, lower_col, upper

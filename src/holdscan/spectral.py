@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OwnershipMatrix, _freeze, require_active
+from .core import OwnershipMatrix, _freeze, _scaled_tol, require_active
 from .dependence import dependence_index
 from .errors import InternalConsistencyError
 
-#: Slack on identities that are exact in real arithmetic.
+#: Slack on identities that are exact in real arithmetic; the residual's
+#: norm against the spectrum tail is relative once the tail exceeds one.
 _SPECTRAL_TOL = 1e-9
 
 
@@ -75,7 +76,8 @@ def whiten(matrix: OwnershipMatrix) -> SpectralResidual:
     if np.max(np.abs(ell @ v)) > _SPECTRAL_TOL or np.max(np.abs(ell.T @ u)) > _SPECTRAL_TOL:
         raise InternalConsistencyError("residual does not annihilate the market mode")
     tail = float(np.sum(np.square(sigma[1:])))
-    if abs(float(np.sum(ell * ell)) - tail) > _SPECTRAL_TOL:
+    frobenius = float(np.sum(ell * ell))
+    if abs(frobenius - tail) > _scaled_tol(_SPECTRAL_TOL, frobenius, tail):
         raise InternalConsistencyError("residual norm disagrees with spectrum tail")
 
     rho_val = float(sigma[1]) if len(sigma) > 1 else 0.0

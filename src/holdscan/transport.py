@@ -561,7 +561,9 @@ class _Forest:
     one component; the forest only builds, pivots and reads back. Every
     component hangs from its smallest vertex, so the order in which a
     cycle's cells are summed depends only on the support, never on the
-    pivots that led to it.
+    pivots that led to it. A pivot that cuts one side of its cycle keeps
+    that root and reverses one path of parent pointers; only a split that
+    leaves a tree without its root re-hangs a whole tree.
     """
 
     def __init__(self, mat: np.ndarray):
@@ -578,17 +580,14 @@ class _Forest:
         self.component = [-1] * nv
         for root in range(nv):
             if self.component[root] < 0:
-                self._hang(root, -1, root)
+                self._hang(root)
 
-    def _hang(self, top: int, above: int, component: int) -> None:
-        """Hang the tree containing ``top`` from ``above`` (-1: as a root)."""
+    def _hang(self, root: int) -> None:
+        """Hang the tree containing ``root`` from it."""
         adjacency, parent, value = self.adjacency, self.parent, self.parent_value
         depth, comp = self.depth, self.component
-        parent[top] = above
-        value[top] = adjacency[top][above] if above >= 0 else 0.0
-        depth[top] = depth[above] + 1 if above >= 0 else 0
-        comp[top] = component
-        stack = [top]
+        parent[root], value[root], depth[root], comp[root] = -1, 0.0, 0, root
+        stack = [root]
         while stack:
             vtx = stack.pop()
             up, below = parent[vtx], depth[vtx] + 1
@@ -598,7 +597,7 @@ class _Forest:
                 parent[nxt] = vtx
                 value[nxt] = cell
                 depth[nxt] = below
-                comp[nxt] = component
+                comp[nxt] = root
                 stack.append(nxt)
 
     def _rehang_as_root(self, vtx: int) -> None:
@@ -610,42 +609,80 @@ class _Forest:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        root = min(seen)
-        self._hang(root, -1, root)
+        self._hang(min(seen))
+
+    def _reverse(self, end: int, cut: int, other: int) -> None:
+        """Hang the subtree of ``cut``, which holds ``end``, from ``other``.
+
+        The cell (end, other) must already be in ``adjacency``. The parent
+        pointers and values on the path from ``end`` up to ``cut`` turn
+        round, and ``end`` hangs from ``other``. Each subtree off that path
+        keeps its pointers and values and shifts its depth by as much as
+        its path vertex's depth changed; a zero shift is skipped. The
+        components do not change, because ``other`` is in the same tree.
+        """
+        adjacency, parent, value, depth = (
+            self.adjacency, self.parent, self.parent_value, self.depth,
+        )
+        below, cell, vtx = other, adjacency[end][other], end
+        new_depth = depth[other] + 1
+        while True:
+            up, up_cell = parent[vtx], value[vtx]
+            shift = new_depth - depth[vtx]
+            parent[vtx], value[vtx], depth[vtx] = below, cell, new_depth
+            if shift:
+                stack = [nxt for nxt in adjacency[vtx] if nxt != below and nxt != up]
+                while stack:
+                    hung = stack.pop()
+                    depth[hung] += shift
+                    above = parent[hung]
+                    for nxt in adjacency[hung]:
+                        if nxt != above:
+                            stack.append(nxt)
+            if vtx == cut:
+                return
+            below, cell, vtx = vtx, up_cell, up
+            new_depth += 1
 
     def pivot(self, a: int, b: int, theta: float) -> None:
         """Push ``theta`` around the cycle closed by the nonbasic edge (a, b).
 
         Path cells alternately shrink and grow from each endpoint; those
-        driven to zero leave the support. Only vertices whose path to
-        their root crossed a leaving cell are re-hung: the piece holding
-        an endpoint joins the other endpoint's tree through the entering
-        cell, and every other cut piece becomes a tree of its own.
+        driven to zero leave the support. When only one endpoint's side
+        lost cells, the piece below its lowest cut joins the other
+        endpoint through the entering cell by path reversal (`_reverse`),
+        and the tree keeps its root. When both sides lost cells, the piece
+        joining the two endpoints is re-hung from its smallest vertex.
+        Every other cut piece becomes a tree hung from its smallest vertex.
         """
         adjacency, parent, value, depth = (
             self.adjacency, self.parent, self.parent_value, self.depth,
         )
-        sides: tuple[list[int], list[int]] = ([], [])  # path cells cut on each side
-        ends = [a, b]
-        signs = [-1.0, -1.0]
-        while ends[0] != ends[1]:
-            side = 0 if depth[ends[0]] >= depth[ends[1]] else 1
-            vtx = ends[side]
-            above = parent[vtx]
-            x = value[vtx] + signs[side] * theta
+        cut_a: list[int] = []  # path cells cut on each side, lowest first
+        cut_b: list[int] = []
+        end_a, end_b = a, b
+        shrink_a = shrink_b = True
+        while end_a != end_b:
+            if depth[end_a] >= depth[end_b]:
+                vtx = end_a
+                above = end_a = parent[vtx]
+                x = value[vtx] - theta if shrink_a else value[vtx] + theta
+                shrink_a, cut = not shrink_a, cut_a
+            else:
+                vtx = end_b
+                above = end_b = parent[vtx]
+                x = value[vtx] - theta if shrink_b else value[vtx] + theta
+                shrink_b, cut = not shrink_b, cut_b
             if x == 0.0:
                 del adjacency[vtx][above], adjacency[above][vtx]
-                sides[side].append(vtx)
+                cut.append(vtx)
             else:
                 value[vtx] = adjacency[vtx][above] = adjacency[above][vtx] = x
-            signs[side] = -signs[side]
-            ends[side] = above
         adjacency[a][b] = adjacency[b][a] = theta
-        cut_a, cut_b = sides
         if not cut_a:
-            self._hang(b, a, self.component[a])
+            self._reverse(b, cut_b[0], a)
         elif not cut_b:
-            self._hang(a, b, self.component[b])
+            self._reverse(a, cut_a[0], b)
         else:
             self._rehang_as_root(a)
         for vtx in cut_a[1:] + cut_b[1:]:
@@ -687,54 +724,64 @@ def _hill_climb(mat: np.ndarray) -> tuple[np.ndarray, float]:
                 if vb in basic or component[vb] != comp_i:
                     continue
                 # climb to the lowest common ancestor; the first cell out of
-                # each endpoint shrinks, and shrinking and growing alternate
-                # (cycles are a few cells long: while loops beat building ranges)
+                # each endpoint shrinks, and shrinking and growing alternate.
+                # A row and a column of one tree differ in depth by an odd
+                # count, so the deeper end climbs (shrink, grow) pairs and one
+                # last shrinking cell, and from then on the two ends, taken
+                # in turn, have opposite signs (cycles are a few cells long:
+                # while loops beat building ranges)
                 a, b = i, vb
                 da, db = depth_i, depth[vb]
                 theta = inf
                 signed = 0.0
-                shrink_a = shrink_b = True
-                while da > db:
-                    da -= 1
+                if da > db:
+                    while da > db + 1:
+                        da -= 2
+                        x = value[a]
+                        signed -= x
+                        if x < theta:
+                            theta = x
+                        a = parent[a]
+                        signed += value[a]
+                        a = parent[a]
                     x = value[a]
-                    if shrink_a:
-                        signed -= x
-                        if x < theta:
-                            theta = x
-                    else:
-                        signed += x
-                    shrink_a = not shrink_a
+                    signed -= x
+                    if x < theta:
+                        theta = x
                     a = parent[a]
-                while db > da:
-                    db -= 1
-                    x = value[b]
-                    if shrink_b:
+                    shrink_a = False
+                else:
+                    while db > da + 1:
+                        db -= 2
+                        x = value[b]
                         signed -= x
                         if x < theta:
                             theta = x
-                    else:
-                        signed += x
-                    shrink_b = not shrink_b
+                        b = parent[b]
+                        signed += value[b]
+                        b = parent[b]
+                    x = value[b]
+                    signed -= x
+                    if x < theta:
+                        theta = x
                     b = parent[b]
+                    shrink_a = True
                 while a != b:
                     x = value[a]
+                    a = parent[a]
                     if shrink_a:
                         signed -= x
                         if x < theta:
                             theta = x
+                        signed += value[b]
                     else:
                         signed += x
-                    shrink_a = not shrink_a
-                    a = parent[a]
-                    x = value[b]
-                    if shrink_b:
+                        x = value[b]
                         signed -= x
                         if x < theta:
                             theta = x
-                    else:
-                        signed += x
-                    shrink_b = not shrink_b
                     b = parent[b]
+                    shrink_a = not shrink_a
                 length = depth_i + depth[vb] - 2 * depth[a]
                 # entering cell contributes theta^2; each path cell (x -> x+s*theta)
                 # contributes 2*s*x*theta + theta^2

@@ -227,6 +227,48 @@ def test_write_csv_round_trip(investors, stocks, seed):
     nptest.assert_allclose(again.entries, matrix.entries, rtol=1e-14, atol=0)
 
 
+def grid_write_csv(matrix, path):
+    """The export as a loop over all n*m cells, skipping the empty ones."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(["investor", "stock", "amount"])
+        for i, inv in enumerate(matrix.investor_labels):
+            for j, stk in enumerate(matrix.stock_labels):
+                value = float(matrix.entries[i, j])
+                if value > 0:
+                    row = [inv, stk, repr(value)]
+                    (quoted if "\r" in inv + stk else writer).writerow(row)
+
+
+@given(label_sets, label_sets, st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_write_csv_matches_grid_loop(investors, stocks, seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(investors), len(stocks))
+    raw = rng.random(shape) * (rng.random(shape) < 0.6)  # about 40% empty cells
+    raw[rng.integers(len(investors)), rng.integers(len(stocks))] = 1.0
+    matrix = hs.normalize(raw, investors, stocks)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, expect = Path(tmp) / "got.csv", Path(tmp) / "expect.csv"
+        cli.write_csv(matrix, got)
+        grid_write_csv(matrix, expect)
+        assert got.read_bytes() == expect.read_bytes()
+
+
+def test_write_csv_skips_empty_cells_and_quotes_labels(tmp_path):
+    investors = ["Acme, Inc.", 'say "hi"', "cr\rbreak", "plain"]
+    stocks = ["x", "crlf\r\nbreak", "w,v"]
+    raw = [[3.0, 0.0, 1.0], [0.0, 0.0, 2.0], [0.5, 4.0, 0.0], [0.0, 1.5, 0.0]]
+    matrix = hs.normalize(raw, investors, stocks)
+    got, expect = tmp_path / "got.csv", tmp_path / "expect.csv"
+    cli.write_csv(matrix, got)
+    grid_write_csv(matrix, expect)
+    assert got.read_bytes() == expect.read_bytes()
+    with open(got, encoding="utf-8", newline="") as handle:
+        assert len(list(csv.reader(handle))) == 1 + 6  # header and the held cells
+
+
 def test_main_exit_codes(tmp_path, golden_csv, capsys, monkeypatch):
     missing = tmp_path / "missing.csv"
     assert cli.main(["dashboard", str(missing)]) == 2

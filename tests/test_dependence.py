@@ -244,3 +244,43 @@ def test_column_side_aggregation_exploratory(golden):
         within += marg.s[j] * np.sum((r[:, j] - mean) ** 2 / marg.p)
     x = hs.dependence_index(golden).index
     assert between + within == pytest.approx(x, abs=1e-10)
+
+
+def large_dependence_book(kind):
+    """A 1001-investor book whose investors share no stock, so X = 1000.
+
+    Each investor holds one stock ("diagonal") or two ("block") of its own,
+    with lognormal masses; X counts the investors minus one either way.
+    """
+    rng = np.random.default_rng(5)
+    mass = rng.lognormal(size=1001)
+    if kind == "diagonal":
+        return hs.normalize(np.diag(mass))
+    split = rng.uniform(0.1, 0.9, 1001)
+    raw = np.zeros((1001, 2002))
+    rows = np.arange(1001)
+    raw[rows, 2 * rows] = mass * split
+    raw[rows, 2 * rows + 1] = mass * (1.0 - split)
+    return hs.normalize(raw)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "block"])
+def test_identity_checks_scale_with_large_dependence(kind):
+    # at X ~ 1e3 an absolute slack of 1e-10 would ask the dependence forms,
+    # the spectrum tail and the comparative laws for 1e-13 relative accuracy
+    from holdscan.core import _scaled_tol
+
+    assert _scaled_tol(1e-10, 0.5) == 1e-10
+    assert _scaled_tol(1e-10, np.array([-1000.0, 2.0])) == pytest.approx(1e-7)
+    matrix = large_dependence_book(kind)
+    assert hs.dependence_index(matrix).index == pytest.approx(1000.0, rel=1e-12)
+    hs.micro_decomposition(matrix)
+    hs.support_bounds(matrix)
+    merged = hs.merge_investors(matrix, 0, 1)
+    assert merged.after.dependence == pytest.approx(999.0, rel=1e-12)
+    hs.dilute(matrix, 0.25)
+    hs.remove_stock(matrix, 3)
+    if kind == "diagonal":  # one dense SVD of 1001 x 1001 is enough
+        res = hs.whiten(matrix)
+        assert res.rho == pytest.approx(1.0, abs=1e-12)
+        assert sum(x * x for x in res.singular_values[1:]) == pytest.approx(1000.0, rel=1e-12)

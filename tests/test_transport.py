@@ -353,6 +353,38 @@ def test_local_search_is_locally_optimal(case):
         assert gain <= _PIVOT_GAIN_TOL
 
 
+#: sha256 of the pivots (one "a b theta.hex()" line each) of the budget-1
+#: local searches on the budget-1 books of ``LOCAL_SEARCH_PINS``, recorded
+#: before pivots re-hung one path: (case, pivot count, digest).
+PIVOT_PATH_PINS = [
+    (0, 23, "29d4907309e07df820d52f948a46a95784a1b0ec4ae0c2a5dbf9e885a953c447"),
+    (2, 53, "48096d9dab2a282a2b3fe07eedc33c2e87fdbae7a00e6408cba508d3228c7d05"),
+    (4, 125, "a9d62aa2ffcefa0ba98e2f8332641478eab7b19b21345ba73ec515165e853af0"),
+]
+
+
+@pytest.mark.parametrize("case, count, digest", PIVOT_PATH_PINS)
+def test_local_search_pinned_pivot_path(case, count, digest, monkeypatch):
+    # the same result by a different route would still pass the vertex pins
+    import hashlib
+
+    from holdscan.transport import _Forest
+
+    n, m, budget, _, _ = LOCAL_SEARCH_PINS[case]
+    assert budget == 1
+    pivots = []
+    pivot = _Forest.pivot
+
+    def recording(forest, a, b, theta):
+        pivots.append(f"{a} {b} {theta.hex()}")
+        pivot(forest, a, b, theta)
+
+    monkeypatch.setattr(_Forest, "pivot", recording)
+    hs.max_micro(power_law_marginals(case // 2, n, m), budget)
+    assert len(pivots) == count
+    assert hashlib.sha256("\n".join(pivots).encode()).hexdigest() == digest
+
+
 # -- certified maximum: the Prüfer decode against a recursive oracle ----------
 
 
@@ -679,15 +711,38 @@ def test_hill_climb_matches_oracle_walk(n, m, kind, data):
     assert objective == expect_objective
 
 
+def oracle_cuts(forest, a, b, theta):
+    """How many cells pushing ``theta`` around (a, b) cuts on a's and on b's side."""
+    depth, parent, value = forest.depth, forest.parent, forest.parent_value
+    top_a, top_b = a, b
+    while top_a != top_b:
+        if depth[top_a] >= depth[top_b]:
+            top_a = parent[top_a]
+        else:
+            top_b = parent[top_b]
+    cuts = []
+    for end in (a, b):
+        count, shrink = 0, True
+        while end != top_a:
+            count += shrink and value[end] == theta
+            shrink = not shrink
+            end = parent[end]
+        cuts.append(count)
+    return tuple(cuts)
+
+
 def test_forest_pivot_matches_rebuild():
     # degenerate pivots (several cells reach zero at once) split the forest;
-    # updating it in place must agree with rebuilding it from scratch
+    # updating it in place must agree with rebuilding it from scratch, for
+    # cuts on either side of the cycle, on both, and several on one side
     from holdscan.transport import _Forest, _support_is_forest
 
     rng = np.random.default_rng(17)
     cut_counts = set()
+    kinds = set()
+    deepest_shift = 0
     for _ in range(300):
-        n, m = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+        n, m = int(rng.integers(2, 16)), int(rng.integers(2, 16))
         mat = np.zeros((n, m))
         for cell in rng.permutation(n * m)[: n + m - 1]:
             grown = mat.copy()
@@ -699,19 +754,30 @@ def test_forest_pivot_matches_rebuild():
             closing = [
                 (int(i), n + int(j))
                 for i, j in zip(*np.nonzero(mat == 0))
-                if oracle_cycle(forest, int(i), n + int(j)) is not None
+                if forest.component[int(i)] == forest.component[n + int(j)]
             ]
             if not closing:
                 break
             a, b = closing[int(rng.integers(len(closing)))]
+            theta = oracle_cycle(forest, a, b)[0]
+            cut_a, cut_b = oracle_cuts(forest, a, b, theta)
+            several = "+" if max(cut_a, cut_b) > 1 else ""
+            kinds.add(("a" if cut_a else "") + ("b" if cut_b else "") + several)
             support = np.count_nonzero(mat)
-            forest.pivot(a, b, oracle_cycle(forest, a, b)[0])
+            before = list(forest.depth)
+            forest.pivot(a, b, theta)
             mat = forest.matrix(n, m)
             cut_counts.add(support + 1 - np.count_nonzero(mat))
+            assert cut_a + cut_b == support + 1 - np.count_nonzero(mat)
+            if not (cut_a and cut_b):
+                shifts = (abs(x - y) for x, y in zip(forest.depth, before))
+                deepest_shift = max(deepest_shift, *shifts)
             fresh = _Forest(mat)
             for name in ("parent", "parent_value", "depth", "component"):
                 assert getattr(forest, name) == getattr(fresh, name)
     assert {1, 2, 3} <= cut_counts
+    assert {"a", "b", "ab", "a+", "b+"} <= kinds
+    assert deepest_shift >= 6
 
 
 def oracle_min(p, s):
