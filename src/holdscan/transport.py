@@ -6,14 +6,14 @@ squared entries) has a unique minimizer with an additive-threshold
 structure, while its maximizers sit at extreme points, which are exactly
 the feasible matrices whose bipartite support graph is a forest.
 
-The minimizer is found by exact blockwise dual ascent on the threshold
-multipliers, each side solved in closed form given the other, and is
-finished by conjugate gradients on the guessed support. A row holds its
-k largest column multipliers, so the support acts through sorted prefix
-sums and the solver forms no n x m array. The maximizer is found either by
-decoding every spanning tree from its bipartite Prüfer code (small
-systems, exact and certified) or by vertex local search along improving
-polytope edges (large systems, a certified lower bound only).
+The minimizer is found by semismooth Newton ascent on the concave dual
+of the threshold multipliers, each step a conjugate-gradient solve on
+the current support. A row holds its k largest column multipliers, so
+the support acts through sorted prefix sums and the solver forms no
+n x m array. The maximizer is found either by decoding every spanning
+tree from its bipartite Prüfer code (small systems, exact and certified)
+or by vertex local search along improving polytope edges (large systems,
+a certified lower bound only).
 
 The feasible-range sparsity score locates an observed matrix between the
 fixed-marginal minimum and maximum.
@@ -40,7 +40,7 @@ from .errors import (
 #: Absolute tolerance on marginal residuals for feasibility checks.
 TOL_FEAS = 1e-8
 
-#: Convergence tolerance of the dual-ascent minimizer (marginal residuals).
+#: Convergence tolerance of the minimizer (marginal residuals).
 TOL_KKT = 1e-10
 
 #: The maximum is certified by decoding every spanning tree of the complete
@@ -147,9 +147,10 @@ def min_micro(marg: Marginals, *, init_mu: "np.typing.ArrayLike | None" = None) 
     """Unique fixed-marginal minimizer of the cell concentration.
 
     Euclidean projection of the zero matrix onto the transportation
-    polytope. Solved by alternating exact multiplier solves until both
-    marginal residuals fall below ``TOL_KKT``; the optional ``init_mu``
-    only changes the starting point, never the answer.
+    polytope. Solved by Newton steps on the dual multipliers until the
+    marginal residuals reach rounding level (``TOL_KKT`` at worst); the
+    optional finite ``init_mu`` only changes the starting point, never the
+    answer.
     """
     p, s = marg.p, marg.s
     rows = np.flatnonzero(p > 0)
@@ -159,8 +160,10 @@ def min_micro(marg: Marginals, *, init_mu: "np.typing.ArrayLike | None" = None) 
         sub_mu0 = np.asarray(init_mu, dtype=float)
         if sub_mu0.shape != (marg.m,):
             raise DimensionMismatch("init_mu must have one entry per stock")
+        if not np.all(np.isfinite(sub_mu0)):
+            raise NonFiniteEntry("init_mu must be finite")
         sub_mu0 = sub_mu0[cols]
-    lam_a, mu_a = _dual_ascent_min(p[rows], s[cols], sub_mu0)
+    lam_a, mu_a = _dual_newton_min(p[rows], s[cols], sub_mu0)
     # Inactive rows/columns get multipliers low enough to zero their cells.
     lam = np.full(marg.n, -abs(mu_a.max()) - 1.0)
     lam[rows] = lam_a
@@ -190,6 +193,8 @@ def max_micro(marg: Marginals, budget: int = 64, *, seed: int = 0) -> TransportS
     """
     if budget < 1:
         raise OutOfRange(f"budget must be positive, got {budget}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be nonnegative, got {seed}")
     p, s = marg.p, marg.s
     rows = np.flatnonzero(p > 0)
     cols = np.flatnonzero(s > 0)
@@ -311,53 +316,67 @@ def _threshold_solve(targets: np.ndarray, duals: np.ndarray) -> np.ndarray:
     return (2.0 * targets - csum[k - 1]) / k
 
 
-#: Residual below which the active set is trusted enough to attempt an
-#: exact equality-constrained finish.
-_FINISH_TOL = 1e-3
-
-
-def _dual_ascent_min(
+def _dual_newton_min(
     p: np.ndarray, s: np.ndarray, mu0: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     n, m = p.size, s.size
     target = np.concatenate([p, s])
     null = np.concatenate([np.ones(n), -np.ones(m)])  # J is singular along it
     floor = (n + m) * np.finfo(float).eps * float(target.max())  # rounding in n + m sums
-    duals = np.empty(n + m)  # (lam, mu)
-    # Start at the multipliers of the affine (sign-unconstrained) projection:
-    # exact in one pass whenever that projection is already nonnegative.
-    duals[n:] = mu0 if mu0 is not None else 2.0 * s / n - 1.0 / (n * m)
-    cap = 100 * (n + m)
-    for _ in range(cap):
-        duals[:n] = _threshold_solve(p, duals[n:])
-        duals[n:] = _threshold_solve(s, duals[:n])
+
+    def evaluate(duals: np.ndarray) -> tuple:
         duals -= (duals @ null) / duals.size * null  # an offset along null costs cells digits
+        lam, mu = duals[:n], duals[n:]
+        # A label below its kink holds no cell and has no curvature; lifting
+        # it to the kink raises the dual and puts its first cell in J.
+        np.maximum(lam, -mu.max(), out=lam)
+        np.maximum(mu, -lam.max(), out=mu)
         support = _support_operator(duals, n)
-        gap = target - support(duals)
-        if np.max(np.abs(gap)) <= TOL_KKT:
-            return duals[:n], duals[n:]
-        if np.max(np.abs(gap)) <= _FINISH_TOL:
-            finished = duals + _active_set_finish(support, gap, floor)
-            # kept only if its own cells meet the marginals: the KKT certificate
-            if np.max(np.abs(target - _support_operator(finished, n)(finished))) <= TOL_KKT:
-                return finished[:n], finished[n:]
-    raise ConvergenceFailure(
-        f"dual ascent missed tolerance {TOL_KKT:g} within {cap} iterations"
-    )
+        fitted = support(duals)
+        # the concave dual duals·target − ½ duals·J(duals) and its gradient, the gap
+        return duals, support, target - fitted, float(duals @ target - duals @ fitted / 2.0)
+
+    # Start at the multipliers of the affine (sign-unconstrained) projection:
+    # exact from the start whenever that projection is already nonnegative.
+    mu = mu0 if mu0 is not None else 2.0 * s / n - 1.0 / (n * m)
+    duals, support, gap, value = evaluate(np.concatenate([_threshold_solve(p, mu), mu]))
+    for _ in range(100 * (n + m)):
+        size = float(np.max(np.abs(gap)))
+        if size <= floor:
+            break
+        # δ keeps J + δI definite on a support graph of several components;
+        # solving only to a residual of δ keeps the convergence quadratic.
+        delta = min(size, 1.0) ** 2
+        step = _conjugate_gradients(lambda z: support(z) + delta * z, gap, max(floor, delta))
+        slope = float(gap @ step)
+        for t in 0.5 ** np.arange(30):  # a step cut 2^30-fold moves only rounding
+            trial = evaluate(duals + t * step)
+            # near the optimum rounding hides the dual's rise, not the gap's fall
+            if trial[3] >= value + 1e-4 * t * slope or np.max(np.abs(trial[2])) < size:
+                break
+        else:
+            break
+        duals, support, gap, value = trial
+    if np.max(np.abs(gap)) > TOL_KKT:
+        raise ConvergenceFailure(
+            f"Newton ascent stopped at residual {np.max(np.abs(gap)):.3g}, above {TOL_KKT:g}"
+        )
+    return duals[:n], duals[n:]
 
 
 def _support_operator(duals: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """z -> J z, J = ½[diag(k) B; Bᵀ diag(c)] on the support of duals = (lam, mu).
 
-    Row i of the 0/1 support B holds its k[i] largest mu, column j its c[j]
-    largest lam, so B and Bᵀ are prefix sums in sorted order. J duals
-    stacks the row and column sums of the cells max(0, (lam[i] + mu[j]) / 2).
+    B holds the cells with lam[i] + mu[j] >= 0, so row i holds its k[i]
+    largest mu, column j its c[j] largest lam, and B and Bᵀ are prefix sums
+    in sorted order. J duals stacks the row and column sums of the cells
+    max(0, (lam[i] + mu[j]) / 2).
     """
     lam, mu = duals[:n], duals[n:]
     by_mu = np.argsort(-mu, kind="stable")
     by_lam = np.argsort(-lam, kind="stable")
-    k = np.searchsorted(-mu[by_mu], lam)  # how many mu[j] exceed -lam[i]
-    c = np.searchsorted(-lam[by_lam], mu)
+    k = np.searchsorted(-mu[by_mu], lam, side="right")  # how many mu[j] reach -lam[i]
+    c = np.searchsorted(-lam[by_lam], mu, side="right")
 
     def apply(z: np.ndarray) -> np.ndarray:
         x, y = z[:n], z[n:]
@@ -368,20 +387,20 @@ def _support_operator(duals: np.ndarray, n: int) -> Callable[[np.ndarray], np.nd
     return apply
 
 
-def _active_set_finish(
-    support: Callable[[np.ndarray], np.ndarray], gap: np.ndarray, floor: float
+def _conjugate_gradients(
+    apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, floor: float
 ) -> np.ndarray:
-    """The step d with J d = gap: exact multipliers if the support was guessed right.
+    """The d with apply(d) = rhs for a symmetric positive semidefinite apply.
 
-    Conjugate gradients through the prefix-sum operator; J is positive
-    semidefinite, so they stop on a direction without curvature or below ``floor``.
+    Stops on a direction without curvature or once every residual entry
+    is below ``floor``.
     """
-    step = np.zeros_like(gap)
-    r = gap.copy()
-    direction = gap.copy()
+    step = np.zeros_like(rhs)
+    r = rhs.copy()
+    direction = rhs.copy()
     rr = float(r @ r)
-    for _ in range(gap.size):
-        jd = support(direction)
+    for _ in range(rhs.size):
+        jd = apply(direction)
         curvature = float(direction @ jd)
         if curvature <= 0.0:
             break

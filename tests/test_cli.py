@@ -590,6 +590,19 @@ def test_search_flags_only_on_search_commands(golden_csv, capsys):
     assert json.loads(capsys.readouterr().out)["certified"] is True
 
 
+@pytest.mark.parametrize("command", ["psi", "dashboard"])
+def test_negative_seed_exits_2(tmp_path, golden_csv, capsys, command):
+    # the golden book's maximum is certified; the 12 x 10 book's is searched
+    rng = np.random.default_rng(4)
+    search_csv = tmp_path / "search.csv"
+    entries = rng.random((12, 10)) + 0.01
+    cli.write_csv(hs.OwnershipMatrix(entries / entries.sum(), [f"i{k}" for k in range(12)],
+                                     [f"s{k}" for k in range(10)]), search_csv)
+    for path in (golden_csv, search_csv):
+        assert cli.main([command, str(path), "--seed", "-1"]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
+
 # (case, file text, message): one file with several bad rows; the first in
 # file order is reported. "{path}" stands for the file's path.
 FIRST_BAD_ROW_CASES = [

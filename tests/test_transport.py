@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 import holdscan as hs
 from holdscan.errors import (
+    ConvergenceFailure,
     DegenerateRange,
     DimensionMismatch,
+    NonFiniteEntry,
     NotFeasible,
     OutOfRange,
 )
@@ -780,6 +782,19 @@ def test_forest_pivot_matches_rebuild():
     assert deepest_shift >= 6
 
 
+def oracle_threshold(targets, duals):
+    """Solve sum_j max(0, (x + duals[j]) / 2) = t for each positive target.
+
+    With the duals in descending order, x is the value (2t - top-k sum) / k
+    for the largest k whose k-th dual still gives a positive cell, the
+    rule of Euclidean projection onto the simplex.
+    """
+    order = np.sort(duals)[::-1]
+    x = (2.0 * targets[:, None] - np.cumsum(order)) / np.arange(1, order.size + 1)
+    k = order.size - np.argmax((x + order > 0)[:, ::-1], axis=1)
+    return x[np.arange(targets.size), k - 1]
+
+
 def oracle_min(p, s):
     """The dense minimizer: block sweeps, then exact ``lstsq`` finishes.
 
@@ -788,7 +803,7 @@ def oracle_min(p, s):
     Always starts cold: from a warm start far along (1, -1) its cells
     lose digits to the offset.
     """
-    from holdscan.transport import TOL_KKT, _threshold_solve
+    from holdscan.transport import TOL_KKT
 
     rows, cols = np.flatnonzero(p > 0), np.flatnonzero(s > 0)
     pa, sa = p[rows], s[cols]
@@ -811,8 +826,8 @@ def oracle_min(p, s):
     mu = 2.0 * sa / n - 1.0 / (n * m)
     tried = None
     for _ in range(100 * (n + m)):
-        lam = _threshold_solve(pa, mu)
-        mu = _threshold_solve(sa, lam)
+        lam = oracle_threshold(pa, mu)
+        mu = oracle_threshold(sa, lam)
         cells = np.maximum(0.0, (lam[:, None] + mu[None, :]) / 2.0)
         res = max(np.max(np.abs(cells.sum(axis=1) - pa)), np.max(np.abs(cells.sum(axis=0) - sa)))
         if res <= TOL_KKT:
@@ -864,13 +879,74 @@ def test_min_micro_matches_dense_oracle(n, m, kind, warm, data):
 def test_min_micro_solver_memory_is_matrix_free():
     import tracemalloc
 
-    from holdscan.transport import _dual_ascent_min
+    from holdscan.transport import _dual_newton_min
 
     marg = power_law_marginals(7, 300, 200)
     tracemalloc.start()
     try:
-        _dual_ascent_min(marg.p, marg.s, None)
+        _dual_newton_min(marg.p, marg.s, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 300 * 200 * 8 / 4
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_min_micro_residual_at_rounding_level(seed):
+    marg = power_law_marginals(seed, 1000, 750)
+    mat = hs.min_micro(marg).matrix
+    residual = max(np.max(np.abs(mat.sum(axis=1) - marg.p)),
+                   np.max(np.abs(mat.sum(axis=0) - marg.s)))
+    floor = (marg.n + marg.m) * np.finfo(float).eps * max(marg.p.max(), marg.s.max())
+    assert residual <= 4 * floor
+
+
+def test_min_micro_newton_operator_builds(monkeypatch):
+    from holdscan import transport
+
+    builds = []
+    build = transport._support_operator
+    monkeypatch.setattr(
+        transport, "_support_operator", lambda duals, n: builds.append(n) or build(duals, n)
+    )
+    hs.min_micro(power_law_marginals(0, 1000, 750))
+    assert len(builds) <= 15  # a linearly convergent solver needs about 50
+
+
+def test_min_micro_heavy_tails_and_far_warm_starts():
+    # masses spread over about six decades leave tiny labels with no cell
+    # for many steps; warm starts reach a thousand times the multipliers
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        n, m = (int(x) for x in rng.integers(2, 60, 2))
+        p, s = rng.lognormal(sigma=3.0, size=n), rng.lognormal(sigma=3.0, size=m)
+        marg = hs.Marginals(p / p.sum(), s / s.sum())
+        cold = hs.min_micro(marg)
+        warm = hs.min_micro(marg, init_mu=rng.standard_normal(m) * 10 ** rng.uniform(-2, 3))
+        assert np.max(np.abs(cold.matrix - warm.matrix)) <= 1e-12
+
+
+def test_min_micro_raises_when_newton_stalls(monkeypatch):
+    from holdscan import transport
+
+    monkeypatch.setattr(transport, "_conjugate_gradients", lambda apply, rhs, floor: 0.0 * rhs)
+    marg = hs.Marginals(np.array([0.9, 0.1]), np.array([0.9, 0.1]))
+    with pytest.raises(ConvergenceFailure, match="above 1e-10"):
+        hs.min_micro(marg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_min_micro_rejects_non_finite_init_mu(bad):
+    marg = hs.Marginals(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+    with pytest.raises(NonFiniteEntry):
+        hs.min_micro(marg, init_mu=[bad, 0.0])
+
+
+@pytest.mark.parametrize("certified", [True, False])
+def test_max_micro_rejects_negative_seed(golden, certified):
+    from holdscan.transport import MAX_ENUMERATION
+
+    marg = hs.marginals(golden) if certified else power_law_marginals(0, 12, 10)
+    assert (hs.vertex_count(marg.n, marg.m) <= MAX_ENUMERATION) == certified
+    with pytest.raises(OutOfRange):
+        hs.max_micro(marg, seed=-1)
