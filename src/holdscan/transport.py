@@ -300,22 +300,6 @@ def vertex_count(n: int, m: int) -> int:
 # -- minimizer internals ---------------------------------------------------
 
 
-def _threshold_solve(targets: np.ndarray, duals: np.ndarray) -> np.ndarray:
-    """Solve sum_j max(0, (x + duals[j]) / 2) = t for each t in targets.
-
-    The left side is piecewise linear and increasing in x, with knees at
-    the negated duals; sorting once lets every target be solved exactly by
-    locating its knee interval.
-    """
-    order = np.sort(duals)[::-1]
-    csum = np.cumsum(order)
-    active = np.arange(1, order.size + 1, dtype=float)
-    knee = csum - active * order  # nondecreasing, knee[0] == 0
-    k = np.searchsorted(knee, 2.0 * targets, side="left")
-    k = np.maximum(k, 1)
-    return (2.0 * targets - csum[k - 1]) / k
-
-
 def _dual_newton_min(
     p: np.ndarray, s: np.ndarray, mu0: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -337,9 +321,10 @@ def _dual_newton_min(
         return duals, support, target - fitted, float(duals @ target - duals @ fitted / 2.0)
 
     # Start at the multipliers of the affine (sign-unconstrained) projection:
-    # exact from the start whenever that projection is already nonnegative.
+    # exact whenever that projection is already nonnegative. A warm start
+    # replaces its mu, and the lift seats every row against it.
     mu = mu0 if mu0 is not None else 2.0 * s / n - 1.0 / (n * m)
-    duals, support, gap, value = evaluate(np.concatenate([_threshold_solve(p, mu), mu]))
+    duals, support, gap, value = evaluate(np.concatenate([2.0 * p / m - 1.0 / (n * m), mu]))
     for _ in range(100 * (n + m)):
         size = float(np.max(np.abs(gap)))
         if size <= floor:
