@@ -15,6 +15,7 @@ import math
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
     AllZeroMatrix,
     DegenerateRange,
     MixedSignWithoutFlag,
+    NonFiniteResult,
     NumericalError,
     ParseError,
     ValidationError,
@@ -76,7 +78,8 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     """Read a holdings file into a share matrix or a signed book.
 
     Duplicate (investor, stock) rows are summed in file order; labels are
-    ordered lexicographically so ingestion is deterministic.
+    ordered lexicographically so ingestion is deterministic. Zero-amount
+    rows are dropped first, so only labels with positive mass are kept.
     """
     (investor_col, stock_col, amounts, legs), has_sign_column = (
         _read_csv(Path(path)) if fmt == "csv" else _read_json(Path(path))
@@ -87,6 +90,13 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
         )
     if not investor_col:
         raise ParseError(f"{path}: no holdings records found")
+    held = amounts > 0
+    if not held.all() and held.any():
+        # a label with only zero lots holds nothing, so it gets no row or column
+        keep = held.tolist()
+        investor_col = list(compress(investor_col, keep))
+        stock_col = list(compress(stock_col, keep))
+        amounts, legs = amounts[held], legs[held]
     investors = sorted(set(investor_col))
     stocks = sorted(set(stock_col))
     n, m = len(investors), len(stocks)
@@ -400,6 +410,10 @@ def _dashboard(
     ), dep
 
 
+#: The dashboard's metrics, in report order.
+_METRICS = ("H_I", "H_S", "M", "Psi", "X", "rho", "N_I", "N_S", "N_M")
+
+
 def report(
     matrix: OwnershipMatrix,
     dash: Dashboard,
@@ -409,42 +423,29 @@ def report(
     flags: dict | None = None,
 ) -> str:
     """Serialize a full dashboard report; identical inputs, identical bytes."""
-    marg = marginals(matrix)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "labels": {
-            "investors": list(matrix.investor_labels),
-            "stocks": list(matrix.stock_labels),
-        },
-        "marginals": {
-            "p": [_round6(x) for x in marg.p],
-            "s": [_round6(x) for x in marg.s],
-        },
-        "dashboard": {
-            "H_I": _round6(dash.H_I),
-            "H_S": _round6(dash.H_S),
-            "M": _round6(dash.M),
-            "Psi": _round6(dash.Psi),
-            "X": _round6(dash.X),
-            "rho": _round6(dash.rho),
-            "N_I": _round6(dash.N_I),
-            "N_S": _round6(dash.N_S),
-            "N_M": _round6(dash.N_M),
-        },
-        "contributions": {
-            "investor": [_round6(x) for x in contributions.investor_contributions],
-            "stock": [_round6(x) for x in contributions.stock_contributions],
-        },
-        "certification": {"psi_certified": dash.psi_certified},
-        "provenance": {"seed": seed, "flags": flags or {}},
-    }
-    if dash.psi_reason is not None:
-        payload["dashboard"]["Psi_omitted"] = dash.psi_reason
     if fmt == "json":
-        return _dump_json(payload)
+        marg = marginals(matrix)
+        metrics = {name: getattr(dash, name) for name in _METRICS}
+        if dash.psi_reason is not None:
+            metrics["Psi_omitted"] = dash.psi_reason
+        payload = {
+            "labels": {
+                "investors": list(matrix.investor_labels),
+                "stocks": list(matrix.stock_labels),
+            },
+            "marginals": {"p": marg.p, "s": marg.s},
+            "dashboard": metrics,
+            "contributions": {
+                "investor": contributions.investor_contributions,
+                "stock": contributions.stock_contributions,
+            },
+            "certification": {"psi_certified": dash.psi_certified},
+            "provenance": {"seed": seed, "flags": flags or {}},
+        }
+        return _render(payload, fmt)
     lines = ["metric  value"]
-    for name in ("H_I", "H_S", "M", "Psi", "X", "rho", "N_I", "N_S", "N_M"):
-        value = payload["dashboard"][name]
+    for name in _METRICS:
+        value = getattr(dash, name)
         shown = _fmt(value) if value is not None else f"undefined ({dash.psi_reason})"
         lines.append(f"{name:<7} {shown}")
     lines.append("")
@@ -458,12 +459,6 @@ def report(
     return "\n".join(lines) + "\n"
 
 
-def _round6(value) -> float | None:
-    if value is None:
-        return None
-    return float(f"{float(value):.6g}")
-
-
 def _fmt(value) -> str:
     if value is None:
         return "undefined"
@@ -474,13 +469,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+def _rounded(obj):
+    """``obj`` with every float rounded to 6 significant digits and arrays as lists."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NonFiniteResult(f"a reported value is {obj}")
+        return float(f"{float(obj):.6g}")
+    if isinstance(obj, dict):
+        return {key: _rounded(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(val) for val in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _rounded(obj.tolist())
+    return obj
 
 
 def _render(payload: dict, fmt: str) -> str:
+    """The one serializer of every report.
+
+    Puts ``schema_version`` first and rounds every float, Python or numpy,
+    also inside dicts, lists, tuples and arrays, to 6 significant digits;
+    arrays are written as lists, and ints, bools, strings and None pass
+    through. A non-finite number raises ``NonFiniteResult``. ``json`` is
+    indented JSON; ``text`` is one ``dotted.key  value`` line per leaf.
+    """
+    payload = _rounded({"schema_version": SCHEMA_VERSION, **payload})
     if fmt == "json":
-        return _dump_json(payload)
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     lines: list[str] = []
 
     def walk(prefix: str, obj: dict) -> None:
@@ -501,14 +516,13 @@ def _render(payload: dict, fmt: str) -> str:
 def _headline_payload(delta: OperationDelta) -> dict:
     def block(values) -> dict:
         return {
-            "H_I": _round6(values.investor_herfindahl),
-            "H_S": _round6(values.stock_herfindahl),
-            "M": _round6(values.micro),
-            "X": _round6(values.dependence),
+            "H_I": values.investor_herfindahl,
+            "H_S": values.stock_herfindahl,
+            "M": values.micro,
+            "X": values.dependence,
         }
 
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "before": block(delta.before),
         "after": block(delta.after),
         "predicted_after": block(delta.predicted_after),
@@ -535,33 +549,41 @@ def _cmd_decompose(args) -> str:
     marg = marginals(matrix)
     dec = micro_decomposition(matrix)
     dep = dependence_index(matrix)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "investors": [
-            {
-                "label": lab,
-                "mass": _round6(marg.p[i]),
-                "portfolio_concentration": _round6(dec.portfolio_concentration[i]),
-                "dependence_contribution": _round6(dep.investor_contributions[i]),
-            }
-            for i, lab in enumerate(matrix.investor_labels)
-        ],
-        "stocks": [
-            {
-                "label": lab,
-                "mass": _round6(marg.s[j]),
-                "owner_concentration": _round6(dec.owner_concentration[j]),
-                "dependence_contribution": _round6(dep.stock_contributions[j]),
-            }
-            for j, lab in enumerate(matrix.stock_labels)
-        ],
-    }
+    sides = (
+        (
+            "investor",
+            "portfolio_concentration",
+            zip(
+                matrix.investor_labels,
+                marg.p.tolist(),
+                dec.portfolio_concentration.tolist(),
+                dep.investor_contributions.tolist(),
+            ),
+        ),
+        (
+            "stock",
+            "owner_concentration",
+            zip(
+                matrix.stock_labels,
+                marg.s.tolist(),
+                dec.owner_concentration.tolist(),
+                dep.stock_contributions.tolist(),
+            ),
+        ),
+    )
     if args.format == "json":
-        return _dump_json(payload)
+        payload = {
+            f"{side}s": [
+                dict(zip(("label", "mass", conc, "dependence_contribution"), row))
+                for row in rows
+            ]
+            for side, conc, rows in sides
+        }
+        return _render(payload, args.format)
     lines = ["side     label        mass     conc     dependence"]
-    for side, rows in (("investor", payload["investors"]), ("stock", payload["stocks"])):
-        for label, mass, conc, dep in map(dict.values, rows):
-            lines.append(f"{side:<8} {label:<12} {_fmt(mass):<8} {_fmt(conc):<8} {_fmt(dep)}")
+    for side, _, rows in sides:
+        for label, mass, conc, x in rows:
+            lines.append(f"{side:<8} {label:<12} {_fmt(mass):<8} {_fmt(conc):<8} {_fmt(x)}")
     return "\n".join(lines) + "\n"
 
 
@@ -570,11 +592,10 @@ def _cmd_psi(args) -> str:
     score = sparsity_score(matrix, budget=args.max_budget, seed=args.seed)
     return _render(
         {
-            "schema_version": SCHEMA_VERSION,
-            "psi": _round6(score.psi),
-            "m_min": _round6(score.m_min),
-            "m_max": _round6(score.m_max),
-            "m_observed": _round6(score.m_observed),
+            "psi": score.psi,
+            "m_min": score.m_min,
+            "m_max": score.m_max,
+            "m_observed": score.m_observed,
             "certified": score.certified,
         },
         args.format,
@@ -587,15 +608,11 @@ def _cmd_shock(args) -> str:
     result = fire_sale(matrix, delta)
     return _render(
         {
-            "schema_version": SCHEMA_VERSION,
-            "severity": _round6(result.severity),
-            "parallel_term": _round6(result.parallel_term),
-            "perp_term": _round6(result.perp_term),
-            "bound": _round6(result.bound),
-            "impact": {
-                lab: _round6(result.impact[j])
-                for j, lab in enumerate(matrix.stock_labels)
-            },
+            "severity": result.severity,
+            "parallel_term": result.parallel_term,
+            "perp_term": result.perp_term,
+            "bound": result.bound,
+            "impact": dict(zip(matrix.stock_labels, result.impact)),
         },
         args.format,
     )
@@ -608,16 +625,12 @@ def _cmd_alpha(args) -> str:
         matrix, returns, project=args.project_returns, dispersion=args.dispersion
     )
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "variance": _round6(result.variance),
-        "worst_case_bound": _round6(result.worst_case_bound),
-        "alpha": {
-            lab: _round6(result.alpha[i])
-            for i, lab in enumerate(matrix.investor_labels)
-        },
+        "variance": result.variance,
+        "worst_case_bound": result.worst_case_bound,
+        "alpha": dict(zip(matrix.investor_labels, result.alpha)),
     }
     if result.isotropic_capacity is not None:
-        payload["isotropic_capacity"] = _round6(result.isotropic_capacity)
+        payload["isotropic_capacity"] = result.isotropic_capacity
     return _render(payload, args.format)
 
 
@@ -652,10 +665,9 @@ def _cmd_aggregate(args) -> str:
     split = aggregate(matrix, partition)
     return _render(
         {
-            "schema_version": SCHEMA_VERSION,
-            "between": _round6(split.between),
-            "within": _round6(split.within),
-            "total": _round6(split.between + split.within),
+            "between": split.between,
+            "within": split.within,
+            "total": split.between + split.within,
             "groups": list(split.merged.investor_labels),
         },
         args.format,
@@ -669,23 +681,17 @@ def _cmd_family(args) -> str:
         fam = family_2x2(args.a, args.b)
         mat_min = transport_matrix_2x2(args.a, args.b, fam.x_min_constrained)
         payload = {
-            "schema_version": SCHEMA_VERSION,
-            "interval": [_round6(fam.interval[0]), _round6(fam.interval[1])],
-            "x_star": _round6(fam.x_star),
-            "x_min_constrained": _round6(fam.x_min_constrained),
-            "m_min": _round6(float(np.sum(mat_min * mat_min))),
+            "interval": fam.interval,
+            "x_star": fam.x_star,
+            "x_min_constrained": fam.x_min_constrained,
+            "m_min": np.sum(mat_min * mat_min),
         }
         return _render(payload, args.format)
     if args.t is None:
         raise ParseError("family nonid needs --t")
     matrix, micro_formula, dependence_formula = nonid_family(args.t)
     return _render(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "entries": [[_round6(x) for x in row] for row in matrix.entries],
-            "M": _round6(micro_formula),
-            "X": _round6(dependence_formula),
-        },
+        {"entries": matrix.entries, "M": micro_formula, "X": dependence_formula},
         args.format,
     )
 
@@ -695,14 +701,13 @@ def _cmd_renyi(args) -> str:
     summary = renyi_summary(matrix, args.alpha)
     return _render(
         {
-            "schema_version": SCHEMA_VERSION,
-            "alpha": _round6(summary.alpha),
-            "H_I_alpha": _round6(summary.investor_power_sum),
-            "H_S_alpha": _round6(summary.stock_power_sum),
-            "M_alpha": _round6(summary.micro_power_sum),
-            "N_I_alpha": _round6(summary.effective_investors),
-            "N_S_alpha": _round6(summary.effective_stocks),
-            "N_M_alpha": _round6(summary.effective_cells),
+            "alpha": summary.alpha,
+            "H_I_alpha": summary.investor_power_sum,
+            "H_S_alpha": summary.stock_power_sum,
+            "M_alpha": summary.micro_power_sum,
+            "N_I_alpha": summary.effective_investors,
+            "N_S_alpha": summary.effective_stocks,
+            "N_M_alpha": summary.effective_cells,
         },
         args.format,
     )
@@ -713,16 +718,15 @@ def _cmd_signed(args) -> str:
     value = signed_dependence(book)
     return _render(
         {
-            "schema_version": SCHEMA_VERSION,
-            "eta": _round6(book.net_exposure),
-            "X_signed": _round6(value),
+            "eta": book.net_exposure,
+            "X_signed": value,
             "gross_marginals": {
-                "p": [_round6(x) for x in book.gross_investor_marginals],
-                "s": [_round6(x) for x in book.gross_stock_marginals],
+                "p": book.gross_investor_marginals,
+                "s": book.gross_stock_marginals,
             },
             "net_marginals": {
-                "p": [_round6(x) for x in book.net_investor_marginals],
-                "s": [_round6(x) for x in book.net_stock_marginals],
+                "p": book.net_investor_marginals,
+                "s": book.net_stock_marginals,
             },
         },
         args.format,

@@ -113,14 +113,13 @@ def merge_investors(matrix: OwnershipMatrix, a: int, b: int) -> OperationDelta:
 
     lo, hi = min(a, b), max(a, b)
     e = matrix.entries
-    rows = [e[i] for i in range(matrix.n) if i != hi]
-    merged_row = e[a] + e[b]
-    rows[lo] = merged_row
-    labels = [lab for i, lab in enumerate(matrix.investor_labels) if i != hi]
+    rows = np.delete(e, hi, axis=0)
+    rows[lo] = e[a] + e[b]
+    labels = list(matrix.investor_labels[:hi] + matrix.investor_labels[hi + 1 :])
     labels[lo] = _unique_label(
         matrix.investor_labels[a] + "+" + matrix.investor_labels[b], labels[:lo] + labels[lo + 1 :]
     )
-    merged = OwnershipMatrix(np.vstack(rows), tuple(labels), matrix.stock_labels)
+    merged = OwnershipMatrix(rows, tuple(labels), matrix.stock_labels)
 
     predicted = PredictedIndices(
         investor_herfindahl=before.investor_herfindahl + 2.0 * marg.p[a] * marg.p[b],
@@ -156,8 +155,7 @@ def remove_stock(matrix: OwnershipMatrix, stock: int) -> OperationDelta:
     before = headline(matrix)
 
     column = matrix.entries[:, j0]
-    kept_cols = [j for j in range(matrix.m) if j != j0]
-    reduced = matrix.entries[:, kept_cols] / weight
+    reduced = np.delete(matrix.entries, j0, axis=1) / weight
     new_p = reduced.sum(axis=1)
     keep_rows = new_p >= TOL_NORM
     dropped = tuple(
@@ -167,10 +165,10 @@ def remove_stock(matrix: OwnershipMatrix, stock: int) -> OperationDelta:
     inv_labels = tuple(
         lab for lab, keep in zip(matrix.investor_labels, keep_rows) if keep
     )
-    stk_labels = tuple(matrix.stock_labels[j] for j in kept_cols)
+    stk_labels = matrix.stock_labels[:j0] + matrix.stock_labels[j0 + 1 :]
     after_matrix = OwnershipMatrix(reduced, inv_labels, stk_labels)
 
-    new_s = marg.s[kept_cols] / weight
+    new_s = np.delete(marg.s, j0) / weight
     kept_p = (marg.p - column)[keep_rows] / weight
     predicted = PredictedIndices(
         investor_herfindahl=float(kept_p @ kept_p),

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     InternalConsistencyError,
     NonFiniteEntry,
+    NonFiniteResult,
     NotCentered,
     OutOfRange,
 )
@@ -194,10 +195,16 @@ def isotropic_capacity(matrix: OwnershipMatrix, sigma: float) -> float:
 def _isotropic_capacity(matrix: OwnershipMatrix, sigma: float, res: SpectralResidual) -> float:
     if not np.isfinite(sigma) or sigma < 0:
         raise OutOfRange(f"dispersion must be a nonnegative scalar, got {sigma!r}")
-    value = sigma**2 * dependence_index(matrix).index
+    try:
+        scale = float(sigma) ** 2
+    except OverflowError:
+        scale = np.inf
+    value = scale * dependence_index(matrix).index
+    if not np.isfinite(value):
+        raise NonFiniteResult(f"isotropic capacity at dispersion {sigma!r} is not finite")
     # tr(L C L^T) for the covariance C = sigma^2 (I - v v^T), v = res.col_unit
     ell = res.residual
-    trace = sigma**2 * (float(np.sum(ell * ell)) - float(np.sum((ell @ res.col_unit) ** 2)))
+    trace = scale * (float(np.sum(ell * ell)) - float(np.sum((ell @ res.col_unit) ** 2)))
     if abs(value - trace) > _scaled_tol(_EXACT_TOL, value, trace):
         raise InternalConsistencyError("capacity disagrees with the trace formula")
     return value

@@ -118,3 +118,7 @@ class ConvergenceFailure(NumericalError):
 
 class InternalConsistencyError(NumericalError):
     """Two independent computations of the same quantity disagree."""
+
+
+class NonFiniteResult(NumericalError):
+    """A result overflowed to infinity or came out NaN."""

@@ -16,6 +16,7 @@ from holdscan.errors import (
     AllZeroMatrix,
     InternalConsistencyError,
     MixedSignWithoutFlag,
+    NonFiniteResult,
     ParseError,
 )
 
@@ -282,6 +283,78 @@ def test_main_exit_codes(tmp_path, golden_csv, capsys, monkeypatch):
     monkeypatch.setattr(cli, "dependence_index", explode)
     assert cli.main(["dashboard", str(golden_csv)]) == 3
     capsys.readouterr()
+
+
+def test_overflowing_results_exit_3(tmp_path, golden_csv, capsys):
+    shocks = tmp_path / "shocks.csv"
+    shocks.write_text("label,value\ninv1,1e200\ninv2,-1e200\ninv3,0\n", encoding="utf-8")
+    rets = tmp_path / "rets.csv"
+    rets.write_text("label,value\nstk1,1.5\nstk2,-1.5\n", encoding="utf-8")
+    commands = [
+        ["shock", str(golden_csv), "--shocks", str(shocks)],
+        ["alpha", str(golden_csv), "--returns", str(rets), "--dispersion", "1e200"],
+    ]
+    for argv in commands:
+        for fmt in ("text", "json"):
+            with np.errstate(over="ignore"):
+                assert cli.main([*argv, "--format", fmt]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert "Traceback" not in captured.err
+
+
+def test_render_rounds_every_float_and_puts_schema_version_first():
+    payload = {
+        "a": np.float64(1 / 3),
+        "b": (np.float32(0.1), 2, True, None, "x", np.bool_(False)),
+        "c": {"d": np.array([[2 / 3, 1.0]]), "e": np.int64(7), "f": [-0.0, 1e-300]},
+    }
+    text = cli._render(payload, "json")
+    assert text.startswith('{\n  "schema_version": 1,\n  "a": 0.333333,\n')
+    assert json.loads(text) == {
+        "schema_version": 1,
+        "a": 0.333333,
+        "b": [0.1, 2, True, None, "x", False],
+        "c": {"d": [[0.666667, 1.0]], "e": 7, "f": [-0.0, 1e-300]},
+    }
+    assert cli._render(payload, "text") == (
+        "schema_version               1\n"
+        "a                            0.333333\n"
+        "b                            0.1 2 true undefined x false\n"
+        "c.d                          [0.666667, 1.0]\n"
+        "c.e                          7\n"
+        "c.f                          -0 1e-300\n"
+    )
+    for bad in (np.inf, -np.inf, np.nan, np.array([1.0, np.nan]), np.float32("inf")):
+        for fmt in ("text", "json"):
+            with pytest.raises(NonFiniteResult):
+                cli._render({"x": {"y": [bad]}}, fmt)
+
+
+def test_ingest_drops_labels_without_mass(tmp_path, golden_csv, capsys):
+    padded = tmp_path / "padded.csv"
+    zero_lots = "a,stk1,0\na,zz,0\ninv1,zz,0.0\ninv2,stk1,-0\n"
+    padded.write_text(GOLDEN_CSV + zero_lots, encoding="utf-8")
+    matrix = cli.ingest(padded)
+    assert matrix.investor_labels == ("inv1", "inv2", "inv3")
+    assert matrix.stock_labels == ("stk1", "stk2")
+    nptest.assert_array_equal(matrix.entries, cli.ingest(golden_csv).entries)
+    for command in ("dashboard", "decompose", "psi"):
+        outputs = []
+        for path in (golden_csv, padded):
+            assert cli.main([command, str(path), "--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+    shocks = tmp_path / "shocks.csv"
+    shocks.write_text("label,value\ninv1,0.5\ninv2,-0.2\ninv3,0.1\n", encoding="utf-8")
+    assert cli.main(["shock", str(padded), "--shocks", str(shocks)]) == 0
+    assert capsys.readouterr().out.startswith("schema_version")
+    signed = tmp_path / "signed.csv"
+    signed.write_text(
+        "investor,stock,amount,sign\nh1,s1,1,+\nh2,s1,0,-\nh1,s2,1,-\n", encoding="utf-8"
+    )
+    assert cli.ingest(signed, signed=True).investor_labels == ("h1",)
 
 
 def test_main_rejects_unknown_subcommand(capsys):
@@ -567,6 +640,11 @@ def test_ingest_sums_lots_in_file_order(rows, with_sign, seed):
             with pytest.raises(AllZeroMatrix):
                 cli.ingest(path, signed=with_sign)
             return
+        # a label whose lots are all zero is not ingested
+        held_i, held_j = raw.sum(axis=(0, 2)) > 0, raw.sum(axis=(0, 1)) > 0
+        investors = [lab for lab, held in zip(investors, held_i) if held]
+        stocks = [lab for lab, held in zip(stocks, held_j) if held]
+        raw = raw[:, held_i][:, :, held_j]
         if with_sign:
             book = cli.ingest(path, signed=True)
             assert book.investor_labels == tuple(investors)

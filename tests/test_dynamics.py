@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holdscan as hs
-from holdscan.errors import DimensionMismatch, NotCentered, OutOfRange
+from holdscan.errors import (
+    DimensionMismatch,
+    NonFiniteResult,
+    NotCentered,
+    NumericalError,
+    OutOfRange,
+)
 
 from conftest import philox, random_active
 
@@ -139,6 +145,13 @@ def test_isotropic_capacity_golden(golden):
     assert hs.isotropic_capacity(golden, 0.0) == 0.0
     with pytest.raises(OutOfRange):
         hs.isotropic_capacity(golden, -1.0)
+
+
+def test_isotropic_capacity_overflow_is_a_numerical_error(golden):
+    assert issubclass(NonFiniteResult, NumericalError)
+    for sigma in (1e200, np.float64(1e200), 1.5e154):
+        with pytest.raises(NonFiniteResult):
+            hs.isotropic_capacity(golden, sigma)
 
 
 def test_isotropic_capacity_monte_carlo():
