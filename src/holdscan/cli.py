@@ -429,10 +429,7 @@ def report(
         if dash.psi_reason is not None:
             metrics["Psi_omitted"] = dash.psi_reason
         payload = {
-            "labels": {
-                "investors": list(matrix.investor_labels),
-                "stocks": list(matrix.stock_labels),
-            },
+            "labels": {"investors": matrix.investor_labels, "stocks": matrix.stock_labels},
             "marginals": {"p": marg.p, "s": marg.s},
             "dashboard": metrics,
             "contributions": {
@@ -485,13 +482,12 @@ def _rounded(obj):
 
 
 def _render(payload: dict, fmt: str) -> str:
-    """The one serializer of every report.
+    """The one report serializer: ``schema_version`` first, floats at 6 significant digits.
 
-    Puts ``schema_version`` first and rounds every float, Python or numpy,
-    also inside dicts, lists, tuples and arrays, to 6 significant digits;
-    arrays are written as lists, and ints, bools, strings and None pass
-    through. A non-finite number raises ``NonFiniteResult``. ``json`` is
-    indented JSON; ``text`` is one ``dotted.key  value`` line per leaf.
+    Every float, Python or numpy, also inside dicts, lists, tuples and
+    arrays, is rounded; arrays and tuples become lists, and ints, bools,
+    strings and None pass through. A non-finite number raises
+    ``NonFiniteResult``. ``text`` writes one ``dotted.key  value`` line per leaf.
     """
     payload = _rounded({"schema_version": SCHEMA_VERSION, **payload})
     if fmt == "json":
@@ -528,7 +524,7 @@ def _headline_payload(delta: OperationDelta) -> dict:
         "predicted_after": block(delta.predicted_after),
     }
     if delta.dropped_investors:
-        payload["dropped_investors"] = list(delta.dropped_investors)
+        payload["dropped_investors"] = delta.dropped_investors
     return payload
 
 
@@ -590,32 +586,28 @@ def _cmd_decompose(args) -> str:
 def _cmd_psi(args) -> str:
     matrix = ingest(args.file, args.input_format)
     score = sparsity_score(matrix, budget=args.max_budget, seed=args.seed)
-    return _render(
-        {
-            "psi": score.psi,
-            "m_min": score.m_min,
-            "m_max": score.m_max,
-            "m_observed": score.m_observed,
-            "certified": score.certified,
-        },
-        args.format,
-    )
+    payload = {
+        "psi": score.psi,
+        "m_min": score.m_min,
+        "m_max": score.m_max,
+        "m_observed": score.m_observed,
+        "certified": score.certified,
+    }
+    return _render(payload, args.format)
 
 
 def _cmd_shock(args) -> str:
     matrix = ingest(args.file, args.input_format)
     delta = _read_vector(args.shocks, matrix.investor_labels, "investor")
     result = fire_sale(matrix, delta)
-    return _render(
-        {
-            "severity": result.severity,
-            "parallel_term": result.parallel_term,
-            "perp_term": result.perp_term,
-            "bound": result.bound,
-            "impact": dict(zip(matrix.stock_labels, result.impact)),
-        },
-        args.format,
-    )
+    payload = {
+        "severity": result.severity,
+        "parallel_term": result.parallel_term,
+        "perp_term": result.perp_term,
+        "bound": result.bound,
+        "impact": dict(zip(matrix.stock_labels, result.impact)),
+    }
+    return _render(payload, args.format)
 
 
 def _cmd_alpha(args) -> str:
@@ -663,15 +655,13 @@ def _cmd_aggregate(args) -> str:
     matrix = ingest(args.file, args.input_format)
     partition = _read_partition(args.groups, matrix)
     split = aggregate(matrix, partition)
-    return _render(
-        {
-            "between": split.between,
-            "within": split.within,
-            "total": split.between + split.within,
-            "groups": list(split.merged.investor_labels),
-        },
-        args.format,
-    )
+    payload = {
+        "between": split.between,
+        "within": split.within,
+        "total": split.between + split.within,
+        "groups": split.merged.investor_labels,
+    }
+    return _render(payload, args.format)
 
 
 def _cmd_family(args) -> str:
@@ -690,47 +680,35 @@ def _cmd_family(args) -> str:
     if args.t is None:
         raise ParseError("family nonid needs --t")
     matrix, micro_formula, dependence_formula = nonid_family(args.t)
-    return _render(
-        {"entries": matrix.entries, "M": micro_formula, "X": dependence_formula},
-        args.format,
-    )
+    payload = {"entries": matrix.entries, "M": micro_formula, "X": dependence_formula}
+    return _render(payload, args.format)
 
 
 def _cmd_renyi(args) -> str:
     matrix = ingest(args.file, args.input_format)
     summary = renyi_summary(matrix, args.alpha)
-    return _render(
-        {
-            "alpha": summary.alpha,
-            "H_I_alpha": summary.investor_power_sum,
-            "H_S_alpha": summary.stock_power_sum,
-            "M_alpha": summary.micro_power_sum,
-            "N_I_alpha": summary.effective_investors,
-            "N_S_alpha": summary.effective_stocks,
-            "N_M_alpha": summary.effective_cells,
-        },
-        args.format,
-    )
+    payload = {
+        "alpha": summary.alpha,
+        "H_I_alpha": summary.investor_power_sum,
+        "H_S_alpha": summary.stock_power_sum,
+        "M_alpha": summary.micro_power_sum,
+        "N_I_alpha": summary.effective_investors,
+        "N_S_alpha": summary.effective_stocks,
+        "N_M_alpha": summary.effective_cells,
+    }
+    return _render(payload, args.format)
 
 
 def _cmd_signed(args) -> str:
     book = ingest(args.file, args.input_format, signed=True)
     value = signed_dependence(book)
-    return _render(
-        {
-            "eta": book.net_exposure,
-            "X_signed": value,
-            "gross_marginals": {
-                "p": book.gross_investor_marginals,
-                "s": book.gross_stock_marginals,
-            },
-            "net_marginals": {
-                "p": book.net_investor_marginals,
-                "s": book.net_stock_marginals,
-            },
-        },
-        args.format,
-    )
+    payload = {
+        "eta": book.net_exposure,
+        "X_signed": value,
+        "gross_marginals": {"p": book.gross_investor_marginals, "s": book.gross_stock_marginals},
+        "net_marginals": {"p": book.net_investor_marginals, "s": book.net_stock_marginals},
+    }
+    return _render(payload, args.format)
 
 
 # -- argument parsing ----------------------------------------------------------

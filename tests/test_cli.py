@@ -640,11 +640,12 @@ def test_ingest_sums_lots_in_file_order(rows, with_sign, seed):
             with pytest.raises(AllZeroMatrix):
                 cli.ingest(path, signed=with_sign)
             return
-        # a label whose lots are all zero is not ingested
+        # a label whose lots are all zero is not ingested, nor summed into the total
         held_i, held_j = raw.sum(axis=(0, 2)) > 0, raw.sum(axis=(0, 1)) > 0
         investors = [lab for lab, held in zip(investors, held_i) if held]
         stocks = [lab for lab, held in zip(stocks, held_j) if held]
-        raw = raw[:, held_i][:, :, held_j]
+        raw = raw[:, held_i][:, :, held_j].copy()  # row-major, so its sum adds as ingest's does
+        total = float(raw[0].sum() + raw[1].sum())
         if with_sign:
             book = cli.ingest(path, signed=True)
             assert book.investor_labels == tuple(investors)
