@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .comparative import OperationDelta, dilute, merge_investors, nonid_family, remove_stock
-from .core import OwnershipMatrix, held_cells, marginals, normalize
+from .core import OwnershipMatrix, _normalized, _summed_cells, held_cells, marginals
 from .dependence import DependenceReport, Partition, aggregate, dependence_index
 from .dynamics import active_variance, fire_sale
 from .errors import (
@@ -105,13 +105,14 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     count = len(investor_col)
     rows = np.fromiter(map(inv_index.__getitem__, investor_col), np.intp, count)
     cols = np.fromiter(map(stk_index.__getitem__, stock_col), np.intp, count)
-    # bincount adds each cell's lots one by one in file order
-    raw = np.bincount(
-        (legs * n + rows) * m + cols, weights=amounts, minlength=(1 + signed) * n * m
-    )
+    # cells in row-major order, the short leg's after the long one's, and
+    # bincount over them adds each cell's lots one by one in file order
+    rows, cols, sums, _ = _summed_cells((legs * n + rows) * m + cols, amounts, m)
     if not signed:
-        return normalize(raw.reshape(n, m), investors, stocks)
+        return _normalized((n, m), rows, cols, sums, investors, stocks)
 
+    raw = np.zeros((2 * n, m))
+    raw[rows, cols] = sums
     plus, minus = raw.reshape(2, n, m)
     both = (plus > 0) & (minus > 0)
     if np.any(both):

@@ -11,12 +11,13 @@ concentration nor the dependence index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .core import (
-    OwnershipMatrix, TOL_NORM, _scaled_tol, _unique_label, marginals, require_active,
-    restrict_active,
+    OwnershipMatrix, TOL_NORM, _dense_row, _scaled_tol, _summed_cells, _unique_label,
+    held_cells, marginals, require_active, restrict_active,
 )
 from .dependence import dependence_index, merger_delta, _row_pair
 from .errors import (
@@ -111,20 +112,24 @@ def merge_investors(matrix: OwnershipMatrix, a: int, b: int) -> OperationDelta:
     a, b = _row_pair(matrix.n, a, b)
     before = headline(matrix)
 
+    n, m = matrix.shape
     lo, hi = min(a, b), max(a, b)
-    e = matrix.entries
-    rows = np.delete(e, hi, axis=0)
-    rows[lo] = e[a] + e[b]
+    rows, cols, values = held_cells(matrix)
+    # row hi joins row lo, and the rows below it move up one
+    rows = np.where(rows == hi, lo, rows - (rows > hi))
+    rows, cols, values, _ = _summed_cells(rows * m + cols, values, m)
     labels = list(matrix.investor_labels[:hi] + matrix.investor_labels[hi + 1 :])
     labels[lo] = _unique_label(
         matrix.investor_labels[a] + "+" + matrix.investor_labels[b], labels[:lo] + labels[lo + 1 :]
     )
-    merged = OwnershipMatrix(rows, tuple(labels), matrix.stock_labels)
+    merged = OwnershipMatrix._from_cells(
+        (n - 1, m), rows, cols, values, labels, matrix.stock_labels
+    )
 
     predicted = PredictedIndices(
         investor_herfindahl=before.investor_herfindahl + 2.0 * marg.p[a] * marg.p[b],
         stock_herfindahl=before.stock_herfindahl,
-        micro=before.micro + 2.0 * float(e[a] @ e[b]),
+        micro=before.micro + 2.0 * float(_dense_row(matrix, a) @ _dense_row(matrix, b)),
         dependence=before.dependence - merger_delta(matrix, a, b),
     )
     return OperationDelta(
@@ -154,19 +159,24 @@ def remove_stock(matrix: OwnershipMatrix, stock: int) -> OperationDelta:
         )
     before = headline(matrix)
 
-    column = matrix.entries[:, j0]
-    reduced = np.delete(matrix.entries, j0, axis=1) / weight
-    new_p = reduced.sum(axis=1)
-    keep_rows = new_p >= TOL_NORM
-    dropped = tuple(
-        lab for lab, keep in zip(matrix.investor_labels, keep_rows) if not keep
+    n, m = matrix.shape
+    rows, cols, values = held_cells(matrix)
+    in_column = cols == j0
+    column = np.zeros(n)
+    column[rows[in_column]] = values[in_column]
+    rest = ~in_column
+    rows, cols, values = rows[rest], cols[rest] - (cols[rest] > j0), values[rest] / weight
+    keep_rows = np.bincount(rows, values, minlength=n) >= TOL_NORM
+    dropped = tuple(compress(matrix.investor_labels, ~keep_rows))
+    kept = keep_rows[rows]
+    after_matrix = OwnershipMatrix._from_cells(
+        (int(keep_rows.sum()), m - 1),
+        (np.cumsum(keep_rows) - 1)[rows[kept]],
+        cols[kept],
+        values[kept],
+        tuple(compress(matrix.investor_labels, keep_rows)),
+        matrix.stock_labels[:j0] + matrix.stock_labels[j0 + 1 :],
     )
-    reduced = reduced[keep_rows]
-    inv_labels = tuple(
-        lab for lab, keep in zip(matrix.investor_labels, keep_rows) if keep
-    )
-    stk_labels = matrix.stock_labels[:j0] + matrix.stock_labels[j0 + 1 :]
-    after_matrix = OwnershipMatrix(reduced, inv_labels, stk_labels)
 
     new_s = np.delete(marg.s, j0) / weight
     kept_p = (marg.p - column)[keep_rows] / weight
@@ -196,10 +206,17 @@ def dilute(matrix: OwnershipMatrix, weight: float) -> OperationDelta:
     marg = require_active(matrix)
     before = headline(matrix)
 
-    stacked = np.vstack([(1.0 - weight) * matrix.entries, weight * marg.s])
+    n, m = matrix.shape
+    rows, cols, values = held_cells(matrix)
     label = _unique_label(f"MARKET({weight:g})", matrix.investor_labels)
-    diluted = OwnershipMatrix(
-        stacked, matrix.investor_labels + (label,), matrix.stock_labels
+    # the new investor is the last row and holds every stock
+    diluted = OwnershipMatrix._from_cells(
+        (n + 1, m),
+        np.concatenate([rows, np.full(m, n)]),
+        np.concatenate([cols, np.arange(m)]),
+        np.concatenate([(1.0 - weight) * values, weight * marg.s]),
+        matrix.investor_labels + (label,),
+        matrix.stock_labels,
     )
     shrink = (1.0 - weight) ** 2
     predicted = PredictedIndices(

@@ -11,7 +11,8 @@ functions, safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -36,8 +37,8 @@ TOL_NORM = 1e-9
 EPS_SUPPORT = 0.0
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+def _freeze(arr: np.ndarray, dtype: "np.typing.DTypeLike" = float) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -90,7 +91,6 @@ def _probability_vector(values: "np.typing.ArrayLike", name: str) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True, eq=False)
 class OwnershipMatrix:
     """Nonnegative share matrix summing to one, with labeled axes.
 
@@ -98,47 +98,100 @@ class OwnershipMatrix:
     investor ``i`` holds in stock ``j``. Zero rows and columns are legal
     at construction; dependence and spectral operations require them to
     be removed first (see :func:`restrict_active`).
+
+    The held (nonzero) cells are the canonical store: their row indices,
+    column indices and values in row-major order (see :func:`held_cells`).
+    ``entries`` is a read-only n-by-m view built from them on first use
+    and then kept; the marginals are likewise computed once.
     """
 
-    entries: np.ndarray
-    investor_labels: tuple[str, ...] = None  # type: ignore[assignment]
-    stock_labels: tuple[str, ...] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=float)
+    def __init__(
+        self,
+        entries: "np.typing.ArrayLike",
+        investor_labels: Sequence[str] | None = None,
+        stock_labels: Sequence[str] | None = None,
+    ) -> None:
+        arr = np.asarray(entries, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise DimensionMismatch(
                 f"entries must be a nonempty 2-d array, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        flat = np.flatnonzero(arr)
+        rows, cols = np.divmod(flat, arr.shape[1])
+        self._store(arr.shape, rows, cols, arr.ravel()[flat], investor_labels, stock_labels)
+        object.__setattr__(self, "_entries", _freeze(arr))
+
+    @classmethod
+    def _from_cells(
+        cls, shape, rows, cols, values, investor_labels=None, stock_labels=None
+    ) -> "OwnershipMatrix":
+        """A matrix from its cells in row-major order; cells of value zero are dropped."""
+        matrix = cls.__new__(cls)
+        matrix._store(shape, rows, cols, values, investor_labels, stock_labels)
+        return matrix
+
+    def _store(self, shape, rows, cols, values, investor_labels, stock_labels) -> None:
+        """Validate the cells in O(nnz) and keep them; ``entries`` is left unbuilt."""
+        n, m = (int(k) for k in shape)
+        if n == 0 or m == 0:
+            raise DimensionMismatch(f"entries must be a nonempty 2-d array, got shape {(n, m)}")
+        values = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(values)):
             raise NonFiniteEntry("entries must be finite")
-        if np.any(arr < 0):
+        if np.any(values < 0):
             raise NegativeEntry("entries must be nonnegative")
-        total = float(arr.sum())
+        total = float(values.sum())
         if abs(total - 1.0) > TOL_NORM:
             raise NotNormalized(
                 f"entries sum to {total!r}, expected 1 within {TOL_NORM:g}"
             )
-        n, m = arr.shape
-        object.__setattr__(self, "entries", _freeze(arr))
-        object.__setattr__(
-            self, "investor_labels", _label_tuple(self.investor_labels, n, "investor")
-        )
-        object.__setattr__(
-            self, "stock_labels", _label_tuple(self.stock_labels, m, "stock")
-        )
+        held = values > EPS_SUPPORT
+        if not held.all():
+            rows, cols, values = rows[held], cols[held], values[held]
+        for name, value in (
+            ("_shape", (n, m)),
+            ("_cells", (_freeze(rows, np.intp), _freeze(cols, np.intp), _freeze(values))),
+            ("_entries", None),
+            ("_marginals", None),
+            ("investor_labels", _label_tuple(investor_labels, n, "investor")),
+            ("stock_labels", _label_tuple(stock_labels, m, "stock")),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The n-by-m share matrix, scattered from the held cells on first use.
+
+        Threads that race to build it build equal arrays, so the cache
+        needs no lock.
+        """
+        if self._entries is None:
+            n, m = self._shape
+            rows, cols, values = self._cells
+            dense = np.zeros(n * m)
+            dense[rows * m + cols] = values
+            dense = dense.reshape(n, m)
+            dense.setflags(write=False)
+            object.__setattr__(self, "_entries", dense)
+        return self._entries
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self._shape[0]
 
     @property
     def m(self) -> int:
-        return self.entries.shape[1]
+        return self._shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.entries.shape
+        return self._shape
 
     def investor_index(self, label: str) -> int:
         try:
@@ -210,54 +263,97 @@ def normalize(
 
     Raises AllZeroMatrix when the total is zero, NegativeEntry on any
     negative cell, and DimensionMismatch when labels disagree with the
-    matrix shape.
+    matrix shape. Beyond one scan for the nonzero cells, only those are
+    visited.
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise DimensionMismatch(
             f"raw holdings must be a nonempty 2-d array, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    flat = np.flatnonzero(arr)
+    rows, cols = np.divmod(flat, arr.shape[1])
+    return _normalized(arr.shape, rows, cols, arr.ravel()[flat], investor_labels, stock_labels)
+
+
+def _normalized(shape, rows, cols, raw, investor_labels, stock_labels) -> OwnershipMatrix:
+    """The share matrix of raw holdings given by their nonzero cells in row-major order.
+
+    The total mass is numpy's (pairwise) sum of ``raw`` in that order.
+    """
+    if not np.all(np.isfinite(raw)):
         raise NonFiniteEntry("raw holdings must be finite")
-    if np.any(arr < 0):
+    if np.any(raw < 0):
         raise NegativeEntry("raw holdings must be nonnegative")
-    total = float(arr.sum())
+    total = float(raw.sum())
     if total <= 0.0:
         raise AllZeroMatrix("raw holdings sum to zero")
-    return OwnershipMatrix(arr / total, investor_labels, stock_labels)
+    return OwnershipMatrix._from_cells(
+        shape, rows, cols, raw / total, investor_labels, stock_labels
+    )
+
+
+def _summed_cells(
+    keys: np.ndarray, values: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Add up ``values`` by cell, where ``keys`` numbers cell (i, j) as ``i * m + j``.
+
+    Returns the rows, columns and sums of the distinct cells in row-major
+    order, and for each value the position of its cell. Each cell adds its
+    values one by one in the order given.
+    """
+    keys, where = np.unique(keys, return_inverse=True)
+    rows, cols = np.divmod(keys, m)
+    return rows, cols, np.bincount(where, values, minlength=keys.size), where
 
 
 def marginals(matrix: OwnershipMatrix) -> Marginals:
-    """Row and column sums of the share matrix."""
-    return Marginals(matrix.entries.sum(axis=1), matrix.entries.sum(axis=0))
+    """Row and column sums of the share matrix, over its held cells in row-major order.
+
+    Computed once per matrix: later calls return the same object.
+    """
+    if matrix._marginals is None:
+        rows, cols, values = held_cells(matrix)
+        marg = Marginals(
+            np.bincount(rows, values, minlength=matrix.n),
+            np.bincount(cols, values, minlength=matrix.m),
+        )
+        object.__setattr__(matrix, "_marginals", marg)
+    return matrix._marginals
 
 
 def is_active(matrix: OwnershipMatrix) -> bool:
     """True iff every investor and every stock carries positive mass."""
-    return bool(
-        np.all(matrix.entries.sum(axis=1) > 0) and np.all(matrix.entries.sum(axis=0) > 0)
-    )
+    marg = marginals(matrix)
+    return bool(np.all(marg.p > 0) and np.all(marg.s > 0))
 
 
 def require_active(matrix: OwnershipMatrix) -> Marginals:
     """Marginals of an active matrix; reject zero rows or columns."""
-    marg = marginals(matrix)
-    if np.any(marg.p <= 0) or np.any(marg.s <= 0):
+    if not is_active(matrix):
         raise InactiveSupport(
             "matrix has zero-mass investors or stocks; apply restrict_active first"
         )
-    return marg
+    return marginals(matrix)
 
 
 def held_cells(matrix: OwnershipMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row indices, column indices and values of the held cells, in row-major order.
 
     A cell is held iff its entry exceeds ``EPS_SUPPORT``, which is zero, so
-    the held cells are the nonzero ones; no n-by-m temporary is built.
+    the held cells are the nonzero ones. They are the matrix's own
+    read-only store; nothing is computed.
     """
-    flat = np.flatnonzero(matrix.entries)
-    rows, cols = np.divmod(flat, matrix.m)
-    return rows, cols, matrix.entries.ravel()[flat]
+    return matrix._cells
+
+
+def _dense_row(matrix: OwnershipMatrix, i: int) -> np.ndarray:
+    """Row ``i`` of the share matrix as a length-m array."""
+    rows, cols, values = held_cells(matrix)
+    lo, hi = np.searchsorted(rows, (i, i + 1))
+    row = np.zeros(matrix.m)
+    row[cols[lo:hi]] = values[lo:hi]
+    return row
 
 
 def profiles(matrix: OwnershipMatrix) -> Profiles:
@@ -274,13 +370,17 @@ def profiles(matrix: OwnershipMatrix) -> Profiles:
 
 def restrict_active(matrix: OwnershipMatrix) -> OwnershipMatrix:
     """Drop zero-mass investors and stocks, keeping entries untouched."""
-    p = matrix.entries.sum(axis=1)
-    s = matrix.entries.sum(axis=0)
-    rows = p > 0
-    cols = s > 0
-    if rows.all() and cols.all():
+    marg = marginals(matrix)
+    keep_rows, keep_cols = marg.p > 0, marg.s > 0
+    if keep_rows.all() and keep_cols.all():
         return matrix
-    sub = matrix.entries[np.ix_(rows, cols)]
-    inv = tuple(lab for lab, keep in zip(matrix.investor_labels, rows) if keep)
-    stk = tuple(lab for lab, keep in zip(matrix.stock_labels, cols) if keep)
-    return OwnershipMatrix(sub, inv, stk)
+    # every held cell lies on a kept row and column; renumber them in order
+    rows, cols, values = held_cells(matrix)
+    return OwnershipMatrix._from_cells(
+        (int(keep_rows.sum()), int(keep_cols.sum())),
+        (np.cumsum(keep_rows) - 1)[rows],
+        (np.cumsum(keep_cols) - 1)[cols],
+        values,
+        tuple(compress(matrix.investor_labels, keep_rows)),
+        tuple(compress(matrix.stock_labels, keep_cols)),
+    )

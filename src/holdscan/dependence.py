@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    OwnershipMatrix, _freeze, _probability_vector, _scaled_tol, _unique_label, held_cells,
-    require_active,
+    OwnershipMatrix, _dense_row, _freeze, _probability_vector, _scaled_tol, _summed_cells,
+    _unique_label, held_cells, require_active,
 )
 from .errors import (
     DimensionMismatch,
@@ -135,8 +135,7 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
 
     Every sum runs over the held cells only: an empty cell deviates from
     the benchmark by its whole mass ``p_i * s_j``, so the empty cells enter
-    through their total benchmark mass. Beyond one pass over the entries,
-    time and memory are O(nnz + n + m).
+    through their total benchmark mass. Time and memory are O(nnz + n + m).
     """
     marg = require_active(matrix)
     p, s = marg.p, marg.s
@@ -204,36 +203,51 @@ def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit
     ``between`` is the dependence index of the merged (group-summed)
     matrix; ``within`` is the mass-weighted heterogeneity of member
     portfolios around their group mean. The two always add up to the
-    dependence of the original matrix.
+    dependence of the original matrix. Both are summed over the held
+    cells, the empty ones entering in closed form: O(nnz + n + m) time and
+    memory.
     """
     marg = require_active(matrix)
     p, s = marg.p, marg.s
-    n = matrix.n
+    n, m = matrix.shape
     covered = [i for group in partition.groups for i in group]
     if any(i >= n for i in covered):
         raise InvalidPartition(f"investor index out of range for n={n}")
     if len(covered) != n:
         raise InvalidPartition("groups do not cover every investor")
 
-    e = matrix.entries
-    q = e / p[:, None]
-    between = 0.0
-    within = 0.0
-    merged_rows = np.empty((len(partition.groups), matrix.m))
-    merged_labels: list[str] = []
-    for a, group in enumerate(partition.groups):
-        idx = list(group)
-        mass = float(p[idx].sum())
-        row = e[idx].sum(axis=0)
-        merged_rows[a] = row
-        mean_profile = row / mass
-        between += mass * float(np.sum((mean_profile - s) ** 2 / s))
-        spread = q[idx] - mean_profile[None, :]
-        within += float(np.sum(p[idx, None] * spread * spread / s[None, :]))
-        joined = "+".join(matrix.investor_labels[i] for i in idx)
-        merged_labels.append(_unique_label(joined, merged_labels))
+    size = len(partition.groups)
+    group = np.empty(n, dtype=np.intp)
+    for a, members in enumerate(partition.groups):
+        group[list(members)] = a
+    # the merged matrix's cells; member rows add in index order
+    rows, cols, e = held_cells(matrix)
+    g_rows, g_cols, summed, where = _summed_cells(group[rows] * m + cols, e, m)
+    mass = np.bincount(group, p, minlength=size)
+    mean = summed / mass[g_rows]  # each group's mean profile, on its held cells
+    s_g = s[g_cols]
+    between = float(mass @ (
+        np.bincount(g_rows, (mean - s_g) ** 2 / s_g, minlength=size)
+        + _empty_mass(g_rows, s_g, s, size)
+    ))
+    # a member that leaves empty a cell its group holds deviates there by the
+    # whole mean; a member holding every cell of its group adds exactly zero
+    gap = mean * mean / s_g
+    spread = e / p[rows] - mean[where]
+    unheld = np.where(
+        np.bincount(rows, minlength=n) < np.bincount(g_rows, minlength=size)[group],
+        np.bincount(g_rows, gap, minlength=size)[group] - np.bincount(rows, gap[where], minlength=n),
+        0.0,
+    )
+    within = float(p @ (np.bincount(rows, spread * spread / s[cols], minlength=n) + unheld))
 
-    merged = OwnershipMatrix(merged_rows, tuple(merged_labels), matrix.stock_labels)
+    merged_labels: list[str] = []
+    for members in partition.groups:
+        joined = "+".join(matrix.investor_labels[i] for i in members)
+        merged_labels.append(_unique_label(joined, merged_labels))
+    merged = OwnershipMatrix._from_cells(
+        (size, m), g_rows, g_cols, summed, merged_labels, matrix.stock_labels
+    )
     return AggregationSplit(between=between, within=within, merged=merged)
 
 
@@ -247,8 +261,8 @@ def merger_delta(matrix: OwnershipMatrix, a: int, b: int) -> float:
     marg = require_active(matrix)
     a, b = _row_pair(matrix.n, a, b)
     p, s = marg.p, marg.s
-    qa = matrix.entries[a] / p[a]
-    qb = matrix.entries[b] / p[b]
+    qa = _dense_row(matrix, a) / p[a]
+    qb = _dense_row(matrix, b) / p[b]
     weight = p[a] * p[b] / (p[a] + p[b])
     return float(weight * np.sum((qa - qb) ** 2 / s))
 

@@ -46,6 +46,13 @@ def _finite_vector(values: "np.typing.ArrayLike", name: str, size: int, side: st
     return vec
 
 
+def _require_finite(what: str, **results: "np.typing.ArrayLike") -> None:
+    """Raise NonFiniteResult naming the first result that is not finite."""
+    for name, value in results.items():
+        if not np.all(np.isfinite(value)):
+            raise NonFiniteResult(f"{what}: {name} is not finite")
+
+
 @dataclass(frozen=True, eq=False)
 class FireSaleResult:
     """Decomposed price impact of an investor liquidation shock.
@@ -95,20 +102,24 @@ def fire_sale(matrix: OwnershipMatrix, delta: "np.typing.ArrayLike") -> FireSale
 
     p, s = marg.p, marg.s
     res = whiten(matrix)
-    mean = float(p @ shock)
-    parallel = np.full(matrix.n, mean)
-    perp = shock - parallel
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(p @ shock)
+        parallel = np.full(matrix.n, mean)
+        perp = shock - parallel
+        pressure = matrix.entries.T @ shock
+        impact = pressure / s
+        severity = float(s @ (impact * impact))
+        parallel_term = float(p @ (parallel * parallel))
+        perp_whitened = res.residual.T @ (np.sqrt(p) * perp)
+        perp_term = float(perp_whitened @ perp_whitened)
+        bound = parallel_term + res.rho**2 * float(p @ (perp * perp))
+    _require_finite(
+        "fire sale", impact=impact, severity=severity, parallel_term=parallel_term,
+        perp_term=perp_term, bound=bound,
+    )
+
     if abs(float(p @ perp)) > 1e-12 * max(1.0, abs(mean)):
         raise InternalConsistencyError("idiosyncratic component is not mass-centered")
-
-    pressure = matrix.entries.T @ shock
-    impact = pressure / s
-    severity = float(s @ (impact * impact))
-    parallel_term = float(p @ (parallel * parallel))
-    perp_whitened = res.residual.T @ (np.sqrt(p) * perp)
-    perp_term = float(perp_whitened @ perp_whitened)
-    bound = parallel_term + res.rho**2 * float(p @ (perp * perp))
-
     split_tol = _scaled_tol(_EXACT_TOL, severity, parallel_term, perp_term)
     if abs(severity - (parallel_term + perp_term)) > split_tol:
         raise InternalConsistencyError("severity split violates the exact identity")
@@ -155,19 +166,21 @@ def active_variance(
         )
 
     res = whiten(matrix)
-    q = matrix.entries / p[:, None]
-    alpha_profile = (q - s[None, :]) @ r
-    alpha_operator = (matrix.entries - np.outer(p, s)) @ r / p
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = matrix.entries / p[:, None]
+        alpha_profile = (q - s[None, :]) @ r
+        alpha_operator = (matrix.entries - np.outer(p, s)) @ r / p
+        variance = float(p @ (alpha_profile * alpha_profile))
+        whitened_returns = np.sqrt(s) * r
+        operator_variance = float(np.sum((res.residual @ whitened_returns) ** 2))
+        bound = res.rho**2 * float(s @ (r * r))
+    _require_finite("active variance", alpha=alpha_profile, variance=variance, worst_case_bound=bound)
+
     alpha_tol = _scaled_tol(_EXACT_TOL, alpha_profile, alpha_operator, r)
     if np.max(np.abs(alpha_profile - alpha_operator)) > alpha_tol:
         raise InternalConsistencyError("active-return computations disagree")
-
-    variance = float(p @ (alpha_profile * alpha_profile))
-    whitened_returns = np.sqrt(s) * r
-    operator_variance = float(np.sum((res.residual @ whitened_returns) ** 2))
     if abs(variance - operator_variance) > _scaled_tol(_EXACT_TOL, variance, operator_variance):
         raise InternalConsistencyError("variance disagrees with its operator form")
-    bound = res.rho**2 * float(s @ (r * r))
     if variance > bound + _scaled_tol(_EXACT_TOL, variance, bound):
         raise InternalConsistencyError("variance exceeds its spectral bound")
 

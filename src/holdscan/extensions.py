@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TOL_NORM, OwnershipMatrix, _freeze, _label_tuple
+from .core import TOL_NORM, OwnershipMatrix, _freeze, _label_tuple, held_cells, marginals
 from .errors import (
     AllZeroMatrix,
     AlphaNearOne,
@@ -156,11 +156,11 @@ def renyi_summary(matrix: OwnershipMatrix, alpha: float) -> RenyiSummary:
         raise OutOfRange(f"order must lie in (0, {_ALPHA_MAX:g}], got {alpha!r}")
     if abs(alpha - 1.0) < _ALPHA_GAP:
         raise AlphaNearOne(f"order {alpha!r} is too close to 1")
-    p = matrix.entries.sum(axis=1)
-    s = matrix.entries.sum(axis=0)
-    inv_sum = float(np.sum(p**alpha))
-    stk_sum = float(np.sum(s**alpha))
-    cell_sum = float(np.sum(matrix.entries**alpha))
+    marg = marginals(matrix)
+    inv_sum = float(np.sum(marg.p**alpha))
+    stk_sum = float(np.sum(marg.s**alpha))
+    # an empty cell adds 0**alpha = 0
+    cell_sum = float(np.sum(held_cells(matrix)[2] ** alpha))
     exponent = 1.0 / (1.0 - alpha)
     return RenyiSummary(
         alpha=float(alpha),

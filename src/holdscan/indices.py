@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    OwnershipMatrix, _freeze, _probability_vector, _scaled_tol, held_cells, require_active
+    OwnershipMatrix, _freeze, _probability_vector, _scaled_tol, held_cells, marginals,
+    require_active,
 )
 from .errors import InternalConsistencyError
 
@@ -89,8 +90,11 @@ def herfindahl(weights: "np.typing.ArrayLike") -> float:
 
 
 def micro_concentration(matrix: OwnershipMatrix) -> float:
-    """Sum of squared cells: probability two independent draws collide."""
-    e = matrix.entries
+    """Sum of squared cells: probability two independent draws collide.
+
+    Summed over the held cells in row-major order.
+    """
+    e = held_cells(matrix)[2]
     return float(np.sum(e * e))
 
 
@@ -100,8 +104,8 @@ def concentration_summary(matrix: OwnershipMatrix) -> ConcentrationSummary:
     Validates the always-true sandwich
     max(H_inv/m, H_stk/n) <= micro <= min(H_inv, H_stk).
     """
-    p = matrix.entries.sum(axis=1)
-    s = matrix.entries.sum(axis=0)
+    marg = marginals(matrix)
+    p, s = marg.p, marg.s
     h_inv = float(p @ p)
     h_stk = float(s @ s)
     micro = micro_concentration(matrix)
@@ -125,8 +129,8 @@ def micro_decomposition(matrix: OwnershipMatrix) -> MicroDecomposition:
     """Split the cell concentration by investors and, independently, by stocks.
 
     Requires an active matrix. Both term vectors are checked to sum to the
-    directly computed micro concentration. Beyond one pass over the
-    entries, only held cells are visited: O(nnz + n + m) time and memory.
+    directly computed micro concentration. Only held cells are visited:
+    O(nnz + n + m) time and memory.
     """
     marg = require_active(matrix)
     n, m = matrix.shape
@@ -137,7 +141,7 @@ def micro_decomposition(matrix: OwnershipMatrix) -> MicroDecomposition:
     ell = np.bincount(cols, minlength=m)
     investor_terms = marg.p**2 * c
     stock_terms = marg.s**2 * d
-    micro = float(np.sum(e * e))  # micro_concentration, summed over the held cells
+    micro = micro_concentration(matrix)
     by_investor, by_stock = float(investor_terms.sum()), float(stock_terms.sum())
     tol = _scaled_tol(_IDENTITY_TOL, micro, by_investor, by_stock)
     if abs(by_investor - micro) > tol or abs(by_stock - micro) > tol:

@@ -36,6 +36,7 @@ from .errors import (
     NotFeasible,
     OutOfRange,
 )
+from .indices import micro_concentration
 
 #: Absolute tolerance on marginal residuals for feasibility checks.
 TOL_FEAS = 1e-8
@@ -228,7 +229,7 @@ def sparsity_score(
     range is widened to it.
     """
     marg = require_active(matrix)
-    observed = float(np.sum(matrix.entries**2))
+    observed = micro_concentration(matrix)
     lo = min_micro(marg)
     hi = max_micro(marg, budget, seed=seed)
     m_min, m_max = lo.objective, hi.objective

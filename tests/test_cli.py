@@ -645,14 +645,16 @@ def test_ingest_sums_lots_in_file_order(rows, with_sign, seed):
         investors = [lab for lab, held in zip(investors, held_i) if held]
         stocks = [lab for lab, held in zip(stocks, held_j) if held]
         raw = raw[:, held_i][:, :, held_j].copy()  # row-major, so its sum adds as ingest's does
-        total = float(raw[0].sum() + raw[1].sum())
         if with_sign:
+            total = float(raw[0].sum() + raw[1].sum())
             book = cli.ingest(path, signed=True)
             assert book.investor_labels == tuple(investors)
             assert book.stock_labels == tuple(stocks)
             assert np.array_equal(book.plus, raw[0] / total)
             assert np.array_equal(book.minus, raw[1] / total)
         else:
+            # an unsigned book's total adds its nonzero cells in row-major order
+            total = float(raw[0][raw[0] != 0].sum())
             matrix = cli.ingest(path)
             assert matrix.investor_labels == tuple(investors)
             assert matrix.stock_labels == tuple(stocks)

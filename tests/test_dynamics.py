@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as nptest
 import pytest
@@ -152,6 +154,18 @@ def test_isotropic_capacity_overflow_is_a_numerical_error(golden):
     for sigma in (1e200, np.float64(1e200), 1.5e154):
         with pytest.raises(NonFiniteResult):
             hs.isotropic_capacity(golden, sigma)
+
+
+def test_overflowing_shock_and_returns_are_numerical_errors(golden):
+    # finite inputs whose squares overflow: no inf result and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult):
+            hs.fire_sale(golden, [1e200, -1e200, 0.0])
+        with pytest.raises(NonFiniteResult):
+            hs.active_variance(golden, [1e200, -1e200])
+        with pytest.raises(NonFiniteResult):
+            hs.active_variance(golden, [1e200, -1e200], project=True)
 
 
 def test_isotropic_capacity_monte_carlo():

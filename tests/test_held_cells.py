@@ -1,19 +1,28 @@
-"""Dependence and micro decomposition summed over held cells only.
+"""Operations that read and build the held-cell store only.
 
-Empty cells enter both operations in closed form, so these tests draw
-books with empty cells and compare against dense numpy oracles that visit
-every cell, and check that no n-by-m temporary is allocated.
+Empty cells enter the sums in closed form, so these tests draw books with
+empty cells and compare against dense numpy oracles that visit every
+cell, check that ingestion builds the same store as ``normalize`` of the
+dense raw matrix, and check that no n-by-m temporary is allocated.
 """
 
+import csv
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as nptest
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holdscan as hs
+from holdscan import cli
 from holdscan.core import held_cells
+from holdscan.errors import AllZeroMatrix
 
 
 def sparse_active(rng, n, m, density):
@@ -29,6 +38,37 @@ def dense_dependence(e):
     bench = np.outer(e.sum(axis=1), e.sum(axis=0))
     chi = (e - bench) ** 2 / bench
     return chi.sum(), chi.sum(axis=1), chi.sum(axis=0)
+
+
+def dense_headline(e):
+    """H_I, H_S, M and X of a share matrix, visiting every cell."""
+    p, s = e.sum(axis=1), e.sum(axis=0)
+    return p @ p, s @ s, np.sum(e * e), dense_dependence(e[np.ix_(p > 0, s > 0)])[0]
+
+
+def dense_aggregate(e, groups):
+    """Between and within dependence and the merged matrix, as the dense loop over groups."""
+    p, s = e.sum(axis=1), e.sum(axis=0)
+    q = e / p[:, None]
+    between = within = 0.0
+    merged = []
+    for idx in map(list, groups):
+        row = e[idx].sum(axis=0)
+        mean = row / p[idx].sum()
+        between += p[idx].sum() * np.sum((mean - s) ** 2 / s)
+        within += np.sum(p[idx, None] * (q[idx] - mean) ** 2 / s)
+        merged.append(row)
+    return between, within, np.array(merged)
+
+
+def assert_close(actual, expected):
+    assert abs(actual - expected) <= 1e-12 * max(1.0, abs(expected)), (actual, expected)
+
+
+def assert_headline(indices, e):
+    got = (indices.investor_herfindahl, indices.stock_herfindahl, indices.micro, indices.dependence)
+    for actual, expected in zip(got, dense_headline(e)):
+        assert_close(actual, expected)
 
 
 def test_held_cells_row_major():
@@ -72,6 +112,56 @@ def test_held_cell_sums_match_dense_oracles(seed, n, m, density, delta):
     nptest.assert_array_equal(dec.row_support, np.count_nonzero(e, axis=1))
     nptest.assert_array_equal(dec.col_support, np.count_nonzero(e, axis=0))
 
+    marg = hs.marginals(matrix)
+    nptest.assert_allclose(marg.p, p, rtol=1e-12, atol=0)
+    nptest.assert_allclose(marg.s, s, rtol=1e-12, atol=0)
+    summary = hs.concentration_summary(matrix)
+    assert_close(summary.investor_herfindahl, p @ p)
+    assert_close(summary.stock_herfindahl, s @ s)
+    assert_close(summary.micro, np.sum(e * e))
+    assert_headline(hs.headline(matrix), e)
+    for alpha in (0.5, 3.0):
+        renyi = hs.renyi_summary(matrix, alpha)
+        assert_close(renyi.investor_power_sum, np.sum(p**alpha))
+        assert_close(renyi.stock_power_sum, np.sum(s**alpha))
+        assert_close(renyi.micro_power_sum, np.sum(e**alpha))
+
+    rng = np.random.default_rng(seed)
+    i0, j0 = int(rng.integers(0, n + 1)), int(rng.integers(0, m + 1))
+    padded = np.insert(np.insert(e, i0, 0.0, axis=0), j0, 0.0, axis=1)
+    active = hs.restrict_active(hs.OwnershipMatrix(padded))
+    nptest.assert_array_equal(active.entries, e)
+    assert active.investor_labels == tuple(f"I{k + 1}" for k in range(n + 1) if k != i0)
+    assert active.stock_labels == tuple(f"S{k + 1}" for k in range(m + 1) if k != j0)
+
+    member = rng.integers(0, max(1, n // 3), n)
+    groups = [tuple(np.flatnonzero(member == g)) for g in np.unique(member)]
+    split = hs.aggregate(matrix, hs.Partition(tuple(groups)))
+    between, within, merged_rows = dense_aggregate(e, groups)
+    assert_close(split.between, between)
+    assert_close(split.within, within)
+    nptest.assert_allclose(split.merged.entries, merged_rows, rtol=1e-12, atol=0)
+
+    if n >= 2:
+        a, b = (int(k) for k in rng.choice(n, 2, replace=False))
+        merged = np.delete(e, max(a, b), axis=0)
+        merged[min(a, b)] = e[a] + e[b]
+        delta_ = hs.merge_investors(matrix, a, b)
+        nptest.assert_array_equal(delta_.matrix_after.entries, merged)
+        assert_headline(delta_.after, merged)
+    j = int(rng.integers(0, m))
+    reduced = np.delete(e, j, axis=1) / (1.0 - s[j])
+    reduced = reduced[reduced.sum(axis=1) >= hs.TOL_NORM]
+    # the rest is divided by 1 - s_j, not by its own mass, so it must sum to one
+    if 1.0 - s[j] > hs.TOL_NORM and abs(reduced.sum() - 1.0) <= hs.TOL_NORM:
+        delta_ = hs.remove_stock(matrix, j)
+        nptest.assert_allclose(delta_.matrix_after.entries, reduced, rtol=1e-12, atol=0)
+        assert_headline(delta_.after, reduced)
+    diluted = np.vstack([0.7 * e, 0.3 * s])
+    delta_ = hs.dilute(matrix, 0.3)
+    nptest.assert_allclose(delta_.matrix_after.entries, diluted, rtol=1e-12, atol=0)
+    assert_headline(delta_.after, diluted)
+
 
 def test_full_lines_add_no_rounding_noise():
     # a product book has X = 0, and s.sum() minus the s_j of a full row is
@@ -84,7 +174,90 @@ def test_full_lines_add_no_rounding_noise():
     assert report.stock_contributions.max() < 1e-28
 
 
-def test_held_cell_paths_allocate_no_dense_temporaries():
+def test_lazy_views_are_safe_to_build_from_many_threads():
+    # threads race to build entries and marginals of fresh matrices; every
+    # thread must see the same read-only values whichever build it got
+    raw = sparse_active(np.random.default_rng(11), 40, 30, 0.2)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            matrix = hs.normalize(raw)
+            barrier = threading.Barrier(8, timeout=10)
+
+            def read():
+                barrier.wait()
+                return matrix.entries, hs.marginals(matrix)
+
+            with ThreadPoolExecutor(8) as pool:
+                seen = [f.result(timeout=10) for f in [pool.submit(read) for _ in range(8)]]
+            for entries, marg in seen:
+                assert not entries.flags.writeable
+                nptest.assert_array_equal(entries, raw / raw[raw != 0].sum())
+                nptest.assert_array_equal(marg.p, seen[0][1].p)
+                nptest.assert_array_equal(marg.s, seen[0][1].s)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+INVESTORS = ("q", "b", "z", "a", "m")
+STOCKS = ("y", "c", "x")
+lot_amounts = st.sampled_from([0.0, 0.0, 0.1, 0.25, 1.0, 3.5, 1e-300, 7e5]) | st.floats(0.0, 1e6)
+
+
+@st.composite
+def lot_files(draw):
+    """Lots in file order; some labels hold only zero lots, and a third of the files name one stock."""
+    stocks = STOCKS[: draw(st.integers(1, len(STOCKS)))]
+    return draw(st.lists(
+        st.tuples(st.sampled_from(INVESTORS), st.sampled_from(stocks), lot_amounts),
+        min_size=1,
+        max_size=40,
+    ))
+
+
+@given(lot_files())
+@settings(max_examples=150, deadline=None)
+def test_ingest_builds_the_store_of_normalize(tmp_path_factory, lots):
+    path = tmp_path_factory.mktemp("lots") / "lots.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["investor", "stock", "amount"])
+        writer.writerows((inv, stk, repr(amount)) for inv, stk, amount in lots)
+    investors = sorted({inv for inv, _, _ in lots})
+    stocks = sorted({stk for _, stk, _ in lots})
+    raw = np.zeros((len(investors), len(stocks)))
+    for inv, stk, amount in lots:  # in file order
+        raw[investors.index(inv), stocks.index(stk)] += amount
+    if not raw.any():
+        with pytest.raises(AllZeroMatrix):
+            cli.ingest(path)
+        return
+    rows, cols = raw.sum(axis=1) > 0, raw.sum(axis=0) > 0
+    expected = hs.normalize(
+        raw[np.ix_(rows, cols)],
+        [lab for lab, keep in zip(investors, rows) if keep],
+        [lab for lab, keep in zip(stocks, cols) if keep],
+    )
+    matrix = cli.ingest(path)
+    assert matrix.investor_labels == expected.investor_labels
+    assert matrix.stock_labels == expected.stock_labels
+    for got, want in zip(held_cells(matrix), held_cells(expected)):
+        assert got.dtype == want.dtype
+        nptest.assert_array_equal(got, want)
+    nptest.assert_array_equal(matrix.entries, expected.entries)
+
+
+def peak_bytes(operation, *args):
+    tracemalloc.start()
+    try:
+        operation(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_held_cell_paths_allocate_no_dense_temporaries(tmp_path):
     # 3000 x 2000 at about 1% density; each call may use a quarter of one
     # dense float64 array at most
     n, m = 3000, 2000
@@ -95,14 +268,40 @@ def test_held_cell_paths_allocate_no_dense_temporaries():
     raw[np.arange(n), rng.integers(0, m, n)] = 1.0
     raw[rng.integers(0, n, m), np.arange(m)] = 1.0
     raw *= rng.random((n, m)) + 1e-3
-    matrix = hs.normalize(raw)
-    del raw
     budget = n * m * 8 // 4
-    for operation in (hs.dependence_index, hs.micro_decomposition):
-        tracemalloc.start()
-        try:
-            operation(matrix)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    groups = hs.Partition(tuple(tuple(range(g, n, 50)) for g in range(50)))
+    calls = [
+        (hs.normalize, raw),
+        (hs.dependence_index,),
+        (hs.micro_decomposition,),
+        (hs.marginals,),
+        (hs.concentration_summary,),
+        (hs.headline,),
+        (hs.merge_investors, 0, 1),
+        (hs.remove_stock, 0),
+        (hs.dilute, 0.25),
+        (hs.aggregate, groups),
+        (hs.renyi_summary, 3.0),
+    ]
+    for operation, *args in calls:
+        matrix = hs.normalize(raw)  # fresh, so nothing is cached yet
+        args = args if operation is hs.normalize else [matrix, *args]
+        peak = peak_bytes(operation, *args)
         assert peak < budget, f"{operation.__name__} peaked at {peak / 1e6:.1f} MB"
+
+    padded = hs.normalize(np.pad(raw, ((0, 1), (0, 1))))
+    del raw
+    peak = peak_bytes(hs.restrict_active, padded)
+    assert peak < budget, f"restrict_active peaked at {peak / 1e6:.1f} MB"
+
+    # the same book as a lots file, each cell split in two; the CSV parse
+    # holds a Python string per field, so the budget is counted above its peak
+    path = tmp_path / "lots.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["investor", "stock", "amount"])
+        for i, j, value in zip(*(a.tolist() for a in held_cells(matrix))):
+            writer.writerows([(f"I{i}", f"S{j}", f"{value * 0.25e9:.6g}")] * 2)
+    parse = peak_bytes(cli._read_csv, Path(path))
+    peak = peak_bytes(cli.ingest, path)
+    assert peak < parse + budget, f"ingest peaked {(peak - parse) / 1e6:.1f} MB above its parse"
