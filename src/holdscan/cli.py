@@ -15,7 +15,6 @@ import math
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +72,10 @@ class Dashboard:
 #: amounts, and legs (1 for a short row, else 0).
 _Columns = tuple[list[str], list[str], np.ndarray, np.ndarray]
 
+#: The same coded: the sorted investor labels and each row's index into
+#: them, the same for stocks, then amounts and legs.
+_Coded = tuple[list[str], np.ndarray, list[str], np.ndarray, np.ndarray, np.ndarray]
+
 
 def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     """Read a holdings file into a share matrix or a signed book.
@@ -81,30 +84,28 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     ordered lexicographically so ingestion is deterministic. Zero-amount
     rows are dropped first, so only labels with positive mass are kept.
     """
-    (investor_col, stock_col, amounts, legs), has_sign_column = (
-        _read_csv(Path(path)) if fmt == "csv" else _read_json(Path(path))
-    )
+    # a plain CSV is scanned in numpy; csv.reader or json reads any other
+    # file, to the same columns, and words every error
+    scanned = _scan_csv(Path(path)) if fmt == "csv" else None
+    if scanned is None:
+        columns, has_sign = _read_csv(Path(path)) if fmt == "csv" else _read_json(Path(path))
+        scanned = (*_coded(columns[0]), *_coded(columns[1]), *columns[2:]), has_sign
+    (investors, rows, stocks, cols, amounts, legs), has_sign_column = scanned
     if has_sign_column and not signed:
         raise MixedSignWithoutFlag(
             "input carries a sign column; pass --signed to ingest it"
         )
-    if not investor_col:
+    if not amounts.size:
         raise ParseError(f"{path}: no holdings records found")
     held = amounts > 0
     if not held.all() and held.any():
         # a label with only zero lots holds nothing, so it gets no row or column
-        keep = held.tolist()
-        investor_col = list(compress(investor_col, keep))
-        stock_col = list(compress(stock_col, keep))
+        kept, rows = np.unique(rows[held], return_inverse=True)
+        investors = [investors[i] for i in kept.tolist()]
+        kept, cols = np.unique(cols[held], return_inverse=True)
+        stocks = [stocks[j] for j in kept.tolist()]
         amounts, legs = amounts[held], legs[held]
-    investors = sorted(set(investor_col))
-    stocks = sorted(set(stock_col))
     n, m = len(investors), len(stocks)
-    inv_index = {lab: i for i, lab in enumerate(investors)}
-    stk_index = {lab: j for j, lab in enumerate(stocks)}
-    count = len(investor_col)
-    rows = np.fromiter(map(inv_index.__getitem__, investor_col), np.intp, count)
-    cols = np.fromiter(map(stk_index.__getitem__, stock_col), np.intp, count)
     # cells in row-major order, the short leg's after the long one's, and
     # bincount over them adds each cell's lots one by one in file order
     rows, cols, sums, _ = _summed_cells((legs * n + rows) * m + cols, amounts, m)
@@ -124,6 +125,127 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     if float(plus.sum() + minus.sum()) <= 0.0:
         raise AllZeroMatrix(f"{path}: all amounts are zero")
     return signed_from_raw(plus, minus, investors, stocks)
+
+
+def _coded(column: list[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct labels of ``column`` and each entry's index into them."""
+    labels = sorted(set(column))
+    index = {label: k for k, label in enumerate(labels)}
+    return labels, np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+
+
+_HEADER_WIDTHS = {b"investor,stock,amount": 3, b"investor,stock,amount,sign": 4}
+
+#: The ASCII bytes ``str.strip`` removes, line ends aside.
+_SPACE = np.zeros(256, bool)
+_SPACE[list(b"\t\x0b\x0c\x1c\x1d\x1e\x1f ")] = True
+
+
+def _scan_csv(path: Path) -> tuple[_Coded, bool] | None:
+    """The coded columns of a plain holdings CSV, or None to leave the file to ``_read_csv``.
+
+    Plain means ASCII without NUL, quote or bare carriage return, the exact
+    header, and records of exactly its width whose labels are nonempty and
+    need no strip, whose amounts numpy reads as finite and nonnegative, and
+    whose signs are empty, ``+`` or ``-``. The file is split once on the
+    positions of its commas and line ends, and each column is converted
+    whole, so no field becomes a Python object; the columns are those
+    ``_read_csv`` reads, bit for bit. A column whose widest field would pad
+    it past four times the file's size is left to ``_read_csv`` too, to
+    bound memory.
+    """
+    try:
+        text = path.read_bytes()
+    except OSError:
+        return None
+    if b"\r" in text:
+        text = text.replace(b"\r\n", b"\n")
+    if not text.endswith(b"\n"):
+        text += b"\n"
+    head = text.find(b"\n")
+    width = _HEADER_WIDTHS.get(text[:head])
+    if width is None or not text.isascii() or any(c in text for c in (b"\0", b'"', b"\r")):
+        return None
+    body = np.frombuffer(text, np.uint8)[head + 1 :]
+    breaks = body == ord(",")
+    breaks |= body == ord("\n")
+    ends = np.flatnonzero(breaks)
+    del breaks
+    records = ends.size // width
+    if not records or ends.size % width:
+        return None
+    ends = ends.reshape(records, width)
+    kinds = body[ends]
+    if np.any(kinds[:, :-1] != ord(",")) or np.any(kinds[:, -1] != ord("\n")):
+        return None  # a record of another width
+    limit = min(csv.field_size_limit(), 4 * len(text) // records)
+    if np.diff(ends.ravel(), prepend=-1).max() > limit + 1:
+        return None  # a field longer than the limit
+
+    def field(k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where column ``k``'s fields start in ``body``, and their sizes."""
+        lo = ends[:, k - 1] + 1 if k else np.concatenate(([0], ends[:-1, -1] + 1))
+        return lo, ends[:, k] - lo
+
+    investors = _scanned_labels(body, *field(0))
+    stocks = None if investors is None else _scanned_labels(body, *field(1))
+    amounts = None if stocks is None else _scanned_amounts(body, *field(2))
+    if amounts is None:
+        return None
+    legs = np.zeros(records, np.intp)
+    if width == 4:
+        lo, size = field(3)
+        sign = body[lo]  # an empty sign's first byte is its line end
+        if size.max() > 1 or not np.all((sign == ord("+")) | (sign == ord("-")) | (size == 0)):
+            return None
+        legs[sign == ord("-")] = 1
+    return (*investors, *stocks, amounts, legs), width == 4
+
+
+def _field_bytes(body: np.ndarray, lo: np.ndarray, size: np.ndarray, width: int) -> np.ndarray:
+    """Each field's bytes, NUL-padded to ``width``, gathered a byte column at a time."""
+    short, long = int(size.min()), int(size.max())
+    out = np.zeros((width, lo.size), np.uint8)
+    at = lo.copy()
+    for column in out[:long]:
+        np.take(body, at, out=column, mode="clip")
+        at += 1
+    # a shorter field has read on past its end, into the next ones
+    out[short:long][np.arange(short, long)[:, None] >= size] = 0
+    return out.T.copy().view(f"S{width}").ravel()
+
+
+def _scanned_labels(
+    body: np.ndarray, lo: np.ndarray, size: np.ndarray
+) -> tuple[list[str], np.ndarray] | None:
+    """A label column as ``_coded`` gives it, or None if a label is empty or needs a strip.
+
+    The NUL-padded bytes, read as big-endian words, sort as the labels do:
+    by code point, a prefix first. Wider labels are ranked a word at a time.
+    """
+    if size.min() == 0 or _SPACE[body[lo]].any() or _SPACE[body[lo + size - 1]].any():
+        return None
+    padded = _field_bytes(body, lo, size, -(-int(size.max()) // 8) * 8)
+    words = padded.view(">u8").reshape(padded.size, -1).astype(np.uint64)
+    key = words[:, 0]
+    for word in words.T[1:]:
+        rank = np.unique(key, return_inverse=True)[1]
+        key = rank * key.size + np.unique(word, return_inverse=True)[1]
+    distinct, codes = np.unique(key, return_inverse=True)
+    first = np.empty(distinct.size, np.intp)
+    first[codes] = np.arange(codes.size)
+    return [label.decode("ascii") for label in padded[first].tolist()], codes
+
+
+def _scanned_amounts(body: np.ndarray, lo: np.ndarray, size: np.ndarray) -> np.ndarray | None:
+    """The amounts as ``float`` reads them, or None if one is not a finite nonnegative number."""
+    if size.min() == 0:
+        return None
+    try:
+        amounts = _field_bytes(body, lo, size, int(size.max())).astype(float)
+    except ValueError:
+        return None
+    return amounts if np.all(np.isfinite(amounts) & (amounts >= 0)) else None
 
 
 def _read_text(path: Path) -> io.StringIO:

@@ -141,7 +141,7 @@ def merge_investors(matrix: OwnershipMatrix, a: int, b: int) -> OperationDelta:
 
 
 def remove_stock(matrix: OwnershipMatrix, stock: int) -> OperationDelta:
-    """Drop one stock column and renormalize the remaining book.
+    """Drop one stock column and renormalize the remaining book by its own mass.
 
     The new cell concentration follows the closed form
     (old value minus the dropped column's squared cells) divided by the
@@ -152,7 +152,7 @@ def remove_stock(matrix: OwnershipMatrix, stock: int) -> OperationDelta:
     j0 = int(stock)
     if j0 < 0 or j0 >= matrix.m:
         raise IndexOutOfRange(f"stock index {j0} outside 0..{matrix.m - 1}")
-    weight = 1.0 - float(marg.s[j0])
+    weight = float(marg.s.sum()) - float(marg.s[j0])  # the rest's own mass
     if weight <= TOL_NORM:
         raise RemovingEverything(
             f"stock {matrix.stock_labels[j0]!r} carries all remaining mass"

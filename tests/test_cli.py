@@ -1,8 +1,11 @@
 import csv
 import json
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as nptest
@@ -12,8 +15,10 @@ from hypothesis import strategies as st
 
 import holdscan as hs
 from holdscan import cli
+from holdscan.core import held_cells
 from holdscan.errors import (
     AllZeroMatrix,
+    HoldscanError,
     InternalConsistencyError,
     MixedSignWithoutFlag,
     NonFiniteResult,
@@ -603,15 +608,18 @@ def test_parse_error_messages(tmp_path, reader, text, error, message):
     assert str(caught.value) == message.format(path=path)
 
 
+# Amounts written as repr() of a float or as another spelling float() accepts.
+amount_spellings = st.floats(0.0, 1e6, allow_nan=False).map(repr) | st.sampled_from(
+    ["0.1", "0.2", "0.3", "1e-300", " 1.5 ", "1_000", "+2e-3", "-0.0", "\t7\t", "1E3", ".5",
+     "5.", "0_0.2_5"]
+)
+
 # lots with repeated (investor, stock) pairs; a cell's leg is fixed by its labels.
-# Amounts are written as repr() of a float or as another spelling float() accepts.
 lot_rows = st.lists(
     st.tuples(
         st.sampled_from(["a", "b,c", 'd"e', "a b"]),
         st.sampled_from(["x", "y, z", '"q"']),
-        st.floats(0.0, 1e6, allow_nan=False).map(repr)
-        | st.sampled_from(["0.1", "0.2", "0.3", "1e-300", " 1.5 ", "1_000", "+2e-3", "-0.0",
-                           "\t7\t", "1E3", ".5", "5.", "0_0.2_5"]),
+        amount_spellings,
     ),
     min_size=1,
     max_size=40,
@@ -916,3 +924,163 @@ def test_dashboard_computes_dependence_once(golden_csv, capsys, monkeypatch):
             matrix, cli.dashboard(matrix), hs.dependence_index(matrix), fmt, 0, flags
         )
         assert capsys.readouterr().out == expect
+
+
+def reference_coded(path):
+    """The coded columns of a holdings CSV as read by ``csv.reader``."""
+    (investors, stocks, amounts, legs), has_sign = cli._read_csv(path)
+    return (*cli._coded(investors), *cli._coded(stocks), amounts, legs), has_sign
+
+
+def assert_same_coded(got, expected):
+    """Equal labels, and codes, amounts and legs equal to the bit."""
+    assert got[1] == expected[1]
+    for column, want in zip(got[0], expected[0]):
+        if isinstance(want, list):
+            assert column == want
+        else:
+            assert (column.dtype, column.shape) == (want.dtype, want.shape)
+            assert column.tobytes() == want.tobytes()
+
+
+def ingest_outcome(path, signed):
+    """Labels and the bytes of every cell ``ingest`` gives, or the error it raises."""
+    try:
+        book = cli.ingest(path, signed=signed)
+    except HoldscanError as exc:
+        return type(exc), str(exc)
+    if signed:
+        return book.investor_labels, book.stock_labels, book.plus.tobytes(), book.minus.tobytes()
+    cells = tuple(array.tobytes() for array in held_cells(book))
+    return book.investor_labels, book.stock_labels, cells, book.entries.tobytes()
+
+
+def assert_scan_matches_reference(path, signed, accepted=None):
+    """The scanner, where it accepts, reads what ``csv.reader`` reads; ``ingest`` agrees either way."""
+    scanned = cli._scan_csv(path)
+    if accepted is not None:
+        assert (scanned is not None) == accepted
+    if scanned is not None:
+        assert_same_coded(scanned, reference_coded(path))
+    with mock.patch.object(cli, "_scan_csv", return_value=None):
+        expected = ingest_outcome(path, signed)
+    assert ingest_outcome(path, signed) == expected
+
+
+@st.composite
+def plain_csv_texts(draw, amounts=amount_spellings):
+    """A plain holdings CSV: ASCII labels that need no strip, and +/- signs if any."""
+    with_sign = draw(st.booleans())
+    # labels past 8 bytes, some sharing their first 8, are ranked a word at a time
+    labels = st.text("abyzAZ09_.+-", min_size=1, max_size=11) | st.sampled_from(
+        ["abcdefgh", "abcdefgh.", "abcdefghi", "abcdefghij0", "abcdefgi", "abcdefghabcdefgh0"]
+    )
+    investors = draw(st.lists(labels, min_size=1, max_size=6))
+    stocks = draw(st.lists(labels, min_size=1, max_size=6))
+    row = st.tuples(st.sampled_from(investors), st.sampled_from(stocks), amounts,
+                    st.sampled_from(["", "+", "-"]))
+    rows = draw(st.lists(row, min_size=1, max_size=30))
+    lines = ["investor,stock,amount" + ",sign" * with_sign]
+    lines += [",".join(row[: 3 + with_sign]) for row in rows]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""])), with_sign
+
+
+# every byte class the scanner must decline on or pass through: quotes, line
+# ends, whitespace that str.strip removes, NUL, non-ASCII, and number syntax
+SCAN_ALPHABET = ',"\r\n \t\x0c\x1c\x85\x00\u00e90123456789.e_+-'
+# what str.strip removes and what ends a field come up as often as all the rest
+edit_chars = (
+    st.sampled_from("\t\x0b\x0c\x1c\x1d\x1e\x1f ")
+    | st.sampled_from(',"\r\n')
+    | st.sampled_from(["", *SCAN_ALPHABET])
+)
+
+
+@st.composite
+def edited_csv_texts(draw):
+    """A plain holdings CSV with a few characters inserted, deleted or replaced.
+
+    Half the files also spell some amounts in ways the scanner declines.
+    """
+    odd = st.sampled_from(["inf", "nan", "1e400", "0x10", "1__0", "-1", " ", ""])
+    text, with_sign = draw(plain_csv_texts(amount_spellings | odd if draw(st.booleans())
+                                           else amount_spellings))
+    for _ in range(draw(st.integers(0, 3))):
+        # half the edits land at a field's edge, just before or after a break
+        edges = [k + side for k, c in enumerate(text) if c in ",\n" for side in (0, 1)]
+        at = draw(st.sampled_from(edges) | st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:at] + draw(edit_chars) + text[at + cut :]
+    return text, with_sign
+
+
+@given(edited_csv_texts(), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_scanner_matches_csv_reader(drawn, signed):
+    text, _ = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lots.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_scan_matches_reference(path, signed)
+
+
+@given(plain_csv_texts())
+@settings(max_examples=200, deadline=None)
+def test_scanner_accepts_plain_files(drawn):
+    text, with_sign = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lots.csv"
+        path.write_bytes(text.encode("ascii"))
+        assert_scan_matches_reference(path, with_sign, accepted=True)
+
+
+HEAD = "investor,stock,amount\n"
+SIGNED_HEAD = "investor,stock,amount,sign\n"
+
+# (case, file text): one file for each reason the scanner leaves a file to csv.reader
+STRIPPED = {"tab": "\t", "vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "gs": "\x1d", "rs": "\x1e",
+            "us": "\x1f", "space": " "}
+SCAN_DECLINE_CASES = [
+    ("non-ascii", HEAD + "\u00e9,x,1\n"),
+    ("nul", HEAD + "a\x00,x,1\n"),
+    ("quote", HEAD + '"a",x,1\n'),
+    ("bare-cr", HEAD + "a,x,1\rb,y,2\n"),
+    ("spaced-header", "investor, stock,amount\na,x,1\n"),
+    ("other-header", "investor,stock,amount,side\na,x,1,+\n"),
+    ("no-records", HEAD),
+    ("blank-record", HEAD + "a,x,1\n\nb,y,2\n"),
+    ("whitespace-record", HEAD + "a,x,1\n , ,\n"),
+    ("wide-record", HEAD + "a,x,1,2\n"),
+    ("narrow-record", HEAD + "a,x\n"),
+    ("split-record", HEAD + "a\nx,1\n"),
+    ("empty-investor", HEAD + ",x,1\n"),
+    ("empty-stock", HEAD + "a,,1\n"),
+    ("field-limit", HEAD + "a," + "x" * 131073 + ",1\n"),
+    *((f"leading-{name}", HEAD + f"{c}a,x,1\n") for name, c in STRIPPED.items()),
+    *((f"trailing-{name}", HEAD + f"a,x{c},1\n") for name, c in STRIPPED.items()),
+    *((f"amount-{amount!r}", HEAD + f"a,x,{amount}\n")
+      for amount in ["", " ", "0x10", "1__0", "inf", "nan", "1e400", "-1"]),
+    *((f"sign-{sign!r}", SIGNED_HEAD + f"a,x,1,{sign}\n") for sign in [" -", "*", "++", "+ "]),
+]
+
+
+@pytest.mark.parametrize(
+    "text", [case[1] for case in SCAN_DECLINE_CASES], ids=[case[0] for case in SCAN_DECLINE_CASES]
+)
+def test_scanner_declines_what_it_cannot_read_exactly(tmp_path, text):
+    path = tmp_path / "lots.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for signed in (False, True):
+        assert_scan_matches_reference(path, signed, accepted=False)
+
+
+def test_scanner_accepts_crlf_large_book(tmp_path):
+    # the seed-1 book of the ingest-large benchmark workload, with Windows line ends
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, "bench/books.py", "--workload", "ingest-large", "--seed", "1",
+            "--out", str(tmp_path)]
+    subprocess.run(argv, cwd=root, check=True, timeout=300)
+    path = tmp_path / "book0.csv"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert_scan_matches_reference(path, False, accepted=True)

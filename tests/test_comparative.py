@@ -100,6 +100,19 @@ def test_remove_everything_rejected():
         hs.remove_stock(matrix, 0)
 
 
+def test_remove_stock_divides_by_the_rest_of_the_book():
+    # the book sums to 1 + 6.04e-10, inside TOL_NORM, and the dropped stock
+    # holds nearly all of it: divided by 1 - s_j, the rest would sum to
+    # 1 + 1.07e-7 and fail normalization
+    rest = 0.005632
+    matrix = hs.OwnershipMatrix(np.array([[1.0 + 6.04e-10 - rest, rest]]))
+    delta = hs.remove_stock(matrix, 0)
+    assert delta.matrix_after.entries[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert delta.after.micro == pytest.approx(1.0, abs=1e-12)
+    # the closed form subtracts two nearly equal terms before dividing by the rest
+    assert delta.predicted_after.micro == pytest.approx(1.0, abs=1e-9)
+
+
 def test_dilute_golden(golden):
     delta = hs.dilute(golden, 0.5)
     assert delta.after.dependence == pytest.approx(7.0 / 60.0, abs=1e-9)

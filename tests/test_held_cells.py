@@ -11,7 +11,6 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as nptest
@@ -150,10 +149,10 @@ def test_held_cell_sums_match_dense_oracles(seed, n, m, density, delta):
         nptest.assert_array_equal(delta_.matrix_after.entries, merged)
         assert_headline(delta_.after, merged)
     j = int(rng.integers(0, m))
-    reduced = np.delete(e, j, axis=1) / (1.0 - s[j])
+    weight = s.sum() - s[j]  # the rest of the book's own mass
+    reduced = np.delete(e, j, axis=1) / weight
     reduced = reduced[reduced.sum(axis=1) >= hs.TOL_NORM]
-    # the rest is divided by 1 - s_j, not by its own mass, so it must sum to one
-    if 1.0 - s[j] > hs.TOL_NORM and abs(reduced.sum() - 1.0) <= hs.TOL_NORM:
+    if weight > hs.TOL_NORM:
         delta_ = hs.remove_stock(matrix, j)
         nptest.assert_allclose(delta_.matrix_after.entries, reduced, rtol=1e-12, atol=0)
         assert_headline(delta_.after, reduced)
@@ -294,14 +293,13 @@ def test_held_cell_paths_allocate_no_dense_temporaries(tmp_path):
     peak = peak_bytes(hs.restrict_active, padded)
     assert peak < budget, f"restrict_active peaked at {peak / 1e6:.1f} MB"
 
-    # the same book as a lots file, each cell split in two; the CSV parse
-    # holds a Python string per field, so the budget is counted above its peak
+    # the same book as a lots file, each cell split in two (129k lots, 2.5 MB);
+    # a plain CSV is scanned with no Python object per field
     path = tmp_path / "lots.csv"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["investor", "stock", "amount"])
         for i, j, value in zip(*(a.tolist() for a in held_cells(matrix))):
             writer.writerows([(f"I{i}", f"S{j}", f"{value * 0.25e9:.6g}")] * 2)
-    parse = peak_bytes(cli._read_csv, Path(path))
     peak = peak_bytes(cli.ingest, path)
-    assert peak < parse + budget, f"ingest peaked {(peak - parse) / 1e6:.1f} MB above its parse"
+    assert peak < 2 * budget, f"ingest peaked at {peak / 1e6:.1f} MB"
