@@ -13,7 +13,7 @@ import io
 import json
 import math
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -257,63 +257,26 @@ def _read_text(path: Path) -> io.StringIO:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _record_lines(path: Path) -> list[int]:
-    """The line each CSV record starts on, read again to word an error.
+def _csv_records(path: Path, **options) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV record with the physical line it starts on.
 
-    A quoted line break makes a record span lines. The list ends with the
-    line after the last record read: where a record that failed to parse starts.
+    A quoted line break makes a record span lines, so the line is counted
+    from the reader's; a record that fails to parse is a ``ParseError``
+    naming the line it starts on.
     """
-    reader = csv.reader(_read_text(path))
-    starts = [1]
+    reader = csv.reader(_read_text(path), **options)
+    line = 1
     try:
-        for _ in reader:
-            starts.append(reader.line_num + 1)
-    except csv.Error:
-        pass
-    return starts
-
-
-def _csv_header(path: Path) -> tuple[list[str] | None, Iterator[list[str]]]:
-    """The header row (None for an empty file) and the reader left after it."""
-    reader = csv.reader(_read_text(path))
-    try:
-        return next(reader, None), reader
+        for fields in reader:
+            yield line, fields
+            line = reader.line_num + 1
     except csv.Error as exc:
-        raise ParseError(f"{path}:1: {exc}") from exc
-
-
-def _csv_columns(
-    path: Path, reader: Iterator[list[str]], width: int
-) -> tuple[list[list[str]], ParseError | None]:
-    """The rows after the header as ``width`` columns of strings.
-
-    Entry k of every column comes from record k + 1 of the file (the
-    header is record 0); a blank row stays in place, as blank strings, for
-    the caller to skip. Reading stops at the first non-blank row of another
-    width, and that row's error is returned rather than raised, so the
-    caller can first report a bad row above it.
-    """
-    fields: list[str] = []
-    extend = fields.extend
-    error = None
-    try:
-        for row in reader:
-            if len(row) != width:
-                if "".join(row).strip():
-                    error = ParseError(
-                        f"{path}:{_record_lines(path)[len(fields) // width + 1]}: "
-                        f"expected {width} columns, got {len(row)}"
-                    )
-                    break
-                row = [""] * width
-            extend(row)
-    except csv.Error as exc:
-        raise ParseError(f"{path}:{_record_lines(path)[len(fields) // width + 1]}: {exc}") from exc
-    return [fields[k::width] for k in range(width)], error
+        raise ParseError(f"{path}:{line}: {exc}") from exc
 
 
 def _read_csv(path: Path) -> tuple[_Columns, bool]:
-    header, reader = _csv_header(path)
+    records = _csv_records(path)
+    _, header = next(records, (None, None))
     if header is None:
         raise ParseError(f"{path}: empty file, expected a header line")
     names = [col.strip() for col in header]
@@ -324,39 +287,14 @@ def _read_csv(path: Path) -> tuple[_Columns, bool]:
             f"{path}:1: header must be investor,stock,amount[,sign], got {header!r}"
         )
     has_sign = len(names) == 4
-    columns, width_error = _csv_columns(path, reader, len(names))
-    investors = list(map(str.strip, columns[0]))
-    stocks = list(map(str.strip, columns[1]))
-    records: Sequence[int] = range(1, len(investors) + 1)
-    if "" in investors or "" in stocks:
-        # a blank row has empty labels, so only then can there be one to drop
-        keep = [k for k, row in enumerate(zip(*columns)) if "".join(row).strip()]
-        records = [k + 1 for k in keep]
-        columns = [[col[k] for k in keep] for col in columns]
-        investors = [investors[k] for k in keep]
-        stocks = [stocks[k] for k in keep]
-    signs = list(map(str.strip, columns[3])) if has_sign else []
-    try:
-        amounts = np.fromiter(map(float, columns[2]), float, len(records))
-    except ValueError:
-        amounts = None
-    if (
-        amounts is None
-        or "" in investors
-        or "" in stocks
-        or not set(signs) <= {"", "+", "-"}
-        or not np.all(np.isfinite(amounts) & (amounts >= 0))
-    ):
-        starts = _record_lines(path)
-        for record, *row in zip(records, *columns):
-            _parse_row(row, has_sign, f"{path}:{starts[record]}")  # raises at the first bad row
-    if width_error is not None:
-        raise width_error
-    if has_sign:
-        legs = np.fromiter(map("-".__eq__, signs), np.intp, len(signs))
-    else:
-        legs = np.zeros(len(records), np.intp)
-    return (investors, stocks, amounts, legs), has_sign
+    rows = []
+    for line, row in records:
+        if not "".join(row).strip():
+            continue
+        if len(row) != len(names):
+            raise ParseError(f"{path}:{line}: expected {len(names)} columns, got {len(row)}")
+        rows.append(_parse_row(row, has_sign, f"{path}:{line}"))
+    return _columns(rows), has_sign
 
 
 def _read_json(path: Path) -> tuple[_Columns, bool]:
@@ -368,7 +306,7 @@ def _read_json(path: Path) -> tuple[_Columns, bool]:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(payload, list):
         raise ParseError(f"{path}: expected a JSON array of holdings records")
-    columns: tuple[list, list, list, list] = ([], [], [], [])
+    rows = []
     has_sign = False
     for pos, item in enumerate(payload, start=1):
         if not isinstance(item, dict) or not {"investor", "stock", "amount"} <= set(item):
@@ -380,11 +318,14 @@ def _read_json(path: Path) -> tuple[_Columns, bool]:
         row = [str(item["investor"]), str(item["stock"]), str(item["amount"])]
         if sign is not None:
             row.append(str(sign))
-        parsed = _parse_row(row, sign is not None, f"{path}: record {pos}")
-        for column, value in zip(columns, parsed):
-            column.append(value)
-    investors, stocks, amounts, legs = columns
-    return (investors, stocks, np.array(amounts, float), np.array(legs, np.intp)), has_sign
+        rows.append(_parse_row(row, sign is not None, f"{path}: record {pos}"))
+    return _columns(rows), has_sign
+
+
+def _columns(rows: list[tuple[str, str, float, int]]) -> _Columns:
+    """Rows from ``_parse_row`` as columns."""
+    investors, stocks, amounts, legs = zip(*rows) if rows else ((),) * 4
+    return list(investors), list(stocks), np.array(amounts, float), np.array(legs, np.intp)
 
 
 def _parse_row(row: list[str], has_sign: bool, where: str) -> tuple[str, str, float, int]:
@@ -408,7 +349,15 @@ def _parse_row(row: list[str], has_sign: bool, where: str) -> tuple[str, str, fl
 
 
 def write_csv(matrix: OwnershipMatrix, path: str | Path) -> None:
-    """Export normalized shares as an ingestible CSV, quoting labels as needed."""
+    """Export normalized shares as an ingestible CSV, quoting labels as needed.
+
+    ``ingest`` strips labels, so a label that is empty or has outer
+    whitespace would read back as another label: it is a ``ValidationError``,
+    raised before the file is opened.
+    """
+    for label in matrix.investor_labels + matrix.stock_labels:
+        if not label or label != label.strip():
+            raise ValidationError(f"label {label!r} would not read back as written")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         # the minimal quoting leaves a carriage return bare, where it would end the row
@@ -423,60 +372,49 @@ def write_csv(matrix: OwnershipMatrix, path: str | Path) -> None:
 def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.ndarray:
     """CSV of label,value pairs covering every active label exactly once."""
     path = Path(path)
-    header, reader = _csv_header(path)
+    records = _csv_records(path)
+    _, header = next(records, (None, None))
     if header is None or [c.strip() for c in header] != ["label", "value"]:
         raise ParseError(f"{path}:1: header must be label,value")
-    (label_col, value_col), width_error = _csv_columns(path, reader, 2)
-    seen: dict[str, float] = {}
-    for record, (raw_label, value) in enumerate(zip(label_col, value_col), start=1):
-        if not (raw_label + value).strip():
+    seen: dict[str, tuple[int, float]] = {}  # each label's line and value
+    for line, row in records:
+        if not "".join(row).strip():
             continue
-        label = raw_label.strip()
+        if len(row) != 2:
+            raise ParseError(f"{path}:{line}: expected 2 columns, got {len(row)}")
+        label, value = row[0].strip(), row[1]
         if label in seen:
-            raise ParseError(f"{path}:{_record_lines(path)[record]}: duplicate label {label!r}")
+            raise ParseError(f"{path}:{line}: duplicate label {label!r}")
         try:
-            seen[label] = float(value)
+            seen[label] = line, float(value)
         except ValueError:
-            raise ParseError(
-                f"{path}:{_record_lines(path)[record]}: value {value!r} is not a number"
-            ) from None
-    if width_error is not None:
-        raise width_error
+            raise ParseError(f"{path}:{line}: value {value!r} is not a number") from None
     missing = [lab for lab in labels if lab not in seen]
     if missing:
         raise ParseError(f"{path}: missing {kind} value for {missing[0]!r}")
     extra = [lab for lab in seen if lab not in labels]
     if extra:
-        record = next(k for k, raw in enumerate(label_col, 1) if raw.strip() == extra[0])
-        raise ParseError(
-            f"{path}:{_record_lines(path)[record]}: unknown {kind} label {extra[0]!r}"
-        )
-    return np.array([seen[lab] for lab in labels])
+        raise ParseError(f"{path}:{seen[extra[0]][0]}: unknown {kind} label {extra[0]!r}")
+    return np.array([seen[lab][1] for lab in labels])
 
 
 def _read_partition(path: str | Path, matrix: OwnershipMatrix) -> Partition:
     """One group per line, comma-separated investor labels, quoted CSV-style as needed."""
     path = Path(path)
-    reader = csv.reader(_read_text(path), skipinitialspace=True)
     index = {label: i for i, label in enumerate(matrix.investor_labels)}
     groups = []
-    next_line = 1  # where the next record starts; a quoted line break spans lines
-    try:
-        for tokens in reader:
-            line, next_line = next_line, reader.line_num + 1
-            if len(tokens) < 2 and not "".join(tokens).strip():
-                continue
-            members = []
-            for token in tokens:
-                label = token.strip()
-                if not label:
-                    raise ParseError(f"{path}:{line}: empty label in group")
-                if label not in index:
-                    raise ParseError(f"{path}:{line}: unknown investor label {label!r}")
-                members.append(index[label])
-            groups.append(tuple(members))
-    except csv.Error as exc:
-        raise ParseError(f"{path}:{next_line}: {exc}") from exc
+    for line, tokens in _csv_records(path, skipinitialspace=True):
+        if len(tokens) < 2 and not "".join(tokens).strip():
+            continue
+        members = []
+        for token in tokens:
+            label = token.strip()
+            if not label:
+                raise ParseError(f"{path}:{line}: empty label in group")
+            if label not in index:
+                raise ParseError(f"{path}:{line}: unknown investor label {label!r}")
+            members.append(index[label])
+        groups.append(tuple(members))
     if not groups:
         raise ParseError(f"{path}: no groups found")
     return Partition(tuple(groups))

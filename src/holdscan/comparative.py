@@ -60,6 +60,8 @@ class OperationDelta:
     ``predicted_after`` holds the closed-form values and must match
     ``after`` wherever it is not None; the constructor enforces that.
     ``dropped_investors`` lists labels removed because no wealth remained.
+    ``law_terms`` holds, where a closed form subtracts terms larger than its
+    result, the size of those terms; that law's slack scales with it.
     """
 
     before: HeadlineIndices
@@ -67,18 +69,22 @@ class OperationDelta:
     predicted_after: PredictedIndices
     matrix_after: OwnershipMatrix
     dropped_investors: tuple[str, ...] = ()
+    law_terms: PredictedIndices = PredictedIndices(None, None, None, None)
 
     def __post_init__(self) -> None:
         pairs = (
-            (self.predicted_after.investor_herfindahl, self.after.investor_herfindahl),
-            (self.predicted_after.stock_herfindahl, self.after.stock_herfindahl),
-            (self.predicted_after.micro, self.after.micro),
-            (self.predicted_after.dependence, self.after.dependence),
+            (self.predicted_after.investor_herfindahl, self.after.investor_herfindahl,
+             self.law_terms.investor_herfindahl),
+            (self.predicted_after.stock_herfindahl, self.after.stock_herfindahl,
+             self.law_terms.stock_herfindahl),
+            (self.predicted_after.micro, self.after.micro, self.law_terms.micro),
+            (self.predicted_after.dependence, self.after.dependence, self.law_terms.dependence),
         )
-        for predicted, actual in pairs:
+        for predicted, actual, terms in pairs:
             if predicted is None:
                 continue
-            if abs(predicted - actual) > _scaled_tol(_LAW_TOL, predicted, actual):
+            tol = _scaled_tol(_LAW_TOL, predicted, actual, 0.0 if terms is None else terms)
+            if abs(predicted - actual) > tol:
                 raise InternalConsistencyError(
                     f"closed-form prediction {predicted!r} disagrees with "
                     f"recomputed value {actual!r}"
@@ -146,13 +152,17 @@ def remove_stock(matrix: OwnershipMatrix, stock: int) -> OperationDelta:
     The new cell concentration follows the closed form
     (old value minus the dropped column's squared cells) divided by the
     squared remaining mass. Investors left with no wealth are dropped and
-    reported.
+    reported. When the dropped stock holds nearly all the mass, the forms
+    for cell and investor concentration subtract nearly equal terms, and
+    their checks allow for the rounding of those terms over the squared
+    remaining mass.
     """
     marg = marginals(matrix)
     j0 = int(stock)
     if j0 < 0 or j0 >= matrix.m:
         raise IndexOutOfRange(f"stock index {j0} outside 0..{matrix.m - 1}")
-    weight = float(marg.s.sum()) - float(marg.s[j0])  # the rest's own mass
+    # the rest's own mass, summed rather than found by a difference that cancels
+    weight = float(np.delete(marg.s, j0).sum())
     if weight <= TOL_NORM:
         raise RemovingEverything(
             f"stock {matrix.stock_labels[j0]!r} carries all remaining mass"
@@ -192,6 +202,12 @@ def remove_stock(matrix: OwnershipMatrix, stock: int) -> OperationDelta:
         predicted_after=predicted,
         matrix_after=after_matrix,
         dropped_investors=dropped,
+        law_terms=PredictedIndices(
+            investor_herfindahl=before.investor_herfindahl / weight**2,
+            stock_herfindahl=None,
+            micro=before.micro / weight**2,
+            dependence=None,
+        ),
     )
 
 

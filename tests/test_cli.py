@@ -23,6 +23,7 @@ from holdscan.errors import (
     MixedSignWithoutFlag,
     NonFiniteResult,
     ParseError,
+    ValidationError,
 )
 
 GOLDEN_CSV = """investor,stock,amount
@@ -274,6 +275,22 @@ def test_write_csv_skips_empty_cells_and_quotes_labels(tmp_path):
     with open(got, encoding="utf-8", newline="") as handle:
         assert len(list(csv.reader(handle))) == 1 + 6  # header and the held cells
 
+
+
+@pytest.mark.parametrize(
+    "investors,stocks,label",
+    [([" a", "a"], ["x"], " a"), (["a"], ["x", "y "], "y "), (["a", "b\n"], ["x"], "b\n"),
+     (["a"], ["", "x"], "")],
+)
+def test_write_csv_rejects_labels_that_read_back_changed(tmp_path, investors, stocks, label):
+    # ingest strips labels: " a" and "a" would read back as one investor
+    shape = (len(investors), len(stocks))
+    matrix = hs.OwnershipMatrix(np.full(shape, 1.0 / np.prod(shape)), investors, stocks)
+    path = tmp_path / "export.csv"
+    with pytest.raises(ValidationError) as caught:
+        cli.write_csv(matrix, path)
+    assert str(caught.value) == f"label {label!r} would not read back as written"
+    assert not path.exists()
 
 def test_main_exit_codes(tmp_path, golden_csv, capsys, monkeypatch):
     missing = tmp_path / "missing.csv"
@@ -587,6 +604,9 @@ PARSE_ERROR_CASES = [
      "{path}:1: field larger than field limit (131072)"),
     ("vector-field-too-large", "vector", "label,value\na,1\nb," + "9" * 131073 + "\n",
      ParseError, "{path}:3: field larger than field limit (131072)"),
+    ("vector-bad-value-before-field-limit", "vector",
+     "label,value\na,oops\nb," + "9" * 131073 + "\n",
+     ParseError, "{path}:2: value 'oops' is not a number"),
 ]
 
 
@@ -713,6 +733,8 @@ FIRST_BAD_ROW_CASES = [
      "{path}:6: amount must be finite and nonnegative, got '-2'"),
     ("blank-rows-before-width", "investor,stock,amount\na,x,1\n\n , , \nc,z\nb,y,-2\n",
      "{path}:5: expected 3 columns, got 2"),
+    ("bad-amount-before-field-limit", "investor,stock,amount\na,x,oops\nb," + "y" * 131073 + ",1\n",
+     "{path}:2: amount 'oops' is not a number"),
 ]
 
 
@@ -1084,3 +1106,14 @@ def test_scanner_accepts_crlf_large_book(tmp_path):
     path = tmp_path / "book0.csv"
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert_scan_matches_reference(path, False, accepted=True)
+
+
+def test_scanner_accepts_every_dashboard_benchmark_book(tmp_path):
+    # the row-at-a-time reader is the fallback: no benchmark book may need it
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, "bench/books.py", "--workload", "dashboard-psi", "--seed", "1",
+            "--out", str(tmp_path)]
+    subprocess.run(argv, cwd=root, check=True, timeout=300)
+    books = sorted(tmp_path.glob("book*.csv"))
+    assert len(books) == 26
+    assert [path.name for path in books if cli._scan_csv(path) is None] == []

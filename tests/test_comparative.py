@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as nptest
 import pytest
 
 import holdscan as hs
-from holdscan.errors import OutOfRange, RemovingEverything
+from holdscan.errors import InternalConsistencyError, OutOfRange, RemovingEverything
 
 from conftest import random_active
 
@@ -112,6 +114,28 @@ def test_remove_stock_divides_by_the_rest_of_the_book():
     # the closed form subtracts two nearly equal terms before dividing by the rest
     assert delta.predicted_after.micro == pytest.approx(1.0, abs=1e-9)
 
+
+@pytest.mark.parametrize("rest", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+@pytest.mark.parametrize("book", ["one-investor", "drops-an-investor"])
+def test_remove_stock_holding_nearly_all_the_mass(book, rest):
+    # the closed forms for M and H_I subtract terms near one and divide by
+    # rest**2; at the parent these raised InternalConsistencyError, and
+    # NotNormalized at 1e-8, where the rest's mass was a cancelling difference
+    raw = [[1.0 - rest, rest]] if book == "one-investor" else [[0.5, 0.0], [0.5 - rest, rest]]
+    delta = hs.remove_stock(hs.OwnershipMatrix(np.array(raw)), 0)
+    assert delta.matrix_after.entries.tolist() == [[1.0]]
+    assert delta.dropped_investors == (() if book == "one-investor" else ("I1",))
+    assert delta.after.micro == delta.after.investor_herfindahl == 1.0
+
+
+def test_remove_stock_law_checks_stay_tight_on_ordinary_books():
+    # dropping a small stock leaves the slack of every law near _LAW_TOL
+    delta = hs.remove_stock(hs.OwnershipMatrix(np.array([[0.5, 0.3, 0.01], [0.1, 0.09, 0.0]])), 2)
+    for law in ("investor_herfindahl", "micro"):
+        predicted = getattr(delta.predicted_after, law)
+        off = dataclasses.replace(delta.predicted_after, **{law: predicted + 1e-8})
+        with pytest.raises(InternalConsistencyError):
+            dataclasses.replace(delta, predicted_after=off)
 
 def test_dilute_golden(golden):
     delta = hs.dilute(golden, 0.5)
