@@ -83,14 +83,12 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     Duplicate (investor, stock) rows are summed in file order; labels are
     ordered lexicographically so ingestion is deterministic. Zero-amount
     rows are dropped first, so only labels with positive mass are kept.
+    The cells are built from coded columns (see ``_scan_csv``): the codes
+    become one int64 key per lot and are freed before the keys are sorted,
+    so a plain CSV peaks at about its coded columns plus the sort's
+    temporaries, never at the size of the file.
     """
-    # a plain CSV is scanned in numpy; csv.reader or json reads any other
-    # file, to the same columns, and words every error
-    scanned = _scan_csv(Path(path)) if fmt == "csv" else None
-    if scanned is None:
-        columns, has_sign = _read_csv(Path(path)) if fmt == "csv" else _read_json(Path(path))
-        scanned = (*_coded(columns[0]), *_coded(columns[1]), *columns[2:]), has_sign
-    (investors, rows, stocks, cols, amounts, legs), has_sign_column = scanned
+    (investors, rows, stocks, cols, amounts, legs), has_sign_column = _read_coded(Path(path), fmt)
     if has_sign_column and not signed:
         raise MixedSignWithoutFlag(
             "input carries a sign column; pass --signed to ingest it"
@@ -104,11 +102,17 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
         investors = [investors[i] for i in kept.tolist()]
         kept, cols = np.unique(cols[held], return_inverse=True)
         stocks = [stocks[j] for j in kept.tolist()]
-        amounts, legs = amounts[held], legs[held]
+        amounts = amounts[held]
+        if has_sign_column:
+            legs = legs[held]
     n, m = len(investors), len(stocks)
     # cells in row-major order, the short leg's after the long one's, and
     # bincount over them adds each cell's lots one by one in file order
-    rows, cols, sums, _ = _summed_cells((legs * n + rows) * m + cols, amounts, m)
+    keys = rows * m + cols
+    if has_sign_column:
+        keys += legs * (n * m)
+    del rows, cols, legs  # spent: free the codes before the keys are sorted
+    rows, cols, sums, _ = _summed_cells(keys, amounts, m)
     if not signed:
         return _normalized((n, m), rows, cols, sums, investors, stocks)
 
@@ -127,6 +131,19 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     return signed_from_raw(plus, minus, investors, stocks)
 
 
+def _read_coded(path: Path, fmt: str) -> tuple[_Coded, bool]:
+    """A holdings file's coded columns, and whether it has a sign column.
+
+    A plain CSV is scanned in numpy; ``csv.reader`` or ``json`` reads any
+    other file, to the same columns, and words every error.
+    """
+    scanned = _scan_csv(path) if fmt == "csv" else None
+    if scanned is not None:
+        return scanned
+    columns, has_sign = _read_csv(path) if fmt == "csv" else _read_json(path)
+    return (*_coded(columns[0]), *_coded(columns[1]), *columns[2:]), has_sign
+
+
 def _coded(column: list[str]) -> tuple[list[str], np.ndarray]:
     """The sorted distinct labels of ``column`` and each entry's index into them."""
     labels = sorted(set(column))
@@ -140,6 +157,14 @@ _HEADER_WIDTHS = {b"investor,stock,amount": 3, b"investor,stock,amount,sign": 4}
 _SPACE = np.zeros(256, bool)
 _SPACE[list(b"\t\x0b\x0c\x1c\x1d\x1e\x1f ")] = True
 
+#: Bytes of a holdings CSV that ``_scan_csv`` reads at a time.
+_BLOCK = 1 << 20
+
+#: One block's coded columns: its distinct investor labels (NUL-padded
+#: bytes) and each record's index into them, the same for stocks, the
+#: amounts, and which records are short (None without a sign column).
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]
+
 
 def _scan_csv(path: Path) -> tuple[_Coded, bool] | None:
     """The coded columns of a plain holdings CSV, or None to leave the file to ``_read_csv``.
@@ -147,26 +172,79 @@ def _scan_csv(path: Path) -> tuple[_Coded, bool] | None:
     Plain means ASCII without NUL, quote or bare carriage return, the exact
     header, and records of exactly its width whose labels are nonempty and
     need no strip, whose amounts numpy reads as finite and nonnegative, and
-    whose signs are empty, ``+`` or ``-``. The file is split once on the
-    positions of its commas and line ends, and each column is converted
-    whole, so no field becomes a Python object; the columns are those
-    ``_read_csv`` reads, bit for bit. A column whose widest field would pad
-    it past four times the file's size is left to ``_read_csv`` too, to
-    bound memory.
+    whose signs are empty, ``+`` or ``-``. The file is read in blocks
+    (``_blocks``) and each block gets every check; what a block leaves
+    behind is its coded columns (``_Block``), so no field becomes a Python
+    object and peak memory is about the coded columns plus one block. The
+    labels are then ranked once, over the blocks' distinct labels. The
+    columns are those ``_read_csv`` reads, bit for bit; the legs of a file
+    without a sign column are a read-only zero-stride view of 0.
     """
+    width, parts = None, []
     try:
-        text = path.read_bytes()
+        for text in _blocks(path):
+            start = 0
+            if width is None:  # the first block starts with the header
+                start = text.find(b"\n") + 1
+                width = _HEADER_WIDTHS.get(text[: start - 1])
+                if width is None:
+                    return None
+                if start == len(text):
+                    continue  # the first record runs on past this block
+            part = _scanned_block(text, start, width)
+            if part is None:
+                return None
+            parts.append(part)
     except OSError:
         return None
-    if b"\r" in text:
-        text = text.replace(b"\r\n", b"\n")
-    if not text.endswith(b"\n"):
-        text += b"\n"
-    head = text.find(b"\n")
-    width = _HEADER_WIDTHS.get(text[:head])
-    if width is None or not text.isascii() or any(c in text for c in (b"\0", b'"', b"\r")):
+    if not parts:
+        return None  # no records
+    investors, investor_codes, stocks, stock_codes, amounts, minus = zip(*parts)
+    del parts
+    amounts = np.concatenate(amounts)
+    legs = (
+        np.broadcast_to(np.intp(0), amounts.shape) if width == 3
+        else np.concatenate(minus, dtype=np.intp)
+    )
+    return (
+        *_merged_labels(investors, investor_codes), *_merged_labels(stocks, stock_codes),
+        amounts, legs,
+    ), width == 4
+
+
+def _blocks(path: Path) -> Iterator[bytes]:
+    """The file's bytes with ``\\r\\n`` read as ``\\n``, a block at a time.
+
+    A block is what ``_BLOCK`` bytes of reading add to the partial line the
+    last block left, up to its last line end, so it holds whole lines and a
+    line longer than ``_BLOCK`` makes its block longer. The last block gets
+    a line end if the file lacks one. One block is held at a time.
+    """
+    with open(path, "rb") as handle:
+        rest = b""
+        while chunk := handle.read(_BLOCK):
+            rest += chunk
+            del chunk
+            cut = rest.rfind(b"\n") + 1
+            if cut:
+                block, rest = rest[:cut], rest[cut:]
+                if b"\r" in block:
+                    block = block.replace(b"\r\n", b"\n")
+                yield block
+        if rest:
+            yield rest.replace(b"\r\n", b"\n") + b"\n"
+
+
+def _scanned_block(text: bytes, start: int, width: int) -> _Block | None:
+    """The coded columns of the records in ``text[start:]``, or None to decline the file.
+
+    The block is split once on the positions of its commas and line ends,
+    and each column is converted whole. A column whose widest field would
+    pad it past four times the block's size declines, to bound memory.
+    """
+    if not text.isascii() or any(c in text for c in (b"\0", b'"', b"\r")):
         return None
-    body = np.frombuffer(text, np.uint8)[head + 1 :]
+    body = np.frombuffer(text, np.uint8, offset=start)
     breaks = body == ord(",")
     breaks |= body == ord("\n")
     ends = np.flatnonzero(breaks)
@@ -187,19 +265,19 @@ def _scan_csv(path: Path) -> tuple[_Coded, bool] | None:
         lo = ends[:, k - 1] + 1 if k else np.concatenate(([0], ends[:-1, -1] + 1))
         return lo, ends[:, k] - lo
 
-    investors = _scanned_labels(body, *field(0))
-    stocks = None if investors is None else _scanned_labels(body, *field(1))
+    investors = _block_labels(body, *field(0))
+    stocks = None if investors is None else _block_labels(body, *field(1))
     amounts = None if stocks is None else _scanned_amounts(body, *field(2))
     if amounts is None:
         return None
-    legs = np.zeros(records, np.intp)
+    minus = None
     if width == 4:
         lo, size = field(3)
         sign = body[lo]  # an empty sign's first byte is its line end
         if size.max() > 1 or not np.all((sign == ord("+")) | (sign == ord("-")) | (size == 0)):
             return None
-        legs[sign == ord("-")] = 1
-    return (*investors, *stocks, amounts, legs), width == 4
+        minus = sign == ord("-")
+    return *investors, *stocks, amounts, minus
 
 
 def _field_bytes(body: np.ndarray, lo: np.ndarray, size: np.ndarray, width: int) -> np.ndarray:
@@ -215,17 +293,39 @@ def _field_bytes(body: np.ndarray, lo: np.ndarray, size: np.ndarray, width: int)
     return out.T.copy().view(f"S{width}").ravel()
 
 
-def _scanned_labels(
+def _block_labels(
     body: np.ndarray, lo: np.ndarray, size: np.ndarray
-) -> tuple[list[str], np.ndarray] | None:
-    """A label column as ``_coded`` gives it, or None if a label is empty or needs a strip.
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """A block's distinct labels and each field's index into them.
 
-    The NUL-padded bytes, read as big-endian words, sort as the labels do:
-    by code point, a prefix first. Wider labels are ranked a word at a time.
+    None if a label is empty or needs a strip.
     """
     if size.min() == 0 or _SPACE[body[lo]].any() or _SPACE[body[lo + size - 1]].any():
         return None
-    padded = _field_bytes(body, lo, size, -(-int(size.max()) // 8) * 8)
+    distinct, codes = _ranked(_field_bytes(body, lo, size, -(-int(size.max()) // 8) * 8))
+    return distinct, codes.astype(np.min_scalar_type(distinct.size))
+
+
+def _merged_labels(
+    labels: tuple[np.ndarray, ...], codes: tuple[np.ndarray, ...]
+) -> tuple[list[str], np.ndarray]:
+    """A label column as ``_coded`` gives it, from each block's distinct labels and codes."""
+    distinct, index = _ranked(np.concatenate(labels))
+    out = np.empty(sum(block.size for block in codes), np.intp)
+    at = base = 0
+    for block, local in zip(labels, codes):
+        np.take(index[base : base + block.size], local, out=out[at : at + local.size])
+        at, base = at + local.size, base + block.size
+    return [label.decode("ascii") for label in distinct.tolist()], out
+
+
+def _ranked(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of ``padded`` in label order, and each entry's index into them.
+
+    The entries are NUL-padded labels a whole number of 8-byte words wide.
+    Read as big-endian words they sort as the labels do: by code point, a
+    prefix first. Wider labels are ranked a word at a time.
+    """
     words = padded.view(">u8").reshape(padded.size, -1).astype(np.uint64)
     key = words[:, 0]
     for word in words.T[1:]:
@@ -234,7 +334,7 @@ def _scanned_labels(
     distinct, codes = np.unique(key, return_inverse=True)
     first = np.empty(distinct.size, np.intp)
     first[codes] = np.arange(codes.size)
-    return [label.decode("ascii") for label in padded[first].tolist()], codes
+    return padded[first], codes
 
 
 def _scanned_amounts(body: np.ndarray, lo: np.ndarray, size: np.ndarray) -> np.ndarray | None:
@@ -392,7 +492,8 @@ def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.nda
     missing = [lab for lab in labels if lab not in seen]
     if missing:
         raise ParseError(f"{path}: missing {kind} value for {missing[0]!r}")
-    extra = [lab for lab in seen if lab not in labels]
+    known = set(labels)
+    extra = [lab for lab in seen if lab not in known]
     if extra:
         raise ParseError(f"{path}:{seen[extra[0]][0]}: unknown {kind} label {extra[0]!r}")
     return np.array([seen[lab][1] for lab in labels])
@@ -528,15 +629,25 @@ def _fmt(value) -> str:
 
 
 def _rounded(obj):
-    """``obj`` with every float rounded to 6 significant digits and arrays as lists."""
+    """``obj`` with every float rounded to 6 significant digits and arrays as lists.
+
+    A finite Python float, the usual leaf, is rounded inline by its dict or
+    list; any other leaf takes one more call.
+    """
+    if isinstance(obj, dict):
+        return {
+            key: float(f"{val:.6g}") if type(val) is float and math.isfinite(val) else _rounded(val)
+            for key, val in obj.items()
+        }
+    if isinstance(obj, (list, tuple)):
+        return [
+            float(f"{val:.6g}") if type(val) is float and math.isfinite(val) else _rounded(val)
+            for val in obj
+        ]
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise NonFiniteResult(f"a reported value is {obj}")
         return float(f"{float(obj):.6g}")
-    if isinstance(obj, dict):
-        return {key: _rounded(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(val) for val in obj]
     if isinstance(obj, (np.ndarray, np.generic)):
         return _rounded(obj.tolist())
     return obj

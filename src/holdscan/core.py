@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import compress
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def _label_tuple(labels: Sequence[str] | None, count: int, side: str) -> tuple[s
     return out
 
 
-def _unique_label(candidate: str, taken: Sequence[str]) -> str:
+def _unique_label(candidate: str, taken: Collection[str]) -> str:
     """``candidate`` with ``*`` appended until it is not in ``taken``."""
     while candidate in taken:
         candidate += "*"
@@ -302,9 +302,19 @@ def _summed_cells(
     order, and for each value the position of its cell. Each cell adds its
     values one by one in the order given.
     """
-    keys, where = np.unique(keys, return_inverse=True)
-    rows, cols = np.divmod(keys, m)
-    return rows, cols, np.bincount(where, values, minlength=keys.size), where
+    # np.unique(keys, return_inverse=True), without its copy of the keys
+    # and with its sorted copy freed before the inverse is built
+    order = keys.argsort()
+    ordered = keys[order]
+    first = np.empty(keys.size, bool)  # where a new cell starts, in key order
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    cells = ordered[first]
+    del ordered
+    where = np.empty(keys.size, np.intp)
+    where[order] = np.cumsum(first) - 1
+    rows, cols = np.divmod(cells, m)
+    return rows, cols, np.bincount(where, values, minlength=cells.size), where
 
 
 def marginals(matrix: OwnershipMatrix) -> Marginals:

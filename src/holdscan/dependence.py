@@ -242,9 +242,11 @@ def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit
     within = float(p @ (np.bincount(rows, spread * spread / s[cols], minlength=n) + unheld))
 
     merged_labels: list[str] = []
+    taken: set[str] = set()
     for members in partition.groups:
-        joined = "+".join(matrix.investor_labels[i] for i in members)
-        merged_labels.append(_unique_label(joined, merged_labels))
+        label = _unique_label("+".join(matrix.investor_labels[i] for i in members), taken)
+        merged_labels.append(label)
+        taken.add(label)
     merged = OwnershipMatrix._from_cells(
         (size, m), g_rows, g_cols, summed, merged_labels, matrix.stock_labels
     )

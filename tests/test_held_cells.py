@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import holdscan as hs
 from holdscan import cli
-from holdscan.core import held_cells
+from holdscan.core import _summed_cells, held_cells
 from holdscan.errors import AllZeroMatrix
 
 
@@ -160,6 +160,20 @@ def test_held_cell_sums_match_dense_oracles(seed, n, m, density, delta):
     delta_ = hs.dilute(matrix, 0.3)
     nptest.assert_allclose(delta_.matrix_after.entries, diluted, rtol=1e-12, atol=0)
     assert_headline(delta_.after, diluted)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(1, 60))
+@settings(max_examples=60, deadline=None)
+def test_summed_cells_match_numpy_unique(seed, size, cells):
+    # np.unique and a bincount over its inverse are the reference, bit for bit
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 9))
+    keys = rng.integers(0, cells, size) * int(rng.integers(1, 5))
+    values = rng.lognormal(size=size)
+    unique, where = np.unique(keys, return_inverse=True)
+    expected = (*np.divmod(unique, m), np.bincount(where, values), where)
+    for got, want in zip(_summed_cells(keys, values, m), expected):
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
 
 def test_full_lines_add_no_rounding_noise():

@@ -713,6 +713,51 @@ def test_hill_climb_matches_oracle_walk(n, m, kind, data):
     assert objective == expect_objective
 
 
+def test_hill_climb_gain_rounds_as_oracle_cycle_sums(monkeypatch):
+    # the scan prices each cycle at exactly oracle_cycle's gain, bit for bit.
+    # Take each candidate of the first pass whose gain beats every candidate
+    # before it in scan order: with the pivot threshold one ulp below that
+    # gain the candidate is the first pivot, and at the gain itself the next
+    # such candidate is, or none. So another order of adding up a cycle's
+    # cells, which rounds some gain otherwise, moves a pivot here. The first
+    # candidate of the scan alone would not do: it lies in row 0, the root
+    # of its tree, so its cycle never takes the two-end walk.
+    import holdscan.transport as transport
+    from holdscan.transport import _Forest, _hill_climb, _northwest_vertex
+
+    class Pivoted(Exception):
+        pass
+
+    def first_pivot(forest, a, b, theta):
+        raise Pivoted(a, b)
+
+    monkeypatch.setattr(_Forest, "pivot", first_pivot)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, m = (int(k) for k in rng.integers(3, 13, 2))
+        marg = lognormal_marginals(seed, n, m)
+        start = _northwest_vertex(marg.p, marg.s, rng.permutation(n), rng.permutation(m))
+        forest = _Forest(start)
+        records = []  # (candidate, gain), each gain above all before it in scan order
+        for i in range(n):
+            for j in range(n, n + m):
+                if j not in forest.adjacency[i] and forest.component[i] == forest.component[j]:
+                    theta, signed, length = oracle_cycle(forest, i, j)
+                    gain = theta * theta * (1.0 + length) + 2.0 * theta * signed
+                    if not records or gain > records[-1][1]:
+                        records.append(((i, j), gain))
+        for k, (candidate, gain) in enumerate(records):
+            after = records[k + 1][0] if k + 1 < len(records) else None
+            for tol, expected in ((np.nextafter(gain, -np.inf), candidate), (gain, after)):
+                monkeypatch.setattr(transport, "_PIVOT_GAIN_TOL", tol)
+                try:
+                    _hill_climb(start)
+                    first = None
+                except Pivoted as exc:
+                    first = exc.args
+                assert first == expected, (seed, tol)
+
+
 def oracle_cuts(forest, a, b, theta):
     """How many cells pushing ``theta`` around (a, b) cuts on a's and on b's side."""
     depth, parent, value = forest.depth, forest.parent, forest.parent_value
