@@ -35,7 +35,7 @@ from .errors import (
 from .extensions import renyi_summary, signed_dependence, signed_from_raw
 from .indices import concentration_summary, micro_decomposition
 from .spectral import whiten
-from .transport import family_2x2, sparsity_score, transport_matrix_2x2
+from .transport import _check_search, family_2x2, sparsity_score, transport_matrix_2x2
 
 #: Dashboards skip the sparsity score by default above this label count,
 #: because the fixed-marginal maximization cost grows combinatorially.
@@ -541,7 +541,11 @@ def dashboard(
 def _dashboard(
     matrix: OwnershipMatrix, compute_psi: bool | None, max_budget: int, seed: int
 ) -> tuple[Dashboard, DependenceReport]:
-    """The dashboard and the dependence report it was built from."""
+    """The dashboard and the dependence report it was built from.
+
+    The search arguments are checked whether or not Psi is computed.
+    """
+    _check_search(max_budget, seed)
     summary = concentration_summary(matrix)
     dep = dependence_index(matrix)
     res = whiten(matrix)
@@ -886,120 +890,100 @@ def _cmd_signed(args) -> str:
 # -- argument parsing ----------------------------------------------------------
 
 
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    """One ``add_argument`` call, as its positional flags and keyword options."""
+    return flags, options
+
+
+#: Argument groups that several subcommands share.
+_FILE = (
+    _arg("file", help="holdings file (CSV or JSON records)"),
+    _arg("--input-format", choices=("csv", "json"), default="csv",
+         help="holdings file format (default csv)"),
+)
+_FORMAT = (_arg("--format", choices=("text", "json"), default="text", help="report format"),)
+_BOOK = _FILE + _FORMAT
+_SEARCH = (
+    _arg("--seed", type=int, default=0, help="seed for the maximum search"),
+    _arg("--max-budget", type=int, default=64, help="restarts for the maximum search"),
+)
+
+#: The subcommands in ``--help`` order: (name, help, handler, arguments).
+_SUBCOMMANDS = (
+    ("dashboard", "full six-number diagnostic dashboard", _cmd_dashboard, (
+        *_BOOK, *_SEARCH,
+        _arg("--psi", action=argparse.BooleanOptionalAction, default=None,
+             help="force the sparsity score on/off (default: auto by size)"),
+    )),
+    ("decompose", "per-investor and per-stock contributions", _cmd_decompose, _BOOK),
+    ("psi", "feasible-range sparsity score", _cmd_psi, _BOOK + _SEARCH),
+    ("shock", "fire-sale impact of a liquidation shock", _cmd_shock, (
+        *_BOOK, _arg("--shocks", required=True, help="CSV of label,value liquidation rates"),
+    )),
+    ("alpha", "benchmark-relative active variance", _cmd_alpha, (
+        *_BOOK,
+        _arg("--returns", required=True, help="CSV of label,value excess returns"),
+        _arg("--project-returns", action="store_true",
+             help="center returns on the capitalization weights first"),
+        _arg("--dispersion", type=float, default=None,
+             help="also report the isotropic capacity at this dispersion scale"),
+    )),
+    ("merge", "merge two investors", _cmd_merge, (
+        *_BOOK, _arg("--pair", required=True, help="two investor labels, comma-separated"),
+    )),
+    ("drop-stock", "remove a stock and renormalize", _cmd_drop_stock, (
+        *_BOOK, _arg("--stock", required=True, help="stock label to remove"),
+    )),
+    ("dilute", "add a market-weight investor", _cmd_dilute, (
+        *_BOOK,
+        _arg("--mass", type=float, required=True, help="mass of the new investor in (0,1)"),
+    )),
+    ("aggregate", "between/within dependence split", _cmd_aggregate, (
+        *_BOOK,
+        _arg("--groups", required=True,
+             help="partition file: one comma-separated group per line"),
+    )),
+    ("family", "closed-form 2x2 families", _cmd_family, (
+        _arg("kind", choices=("2x2", "nonid")),
+        _arg("--a", type=float, default=None, help="first marginal mass (2x2)"),
+        _arg("--b", type=float, default=None, help="second marginal mass (2x2)"),
+        _arg("--t", type=float, default=None, help="free cell (nonid)"),
+        *_FORMAT,
+    )),
+    ("renyi", "power-sum concentration of one order", _cmd_renyi, (
+        *_BOOK, _arg("--alpha", type=float, required=True, help="power-sum order"),
+    )),
+    ("signed", "gross-whitened dependence of a signed book", _cmd_signed, _BOOK),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``holdscan`` command line, built from ``_SUBCOMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="holdscan",
         description="Concentration, dependence, and transmission diagnostics "
         "for holdings matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, with_file: bool = True) -> None:
-        if with_file:
-            p.add_argument("file", help="holdings file (CSV or JSON records)")
-            p.add_argument(
-                "--input-format",
-                choices=("csv", "json"),
-                default="csv",
-                help="holdings file format (default csv)",
-            )
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="report format"
-        )
-
-    def add_search(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="seed for the maximum search")
-        p.add_argument(
-            "--max-budget", type=int, default=64, help="restarts for the maximum search"
-        )
-
-    p = sub.add_parser("dashboard", help="full six-number diagnostic dashboard")
-    add_common(p)
-    add_search(p)
-    p.add_argument(
-        "--psi",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force the sparsity score on/off (default: auto by size)",
-    )
-    p.set_defaults(func=_cmd_dashboard)
-
-    p = sub.add_parser("decompose", help="per-investor and per-stock contributions")
-    add_common(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("psi", help="feasible-range sparsity score")
-    add_common(p)
-    add_search(p)
-    p.set_defaults(func=_cmd_psi)
-
-    p = sub.add_parser("shock", help="fire-sale impact of a liquidation shock")
-    add_common(p)
-    p.add_argument("--shocks", required=True, help="CSV of label,value liquidation rates")
-    p.set_defaults(func=_cmd_shock)
-
-    p = sub.add_parser("alpha", help="benchmark-relative active variance")
-    add_common(p)
-    p.add_argument("--returns", required=True, help="CSV of label,value excess returns")
-    p.add_argument(
-        "--project-returns",
-        action="store_true",
-        help="center returns on the capitalization weights first",
-    )
-    p.add_argument(
-        "--dispersion",
-        type=float,
-        default=None,
-        help="also report the isotropic capacity at this dispersion scale",
-    )
-    p.set_defaults(func=_cmd_alpha)
-
-    p = sub.add_parser("merge", help="merge two investors")
-    add_common(p)
-    p.add_argument("--pair", required=True, help="two investor labels, comma-separated")
-    p.set_defaults(func=_cmd_merge)
-
-    p = sub.add_parser("drop-stock", help="remove a stock and renormalize")
-    add_common(p)
-    p.add_argument("--stock", required=True, help="stock label to remove")
-    p.set_defaults(func=_cmd_drop_stock)
-
-    p = sub.add_parser("dilute", help="add a market-weight investor")
-    add_common(p)
-    p.add_argument("--mass", type=float, required=True, help="mass of the new investor in (0,1)")
-    p.set_defaults(func=_cmd_dilute)
-
-    p = sub.add_parser("aggregate", help="between/within dependence split")
-    add_common(p)
-    p.add_argument(
-        "--groups", required=True, help="partition file: one comma-separated group per line"
-    )
-    p.set_defaults(func=_cmd_aggregate)
-
-    p = sub.add_parser("family", help="closed-form 2x2 families")
-    p.add_argument("kind", choices=("2x2", "nonid"))
-    p.add_argument("--a", type=float, default=None, help="first marginal mass (2x2)")
-    p.add_argument("--b", type=float, default=None, help="second marginal mass (2x2)")
-    p.add_argument("--t", type=float, default=None, help="free cell (nonid)")
-    add_common(p, with_file=False)
-    p.set_defaults(func=_cmd_family)
-
-    p = sub.add_parser("renyi", help="power-sum concentration of one order")
-    add_common(p)
-    p.add_argument("--alpha", type=float, required=True, help="power-sum order")
-    p.set_defaults(func=_cmd_renyi)
-
-    p = sub.add_parser("signed", help="gross-whitened dependence of a signed book")
-    add_common(p)
-    p.set_defaults(func=_cmd_signed)
-
+    for name, help_text, handler, arguments in _SUBCOMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            command.add_argument(*flags, **options)
+        command.set_defaults(func=handler)
     return parser
 
 
+#: The parser ``main`` uses, built on its first call. ``parse_args`` leaves
+#: a parser as it was and returns a new namespace, so one serves every call.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

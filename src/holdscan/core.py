@@ -1,4 +1,4 @@
-"""Normalized ownership matrices, their marginals, and holding profiles.
+"""Normalized ownership matrices and their marginals.
 
 The primitive object is a nonnegative investor-by-stock matrix of wealth
 shares summing to one. Row sums give the investor-size distribution,
@@ -237,23 +237,6 @@ class Marginals:
         return self.s.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class Profiles:
-    """Row profiles (portfolio weights) and column profiles (owner shares).
-
-    ``row_profiles[i]`` is investor ``i``'s portfolio as a probability
-    vector over stocks; ``col_profiles[:, j]`` is stock ``j``'s ownership
-    as a probability vector over investors.
-    """
-
-    row_profiles: np.ndarray
-    col_profiles: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "row_profiles", _freeze(self.row_profiles))
-        object.__setattr__(self, "col_profiles", _freeze(self.col_profiles))
-
-
 def normalize(
     raw: "np.typing.ArrayLike",
     investor_labels: Sequence[str] | None = None,
@@ -364,18 +347,6 @@ def _dense_row(matrix: OwnershipMatrix, i: int) -> np.ndarray:
     row = np.zeros(matrix.m)
     row[cols[lo:hi]] = values[lo:hi]
     return row
-
-
-def profiles(matrix: OwnershipMatrix) -> Profiles:
-    """Within-portfolio weights and within-stock owner shares.
-
-    Requires an active matrix: rows of ``row_profiles`` and columns of
-    ``col_profiles`` are then exact probability vectors.
-    """
-    marg = require_active(matrix)
-    q = matrix.entries / marg.p[:, None]
-    r = matrix.entries / marg.s[None, :]
-    return Profiles(q, r)
 
 
 def restrict_active(matrix: OwnershipMatrix) -> OwnershipMatrix:

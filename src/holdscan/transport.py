@@ -192,10 +192,7 @@ def max_micro(marg: Marginals, budget: int = 64, *, seed: int = 0) -> TransportS
     lexicographically smallest support, so the reported argmax is
     deterministic.
     """
-    if budget < 1:
-        raise OutOfRange(f"budget must be positive, got {budget}")
-    if seed < 0:
-        raise OutOfRange(f"seed must be nonnegative, got {seed}")
+    _check_search(budget, seed)
     p, s = marg.p, marg.s
     rows = np.flatnonzero(p > 0)
     cols = np.flatnonzero(s > 0)
@@ -215,6 +212,14 @@ def max_micro(marg: Marginals, budget: int = 64, *, seed: int = 0) -> TransportS
         certified=certified,
         marginals=marg,
     )
+
+
+def _check_search(budget: int, seed: int) -> None:
+    """Reject a restart budget or seed that the maximum search cannot use."""
+    if budget < 1:
+        raise OutOfRange(f"budget must be positive, got {budget}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be nonnegative, got {seed}")
 
 
 def sparsity_score(

@@ -17,6 +17,17 @@ def random_active(rng: np.random.Generator, n: int, m: int) -> hs.OwnershipMatri
     return hs.normalize(rng.random((n, m)) + 1e-3)
 
 
+def profiles(matrix: hs.OwnershipMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Dense oracle: row profiles (portfolio weights) and column profiles (owner shares).
+
+    Row ``i`` of the first is investor ``i``'s portfolio as a probability
+    vector over stocks; column ``j`` of the second is stock ``j``'s
+    ownership as a probability vector over investors. Needs an active matrix.
+    """
+    entries = matrix.entries
+    return entries / entries.sum(axis=1, keepdims=True), entries / entries.sum(axis=0, keepdims=True)
+
+
 def philox(seed: int) -> np.random.Generator:
     """Counter-based stream for reproducible, splittable Monte Carlo."""
     return np.random.Generator(np.random.Philox(key=seed))

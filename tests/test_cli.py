@@ -701,16 +701,29 @@ def test_search_flags_only_on_search_commands(golden_csv, capsys):
 
 
 @pytest.mark.parametrize("command", ["psi", "dashboard"])
-def test_negative_seed_exits_2(tmp_path, golden_csv, capsys, command):
+def test_negative_seed_exits_2(tmp_path, golden_csv, capsys, monkeypatch, command):
     # the golden book's maximum is certified; the 12 x 10 book's is searched
     rng = np.random.default_rng(4)
     search_csv = tmp_path / "search.csv"
     entries = rng.random((12, 10)) + 0.01
     cli.write_csv(hs.OwnershipMatrix(entries / entries.sum(), [f"i{k}" for k in range(12)],
                                      [f"s{k}" for k in range(10)]), search_csv)
+    bad = [
+        (["--seed", "-1"], "error: seed must be nonnegative, got -1\n"),
+        (["--max-budget", "-3"], "error: budget must be positive, got -3\n"),
+    ]
+    # a dashboard checks the search flags also when Psi is off
+    psi_flags = [[], ["--no-psi"]] if command == "dashboard" else [[]]
     for path in (golden_csv, search_csv):
-        assert cli.main([command, str(path), "--seed", "-1"]) == 2
-        assert "seed must be nonnegative" in capsys.readouterr().err
+        for extra in psi_flags:
+            for flags, message in bad:
+                assert cli.main([command, str(path), *extra, *flags]) == 2
+                assert capsys.readouterr() == ("", message)
+    # above PSI_AUTO_LIMIT a dashboard turns Psi off itself
+    monkeypatch.setattr(cli, "PSI_AUTO_LIMIT", 0)
+    for flags, message in bad:
+        assert cli.main([command, str(golden_csv), *flags]) == 2
+        assert capsys.readouterr() == ("", message)
 
 
 # (case, file text, message): one file with several bad rows; the first in

@@ -68,3 +68,11 @@ def test_report_bytes_are_pinned(tmp_path, capsys, name, argv, fmt):
     suffix = "json" if fmt == "json" else "txt"
     expected = (PINS / f"{name}.{suffix}").read_text(encoding="utf-8")
     assert run(tmp_path, argv, fmt, capsys) == expected
+
+
+def test_report_bytes_repeat_within_one_process(tmp_path, capsys):
+    # every call of main parses with the same parser; no call may leak into the next
+    for _, argv in CASES:
+        for fmt in ("text", "json"):
+            first = run(tmp_path, argv, fmt, capsys)
+            assert run(tmp_path, argv, fmt, capsys) == first

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import holdscan as hs
 from holdscan.errors import InactiveSupport, NotAProbabilityVector
 
-from conftest import philox, random_active
+from conftest import philox, profiles, random_active
 
 
 def test_herfindahl_golden_marginal():
@@ -45,10 +45,10 @@ def test_micro_concentration_product_benchmark(golden):
 
 def test_micro_decomposition_golden(golden):
     # independent oracle: concentrations straight from the profile definition
-    prof = hs.profiles(golden)
+    row_profiles, col_profiles = profiles(golden)
     marg = hs.marginals(golden)
-    c_oracle = np.array([sum(q * q for q in row) for row in prof.row_profiles])
-    d_oracle = np.array([sum(r * r for r in col) for col in prof.col_profiles.T])
+    c_oracle = np.array([sum(q * q for q in row) for row in row_profiles])
+    d_oracle = np.array([sum(r * r for r in col) for col in col_profiles.T])
     dec = hs.micro_decomposition(golden)
     nptest.assert_allclose(dec.portfolio_concentration, c_oracle, atol=1e-15)
     nptest.assert_allclose(dec.owner_concentration, d_oracle, atol=1e-15)
