@@ -5,11 +5,29 @@ import holdscan as hs
 
 GOLDEN_RAW = [[30.0, 10.0], [5.0, 25.0], [15.0, 15.0]]
 
+#: The golden book as a holdings CSV.
+GOLDEN_CSV = """investor,stock,amount
+inv1,stk1,30
+inv1,stk2,10
+inv2,stk1,5
+inv2,stk2,25
+inv3,stk1,15
+inv3,stk2,15
+"""
+
 
 @pytest.fixture
 def golden() -> hs.OwnershipMatrix:
     """3x2 worked holdings book used across the suite."""
     return hs.normalize(GOLDEN_RAW, ["inv1", "inv2", "inv3"], ["stk1", "stk2"])
+
+
+@pytest.fixture
+def golden_csv(tmp_path):
+    """The golden book written as ``golden.csv``."""
+    path = tmp_path / "golden.csv"
+    path.write_text(GOLDEN_CSV, encoding="utf-8")
+    return path
 
 
 def random_active(rng: np.random.Generator, n: int, m: int) -> hs.OwnershipMatrix:

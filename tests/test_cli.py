@@ -27,21 +27,7 @@ from holdscan.errors import (
     ValidationError,
 )
 
-GOLDEN_CSV = """investor,stock,amount
-inv1,stk1,30
-inv1,stk2,10
-inv2,stk1,5
-inv2,stk2,25
-inv3,stk1,15
-inv3,stk2,15
-"""
-
-
-@pytest.fixture
-def golden_csv(tmp_path):
-    path = tmp_path / "golden.csv"
-    path.write_text(GOLDEN_CSV, encoding="utf-8")
-    return path
+from conftest import GOLDEN_CSV
 
 
 def test_ingest_golden_csv(golden_csv):

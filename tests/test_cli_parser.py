@@ -20,11 +20,6 @@ from holdscan import cli
 
 PIN = Path(__file__).parent / "cli_parser.json"
 
-GOLDEN_CSV = (
-    "investor,stock,amount\n"
-    "inv1,stk1,30\ninv1,stk2,10\ninv2,stk1,5\ninv2,stk2,25\ninv3,stk1,15\ninv3,stk2,15\n"
-)
-
 
 def _actions(parser) -> list[dict]:
     out = []
@@ -63,13 +58,6 @@ def structure(parser) -> dict:
             for name, subparser in sub.choices.items()
         ],
     }
-
-
-@pytest.fixture
-def golden_csv(tmp_path):
-    path = tmp_path / "golden.csv"
-    path.write_text(GOLDEN_CSV, encoding="utf-8")
-    return path
 
 
 def test_parser_matches_pin():
