@@ -13,7 +13,7 @@ import io
 import json
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -610,16 +610,21 @@ def report(
     for name in _METRICS:
         value = getattr(dash, name)
         shown = _fmt(value) if value is not None else f"undefined ({dash.psi_reason})"
-        lines.append(f"{name:<7} {shown}")
+        lines.append(_row((name, shown), (7,)))
     lines.append("")
     lines.append("dependence contributions")
     for lab, x in zip(matrix.investor_labels, contributions.investor_contributions):
-        lines.append(f"  investor {lab:<12} {_fmt(x)}")
+        lines.append(_row(("  investor", lab, _fmt(x)), (10, 12)))
     for lab, x in zip(matrix.stock_labels, contributions.stock_contributions):
-        lines.append(f"  stock    {lab:<12} {_fmt(x)}")
+        lines.append(_row(("  stock", lab, _fmt(x)), (10, 12)))
     lines.append("")
     lines.append(f"seed {seed}")
     return "\n".join(lines) + "\n"
+
+
+def _row(cells: Sequence[str], widths: Sequence[int]) -> str:
+    """One text row: each cell padded to its width, the last one as it is, one space apart."""
+    return " ".join([f"{cell:<{width}}" for cell, width in zip(cells, widths)] + [cells[-1]])
 
 
 def _fmt(value) -> str:
@@ -676,7 +681,7 @@ def _render(payload: dict, fmt: str) -> str:
                 walk(f"{prefix}{key}.", val)
             else:
                 shown = " ".join(map(_fmt, val)) if isinstance(val, list) else _fmt(val)
-                lines.append(f"{prefix + key:<28} {shown}")
+                lines.append(_row((prefix + key, shown), (28,)))
 
     walk("", payload)
     return "\n".join(lines) + "\n"
@@ -755,7 +760,7 @@ def _cmd_decompose(args) -> str:
     lines = ["side     label        mass     conc     dependence"]
     for side, _, rows in sides:
         for label, mass, conc, x in rows:
-            lines.append(f"{side:<8} {label:<12} {_fmt(mass):<8} {_fmt(conc):<8} {_fmt(x)}")
+            lines.append(_row((side, label, _fmt(mass), _fmt(conc), _fmt(x)), (8, 12, 8, 8)))
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,7 @@ concentration nor the dependence index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress
 
 import numpy as np
@@ -72,15 +72,11 @@ class OperationDelta:
     law_terms: PredictedIndices = PredictedIndices(None, None, None, None)
 
     def __post_init__(self) -> None:
-        pairs = (
-            (self.predicted_after.investor_herfindahl, self.after.investor_herfindahl,
-             self.law_terms.investor_herfindahl),
-            (self.predicted_after.stock_herfindahl, self.after.stock_herfindahl,
-             self.law_terms.stock_herfindahl),
-            (self.predicted_after.micro, self.after.micro, self.law_terms.micro),
-            (self.predicted_after.dependence, self.after.dependence, self.law_terms.dependence),
-        )
-        for predicted, actual, terms in pairs:
+        for field in fields(HeadlineIndices):
+            predicted, actual, terms = (
+                getattr(values, field.name)
+                for values in (self.predicted_after, self.after, self.law_terms)
+            )
             if predicted is None:
                 continue
             tol = _scaled_tol(_LAW_TOL, predicted, actual, 0.0 if terms is None else terms)

@@ -53,6 +53,16 @@ def _scaled_tol(base: float, *terms: "np.typing.ArrayLike") -> float:
     return base * max(1.0, *(float(np.max(np.abs(t))) for t in terms))
 
 
+def _checked(values: "np.typing.ArrayLike", name: str) -> np.ndarray:
+    """``values`` as a float array, checked finite, then nonnegative; the errors name ``name``."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteEntry(f"{name} must be finite")
+    if np.any(arr < 0):
+        raise NegativeEntry(f"{name} must be nonnegative")
+    return arr
+
+
 def _label_tuple(labels: Sequence[str] | None, count: int, side: str) -> tuple[str, ...]:
     if labels is None:
         prefix = side[0].upper()
@@ -135,11 +145,7 @@ class OwnershipMatrix:
         n, m = (int(k) for k in shape)
         if n == 0 or m == 0:
             raise DimensionMismatch(f"entries must be a nonempty 2-d array, got shape {(n, m)}")
-        values = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteEntry("entries must be finite")
-        if np.any(values < 0):
-            raise NegativeEntry("entries must be nonnegative")
+        values = _checked(values, "entries")
         total = float(values.sum())
         if abs(total - 1.0) > TOL_NORM:
             raise NotNormalized(
@@ -218,10 +224,7 @@ class Marginals:
             vec = np.asarray(getattr(self, name), dtype=float)
             if vec.ndim != 1 or vec.size == 0:
                 raise DimensionMismatch(f"{name} must be a nonempty 1-d vector")
-            if not np.all(np.isfinite(vec)):
-                raise NonFiniteEntry(f"{name} must be finite")
-            if np.any(vec < 0):
-                raise NegativeEntry(f"{name} must be nonnegative")
+            vec = _checked(vec, name)
             if abs(float(vec.sum()) - 1.0) > TOL_NORM:
                 raise NotNormalized(
                     f"{name} sums to {float(vec.sum())!r}, expected 1 within {TOL_NORM:g}"
@@ -264,10 +267,7 @@ def _normalized(shape, rows, cols, raw, investor_labels, stock_labels) -> Owners
 
     The total mass is numpy's (pairwise) sum of ``raw`` in that order.
     """
-    if not np.all(np.isfinite(raw)):
-        raise NonFiniteEntry("raw holdings must be finite")
-    if np.any(raw < 0):
-        raise NegativeEntry("raw holdings must be nonnegative")
+    raw = _checked(raw, "raw holdings")
     total = float(raw.sum())
     if total <= 0.0:
         raise AllZeroMatrix("raw holdings sum to zero")

@@ -16,7 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TOL_NORM, OwnershipMatrix, _freeze, _label_tuple, held_cells, marginals
+from .core import (
+    TOL_NORM, OwnershipMatrix, _checked, _freeze, _label_tuple, _scaled_tol, held_cells, marginals,
+)
 from .errors import (
     AllZeroMatrix,
     AlphaNearOne,
@@ -25,7 +27,6 @@ from .errors import (
     InternalConsistencyError,
     MarketNeutral,
     NegativeEntry,
-    NonFiniteEntry,
     NotNormalized,
     OutOfRange,
 )
@@ -72,10 +73,7 @@ class SignedOwnership:
             raise DimensionMismatch(
                 f"legs must be equal-shape 2-d arrays, got {plus.shape} and {minus.shape}"
             )
-        if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
-            raise NonFiniteEntry("legs must be finite")
-        if np.any(plus < 0) or np.any(minus < 0):
-            raise NegativeEntry("legs must be nonnegative")
+        plus, minus = _freeze(_checked(np.stack([plus, minus]), "legs"))
         if np.any((plus > 0) & (minus > 0)):
             raise NegativeEntry("a cell cannot be long and short at once")
         gross_total = float(plus.sum() + minus.sum())
@@ -84,8 +82,8 @@ class SignedOwnership:
                 f"gross exposure sums to {gross_total!r}, expected 1 within {TOL_NORM:g}"
             )
         n, m = plus.shape
-        object.__setattr__(self, "plus", _freeze(plus))
-        object.__setattr__(self, "minus", _freeze(minus))
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
         object.__setattr__(
             self, "investor_labels", _label_tuple(self.investor_labels, n, "investor")
         )
@@ -135,10 +133,7 @@ def signed_from_raw(
         raise DimensionMismatch(
             f"legs must share a shape, got {plus.shape} and {minus.shape}"
         )
-    if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
-        raise NonFiniteEntry("raw legs must be finite")
-    if np.any(plus < 0) or np.any(minus < 0):
-        raise NegativeEntry("raw legs must be nonnegative")
+    plus, minus = _checked(np.stack([plus, minus]), "raw legs")
     gross = float(plus.sum() + minus.sum())
     if gross <= 0.0:
         raise AllZeroMatrix("gross exposure is zero")
@@ -199,6 +194,6 @@ def signed_dependence(book: SignedOwnership) -> float:
     sum_form = float(np.sum(dev * dev / np.outer(gross_p, gross_s)))
     whitened = dev / np.sqrt(np.outer(gross_p, gross_s))
     frob_form = float(np.sum(whitened * whitened))
-    if abs(sum_form - frob_form) > 1e-10:
+    if abs(sum_form - frob_form) > _scaled_tol(1e-10, sum_form, frob_form):
         raise InternalConsistencyError("signed dependence forms disagree")
     return sum_form

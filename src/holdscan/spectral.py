@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OwnershipMatrix, _freeze, _scaled_tol, require_active
-from .dependence import dependence_index
 from .errors import InternalConsistencyError
 
 #: Slack on identities that are exact in real arithmetic; the residual's
@@ -94,13 +93,3 @@ def whiten(matrix: OwnershipMatrix) -> SpectralResidual:
 def rho(matrix: OwnershipMatrix) -> float:
     """Dominant overlap mode: second singular value of the whitened matrix."""
     return whiten(matrix).rho
-
-
-def spectral_identity_gap(matrix: OwnershipMatrix) -> float:
-    """Absolute gap between the dependence index and the spectrum tail.
-
-    A numerical self-diagnostic; both sides are equal in real arithmetic.
-    """
-    res = whiten(matrix)
-    tail = float(np.sum(np.square(res.singular_values[1:])))
-    return abs(dependence_index(matrix).index - tail)

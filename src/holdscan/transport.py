@@ -144,27 +144,17 @@ def is_feasible(candidate: "np.typing.ArrayLike", marg: Marginals) -> bool:
     return _matches_marginals(mat, marg, TOL_FEAS)
 
 
-def min_micro(marg: Marginals, *, init_mu: "np.typing.ArrayLike | None" = None) -> TransportSolution:
+def min_micro(marg: Marginals) -> TransportSolution:
     """Unique fixed-marginal minimizer of the cell concentration.
 
     Euclidean projection of the zero matrix onto the transportation
     polytope. Solved by Newton steps on the dual multipliers until the
-    marginal residuals reach rounding level (``TOL_KKT`` at worst); the
-    optional finite ``init_mu`` only changes the starting point, never the
-    answer.
+    marginal residuals reach rounding level (``TOL_KKT`` at worst).
     """
     p, s = marg.p, marg.s
     rows = np.flatnonzero(p > 0)
     cols = np.flatnonzero(s > 0)
-    sub_mu0 = None
-    if init_mu is not None:
-        sub_mu0 = np.asarray(init_mu, dtype=float)
-        if sub_mu0.shape != (marg.m,):
-            raise DimensionMismatch("init_mu must have one entry per stock")
-        if not np.all(np.isfinite(sub_mu0)):
-            raise NonFiniteEntry("init_mu must be finite")
-        sub_mu0 = sub_mu0[cols]
-    lam_a, mu_a = _dual_newton_min(p[rows], s[cols], sub_mu0)
+    lam_a, mu_a = _dual_newton_min(p[rows], s[cols])
     # Inactive rows/columns get multipliers low enough to zero their cells.
     lam = np.full(marg.n, -abs(mu_a.max()) - 1.0)
     lam[rows] = lam_a
@@ -306,9 +296,7 @@ def vertex_count(n: int, m: int) -> int:
 # -- minimizer internals ---------------------------------------------------
 
 
-def _dual_newton_min(
-    p: np.ndarray, s: np.ndarray, mu0: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _dual_newton_min(p: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, m = p.size, s.size
     target = np.concatenate([p, s])
     null = np.concatenate([np.ones(n), -np.ones(m)])  # J is singular along it
@@ -327,10 +315,9 @@ def _dual_newton_min(
         return duals, support, target - fitted, float(duals @ target - duals @ fitted / 2.0)
 
     # Start at the multipliers of the affine (sign-unconstrained) projection:
-    # exact whenever that projection is already nonnegative. A warm start
-    # replaces its mu, and the lift seats every row against it.
-    mu = mu0 if mu0 is not None else 2.0 * s / n - 1.0 / (n * m)
-    duals, support, gap, value = evaluate(np.concatenate([2.0 * p / m - 1.0 / (n * m), mu]))
+    # exact whenever that projection is already nonnegative.
+    start = np.concatenate([2.0 * p / m, 2.0 * s / n]) - 1.0 / (n * m)
+    duals, support, gap, value = evaluate(start)
     for _ in range(100 * (n + m)):
         size = float(np.max(np.abs(gap)))
         if size <= floor:

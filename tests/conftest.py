@@ -46,6 +46,15 @@ def profiles(matrix: hs.OwnershipMatrix) -> tuple[np.ndarray, np.ndarray]:
     return entries / entries.sum(axis=1, keepdims=True), entries / entries.sum(axis=0, keepdims=True)
 
 
+def spectral_identity_gap(matrix: hs.OwnershipMatrix) -> float:
+    """Oracle: absolute gap between the dependence index and the whitened spectrum's tail.
+
+    Both sides are equal in real arithmetic; the tail comes from LAPACK's SVD.
+    """
+    tail = float(np.sum(np.square(hs.whiten(matrix).singular_values[1:])))
+    return abs(hs.dependence_index(matrix).index - tail)
+
+
 def philox(seed: int) -> np.random.Generator:
     """Counter-based stream for reproducible, splittable Monte Carlo."""
     return np.random.Generator(np.random.Philox(key=seed))

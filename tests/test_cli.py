@@ -478,6 +478,18 @@ def test_family_subcommands(capsys):
     assert payload["X"] == 0.36
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["family", "2x2", "--a", "0.3"], "family 2x2 needs --a and --b"),
+        (["family", "nonid"], "family nonid needs --t"),
+    ],
+)
+def test_family_needs_its_parameters(capsys, argv, message):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_renyi_subcommand(golden_csv, capsys):
     assert cli.main(["renyi", str(golden_csv), "--alpha", "2", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -589,6 +601,7 @@ PARSE_ERROR_CASES = [
      ParseError, "{path}:4: field larger than field limit (131072)"),
     ("csv-header-field-too-large", "csv", "investor,stock," + "a" * 131073 + "\n", ParseError,
      "{path}:1: field larger than field limit (131072)"),
+    ("groups-blank-lines", "groups", "\n  \n\n", ParseError, "{path}: no groups found"),
     ("vector-field-too-large", "vector", "label,value\na,1\nb," + "9" * 131073 + "\n",
      ParseError, "{path}:3: field larger than field limit (131072)"),
     ("vector-bad-value-before-field-limit", "vector",
@@ -602,13 +615,15 @@ PARSE_ERROR_CASES = [
     [case[1:] for case in PARSE_ERROR_CASES],
     ids=[case[0] for case in PARSE_ERROR_CASES],
 )
-def test_parse_error_messages(tmp_path, reader, text, error, message):
+def test_parse_error_messages(tmp_path, golden, reader, text, error, message):
     path = tmp_path / "input.txt"
     if text is not None:
         path.write_text(text, encoding="utf-8")
     with pytest.raises(error) as caught:
         if reader == "vector":
             cli._read_vector(path, ("a", "b"), "investor")
+        elif reader == "groups":
+            cli._read_partition(path, golden)
         else:
             cli.ingest(path, fmt="json" if reader == "json" else "csv", signed=reader == "signed")
     assert type(caught.value) is error

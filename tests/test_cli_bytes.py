@@ -19,6 +19,12 @@ INPUTS = {
         "investor,stock,amount\n"
         "inv1,stk1,30\ninv1,stk2,10\ninv2,stk1,5\ninv2,stk2,25\ninv3,stk1,15\ninv3,stk2,15\n"
     ),
+    # the golden book plus an investor whose only holding is in stk3
+    "golden_inv4.csv": (
+        "investor,stock,amount\n"
+        "inv1,stk1,30\ninv1,stk2,10\ninv2,stk1,5\ninv2,stk2,25\ninv3,stk1,15\ninv3,stk2,15\n"
+        "inv4,stk3,20\n"
+    ),
     "signed.csv": (
         "investor,stock,amount,sign\n"
         "h1,s1,0.4,+\nh1,s2,0.1,-\nh2,s1,0.1,-\nh2,s2,0.4,+\n"
@@ -42,6 +48,7 @@ CASES = [
     ),
     ("merge", ["merge", "@golden.csv", "--pair", "inv1,inv3"]),
     ("drop_stock", ["drop-stock", "@golden.csv", "--stock", "stk2"]),
+    ("drop_stock_investor", ["drop-stock", "@golden_inv4.csv", "--stock", "stk3"]),
     ("dilute", ["dilute", "@golden.csv", "--mass", "0.5"]),
     ("aggregate", ["aggregate", "@golden.csv", "--groups", "@groups.txt"]),
     ("renyi", ["renyi", "@golden.csv", "--alpha", "2"]),

@@ -5,7 +5,9 @@ import numpy.testing as nptest
 import pytest
 
 import holdscan as hs
-from holdscan.errors import InternalConsistencyError, OutOfRange, RemovingEverything
+from holdscan.errors import (
+    IndexOutOfRange, InternalConsistencyError, OutOfRange, RemovingEverything,
+)
 
 from conftest import random_active
 
@@ -94,6 +96,12 @@ def test_remove_stock_drops_empty_investors():
     delta = hs.remove_stock(matrix, 1)
     assert delta.dropped_investors == ("gone",)
     assert delta.matrix_after.investor_labels == ("solo", "both")
+
+
+@pytest.mark.parametrize("stock", [-1, 2])
+def test_remove_stock_index_out_of_range(golden, stock):
+    with pytest.raises(IndexOutOfRange, match=rf"^stock index {stock} outside 0\.\.1$"):
+        hs.remove_stock(golden, stock)
 
 
 def test_remove_everything_rejected():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as nptest
 import pytest
@@ -76,6 +78,26 @@ def test_signed_two_form_agreement_example():
     frob_form = float(np.sum(whitened * whitened))
     assert abs(sum_form - frob_form) <= 1e-10
     assert hs.signed_dependence(book) == pytest.approx(sum_form, abs=1e-12)
+
+
+def test_signed_small_net_exposure_matches_fsum_oracle():
+    # eta = -1/2001 puts X near 4e6, where the two forms differ by rounding
+    # about 1e-9 apart: more than an absolute 1e-10, far below its relative size
+    plus = np.array([[1000.0, 0.0], [0.0, 0.0]])
+    minus = np.array([[0.0, 1.0], [1.0, 999.0]])
+    book = hs.signed_from_raw(plus, minus)
+    net, gross = book.net.tolist(), (book.plus + book.minus).tolist()
+    eta = math.fsum(map(math.fsum, net))
+    net_p, net_s = [math.fsum(row) for row in net], [math.fsum(col) for col in zip(*net)]
+    gross_p, gross_s = [math.fsum(row) for row in gross], [math.fsum(col) for col in zip(*gross)]
+    oracle = math.fsum(
+        (net[i][j] - net_p[i] * net_s[j] / eta) ** 2 / (gross_p[i] * gross_s[j])
+        for i in range(2)
+        for j in range(2)
+    )
+    assert eta == pytest.approx(-1 / 2001, rel=1e-12)
+    assert oracle > 3e6
+    assert hs.signed_dependence(book) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_signed_gross_scale_invariance():
