@@ -1,4 +1,4 @@
-"""Byte-for-byte pins of every subcommand's report on the golden book.
+"""Byte-for-byte pins of every subcommand's report on the golden book and its variants.
 
 Each case runs one command line in both ``--format text`` and
 ``--format json`` and compares stdout with the file of the same name in
