@@ -410,9 +410,10 @@ def _read_json(path: Path) -> tuple[_Columns, bool]:
     has_sign = False
     for pos, item in enumerate(payload, start=1):
         if not isinstance(item, dict) or not {"investor", "stock", "amount"} <= set(item):
-            raise ParseError(
-                f"{path}: record {pos} must carry investor, stock, and amount"
-            )
+            raise ParseError(f"{path}: record {pos} must carry investor, stock, and amount")
+        if any(type(item[key]) not in (str, int, float) for key in ("investor", "stock")):
+            raise ParseError(f"{path}: record {pos}: investor and stock labels must be strings "
+                             "or numbers")
         sign = item.get("sign")
         has_sign = has_sign or sign is not None
         row = [str(item["investor"]), str(item["stock"]), str(item["amount"])]

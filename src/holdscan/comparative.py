@@ -16,21 +16,16 @@ from itertools import compress
 import numpy as np
 
 from .core import (
-    OwnershipMatrix, TOL_NORM, _dense_row, _scaled_tol, _summed_cells, _unique_label,
+    _EXACT_TOL, OwnershipMatrix, TOL_NORM, _agree, _dense_row, _summed_cells, _unique_label,
     held_cells, marginals, require_active, restrict_active,
 )
 from .dependence import dependence_index, merger_delta, _row_pair
 from .errors import (
     IndexOutOfRange,
-    InternalConsistencyError,
     OutOfRange,
     RemovingEverything,
 )
 from .indices import micro_concentration
-
-#: Agreement required between predicted and recomputed indices, relative
-#: to the larger of the two once that exceeds one (absolute below).
-_LAW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,12 +74,8 @@ class OperationDelta:
             )
             if predicted is None:
                 continue
-            tol = _scaled_tol(_LAW_TOL, predicted, actual, 0.0 if terms is None else terms)
-            if abs(predicted - actual) > tol:
-                raise InternalConsistencyError(
-                    f"closed-form prediction {predicted!r} disagrees with "
-                    f"recomputed value {actual!r}"
-                )
+            _agree(predicted, actual, f"closed-form prediction {predicted!r} disagrees with "
+                   f"recomputed value {actual!r}", _EXACT_TOL, 0.0 if terms is None else terms)
 
 
 def headline(matrix: OwnershipMatrix) -> HeadlineIndices:
@@ -259,9 +250,8 @@ def nonid_family(t: float) -> tuple[OwnershipMatrix, float, float]:
     matrix = OwnershipMatrix(entries)
     micro_formula = 0.25 + 4.0 * (t - 0.25) ** 2
     dependence_formula = 16.0 * (t - 0.25) ** 2
-    if abs(micro_concentration(matrix) - micro_formula) > 1e-12:
-        raise InternalConsistencyError("family concentration formula failed")
-    if abs(dependence_index(matrix).index - dependence_formula) > 1e-12:
-        raise InternalConsistencyError("family dependence formula failed")
+    _agree(micro_concentration(matrix), micro_formula, "family concentration formula failed", 1e-12)
+    _agree(dependence_index(matrix).index, dependence_formula,
+           "family dependence formula failed", 1e-12)
     return matrix, micro_formula, dependence_formula
 

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateLabel,
     InactiveSupport,
+    InternalConsistencyError,
     LabelNotFound,
     NegativeEntry,
     NonFiniteEntry,
@@ -43,14 +44,42 @@ def _freeze(arr: np.ndarray, dtype: "np.typing.DTypeLike" = float) -> np.ndarray
     return out
 
 
-def _scaled_tol(base: float, *terms: "np.typing.ArrayLike") -> float:
+#: The default base slack of an identity check (see ``_scaled_tol``), and what it compares.
+_EXACT_TOL = 1e-9
+_Value = float | np.ndarray
+
+
+def _largest(value: _Value) -> float:  # NaN if any entry is; numpy only for arrays
+    return value.max() if isinstance(value, np.ndarray) else value
+
+
+def _scaled_tol(base: float, *terms: _Value) -> float:
     """``base`` times the largest magnitude among the terms once that exceeds one.
 
     The slack of an identity exact in real arithmetic: absolute while the
     compared terms are below one, relative above, so that rounding in large
-    terms never trips a check.
+    terms never trips a check. A NaN term makes the slack NaN.
     """
-    return base * max(1.0, *(float(np.max(np.abs(t))) for t in terms))
+    scale = 1.0
+    for size in (_largest(abs(t)) for t in terms):
+        if size > scale or size != size:  # larger, or NaN
+            scale = size
+    return base * float(scale)
+
+
+def _agree(a: _Value, b: _Value, message: str, base: float = _EXACT_TOL, *terms: _Value) -> None:
+    """Raise InternalConsistencyError(message) unless |a - b| <= _scaled_tol(base, a, b, *terms).
+
+    Arrays agree entry by entry; ``not gap <= slack`` fails on a NaN anywhere.
+    """
+    if not _largest(abs(a - b)) <= _scaled_tol(base, a, b, *terms):
+        raise InternalConsistencyError(message)
+
+
+def _at_most(a: _Value, b: _Value, message: str, base: float = _EXACT_TOL, *terms: _Value) -> None:
+    """``_agree`` for the one-sided a <= b."""
+    if not _largest(a - b) <= _scaled_tol(base, a, b, *terms):
+        raise InternalConsistencyError(message)
 
 
 def _checked(values: "np.typing.ArrayLike", name: str) -> np.ndarray:

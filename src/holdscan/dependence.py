@@ -24,21 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    OwnershipMatrix, _dense_row, _freeze, _probability_vector, _scaled_tol, _summed_cells,
+    OwnershipMatrix, _agree, _dense_row, _freeze, _probability_vector, _scaled_tol, _summed_cells,
     _unique_label, held_cells, require_active,
 )
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    InternalConsistencyError,
     InvalidPartition,
     SameInvestor,
     SupportMismatch,
 )
 
-#: Cross-form agreement tolerance, relative to the largest form once that
-#: exceeds one (absolute below); disagreement beyond it is treated as
-#: catastrophic cancellation and re-examined under compensated summation.
+#: Base slack of the cross-form agreement; a disagreement beyond it is treated
+#: as catastrophic cancellation and re-examined under compensated summation.
 _FORM_TOL = 1e-10
 
 
@@ -169,14 +167,10 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
     )
     index = definitional
     tol = _scaled_tol(_FORM_TOL, definitional, *forms)
-    if any(abs(f - definitional) > tol for f in forms):
-        compensated = math.fsum([*terms.tolist(), unheld])
-        if any(abs(f - compensated) > tol for f in forms):
-            raise InternalConsistencyError(
-                "dependence forms disagree beyond tolerance even under "
-                "compensated summation"
-            )
-        index = compensated
+    if not all(abs(f - definitional) <= tol for f in forms):
+        index = math.fsum([*terms.tolist(), unheld])
+        _agree(np.array(forms), index, "dependence forms disagree beyond tolerance even "
+               "under compensated summation", _FORM_TOL, definitional)
     return DependenceReport(
         index=index,
         investor_contributions=investor_contrib,

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OwnershipMatrix, _freeze, _scaled_tol, require_active
+from .core import (
+    _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze, _scaled_tol, require_active,
+)
 from .dependence import dependence_index
 from .errors import (
     DimensionMismatch,
-    InternalConsistencyError,
     NonFiniteEntry,
     NonFiniteResult,
     NotCentered,
@@ -28,12 +29,7 @@ from .errors import (
 )
 from .spectral import SpectralResidual, whiten
 
-#: Slack on identities exact in real arithmetic, relative to the largest
-#: compared term once that exceeds one (absolute below).
-_EXACT_TOL = 1e-9
-
-#: Centering tolerance on the capitalization-weighted mean of returns,
-#: relative to the weighted mean absolute return once that exceeds one.
+#: Base slack of the capitalization-weighted mean of returns, scaled by their weighted mean size.
 _CENTER_TOL = 1e-10
 
 
@@ -118,13 +114,9 @@ def fire_sale(matrix: OwnershipMatrix, delta: "np.typing.ArrayLike") -> FireSale
         perp_term=perp_term, bound=bound,
     )
 
-    if abs(float(p @ perp)) > 1e-12 * max(1.0, abs(mean)):
-        raise InternalConsistencyError("idiosyncratic component is not mass-centered")
-    split_tol = _scaled_tol(_EXACT_TOL, severity, parallel_term, perp_term)
-    if abs(severity - (parallel_term + perp_term)) > split_tol:
-        raise InternalConsistencyError("severity split violates the exact identity")
-    if severity > bound + _scaled_tol(_EXACT_TOL, severity, bound):
-        raise InternalConsistencyError("severity exceeds its spectral bound")
+    _agree(float(p @ perp), 0.0, "idiosyncratic component is not mass-centered", 1e-12, mean)
+    _agree(severity, parallel_term + perp_term, "severity split violates the exact identity")
+    _at_most(severity, bound, "severity exceeds its spectral bound")
     return FireSaleResult(
         delta_parallel=parallel,
         delta_perp=perp,
@@ -158,7 +150,7 @@ def active_variance(
     if project:
         r = r - float(s @ r)
     centered = float(s @ r)
-    center_tol = _CENTER_TOL * max(1.0, float(s @ np.abs(r)))
+    center_tol = _scaled_tol(_CENTER_TOL, float(s @ np.abs(r)))
     if abs(centered) > center_tol:
         raise NotCentered(
             f"capitalization-weighted mean of returns is {centered!r}, "
@@ -176,13 +168,9 @@ def active_variance(
         bound = res.rho**2 * float(s @ (r * r))
     _require_finite("active variance", alpha=alpha_profile, variance=variance, worst_case_bound=bound)
 
-    alpha_tol = _scaled_tol(_EXACT_TOL, alpha_profile, alpha_operator, r)
-    if np.max(np.abs(alpha_profile - alpha_operator)) > alpha_tol:
-        raise InternalConsistencyError("active-return computations disagree")
-    if abs(variance - operator_variance) > _scaled_tol(_EXACT_TOL, variance, operator_variance):
-        raise InternalConsistencyError("variance disagrees with its operator form")
-    if variance > bound + _scaled_tol(_EXACT_TOL, variance, bound):
-        raise InternalConsistencyError("variance exceeds its spectral bound")
+    _agree(alpha_profile, alpha_operator, "active-return computations disagree", _EXACT_TOL, r)
+    _agree(variance, operator_variance, "variance disagrees with its operator form")
+    _at_most(variance, bound, "variance exceeds its spectral bound")
 
     capacity = None
     if dispersion is not None:
@@ -218,6 +206,5 @@ def _isotropic_capacity(matrix: OwnershipMatrix, sigma: float, res: SpectralResi
     # tr(L C L^T) for the covariance C = sigma^2 (I - v v^T), v = res.col_unit
     ell = res.residual
     trace = scale * (float(np.sum(ell * ell)) - float(np.sum((ell @ res.col_unit) ** 2)))
-    if abs(value - trace) > _scaled_tol(_EXACT_TOL, value, trace):
-        raise InternalConsistencyError("capacity disagrees with the trace formula")
+    _agree(value, trace, "capacity disagrees with the trace formula")
     return value

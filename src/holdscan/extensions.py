@@ -17,14 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    TOL_NORM, OwnershipMatrix, _checked, _freeze, _label_tuple, _scaled_tol, held_cells, marginals,
+    TOL_NORM, OwnershipMatrix, _agree, _checked, _freeze, _label_tuple, held_cells, marginals,
 )
 from .errors import (
     AllZeroMatrix,
     AlphaNearOne,
     DimensionMismatch,
     InactiveGrossSupport,
-    InternalConsistencyError,
     MarketNeutral,
     NegativeEntry,
     NotNormalized,
@@ -115,8 +114,7 @@ class SignedOwnership:
     def net_exposure(self) -> float:
         eta_p = float(self.net_investor_marginals.sum())
         eta_s = float(self.net_stock_marginals.sum())
-        if abs(eta_p - eta_s) > 1e-12:
-            raise InternalConsistencyError("net exposure differs across sides")
+        _agree(eta_p, eta_s, "net exposure differs across sides", 1e-12)
         return eta_p
 
 
@@ -194,6 +192,5 @@ def signed_dependence(book: SignedOwnership) -> float:
     sum_form = float(np.sum(dev * dev / np.outer(gross_p, gross_s)))
     whitened = dev / np.sqrt(np.outer(gross_p, gross_s))
     frob_form = float(np.sum(whitened * whitened))
-    if abs(sum_form - frob_form) > _scaled_tol(1e-10, sum_form, frob_form):
-        raise InternalConsistencyError("signed dependence forms disagree")
+    _agree(sum_form, frob_form, "signed dependence forms disagree", 1e-10)
     return sum_form

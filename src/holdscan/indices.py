@@ -16,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    OwnershipMatrix, _freeze, _probability_vector, _scaled_tol, held_cells, marginals,
+    OwnershipMatrix, _agree, _at_most, _freeze, _probability_vector, held_cells, marginals,
     require_active,
 )
 from .errors import InternalConsistencyError
 
-#: Slack on identities that hold exactly in real arithmetic, relative to the
-#: compared terms once they exceed one (absolute below).
+#: Base slack of the identities of M, stricter than ``core._EXACT_TOL``.
 _IDENTITY_TOL = 1e-12
 
 
@@ -111,10 +110,8 @@ def concentration_summary(matrix: OwnershipMatrix) -> ConcentrationSummary:
     micro = micro_concentration(matrix)
     lo = max(h_inv / matrix.m, h_stk / matrix.n)
     hi = min(h_inv, h_stk)
-    if micro < lo - 1e-9 or micro > hi + 1e-9:
-        raise InternalConsistencyError(
-            f"micro concentration {micro!r} escapes its bounds [{lo!r}, {hi!r}]"
-        )
+    _at_most(np.array([lo, micro]), np.array([micro, hi]),
+             f"micro concentration {micro!r} escapes its bounds [{lo!r}, {hi!r}]")
     return ConcentrationSummary(
         investor_herfindahl=h_inv,
         stock_herfindahl=h_stk,
@@ -142,10 +139,8 @@ def micro_decomposition(matrix: OwnershipMatrix) -> MicroDecomposition:
     investor_terms = marg.p**2 * c
     stock_terms = marg.s**2 * d
     micro = micro_concentration(matrix)
-    by_investor, by_stock = float(investor_terms.sum()), float(stock_terms.sum())
-    tol = _scaled_tol(_IDENTITY_TOL, micro, by_investor, by_stock)
-    if abs(by_investor - micro) > tol or abs(by_stock - micro) > tol:
-        raise InternalConsistencyError("micro decomposition sums disagree with direct value")
+    sums = np.array([investor_terms.sum(), stock_terms.sum()])
+    _agree(sums, micro, "micro decomposition sums disagree with direct value", _IDENTITY_TOL)
     return MicroDecomposition(
         investor_terms=investor_terms,
         stock_terms=stock_terms,
@@ -170,7 +165,6 @@ def support_bounds(matrix: OwnershipMatrix) -> tuple[float, float, float]:
     lower_col = float(np.sum(marg.s**2 / dec.col_support))
     upper = min(float(marg.p @ marg.p), float(marg.s @ marg.s))
     micro = micro_concentration(matrix)
-    tol = _scaled_tol(_IDENTITY_TOL, micro, lower_row, lower_col, upper)
-    if micro < max(lower_row, lower_col) - tol or micro > upper + tol:
-        raise InternalConsistencyError("support bounds fail to sandwich the observed value")
+    _at_most(np.array([lower_row, lower_col, micro]), np.array([micro, micro, upper]),
+             "support bounds fail to sandwich the observed value", _IDENTITY_TOL)
     return lower_row, lower_col, upper

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OwnershipMatrix, _freeze, _scaled_tol, require_active
-from .errors import InternalConsistencyError
-
-#: Slack on identities that are exact in real arithmetic; the residual's
-#: norm against the spectrum tail is relative once the tail exceeds one.
-_SPECTRAL_TOL = 1e-9
+from .core import _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze, require_active
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,22 +57,14 @@ def whiten(matrix: OwnershipMatrix) -> SpectralResidual:
     ell = k - np.outer(u, v)
     sigma = np.linalg.svd(k, compute_uv=False)
 
-    if abs(float(u @ u) - 1.0) > 2e-12 or abs(float(v @ v) - 1.0) > 2e-12:
-        raise InternalConsistencyError("square-root marginals are not unit vectors")
-    if abs(sigma[0] - 1.0) > _SPECTRAL_TOL:
-        raise InternalConsistencyError(
-            f"top singular value {sigma[0]!r} is not 1 within {_SPECTRAL_TOL:g}"
-        )
-    if sigma[-1] < -_SPECTRAL_TOL or sigma[0] > 1.0 + _SPECTRAL_TOL:
-        raise InternalConsistencyError("singular values escape [0, 1]")
-    if np.max(np.abs(k @ v - u)) > _SPECTRAL_TOL or np.max(np.abs(k.T @ u - v)) > _SPECTRAL_TOL:
-        raise InternalConsistencyError("square-root marginals are not a singular pair")
-    if np.max(np.abs(ell @ v)) > _SPECTRAL_TOL or np.max(np.abs(ell.T @ u)) > _SPECTRAL_TOL:
-        raise InternalConsistencyError("residual does not annihilate the market mode")
+    _agree(np.array([u @ u, v @ v]), 1.0, "square-root marginals are not unit vectors", 2e-12)
+    _agree(sigma[0], 1.0, f"top singular value {sigma[0]!r} is not 1 within {_EXACT_TOL:g}")
+    _at_most(-sigma[-1], 0.0, "singular values escape [0, 1]")
+    for image, unit in ((k @ v, u), (k.T @ u, v)):
+        _agree(image, unit, "square-root marginals are not a singular pair")
+    _agree(np.concatenate([ell @ v, u @ ell]), 0.0, "residual does not annihilate the market mode")
     tail = float(np.sum(np.square(sigma[1:])))
-    frobenius = float(np.sum(ell * ell))
-    if abs(frobenius - tail) > _scaled_tol(_SPECTRAL_TOL, frobenius, tail):
-        raise InternalConsistencyError("residual norm disagrees with spectrum tail")
+    _agree(float(np.sum(ell * ell)), tail, "residual norm disagrees with spectrum tail")
 
     rho_val = float(sigma[1]) if len(sigma) > 1 else 0.0
     return SpectralResidual(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OwnershipMatrix, Marginals, _freeze, require_active
+from .core import OwnershipMatrix, Marginals, _agree, _at_most, _freeze, require_active
 from .errors import (
     ConvergenceFailure,
     DegenerateRange,
@@ -86,13 +86,11 @@ class TransportSolution:
             raise InternalConsistencyError(f"unknown solution kind {self.kind!r}")
         if not _matches_marginals(mat, self.marginals, TOL_FEAS):
             raise InternalConsistencyError("solution violates its own marginals")
-        if abs(float(np.sum(mat * mat)) - self.objective) > 1e-12:
-            raise InternalConsistencyError("objective disagrees with its matrix")
+        _agree(np.sum(mat * mat), self.objective, "objective disagrees with its matrix", 1e-12)
         if self.multipliers is not None:
             lam, mu = (np.asarray(v, dtype=float) for v in self.multipliers)
             rebuilt = np.maximum(0.0, (lam[:, None] + mu[None, :]) / 2.0)
-            if np.max(np.abs(rebuilt - mat)) > TOL_KKT:
-                raise InternalConsistencyError("multipliers do not reproduce the matrix")
+            _agree(rebuilt, mat, "multipliers do not reproduce the matrix", TOL_KKT)
             object.__setattr__(self, "multipliers", (_freeze(lam), _freeze(mu)))
         if self.kind == "maximum" and self.certified and not _support_is_forest(mat):
             raise InternalConsistencyError("certified maximizer support is not a forest")
@@ -228,8 +226,7 @@ def sparsity_score(
     lo = min_micro(marg)
     hi = max_micro(marg, budget, seed=seed)
     m_min, m_max = lo.objective, hi.objective
-    if observed < m_min - TOL_FEAS:
-        raise InternalConsistencyError("observed value undercuts the certified minimum")
+    _at_most(m_min, observed, "observed value undercuts the certified minimum", TOL_FEAS)
     if observed > m_max + TOL_FEAS:
         if hi.certified:
             raise InternalConsistencyError("observed value exceeds the certified maximum")

@@ -89,12 +89,17 @@ def test_ingest_json_records(tmp_path):
             [
                 {"investor": "a", "stock": "x", "amount": 3},
                 {"investor": "b", "stock": "x", "amount": 1},
+                {"investor": 123, "stock": 4.5, "amount": 4},
             ]
         ),
         encoding="utf-8",
     )
     matrix = cli.ingest(path, fmt="json")
-    nptest.assert_allclose(matrix.entries, [[0.75], [0.25]], atol=1e-15)
+    # number labels read as their text; null, bool, array and object labels
+    # are parse errors (PARSE_ERROR_CASES)
+    assert matrix.investor_labels == ("123", "a", "b")
+    assert matrix.stock_labels == ("4.5", "x")
+    nptest.assert_allclose(matrix.entries, [[0.5, 0.0], [0.0, 0.375], [0.0, 0.125]], atol=1e-15)
 
 
 def test_ingest_scale_invariance(tmp_path, golden_csv):
@@ -311,6 +316,23 @@ def test_overflowing_results_exit_3(tmp_path, golden_csv, capsys):
             assert captured.out == ""
             assert captured.err.startswith("error: ")
             assert "Traceback" not in captured.err
+
+
+def test_nan_dependence_exits_3_in_both_formats(tmp_path, capsys):
+    # p2 * s2 underflows to 0, so every form of X is nan; at one time text
+    # printed "X nan" with exit 0 and JSON failed only when rendering
+    book = tmp_path / "underflow.csv"
+    book.write_text("investor,stock,amount\ni1,s1,1e170\ni2,s2,1\n", encoding="utf-8")
+    for argv in (["dashboard", str(book), "--no-psi"], ["decompose", str(book)]):
+        for fmt in ("text", "json"):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert cli.main([*argv, "--format", fmt]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: dependence forms disagree beyond tolerance even under "
+                "compensated summation\n"
+            )
 
 
 def test_render_rounds_every_float_and_puts_schema_version_first():
@@ -574,6 +596,14 @@ PARSE_ERROR_CASES = [
      ParseError, "{path}: record 2 must carry investor, stock, and amount"),
     ("json-bad-amount", "json", '[{"investor": "a", "stock": "x", "amount": "x1"}]',
      ParseError, "{path}: record 1: amount 'x1' is not a number"),
+    ("json-null-label", "json", '[{"investor": null, "stock": "x", "amount": 1}]', ParseError,
+     "{path}: record 1: investor and stock labels must be strings or numbers"),
+    ("json-bool-label", "json", '[{"investor": "a", "stock": true, "amount": 1}]', ParseError,
+     "{path}: record 1: investor and stock labels must be strings or numbers"),
+    ("json-array-label", "json", '[{"investor": ["a"], "stock": "x", "amount": 1}]', ParseError,
+     "{path}: record 1: investor and stock labels must be strings or numbers"),
+    ("json-object-label", "json", '[{"investor": "a", "stock": {"s": 1}, "amount": 1}]', ParseError,
+     "{path}: record 1: investor and stock labels must be strings or numbers"),
     ("json-bad-sign", "json",
      '[{"investor": "a", "stock": "x", "amount": 1, "sign": "long"}]',
      ParseError, "{path}: record 1: sign must be + or -, got 'long'"),

@@ -137,7 +137,7 @@ def test_remove_stock_holding_nearly_all_the_mass(book, rest):
 
 
 def test_remove_stock_law_checks_stay_tight_on_ordinary_books():
-    # dropping a small stock leaves the slack of every law near _LAW_TOL
+    # dropping a small stock leaves the slack of every law near core._EXACT_TOL
     delta = hs.remove_stock(hs.OwnershipMatrix(np.array([[0.5, 0.3, 0.01], [0.1, 0.09, 0.0]])), 2)
     for law in ("investor_herfindahl", "micro"):
         predicted = getattr(delta.predicted_after, law)

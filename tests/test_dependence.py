@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import holdscan as hs
 from holdscan.errors import (
     IndexOutOfRange,
+    InternalConsistencyError,
     InvalidPartition,
     SameInvestor,
     SupportMismatch,
@@ -56,6 +57,15 @@ def test_dependence_zero_on_product():
     s = np.array([0.3, 0.3, 0.4])
     report = hs.dependence_index(hs.OwnershipMatrix(np.outer(p, s)))
     assert report.index == pytest.approx(0.0, abs=1e-12)
+
+
+def test_nan_forms_raise_instead_of_passing():
+    # p2 * s2 = 1e-170 * 1e-170 underflows to 0, so every form of X is nan,
+    # and abs(nan - nan) > tol is False; the agreement check must fail on it
+    matrix = hs.normalize([[1e170, 0.0], [0.0, 1.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(InternalConsistencyError, match="^dependence forms disagree"):
+            hs.dependence_index(matrix)
 
 
 def test_dependence_antidiagonal_half():
@@ -268,10 +278,43 @@ def large_dependence_book(kind):
 def test_identity_checks_scale_with_large_dependence(kind):
     # at X ~ 1e3 an absolute slack of 1e-10 would ask the dependence forms,
     # the spectrum tail and the comparative laws for 1e-13 relative accuracy
-    from holdscan.core import _scaled_tol
+    from holdscan.core import _agree, _at_most, _scaled_tol
 
     assert _scaled_tol(1e-10, 0.5) == 1e-10
     assert _scaled_tol(1e-10, np.array([-1000.0, 2.0])) == pytest.approx(1e-7)
+    assert _scaled_tol(1e-10, np.float64(-4.0), 2.0) == pytest.approx(4e-10)
+    nan = float("nan")
+    assert np.isnan(_scaled_tol(1e-10, 2.0, nan, 3.0))
+    assert np.isnan(_scaled_tol(1e-10, np.array([1.0, nan])))
+
+    def fails(check, *args):
+        with pytest.raises(InternalConsistencyError, match="^off$"):
+            check(*args)
+
+    # absolute below one, relative above: the slack is 1e-9 * max(1, |a|, |b|, |terms|)
+    _agree(0.25, 0.25 + 0.9e-9, "off")
+    fails(_agree, 0.25, 0.25 + 1.1e-9, "off")
+    _agree(1000.0, 1000.0 + 0.9e-6, "off")
+    fails(_agree, 1000.0, 1000.0 + 1.1e-6, "off")
+    _agree(0.25, 0.25 + 0.9e-6, "off", 1e-9, -1000.0)
+    fails(_agree, 0.25, 0.25 + 0.9e-6, "off", 1e-12, -1000.0)
+    # arrays: one entry off is enough, and every entry gets the largest term's slack
+    _agree(np.array([0.0, 5e-10, -5e-10]), 0.0, "off")
+    fails(_agree, np.array([0.0, 2e-9, 0.0]), 0.0, "off")
+    _agree(np.array([1000.0, 1.0]), np.array([1000.0, 1.0 + 9e-7]), "off")
+    fails(_agree, np.array([1000.0, 1.0]), np.array([1000.0, 1.0 + 2e-6]), "off")
+    # a NaN in a, b or a term fails, also where a - b would pass
+    for a, b, *terms in ((nan, nan), (nan, 1.0), (1.0, nan), (1.0, 1.0, nan),
+                         (np.array([1.0, nan]), 1.0), (1.0, 1.0, np.array([nan]))):
+        fails(_agree, a, b, "off", 1e-9, *terms)
+        fails(_at_most, a, b, "off", 1e-9, *terms)
+    # _at_most is one-sided: any amount below passes, only an excess fails
+    _at_most(-1e6, 1.0, "off")
+    fails(_agree, -1e6, 1.0, "off")
+    _at_most(1.0 + 0.9e-9, 1.0, "off")
+    fails(_at_most, 1.0 + 1.1e-9, 1.0, "off")
+    _at_most(np.array([0.0, 0.5]), np.array([1.0, 0.5 + 1e-15]), "off")
+    fails(_at_most, np.array([0.0, 0.5 + 2e-9]), np.array([1.0, 0.5]), "off")
     matrix = large_dependence_book(kind)
     assert hs.dependence_index(matrix).index == pytest.approx(1000.0, rel=1e-12)
     hs.micro_decomposition(matrix)
