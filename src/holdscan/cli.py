@@ -68,12 +68,9 @@ class Dashboard:
 # -- ingestion ---------------------------------------------------------------
 
 
-#: Holdings as columns in file order: investor and stock labels (stripped),
-#: amounts, and legs (1 for a short row, else 0).
-_Columns = tuple[list[str], list[str], np.ndarray, np.ndarray]
-
-#: The same coded: the sorted investor labels and each row's index into
-#: them, the same for stocks, then amounts and legs.
+#: Holdings as coded columns in file order: the sorted investor labels
+#: (stripped) and each row's index into them, the same for stocks, then
+#: amounts and legs (1 for a short row, else 0).
 _Coded = tuple[list[str], np.ndarray, list[str], np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -137,14 +134,10 @@ def _read_coded(path: Path, fmt: str) -> tuple[_Coded, bool]:
     A plain CSV is scanned in numpy; ``csv.reader`` or ``json`` reads any
     other file, to the same columns, and words every error.
     """
-    scanned = _scan_csv(path) if fmt == "csv" else None
-    if scanned is not None:
-        return scanned
-    columns, has_sign = _read_csv(path) if fmt == "csv" else _read_json(path)
-    return (*_coded(columns[0]), *_coded(columns[1]), *columns[2:]), has_sign
+    return (_scan_csv(path) or _read_csv(path)) if fmt == "csv" else _read_json(path)
 
 
-def _coded(column: list[str]) -> tuple[list[str], np.ndarray]:
+def _coded(column: Sequence[str]) -> tuple[list[str], np.ndarray]:
     """The sorted distinct labels of ``column`` and each entry's index into them."""
     labels = sorted(set(column))
     index = {label: k for k, label in enumerate(labels)}
@@ -374,7 +367,7 @@ def _csv_records(path: Path, **options) -> Iterator[tuple[int, list[str]]]:
         raise ParseError(f"{path}:{line}: {exc}") from exc
 
 
-def _read_csv(path: Path) -> tuple[_Columns, bool]:
+def _read_csv(path: Path) -> tuple[_Coded, bool]:
     records = _csv_records(path)
     _, header = next(records, (None, None))
     if header is None:
@@ -397,7 +390,7 @@ def _read_csv(path: Path) -> tuple[_Columns, bool]:
     return _columns(rows), has_sign
 
 
-def _read_json(path: Path) -> tuple[_Columns, bool]:
+def _read_json(path: Path) -> tuple[_Coded, bool]:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
@@ -423,10 +416,10 @@ def _read_json(path: Path) -> tuple[_Columns, bool]:
     return _columns(rows), has_sign
 
 
-def _columns(rows: list[tuple[str, str, float, int]]) -> _Columns:
-    """Rows from ``_parse_row`` as columns."""
+def _columns(rows: list[tuple[str, str, float, int]]) -> _Coded:
+    """Rows from ``_parse_row`` as coded columns."""
     investors, stocks, amounts, legs = zip(*rows) if rows else ((),) * 4
-    return list(investors), list(stocks), np.array(amounts, float), np.array(legs, np.intp)
+    return (*_coded(investors), *_coded(stocks), np.array(amounts, float), np.array(legs, np.intp))
 
 
 def _parse_row(row: list[str], has_sign: bool, where: str) -> tuple[str, str, float, int]:

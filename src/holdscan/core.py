@@ -33,15 +33,17 @@ from .errors import (
 #: Absolute tolerance on every total-mass check.
 TOL_NORM = 1e-9
 
-#: Support threshold on normalized entries: a cell is held iff entry > EPS_SUPPORT.
-#: Normalization preserves exact zeros, so no positive threshold is used.
-EPS_SUPPORT = 0.0
-
 
 def _freeze(arr: np.ndarray, dtype: "np.typing.DTypeLike" = float) -> np.ndarray:
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _freeze_fields(obj: object, *names: str) -> None:
+    """Replace each named array field of a frozen dataclass by a read-only float copy."""
+    for name in names:
+        object.__setattr__(obj, name, _freeze(getattr(obj, name)))
 
 
 #: The default base slack of an identity check (see ``_scaled_tol``), and what it compares.
@@ -150,15 +152,7 @@ class OwnershipMatrix:
         investor_labels: Sequence[str] | None = None,
         stock_labels: Sequence[str] | None = None,
     ) -> None:
-        arr = np.asarray(entries, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise DimensionMismatch(
-                f"entries must be a nonempty 2-d array, got shape {arr.shape}"
-            )
-        flat = np.flatnonzero(arr)
-        rows, cols = np.divmod(flat, arr.shape[1])
-        self._store(arr.shape, rows, cols, arr.ravel()[flat], investor_labels, stock_labels)
-        object.__setattr__(self, "_entries", _freeze(arr))
+        self._store(*_nonzero_cells(entries, "entries"), investor_labels, stock_labels)
 
     @classmethod
     def _from_cells(
@@ -180,7 +174,7 @@ class OwnershipMatrix:
             raise NotNormalized(
                 f"entries sum to {total!r}, expected 1 within {TOL_NORM:g}"
             )
-        held = values > EPS_SUPPORT
+        held = values > 0
         if not held.all():
             rows, cols, values = rows[held], cols[held], values[held]
         for name, value in (
@@ -281,14 +275,22 @@ def normalize(
     matrix shape. Beyond one scan for the nonzero cells, only those are
     visited.
     """
-    arr = np.asarray(raw, dtype=float)
+    return _normalized(*_nonzero_cells(raw, "raw holdings"), investor_labels, stock_labels)
+
+
+def _nonzero_cells(
+    values: "np.typing.ArrayLike", name: str
+) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:
+    """The shape of a nonempty 2-d array and the rows, columns and values of its nonzero cells.
+
+    The cells are in row-major order; ``name`` words the error.
+    """
+    arr = np.asarray(values, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
-        raise DimensionMismatch(
-            f"raw holdings must be a nonempty 2-d array, got shape {arr.shape}"
-        )
+        raise DimensionMismatch(f"{name} must be a nonempty 2-d array, got shape {arr.shape}")
     flat = np.flatnonzero(arr)
     rows, cols = np.divmod(flat, arr.shape[1])
-    return _normalized(arr.shape, rows, cols, arr.ravel()[flat], investor_labels, stock_labels)
+    return arr.shape, rows, cols, arr.ravel()[flat]
 
 
 def _normalized(shape, rows, cols, raw, investor_labels, stock_labels) -> OwnershipMatrix:
@@ -362,9 +364,9 @@ def require_active(matrix: OwnershipMatrix) -> Marginals:
 def held_cells(matrix: OwnershipMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row indices, column indices and values of the held cells, in row-major order.
 
-    A cell is held iff its entry exceeds ``EPS_SUPPORT``, which is zero, so
-    the held cells are the nonzero ones. They are the matrix's own
-    read-only store; nothing is computed.
+    A cell is held iff its entry is positive, so the held cells are the
+    nonzero ones. They are the matrix's own read-only store; nothing is
+    computed.
     """
     return matrix._cells
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    OwnershipMatrix, _agree, _dense_row, _freeze, _probability_vector, _scaled_tol, _summed_cells,
-    _unique_label, held_cells, require_active,
+    _EXACT_TOL, OwnershipMatrix, _agree, _dense_row, _freeze_fields, _probability_vector,
+    _scaled_tol, _summed_cells, _unique_label, held_cells, require_active,
 )
 from .errors import (
     DimensionMismatch,
@@ -55,12 +55,7 @@ class DependenceReport:
     stock_contributions: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "investor_contributions", _freeze(self.investor_contributions)
-        )
-        object.__setattr__(
-            self, "stock_contributions", _freeze(self.stock_contributions)
-        )
+        _freeze_fields(self, "investor_contributions", "stock_contributions")
 
 
 @dataclass(frozen=True)
@@ -142,13 +137,13 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
     p_h, s_h = p[rows], s[cols]
     bench = p_h * s_h
     dev = e - bench
-    terms = dev * dev / bench
     # benchmark mass of the empty cells; exactly zero when there are none
     unheld = float(p.sum() * s.sum() - bench.sum()) if e.size < n * m else 0.0
-
-    definitional = float(terms.sum()) + unheld
-    closed = float(np.sum(e * e / bench) - 1.0)
-    likelihood = float(np.sum(bench * (e / bench - 1.0) ** 2)) + unheld
+    with np.errstate(divide="ignore", invalid="ignore"):  # a p_i * s_j that underflows fails below
+        terms = dev * dev / bench
+        definitional = float(terms.sum()) + unheld
+        closed = float(np.sum(e * e / bench) - 1.0)
+        likelihood = float(np.sum(bench * (e / bench - 1.0) ** 2)) + unheld
 
     investor_contrib = p * (
         np.bincount(rows, (e / p_h - s_h) ** 2 / s_h, minlength=n)
@@ -196,10 +191,10 @@ def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit
 
     ``between`` is the dependence index of the merged (group-summed)
     matrix; ``within`` is the mass-weighted heterogeneity of member
-    portfolios around their group mean. The two always add up to the
-    dependence of the original matrix. Both are summed over the held
-    cells, the empty ones entering in closed form: O(nnz + n + m) time and
-    memory.
+    portfolios around their group mean. The two add up to the dependence
+    of the original matrix, which is checked before returning. Both are
+    summed over the held cells, the empty ones entering in closed form:
+    O(nnz + n + m) time and memory.
     """
     marg = require_active(matrix)
     p, s = marg.p, marg.s
@@ -234,6 +229,8 @@ def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit
         0.0,
     )
     within = float(p @ (np.bincount(rows, spread * spread / s[cols], minlength=n) + unheld))
+    _agree(between + within, dependence_index(matrix).index,
+           "between + within disagrees with the dependence index", _EXACT_TOL, between, within)
 
     merged_labels: list[str] = []
     taken: set[str] = set()

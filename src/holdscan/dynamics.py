@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze, _scaled_tol, require_active,
+    _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze_fields, _scaled_tol, require_active,
 )
 from .dependence import dependence_index
 from .errors import (
@@ -69,8 +69,7 @@ class FireSaleResult:
     bound: float
 
     def __post_init__(self) -> None:
-        for name in ("delta_parallel", "delta_perp", "pressure", "impact"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        _freeze_fields(self, "delta_parallel", "delta_perp", "pressure", "impact")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +82,7 @@ class ActiveVarianceResult:
     isotropic_capacity: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _freeze(self.alpha))
+        _freeze_fields(self, "alpha")
 
 
 def fire_sale(matrix: OwnershipMatrix, delta: "np.typing.ArrayLike") -> FireSaleResult:

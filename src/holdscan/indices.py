@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    OwnershipMatrix, _agree, _at_most, _freeze, _probability_vector, held_cells, marginals,
+    OwnershipMatrix, _agree, _at_most, _freeze_fields, _probability_vector, held_cells, marginals,
     require_active,
 )
 from .errors import InternalConsistencyError
@@ -68,15 +68,10 @@ class MicroDecomposition:
     col_support: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in (
-            "investor_terms",
-            "stock_terms",
-            "portfolio_concentration",
-            "owner_concentration",
-            "row_support",
-            "col_support",
-        ):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        _freeze_fields(
+            self, "investor_terms", "stock_terms", "portfolio_concentration",
+            "owner_concentration", "row_support", "col_support",
+        )
 
 
 def herfindahl(weights: "np.typing.ArrayLike") -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze, require_active
+from .core import _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze_fields, require_active
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,8 +38,7 @@ class SpectralResidual:
     rho: float
 
     def __post_init__(self) -> None:
-        for name in ("whitened", "residual", "row_unit", "col_unit"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        _freeze_fields(self, "whitened", "residual", "row_unit", "col_unit")
 
 
 def whiten(matrix: OwnershipMatrix) -> SpectralResidual:

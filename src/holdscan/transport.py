@@ -531,11 +531,7 @@ def _local_search_max(
         mat = _northwest_vertex(p, s, row_order, col_order)
         mat, obj = _hill_climb(mat)
         support = tuple(zip(*np.nonzero(mat > 0)))
-        if obj > best_obj + 1e-15 or (
-            abs(obj - best_obj) <= 1e-15
-            and best_support is not None
-            and support < best_support
-        ):
+        if obj > best_obj + 1e-15 or (abs(obj - best_obj) <= 1e-15 and support < best_support):
             best_obj, best_support, best_mat = obj, support, mat
         if best_obj >= cap - 1e-12:
             break

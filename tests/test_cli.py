@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -993,10 +994,23 @@ def test_dashboard_computes_dependence_once(golden_csv, capsys, monkeypatch):
         assert capsys.readouterr().out == expect
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", [["dashboard", "--no-psi"], ["decompose"]])
+def test_underflowing_benchmark_fails_without_warnings(tmp_path, capsys, command, fmt):
+    # the benchmark mass p * s of the second cell underflows to zero
+    path = tmp_path / "tiny.csv"
+    path.write_text("investor,stock,amount\ni1,s1,1e170\ni2,s2,1\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command[0], str(path), *command[1:], "--format", fmt]) == 3
+    assert capsys.readouterr().err == (
+        "error: dependence forms disagree beyond tolerance even under compensated summation\n"
+    )
+
+
 def reference_coded(path):
     """The coded columns of a holdings CSV as read by ``csv.reader``."""
-    (investors, stocks, amounts, legs), has_sign = cli._read_csv(path)
-    return (*cli._coded(investors), *cli._coded(stocks), amounts, legs), has_sign
+    return cli._read_csv(path)
 
 
 def assert_same_coded(got, expected):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holdscan as hs
+from holdscan import dependence
 from holdscan.errors import (
     IndexOutOfRange,
     InternalConsistencyError,
@@ -116,6 +117,23 @@ def test_aggregate_whole_partition(golden):
     assert split.between == pytest.approx(0.0, abs=1e-12)
     assert split.within == pytest.approx(x, abs=1e-12)
     nptest.assert_allclose(split.merged.entries, [[0.5, 0.5]], atol=1e-15)
+
+
+def test_aggregate_checks_the_aggregation_law(golden, monkeypatch):
+    # a quarter of the second merged cell's mass moved to the first: the
+    # merged book still sums to one, but between + within no longer equals X
+    summed_cells = dependence._summed_cells
+
+    def skewed(keys, values, m):
+        rows, cols, sums, where = summed_cells(keys, values, m)
+        delta = min(sums[:2]) / 4
+        sums[0] += delta
+        sums[1] -= delta
+        return rows, cols, sums, where
+
+    monkeypatch.setattr(dependence, "_summed_cells", skewed)
+    with pytest.raises(InternalConsistencyError, match="between \\+ within"):
+        hs.aggregate(golden, hs.Partition(((0, 1), (2,))))
 
 
 def test_aggregate_label_collision_disambiguated():
