@@ -139,20 +139,20 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
     dev = e - bench
     # benchmark mass of the empty cells; exactly zero when there are none
     unheld = float(p.sum() * s.sum() - bench.sum()) if e.size < n * m else 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # a p_i * s_j that underflows fails below
+    # a p_i * s_j that underflows, or a ratio that overflows, fails the checks below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = dev * dev / bench
         definitional = float(terms.sum()) + unheld
         closed = float(np.sum(e * e / bench) - 1.0)
         likelihood = float(np.sum(bench * (e / bench - 1.0) ** 2)) + unheld
-
-    investor_contrib = p * (
-        np.bincount(rows, (e / p_h - s_h) ** 2 / s_h, minlength=n)
-        + _empty_mass(rows, s_h, s, n)
-    )
-    stock_contrib = s * (
-        np.bincount(cols, (e / s_h - p_h) ** 2 / p_h, minlength=m)
-        + _empty_mass(cols, p_h, p, m)
-    )
+        investor_contrib = p * (
+            np.bincount(rows, (e / p_h - s_h) ** 2 / s_h, minlength=n)
+            + _empty_mass(rows, s_h, s, n)
+        )
+        stock_contrib = s * (
+            np.bincount(cols, (e / s_h - p_h) ** 2 / p_h, minlength=m)
+            + _empty_mass(cols, p_h, p, m)
+        )
 
     forms = (
         closed,

@@ -996,10 +996,14 @@ def test_dashboard_computes_dependence_once(golden_csv, capsys, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", [["dashboard", "--no-psi"], ["decompose"]])
-def test_underflowing_benchmark_fails_without_warnings(tmp_path, capsys, command, fmt):
-    # the benchmark mass p * s of the second cell underflows to zero
-    path = tmp_path / "tiny.csv"
-    path.write_text("investor,stock,amount\ni1,s1,1e170\ni2,s2,1\n", encoding="utf-8")
+@pytest.mark.parametrize("amounts", [
+    ("1e170", "1"),  # the benchmark mass p * s of the second cell underflows to zero
+    ("1e300", "1e-20"),  # and its profile ratios overflow as well
+])
+def test_extreme_book_fails_without_warnings(tmp_path, capsys, amounts, command, fmt):
+    path = tmp_path / "extreme.csv"
+    text = "investor,stock,amount\ni1,s1,{}\ni2,s2,{}\n".format(*amounts)
+    path.write_text(text, encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main([command[0], str(path), *command[1:], "--format", fmt]) == 3

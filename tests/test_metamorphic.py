@@ -40,8 +40,10 @@ def book(tmp_path_factory):
     # heavy-tailed sizes on both sides, and a heavy-tailed amount per lot
     inv_size = (rng.permutation(n) + 1.0) ** -1.0
     cap = (rng.permutation(m) + 1.0) ** -0.8
-    lot_cell = np.repeat(np.arange(cell_rows.size), 1 + rng.poisson(LOTS_PER_CELL - 1, cell_rows.size))
-    amounts = (inv_size[cell_rows] * cap[cell_cols])[lot_cell] * rng.lognormal(0.0, 1.0, lot_cell.size)
+    lots = 1 + rng.poisson(LOTS_PER_CELL - 1, cell_rows.size)
+    lot_cell = np.repeat(np.arange(cell_rows.size), lots)
+    cell_size = inv_size[cell_rows] * cap[cell_cols]
+    amounts = cell_size[lot_cell] * rng.lognormal(0.0, 1.0, lot_cell.size)
     order = rng.permutation(lot_cell.size)
     path = tmp_path_factory.mktemp("metamorphic") / "book.csv"
     write_lots(path, cell_rows[lot_cell], cell_cols[lot_cell], amounts, order)
