@@ -9,6 +9,7 @@ The reports go through ``decompose``, which never whitens.
 
 import contextlib
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as nptest
@@ -26,10 +27,10 @@ LOTS_PER_CELL = 2.78
 def book(tmp_path_factory):
     """The lots of the book, the file holding them in shuffled lot order, and its report.
 
-    Returns ``(path, report, lot_cell, cell_rows, cell_cols, amounts, order)``:
-    ``report`` is the file's ``decompose`` JSON, lot k belongs to cell
-    ``lot_cell[k]`` and the file lists the lots in ``order``. Every label
-    holds a cell, so the ingested shape is SHAPE.
+    Lot k holds ``amounts[k]`` in cell ``cell[k]`` at ``(rows[k], cols[k])``;
+    the file at ``path`` lists the lots in ``order``, and ``report`` is its
+    ``decompose`` JSON. Every label holds a cell, so the ingested shape is
+    SHAPE.
     """
     rng = np.random.default_rng(20260)
     n, m = SHAPE
@@ -40,24 +41,34 @@ def book(tmp_path_factory):
     # heavy-tailed sizes on both sides, and a heavy-tailed amount per lot
     inv_size = (rng.permutation(n) + 1.0) ** -1.0
     cap = (rng.permutation(m) + 1.0) ** -0.8
-    lots = 1 + rng.poisson(LOTS_PER_CELL - 1, cell_rows.size)
-    lot_cell = np.repeat(np.arange(cell_rows.size), lots)
+    per_cell = 1 + rng.poisson(LOTS_PER_CELL - 1, cell_rows.size)
+    lot_cell = np.repeat(np.arange(cell_rows.size), per_cell)
     cell_size = inv_size[cell_rows] * cap[cell_cols]
     amounts = cell_size[lot_cell] * rng.lognormal(0.0, 1.0, lot_cell.size)
     order = rng.permutation(lot_cell.size)
     path = tmp_path_factory.mktemp("metamorphic") / "book.csv"
-    write_lots(path, cell_rows[lot_cell], cell_cols[lot_cell], amounts, order)
-    return path, decompose_json(path), lot_cell, cell_rows, cell_cols, amounts, order
+    lots = SimpleNamespace(
+        path=path, cell=lot_cell, rows=cell_rows[lot_cell], cols=cell_cols[lot_cell],
+        amounts=amounts, order=order,
+    )
+    write_lots(path, lots, amounts, order)
+    lots.report = decompose_json(path)
+    return lots
 
 
-def write_lots(path, rows, cols, amounts, order):
-    """A holdings CSV of lots ``order`` with zero-padded labels and shortest round-trip amounts."""
+def write_lots(path, book, amounts, order):
+    """A holdings CSV of the book's lots, in ``order`` and of ``amounts``.
+
+    Labels are zero-padded and amounts written in shortest round-trip form.
+    """
     inv = [f"I{i:04d}" for i in range(SHAPE[0])]
     stk = [f"S{j:04d}" for j in range(SHAPE[1])]
     lines = ["investor,stock,amount"]
     lines += [
         f"{inv[i]},{stk[j]},{a!r}"
-        for i, j, a in zip(rows[order].tolist(), cols[order].tolist(), amounts[order].tolist())
+        for i, j, a in zip(
+            book.rows[order].tolist(), book.cols[order].tolist(), amounts[order].tolist()
+        )
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -70,28 +81,25 @@ def decompose_json(path):
 
 
 def test_shuffling_whole_cells_keeps_decompose_bytes(book, tmp_path):
-    _, report, lot_cell, cell_rows, cell_cols, amounts, order = book
     # the cells in a new order, each cell's lots together and in their file order
-    rank = np.random.default_rng(1).permutation(cell_rows.size)
-    shuffled = order[np.argsort(rank[lot_cell[order]], kind="stable")]
-    assert not np.array_equal(shuffled, order)
+    rank = np.random.default_rng(1).permutation(book.cell[-1] + 1)
+    shuffled = book.order[np.argsort(rank[book.cell[book.order]], kind="stable")]
+    assert not np.array_equal(shuffled, book.order)
     moved = tmp_path / "shuffled.csv"
-    write_lots(moved, cell_rows[lot_cell], cell_cols[lot_cell], amounts, shuffled)
-    assert decompose_json(moved) == report
+    write_lots(moved, book, book.amounts, shuffled)
+    assert decompose_json(moved) == book.report
 
 
 def test_power_of_two_scaling_keeps_decompose_bytes(book, tmp_path):
-    _, report, lot_cell, cell_rows, cell_cols, amounts, order = book
     scaled = tmp_path / "scaled.csv"
-    write_lots(scaled, cell_rows[lot_cell], cell_cols[lot_cell], amounts * 8, order)
-    assert decompose_json(scaled) == report
+    write_lots(scaled, book, book.amounts * 8, book.order)
+    assert decompose_json(scaled) == book.report
 
 
 def test_transposing_swaps_the_sides(book):
-    path, _, lot_cell, cell_rows, *_ = book
-    assert 70_000 <= cell_rows.size <= 74_000
-    assert 190_000 <= lot_cell.size <= 210_000
-    matrix = cli.ingest(path)
+    assert 70_000 <= book.cell[-1] + 1 <= 74_000
+    assert 190_000 <= book.cell.size <= 210_000
+    matrix = cli.ingest(book.path)
     assert matrix.shape == SHAPE
     flipped = hs.OwnershipMatrix(matrix.entries.T, matrix.stock_labels, matrix.investor_labels)
     dep, dep_t = hs.dependence_index(matrix), hs.dependence_index(flipped)
