@@ -527,17 +527,8 @@ def dashboard(
 ) -> Dashboard:
     """Assemble the six headline diagnostics from one matrix.
 
-    ``compute_psi=None`` decides automatically from the label count.
-    """
-    return _dashboard(matrix, compute_psi, max_budget, seed)[0]
-
-
-def _dashboard(
-    matrix: OwnershipMatrix, compute_psi: bool | None, max_budget: int, seed: int
-) -> tuple[Dashboard, DependenceReport]:
-    """The dashboard and the dependence report it was built from.
-
-    The search arguments are checked whether or not Psi is computed.
+    ``compute_psi=None`` decides automatically from the label count. The
+    search arguments are checked whether or not Psi is computed.
     """
     _check_search(max_budget, seed)
     summary = concentration_summary(matrix)
@@ -567,7 +558,7 @@ def _dashboard(
         N_M=summary.effective_cells,
         psi_certified=certified,
         psi_reason=reason,
-    ), dep
+    )
 
 
 #: The dashboard's metrics, in report order.
@@ -705,14 +696,14 @@ def _headline_payload(delta: OperationDelta) -> dict:
 
 def _cmd_dashboard(args) -> str:
     matrix = ingest(args.file, args.input_format)
-    dash, dep = _dashboard(matrix, args.psi, args.max_budget, args.seed)
+    dash = dashboard(matrix, compute_psi=args.psi, max_budget=args.max_budget, seed=args.seed)
     flags = {
         "psi": args.psi,
         "max_budget": args.max_budget,
         "format": args.format,
         "input_format": args.input_format,
     }
-    return report(matrix, dash, dep, args.format, args.seed, flags)
+    return report(matrix, dash, dependence_index(matrix), args.format, args.seed, flags)
 
 
 def _cmd_decompose(args) -> str:

@@ -12,8 +12,9 @@ functions, safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
+from functools import wraps
 from itertools import compress
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence, TypeVar
 
 import numpy as np
 
@@ -60,13 +61,13 @@ def _scaled_tol(base: float, *terms: _Value) -> float:
 
     The slack of an identity exact in real arithmetic: absolute while the
     compared terms are below one, relative above, so that rounding in large
-    terms never trips a check. A NaN term makes the slack NaN.
+    terms never trips a check. A NaN or infinite term makes the slack NaN.
     """
     scale = 1.0
     for size in (_largest(abs(t)) for t in terms):
-        if size > scale or size != size:  # larger, or NaN
+        if size > scale or size != size:  # larger, or NaN (which then stays)
             scale = size
-    return base * float(scale)
+    return base * float(scale) if scale < np.inf else np.nan
 
 
 def _agree(a: _Value, b: _Value, message: str, base: float = _EXACT_TOL, *terms: _Value) -> None:
@@ -132,6 +133,28 @@ def _probability_vector(values: "np.typing.ArrayLike", name: str) -> np.ndarray:
     return vec
 
 
+_Derive = TypeVar("_Derive", bound=Callable)
+
+
+def _per_book(derive: _Derive) -> _Derive:
+    """``derive`` run once per matrix, its result kept in the matrix's ``_derived`` dict.
+
+    Later calls on the same matrix return the same object; ``derive`` never
+    returns None, and a call that raises keeps nothing, so it raises again.
+    The results are read-only, so sharing them is safe, and threads that
+    race build equal results, so the dict needs no lock.
+    """
+
+    @wraps(derive)
+    def once(matrix: OwnershipMatrix):
+        result = matrix._derived.get(derive)
+        if result is None:
+            result = matrix._derived[derive] = derive(matrix)
+        return result
+
+    return once
+
+
 class OwnershipMatrix:
     """Nonnegative share matrix summing to one, with labeled axes.
 
@@ -143,7 +166,7 @@ class OwnershipMatrix:
     The held (nonzero) cells are the canonical store: their row indices,
     column indices and values in row-major order (see :func:`held_cells`).
     ``entries`` is a read-only n-by-m view built from them on first use
-    and then kept; the marginals are likewise computed once.
+    and then kept, as is every other quantity derived under :func:`_per_book`.
     """
 
     def __init__(
@@ -180,8 +203,7 @@ class OwnershipMatrix:
         for name, value in (
             ("_shape", (n, m)),
             ("_cells", (_freeze(rows, np.intp), _freeze(cols, np.intp), _freeze(values))),
-            ("_entries", None),
-            ("_marginals", None),
+            ("_derived", {}),
             ("investor_labels", _label_tuple(investor_labels, n, "investor")),
             ("stock_labels", _label_tuple(stock_labels, m, "stock")),
         ):
@@ -194,21 +216,14 @@ class OwnershipMatrix:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
+    @_per_book
     def entries(self) -> np.ndarray:
-        """The n-by-m share matrix, scattered from the held cells on first use.
-
-        Threads that race to build it build equal arrays, so the cache
-        needs no lock.
-        """
-        if self._entries is None:
-            n, m = self._shape
-            rows, cols, values = self._cells
-            dense = np.zeros(n * m)
-            dense[rows * m + cols] = values
-            dense = dense.reshape(n, m)
-            dense.setflags(write=False)
-            object.__setattr__(self, "_entries", dense)
-        return self._entries
+        """The n-by-m share matrix, scattered from the held cells on first use."""
+        rows, cols, values = self._cells
+        dense = np.zeros(self._shape)
+        dense[rows, cols] = values
+        dense.setflags(write=False)
+        return dense
 
     @property
     def n(self) -> int:
@@ -331,21 +346,17 @@ def _summed_cells(
     return rows, cols, np.bincount(where, values, minlength=cells.size), where
 
 
+@_per_book
 def marginals(matrix: OwnershipMatrix) -> Marginals:
-    """Row and column sums of the share matrix, over its held cells in row-major order.
-
-    Computed once per matrix: later calls return the same object.
-    """
-    if matrix._marginals is None:
-        rows, cols, values = held_cells(matrix)
-        marg = Marginals(
-            np.bincount(rows, values, minlength=matrix.n),
-            np.bincount(cols, values, minlength=matrix.m),
-        )
-        object.__setattr__(matrix, "_marginals", marg)
-    return matrix._marginals
+    """Row and column sums of the share matrix, over its held cells in row-major order."""
+    rows, cols, values = held_cells(matrix)
+    return Marginals(
+        np.bincount(rows, values, minlength=matrix.n),
+        np.bincount(cols, values, minlength=matrix.m),
+    )
 
 
+@_per_book
 def is_active(matrix: OwnershipMatrix) -> bool:
     """True iff every investor and every stock carries positive mass."""
     marg = marginals(matrix)

@@ -18,14 +18,13 @@ profiles are apart.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    _EXACT_TOL, OwnershipMatrix, _agree, _dense_row, _freeze_fields, _probability_vector,
-    _scaled_tol, _summed_cells, _unique_label, held_cells, require_active,
+    _EXACT_TOL, OwnershipMatrix, _agree, _dense_row, _freeze_fields, _per_book,
+    _probability_vector, _summed_cells, _unique_label, held_cells, require_active,
 )
 from .errors import (
     DimensionMismatch,
@@ -35,8 +34,7 @@ from .errors import (
     SupportMismatch,
 )
 
-#: Base slack of the cross-form agreement; a disagreement beyond it is treated
-#: as catastrophic cancellation and re-examined under compensated summation.
+#: Base slack of the cross-form agreement.
 _FORM_TOL = 1e-10
 
 
@@ -117,14 +115,14 @@ def chi2_divergence(u: "np.typing.ArrayLike", v: "np.typing.ArrayLike") -> float
     return float(np.sum(diff * diff / v_arr[mask]))
 
 
+@_per_book
 def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
     """Chi-square dependence of the matrix relative to its product benchmark.
 
     The reported index uses the definitional sum of squared benchmark
     deviations. The closed form, the likelihood-ratio form, and both
-    profile decompositions are computed independently and must agree to
-    1e-10; on disagreement the definitional form is recomputed with
-    compensated summation before failing.
+    profile decompositions are computed independently and must agree with
+    it to 1e-10 (relative above one). Computed once per matrix.
 
     Every sum runs over the held cells only: an empty cell deviates from
     the benchmark by its whole mass ``p_i * s_j``, so the empty cells enter
@@ -141,8 +139,7 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
     unheld = float(p.sum() * s.sum() - bench.sum()) if e.size < n * m else 0.0
     # a p_i * s_j that underflows, or a ratio that overflows, fails the checks below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = dev * dev / bench
-        definitional = float(terms.sum()) + unheld
+        definitional = float(np.sum(dev * dev / bench)) + unheld
         closed = float(np.sum(e * e / bench) - 1.0)
         likelihood = float(np.sum(bench * (e / bench - 1.0) ** 2)) + unheld
         investor_contrib = p * (
@@ -154,20 +151,10 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
             + _empty_mass(cols, p_h, p, m)
         )
 
-    forms = (
-        closed,
-        likelihood,
-        float(investor_contrib.sum()),
-        float(stock_contrib.sum()),
-    )
-    index = definitional
-    tol = _scaled_tol(_FORM_TOL, definitional, *forms)
-    if not all(abs(f - definitional) <= tol for f in forms):
-        index = math.fsum([*terms.tolist(), unheld])
-        _agree(np.array(forms), index, "dependence forms disagree beyond tolerance even "
-               "under compensated summation", _FORM_TOL, definitional)
+    forms = np.array([closed, likelihood, investor_contrib.sum(), stock_contrib.sum()])
+    _agree(forms, definitional, "dependence forms disagree beyond tolerance", _FORM_TOL)
     return DependenceReport(
-        index=index,
+        index=definitional,
         investor_contributions=investor_contrib,
         stock_contributions=stock_contrib,
     )

@@ -27,7 +27,7 @@ from .errors import (
     NotCentered,
     OutOfRange,
 )
-from .spectral import SpectralResidual, whiten
+from .spectral import whiten
 
 #: Base slack of the capitalization-weighted mean of returns, scaled by their weighted mean size.
 _CENTER_TOL = 1e-10
@@ -171,14 +171,11 @@ def active_variance(
     _agree(variance, operator_variance, "variance disagrees with its operator form")
     _at_most(variance, bound, "variance exceeds its spectral bound")
 
-    capacity = None
-    if dispersion is not None:
-        capacity = _isotropic_capacity(matrix, dispersion, res)
     return ActiveVarianceResult(
         alpha=alpha_profile,
         variance=variance,
         worst_case_bound=bound,
-        isotropic_capacity=capacity,
+        isotropic_capacity=None if dispersion is None else isotropic_capacity(matrix, dispersion),
     )
 
 
@@ -189,10 +186,7 @@ def isotropic_capacity(matrix: OwnershipMatrix, sigma: float) -> float:
     cross-checked against the covariance trace formula on the residual
     operator.
     """
-    return _isotropic_capacity(matrix, sigma, whiten(matrix))
-
-
-def _isotropic_capacity(matrix: OwnershipMatrix, sigma: float, res: SpectralResidual) -> float:
+    res = whiten(matrix)
     if not np.isfinite(sigma) or sigma < 0:
         raise OutOfRange(f"dispersion must be a nonnegative scalar, got {sigma!r}")
     try:

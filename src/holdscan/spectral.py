@@ -15,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze_fields, require_active
+from .core import (
+    _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze_fields, _per_book, require_active,
+)
+from .dependence import dependence_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,13 +44,15 @@ class SpectralResidual:
         _freeze_fields(self, "whitened", "residual", "row_unit", "col_unit")
 
 
+@_per_book
 def whiten(matrix: OwnershipMatrix) -> SpectralResidual:
     """Whiten an active share matrix and extract its singular structure.
 
     Validates the defining identities before returning: the square-root
     marginals are a unit singular pair at value one, the residual
-    annihilates them, and the residual's squared Frobenius norm matches
-    the tail of the squared spectrum.
+    annihilates them, and both the residual's squared Frobenius norm and
+    the dependence index match the tail of the squared spectrum. Computed
+    once per matrix.
     """
     marg = require_active(matrix)
     u = np.sqrt(marg.p)
@@ -63,16 +68,16 @@ def whiten(matrix: OwnershipMatrix) -> SpectralResidual:
         _agree(image, unit, "square-root marginals are not a singular pair")
     _agree(np.concatenate([ell @ v, u @ ell]), 0.0, "residual does not annihilate the market mode")
     tail = float(np.sum(np.square(sigma[1:])))
-    _agree(float(np.sum(ell * ell)), tail, "residual norm disagrees with spectrum tail")
+    _agree(np.array([np.sum(ell * ell), dependence_index(matrix).index]), tail,
+           "residual norm or dependence index disagrees with spectrum tail")
 
-    rho_val = float(sigma[1]) if len(sigma) > 1 else 0.0
     return SpectralResidual(
         whitened=k,
         residual=ell,
         row_unit=u,
         col_unit=v,
         singular_values=tuple(float(x) for x in sigma),
-        rho=rho_val,
+        rho=float(sigma[1]) if len(sigma) > 1 else 0.0,
     )
 
 

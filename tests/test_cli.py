@@ -330,10 +330,7 @@ def test_nan_dependence_exits_3_in_both_formats(tmp_path, capsys):
                 assert cli.main([*argv, "--format", fmt]) == 3
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == (
-                "error: dependence forms disagree beyond tolerance even under "
-                "compensated summation\n"
-            )
+            assert captured.err == "error: dependence forms disagree beyond tolerance\n"
 
 
 def test_render_rounds_every_float_and_puts_schema_version_first():
@@ -426,25 +423,50 @@ def test_alpha_subcommand_with_projection(tmp_path, golden_csv, capsys):
     assert payload["variance"] == pytest.approx(7 / 30, rel=1e-4)
 
 
-def test_alpha_with_dispersion_whitens_once(tmp_path, golden_csv, capsys, monkeypatch):
-    import holdscan.dynamics as dynamics
+def count_work(monkeypatch):
+    """Count the spectra and dependence reports built, and keep each ingested book.
 
-    rets = tmp_path / "rets.csv"
-    rets.write_text("label,value\nstk1,1.5\nstk2,-0.5\n", encoding="utf-8")
-    calls = []
+    Every whitening runs one ``np.linalg.svd``, and every dependence build
+    makes one ``DependenceReport``; calls answered from a book's memo do neither.
+    """
+    import holdscan.dependence as dependence
 
-    def counted(name, fn):
-        def wrapper(matrix):
-            calls.append(name)
-            return fn(matrix)
+    work = {"svd": 0, "dependence": 0, "books": []}
+    svd, build_report, ingest = np.linalg.svd, dependence.DependenceReport, cli.ingest
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            work[key] += 1
+            return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(dynamics, "whiten", counted("whiten", hs.whiten))
-    monkeypatch.setattr(dynamics, "dependence_index", counted("dep", hs.dependence_index))
+    def kept(*args, **kwargs):
+        work["books"].append(ingest(*args, **kwargs))
+        return work["books"][-1]
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(dependence, "DependenceReport", counted("dependence", build_report))
+    monkeypatch.setattr(cli, "ingest", kept)
+    return work
+
+
+def assert_built_once(work):
+    """One book, one spectrum and one dependence report, both kept on the book."""
+    assert (work["svd"], work["dependence"], len(work["books"])) == (1, 1, 1)
+    book = work["books"][0]
+    assert hs.whiten(book) is hs.whiten(book)
+    assert hs.dependence_index(book) is hs.dependence_index(book)
+    assert (work["svd"], work["dependence"]) == (1, 1)
+
+
+def test_alpha_with_dispersion_whitens_once(tmp_path, golden_csv, capsys, monkeypatch):
+    rets = tmp_path / "rets.csv"
+    rets.write_text("label,value\nstk1,1.5\nstk2,-0.5\n", encoding="utf-8")
+    work = count_work(monkeypatch)
     argv = ["alpha", str(golden_csv), "--returns", str(rets), "--project-returns",
             "--dispersion", "2", "--format", "json"]
     assert cli.main(argv) == 0
-    assert sorted(calls) == ["dep", "whiten"]
+    assert_built_once(work)
     payload = json.loads(capsys.readouterr().out)
     assert payload["isotropic_capacity"] == pytest.approx(4.0 * 7.0 / 30.0, rel=1e-5)
 
@@ -975,23 +997,25 @@ def test_non_utf8_input_exits_2(tmp_path, golden_csv, capsys):
 
 
 def test_dashboard_computes_dependence_once(golden_csv, capsys, monkeypatch):
-    calls = []
-
-    def counted(matrix):
-        calls.append(matrix)
-        return hs.dependence_index(matrix)
-
-    monkeypatch.setattr(cli, "dependence_index", counted)
     for fmt in ("text", "json"):
-        calls.clear()
-        assert cli.main(["dashboard", str(golden_csv), "--format", fmt]) == 0
-        assert len(calls) == 1
+        with monkeypatch.context() as patch:
+            work = count_work(patch)
+            assert cli.main(["dashboard", str(golden_csv), "--format", fmt]) == 0
+            assert_built_once(work)
         matrix = cli.ingest(golden_csv)
         flags = {"psi": None, "max_budget": 64, "format": fmt, "input_format": "csv"}
         expect = cli.report(
             matrix, cli.dashboard(matrix), hs.dependence_index(matrix), fmt, 0, flags
         )
         assert capsys.readouterr().out == expect
+
+
+def test_shock_whitens_once(tmp_path, golden_csv, monkeypatch):
+    shocks = tmp_path / "shocks.csv"
+    shocks.write_text("label,value\ninv1,0.5\ninv2,-0.25\ninv3,0\n", encoding="utf-8")
+    work = count_work(monkeypatch)
+    assert cli.main(["shock", str(golden_csv), "--shocks", str(shocks)]) == 0
+    assert_built_once(work)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -1007,9 +1031,7 @@ def test_extreme_book_fails_without_warnings(tmp_path, capsys, amounts, command,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main([command[0], str(path), *command[1:], "--format", fmt]) == 3
-    assert capsys.readouterr().err == (
-        "error: dependence forms disagree beyond tolerance even under compensated summation\n"
-    )
+    assert capsys.readouterr().err == "error: dependence forms disagree beyond tolerance\n"
 
 
 def reference_coded(path):

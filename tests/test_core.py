@@ -14,7 +14,7 @@ from holdscan.errors import (
     NotNormalized,
 )
 
-from conftest import profiles, random_active
+from conftest import GOLDEN_RAW, profiles, random_active
 
 positive_matrices = arrays(
     np.float64,
@@ -153,3 +153,21 @@ def test_label_lookup(golden):
 def test_entries_are_read_only(golden):
     with pytest.raises(ValueError):
         golden.entries[0, 0] = 0.5
+
+
+def test_each_quantity_is_derived_once_per_book(golden):
+    from holdscan.errors import InternalConsistencyError
+
+    twin = hs.normalize(GOLDEN_RAW)
+    for derive in (lambda book: book.entries, hs.marginals, hs.dependence_index, hs.whiten):
+        first = derive(golden)
+        assert derive(golden) is first
+        assert derive(twin) is not first  # an equal book builds its own
+    assert hs.is_active(golden) is True
+    assert hs.rho(golden) == hs.whiten(golden).rho
+    # a call that raises keeps nothing, so it raises again
+    underflow = hs.normalize([[1e170, 0.0], [0.0, 1.0]])
+    for derive in (hs.dependence_index, hs.whiten):
+        for _ in range(2):
+            with pytest.raises(InternalConsistencyError, match="^dependence forms disagree"):
+                derive(underflow)

@@ -326,6 +326,14 @@ def test_identity_checks_scale_with_large_dependence(kind):
                          (np.array([1.0, nan]), 1.0), (1.0, 1.0, np.array([nan]))):
         fails(_agree, a, b, "off", 1e-9, *terms)
         fails(_at_most, a, b, "off", 1e-9, *terms)
+    # so does an infinite side or term, which would otherwise make the slack infinite
+    inf = float("inf")
+    for terms in ((nan, 2.0), (2.0, inf), (inf, nan), (np.array([1.0, -inf]),)):
+        assert np.isnan(_scaled_tol(1e-10, *terms))
+    for a, b, *terms in ((inf, 1.0), (1.0, inf), (inf, inf), (1.0, 1.0, inf),
+                         (np.array([inf, 1.0]), np.ones(2)), (1.0, 1.0, np.array([-inf]))):
+        fails(_agree, a, b, "off", 1e-9, *terms)
+        fails(_at_most, a, b, "off", 1e-9, *terms)
     # _at_most is one-sided: any amount below passes, only an excess fails
     _at_most(-1e6, 1.0, "off")
     fails(_agree, -1e6, 1.0, "off")

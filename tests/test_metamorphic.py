@@ -2,13 +2,16 @@
 
 A seeded 2000x1500 book with about 72k held cells reported as about 200k
 lots. No dense oracle is affordable at this scale, so each test compares
-two runs whose answers must agree: a reordered or rescaled file must give
-the same report bytes, and the transposed book must swap the two sides.
-The reports go through ``decompose``, which never whitens.
+two runs whose answers must agree: a reordered, rescaled, relabelled or
+split file must give the same report bytes, the transposed book must swap
+the two sides, and grouping every investor alone must keep the whole
+dependence between the groups. The reports go through ``decompose`` and
+``aggregate``, which never whiten.
 """
 
 import contextlib
 import io
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,13 +59,14 @@ def book(tmp_path_factory):
     return lots
 
 
-def write_lots(path, book, amounts, order):
+def write_lots(path, book, amounts, order, prefixes="IS"):
     """A holdings CSV of the book's lots, in ``order`` and of ``amounts``.
 
-    Labels are zero-padded and amounts written in shortest round-trip form.
+    Labels are zero-padded after their side's prefix and amounts written in
+    shortest round-trip form.
     """
-    inv = [f"I{i:04d}" for i in range(SHAPE[0])]
-    stk = [f"S{j:04d}" for j in range(SHAPE[1])]
+    inv = [f"{prefixes[0]}{i:04d}" for i in range(SHAPE[0])]
+    stk = [f"{prefixes[1]}{j:04d}" for j in range(SHAPE[1])]
     lines = ["investor,stock,amount"]
     lines += [
         f"{inv[i]},{stk[j]},{a!r}"
@@ -74,9 +78,14 @@ def write_lots(path, book, amounts, order):
 
 
 def decompose_json(path):
+    return run(["decompose", str(path), "--format", "json"])
+
+
+def run(argv):
+    """What ``holdscan argv`` prints, checked to exit 0."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["decompose", str(path), "--format", "json"]) == 0
+        assert cli.main(argv) == 0
     return out.getvalue()
 
 
@@ -111,3 +120,35 @@ def test_transposing_swaps_the_sides(book):
     nptest.assert_allclose(hs.herfindahl(marg_t.s), hs.herfindahl(marg.p), **rel)
     nptest.assert_allclose(dep_t.investor_contributions, dep.stock_contributions, **rel)
     nptest.assert_allclose(dep_t.stock_contributions, dep.investor_contributions, **rel)
+
+
+def test_splitting_each_first_lot_keeps_decompose_bytes(book, tmp_path):
+    # each cell's first lot in the file becomes two halves in its place:
+    # the cell then starts from x/2 + x/2 = x, exactly in binary arithmetic
+    first = np.zeros(book.order.size, bool)
+    first[np.unique(book.cell[book.order], return_index=True)[1]] = True
+    halved = book.amounts.copy()
+    halved[book.order[first]] /= 2
+    split = tmp_path / "split.csv"
+    write_lots(split, book, halved, np.repeat(book.order, np.where(first, 2, 1)))
+    assert decompose_json(split) == book.report
+
+
+def test_order_preserving_relabelling_keeps_decompose_bytes(book, tmp_path):
+    renamed = tmp_path / "renamed.csv"
+    write_lots(renamed, book, book.amounts, book.order, prefixes="JT")
+    report = decompose_json(renamed)
+    assert report != book.report
+    back = report.replace('"label": "J', '"label": "I').replace('"label": "T', '"label": "S')
+    assert back == book.report
+
+
+def test_singleton_groups_keep_all_dependence_between(book, tmp_path):
+    groups = tmp_path / "singletons.txt"
+    groups.write_text("".join(f"I{i:04d}\n" for i in range(SHAPE[0])), encoding="utf-8")
+    split = json.loads(run(["aggregate", str(book.path), "--groups", str(groups), "--format", "json"]))
+    # the decompose report's X is the sum of its contributions, each at 6 digits
+    index = sum(row["dependence_contribution"] for row in json.loads(book.report)["investors"])
+    assert split["between"] == pytest.approx(index, rel=1e-5)
+    assert split["between"] == float(f"{hs.dependence_index(cli.ingest(book.path)).index:.6g}")
+    assert split["within"] == 0.0

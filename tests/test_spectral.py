@@ -131,3 +131,16 @@ def test_jacobi_near_rank_one_accuracy():
     reference = np.linalg.svd(res.whitened, compute_uv=False)
     nptest.assert_allclose(res.singular_values, reference, rtol=0, atol=1e-12)
     assert 0 < res.rho < 1e-7
+
+
+def test_whiten_checks_the_dependence_index_against_the_spectrum(golden, monkeypatch):
+    import dataclasses
+
+    import holdscan.spectral as spectral
+    from holdscan.errors import InternalConsistencyError
+
+    report = hs.dependence_index(golden)
+    bumped = dataclasses.replace(report, index=report.index * (1 + 1e-6))
+    monkeypatch.setattr(spectral, "dependence_index", lambda matrix: bumped)
+    with pytest.raises(InternalConsistencyError, match="disagrees with spectrum tail"):
+        hs.whiten(golden)
