@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .comparative import OperationDelta, dilute, merge_investors, nonid_family, remove_stock
-from .core import OwnershipMatrix, _normalized, _summed_cells, held_cells, marginals
+from .core import OwnershipMatrix, _normalized, _rescaled, _summed_cells, held_cells, marginals
 from .dependence import DependenceReport, Partition, aggregate, dependence_index
 from .dynamics import active_variance, fire_sale
 from .errors import (
@@ -85,7 +85,12 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     so a plain CSV peaks at about its coded columns plus the sort's
     temporaries, never at the size of the file.
     """
-    (investors, rows, stocks, cols, amounts, legs), has_sign_column = _read_coded(Path(path), fmt)
+    # a plain CSV is scanned in numpy; csv.reader or json reads any other
+    # file, to the same columns, and words every error
+    source = Path(path)
+    (investors, rows, stocks, cols, amounts, legs), has_sign_column = (
+        (_scan_csv(source) or _read_csv(source)) if fmt == "csv" else _read_json(source)
+    )
     if has_sign_column and not signed:
         raise MixedSignWithoutFlag(
             "input carries a sign column; pass --signed to ingest it"
@@ -109,7 +114,9 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     if has_sign_column:
         keys += legs * (n * m)
     del rows, cols, legs  # spent: free the codes before the keys are sorted
-    rows, cols, sums, _ = _summed_cells(keys, amounts, m)
+    rows, cols, sums, where = _summed_cells(keys, amounts, m)
+    if np.isinf(sums).any():  # finite lots whose cell's sum overflows
+        sums = np.bincount(where, _rescaled(amounts), minlength=sums.size)
     if not signed:
         return _normalized((n, m), rows, cols, sums, investors, stocks)
 
@@ -123,18 +130,9 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
             f"{path}: investor {investors[i]!r} is both long and short "
             f"stock {stocks[j]!r}; net the book before ingestion"
         )
-    if float(plus.sum() + minus.sum()) <= 0.0:
+    if not (plus.any() or minus.any()):
         raise AllZeroMatrix(f"{path}: all amounts are zero")
     return signed_from_raw(plus, minus, investors, stocks)
-
-
-def _read_coded(path: Path, fmt: str) -> tuple[_Coded, bool]:
-    """A holdings file's coded columns, and whether it has a sign column.
-
-    A plain CSV is scanned in numpy; ``csv.reader`` or ``json`` reads any
-    other file, to the same columns, and words every error.
-    """
-    return (_scan_csv(path) or _read_csv(path)) if fmt == "csv" else _read_json(path)
 
 
 def _coded(column: Sequence[str]) -> tuple[list[str], np.ndarray]:

@@ -314,12 +314,21 @@ def _normalized(shape, rows, cols, raw, investor_labels, stock_labels) -> Owners
     The total mass is numpy's (pairwise) sum of ``raw`` in that order.
     """
     raw = _checked(raw, "raw holdings")
-    total = float(raw.sum())
+    with np.errstate(over="ignore"):
+        total = float(raw.sum())
+    if total == np.inf:  # finite amounts whose total overflows
+        raw = _rescaled(raw)
+        total = float(raw.sum())
     if total <= 0.0:
         raise AllZeroMatrix("raw holdings sum to zero")
     return OwnershipMatrix._from_cells(
         shape, rows, cols, raw / total, investor_labels, stock_labels
     )
+
+
+def _rescaled(values: np.ndarray) -> np.ndarray:
+    """``values`` over the power of two of their largest: exact, so shares keep every bit."""
+    return np.ldexp(values, -np.frexp(values.max())[1])
 
 
 def _summed_cells(

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    TOL_NORM, OwnershipMatrix, _agree, _checked, _freeze, _label_tuple, held_cells, marginals,
+    TOL_NORM, OwnershipMatrix, _agree, _checked, _freeze, _label_tuple, _rescaled, held_cells,
+    marginals,
 )
 from .errors import (
     AllZeroMatrix,
@@ -132,7 +133,11 @@ def signed_from_raw(
             f"legs must share a shape, got {plus.shape} and {minus.shape}"
         )
     plus, minus = _checked(np.stack([plus, minus]), "raw legs")
-    gross = float(plus.sum() + minus.sum())
+    with np.errstate(over="ignore"):
+        gross = float(plus.sum() + minus.sum())
+    if gross == np.inf:  # finite exposures whose total overflows
+        plus, minus = _rescaled(np.stack([plus, minus]))
+        gross = float(plus.sum() + minus.sum())
     if gross <= 0.0:
         raise AllZeroMatrix("gross exposure is zero")
     return SignedOwnership(plus / gross, minus / gross, investor_labels, stock_labels)

@@ -491,12 +491,11 @@ def _northwest_vertex(
     """Greedy staircase vertex along permuted rows and columns."""
     n, m = p.size, s.size
     mat = np.zeros((n, m))
-    rem_p = p.copy()
-    rem_s = s.copy()
+    rem_p, rem_s = p.tolist(), s.tolist()
+    rows, cols = row_order.tolist(), col_order.tolist()
     ri = cj = 0
     while ri < n and cj < m:
-        i = int(row_order[ri])
-        j = int(col_order[cj])
+        i, j = rows[ri], cols[cj]
         amount = min(rem_p[i], rem_s[j])
         mat[i, j] = amount
         rem_p[i] -= amount
@@ -515,22 +514,19 @@ def _local_search_max(
     n, m = p.size, s.size
     cap = min(float(p @ p), float(s @ s))  # unreachable above this value
     best_obj = -1.0
-    best_support: tuple[tuple[int, int], ...] | None = None
+    best_support: list[int] | None = None
     best_mat: np.ndarray | None = None
     for restart in range(budget):
         if restart == 0:
             # largest-to-largest greedy staircase, usually near-optimal
-            row_order = np.argsort(-p, kind="stable")
-            col_order = np.argsort(-s, kind="stable")
+            row_order, col_order = np.argsort(-p, kind="stable"), np.argsort(-s, kind="stable")
         elif restart == 1:
-            row_order = np.arange(n)
-            col_order = np.arange(m)
+            row_order, col_order = np.arange(n), np.arange(m)
         else:
-            row_order = rng.permutation(n)
-            col_order = rng.permutation(m)
+            row_order, col_order = rng.permutation(n), rng.permutation(m)
         mat = _northwest_vertex(p, s, row_order, col_order)
         mat, obj = _hill_climb(mat)
-        support = tuple(zip(*np.nonzero(mat > 0)))
+        support = np.flatnonzero(mat > 0).tolist()  # row-major, so ordered as (i, j) pairs
         if obj > best_obj + 1e-15 or (abs(obj - best_obj) <= 1e-15 and support < best_support):
             best_obj, best_support, best_mat = obj, support, mat
         if best_obj >= cap - 1e-12:
@@ -560,10 +556,10 @@ class _Forest:
         n, m = mat.shape
         nv = n + m
         self.adjacency: list[dict[int, float]] = [{} for _ in range(nv)]
-        for i, j in zip(*np.nonzero(mat > 0)):
-            value = float(mat[i, j])
-            self.adjacency[int(i)][n + int(j)] = value
-            self.adjacency[n + int(j)][int(i)] = value
+        rows, cols = np.nonzero(mat > 0)
+        for i, j, value in zip(rows.tolist(), cols.tolist(), mat[rows, cols].tolist()):
+            self.adjacency[i][n + j] = value
+            self.adjacency[n + j][i] = value
         self.parent = [-1] * nv
         self.parent_value = [0.0] * nv  # cell value on the edge to the parent
         self.depth = [0] * nv
@@ -601,49 +597,20 @@ class _Forest:
                     stack.append(nxt)
         self._hang(min(seen))
 
-    def _reverse(self, end: int, cut: int, other: int) -> None:
-        """Hang the subtree of ``cut``, which holds ``end``, from ``other``.
-
-        The cell (end, other) must already be in ``adjacency``. The parent
-        pointers and values on the path from ``end`` up to ``cut`` turn
-        round, and ``end`` hangs from ``other``. Each subtree off that path
-        keeps its pointers and values and shifts its depth by as much as
-        its path vertex's depth changed; a zero shift is skipped. The
-        components do not change, because ``other`` is in the same tree.
-        """
-        adjacency, parent, value, depth = (
-            self.adjacency, self.parent, self.parent_value, self.depth,
-        )
-        below, cell, vtx = other, adjacency[end][other], end
-        new_depth = depth[other] + 1
-        while True:
-            up, up_cell = parent[vtx], value[vtx]
-            shift = new_depth - depth[vtx]
-            parent[vtx], value[vtx], depth[vtx] = below, cell, new_depth
-            if shift:
-                stack = [nxt for nxt in adjacency[vtx] if nxt != below and nxt != up]
-                while stack:
-                    hung = stack.pop()
-                    depth[hung] += shift
-                    above = parent[hung]
-                    for nxt in adjacency[hung]:
-                        if nxt != above:
-                            stack.append(nxt)
-            if vtx == cut:
-                return
-            below, cell, vtx = vtx, up_cell, up
-            new_depth += 1
-
     def pivot(self, a: int, b: int, theta: float) -> None:
         """Push ``theta`` around the cycle closed by the nonbasic edge (a, b).
 
         Path cells alternately shrink and grow from each endpoint; those
         driven to zero leave the support. When only one endpoint's side
         lost cells, the piece below its lowest cut joins the other
-        endpoint through the entering cell by path reversal (`_reverse`),
-        and the tree keeps its root. When both sides lost cells, the piece
-        joining the two endpoints is re-hung from its smallest vertex.
-        Every other cut piece becomes a tree hung from its smallest vertex.
+        endpoint through the entering cell, and the tree keeps its root:
+        the parent pointers and values on the path from that endpoint up
+        to the cut turn round, and each subtree off the path keeps its
+        pointers and values and shifts its depth by as much as its path
+        vertex's depth changed (a zero shift is skipped). When both sides
+        lost cells, the piece joining the two endpoints is re-hung from its
+        smallest vertex. Every other cut piece becomes a tree hung from its
+        smallest vertex.
         """
         adjacency, parent, value, depth = (
             self.adjacency, self.parent, self.parent_value, self.depth,
@@ -669,12 +636,28 @@ class _Forest:
             else:
                 value[vtx] = adjacency[vtx][above] = adjacency[above][vtx] = x
         adjacency[a][b] = adjacency[b][a] = theta
-        if not cut_a:
-            self._reverse(b, cut_b[0], a)
-        elif not cut_b:
-            self._reverse(a, cut_a[0], b)
-        else:
+        if cut_a and cut_b:
             self._rehang_as_root(a)
+        else:
+            vtx, lowest, below = (a, cut_a[0], b) if cut_a else (b, cut_b[0], a)
+            cell, new_depth = theta, depth[below] + 1
+            while True:
+                up, up_cell = parent[vtx], value[vtx]
+                shift = new_depth - depth[vtx]
+                parent[vtx], value[vtx], depth[vtx] = below, cell, new_depth
+                if shift:
+                    stack = [nxt for nxt in adjacency[vtx] if nxt != below and nxt != up]
+                    while stack:
+                        hung = stack.pop()
+                        depth[hung] += shift
+                        above = parent[hung]
+                        for nxt in adjacency[hung]:
+                            if nxt != above:
+                                stack.append(nxt)
+                if vtx == lowest:
+                    break
+                below, cell, vtx = vtx, up_cell, up
+                new_depth += 1
         for vtx in cut_a[1:] + cut_b[1:]:
             self._rehang_as_root(vtx)
 
