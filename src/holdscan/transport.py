@@ -519,11 +519,14 @@ def _local_search_max(
     for restart in range(budget):
         if restart == 0:
             # largest-to-largest greedy staircase, usually near-optimal
-            row_order, col_order = np.argsort(-p, kind="stable"), np.argsort(-s, kind="stable")
+            row_order = np.argsort(-p, kind="stable")
+            col_order = np.argsort(-s, kind="stable")
         elif restart == 1:
-            row_order, col_order = np.arange(n), np.arange(m)
+            row_order = np.arange(n)
+            col_order = np.arange(m)
         else:
-            row_order, col_order = rng.permutation(n), rng.permutation(m)
+            row_order = rng.permutation(n)
+            col_order = rng.permutation(m)
         mat = _northwest_vertex(p, s, row_order, col_order)
         mat, obj = _hill_climb(mat)
         support = np.flatnonzero(mat > 0).tolist()  # row-major, so ordered as (i, j) pairs

@@ -1034,6 +1034,24 @@ def test_extreme_book_fails_without_warnings(tmp_path, capsys, amounts, command,
     assert capsys.readouterr().err == "error: dependence forms disagree beyond tolerance\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_signed_book_beyond_the_float_range_matches_its_scaled_copy(tmp_path, capsys, fmt):
+    # finite legs whose gross total, and one cell's lot sum, overflow
+    lots = [("i1", "s1", 1e308, "+"), ("i1", "s1", 1e308, "+"),
+            ("i2", "s2", 1e308, "-"), ("i1", "s2", 1e307, "+")]
+    outputs = []
+    for name, scale in (("huge", 1.0), ("scaled", 2.0**-1020)):
+        path = tmp_path / f"{name}.csv"
+        rows = [f"{i},{s},{amount * scale!r},{sign}" for i, s, amount, sign in lots]
+        path.write_text("investor,stock,amount,sign\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["signed", str(path), "--format", fmt]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == outputs[1].err == ""
+    assert outputs[0].out == outputs[1].out
+
+
 def reference_coded(path):
     """The coded columns of a holdings CSV as read by ``csv.reader``."""
     return cli._read_csv(path)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as nptest
 import pytest
@@ -35,6 +37,17 @@ def test_normalize_single_cell():
 
 def test_normalize_uniform():
     nptest.assert_array_equal(hs.normalize([[2, 2], [2, 2]]).entries, np.full((2, 2), 0.25))
+
+
+def test_normalize_book_whose_total_overflows():
+    # every amount is finite, but their sum is not: the shares are those of
+    # the same book in smaller units, bit for bit, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        book = hs.normalize([[1e308, 0], [0, 1e308]])
+        huge = hs.normalize(np.array(GOLDEN_RAW) * 2.0**1018)
+    assert book.entries.tobytes() == hs.normalize([[1.0, 0], [0, 1.0]]).entries.tobytes()
+    assert huge.entries.tobytes() == hs.normalize(GOLDEN_RAW).entries.tobytes()
 
 
 def test_normalize_rejects_all_zero():

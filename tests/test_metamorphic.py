@@ -6,12 +6,14 @@ two runs whose answers must agree: a reordered, rescaled, relabelled or
 split file must give the same report bytes, the transposed book must swap
 the two sides, and grouping every investor alone must keep the whole
 dependence between the groups. The reports go through ``decompose`` and
-``aggregate``, which never whiten.
+``aggregate``, which never whiten. The golden book, scaled until its sums
+overflow, must print the bytes of the golden book.
 """
 
 import contextlib
 import io
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +22,8 @@ import pytest
 
 import holdscan as hs
 from holdscan import cli
+
+from conftest import GOLDEN_CSV
 
 SHAPE = (2000, 1500)
 DENSITY = 0.023
@@ -152,3 +156,22 @@ def test_singleton_groups_keep_all_dependence_between(book, tmp_path):
     assert split["between"] == pytest.approx(index, rel=1e-5)
     assert split["between"] == float(f"{hs.dependence_index(cli.ingest(book.path)).index:.6g}")
     assert split["within"] == 0.0
+
+
+@pytest.mark.parametrize("scale, parts", [
+    (2.0**1018, 1),  # the book's total overflows
+    (2.0**1020, 2),  # each lot in two halves, and every cell's sum overflows
+], ids=["total", "cell"])
+def test_golden_book_beyond_the_float_range_keeps_its_bytes(tmp_path, golden_csv, scale, parts):
+    header, *lots = GOLDEN_CSV.splitlines()
+    lines = [header]
+    for lot in lots:
+        investor, stock, amount = lot.split(",")
+        lines += [f"{investor},{stock},{float(amount) / parts * scale!r}"] * parts
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for command in (["decompose"], ["dashboard", "--no-psi"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run([command[0], str(huge), *command[1:], "--format", "json"])
+        assert report == run([command[0], str(golden_csv), *command[1:], "--format", "json"])

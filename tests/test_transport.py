@@ -701,20 +701,34 @@ def oracle_hill_climb(mat):
 @settings(max_examples=60, deadline=None)
 def test_hill_climb_matches_oracle_walk(n, m, kind, data):
     # 1-3 integer masses tie cell values, so one pivot can cut several cells
-    from holdscan.transport import _hill_climb, _northwest_vertex
+    from holdscan.transport import _hill_climb
 
-    if kind == "power-law":
-        marg = power_law_marginals(data.draw(st.integers(0, 2**32 - 1)), n, m)
-    else:
-        p, s = drawn_masses(data, n, kind), drawn_masses(data, m, kind)
-        marg = hs.Marginals(p / p.sum(), s / s.sum())
-    rows = np.array(data.draw(st.permutations(range(n))))
-    cols = np.array(data.draw(st.permutations(range(m))))
-    start = _northwest_vertex(marg.p, marg.s, rows, cols)
+    _, start = drawn_staircase(data, n, m, kind)
     mat, objective = _hill_climb(start)
     expect, expect_objective = oracle_hill_climb(start)
     assert np.array_equal(np.flatnonzero(mat), np.flatnonzero(expect))
     assert objective == expect_objective
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.sampled_from(["lognormal", "power-law", "tied"]),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_northwest_vertex_is_a_forest_supported_vertex(n, m, kind, data):
+    # the staircase meets both marginals, holds at most n + m - 1 cells and
+    # its support is a forest; 1-3 integer masses close rows and columns at once
+    from holdscan.transport import TOL_FEAS
+
+    marg, mat = drawn_staircase(data, n, m, kind)
+    assert mat.shape == (n, m)
+    assert np.all(mat >= 0.0)
+    assert np.max(np.abs(mat.sum(axis=1) - marg.p)) <= TOL_FEAS
+    assert np.max(np.abs(mat.sum(axis=0) - marg.s)) <= TOL_FEAS
+    assert np.count_nonzero(mat) <= n + m - 1
+    assert nx.is_forest(support_graph(mat))
 
 
 def test_hill_climb_gain_rounds_as_oracle_cycle_sums(monkeypatch):
@@ -890,6 +904,20 @@ def oracle_min(p, s):
     full = np.zeros((p.size, s.size))
     full[np.ix_(rows, cols)] = cells
     return full, float(np.sum(full * full))
+
+
+def drawn_staircase(data, n, m, kind):
+    """Drawn marginals of ``kind`` and their northwest vertex along drawn orders."""
+    from holdscan.transport import _northwest_vertex
+
+    if kind == "power-law":
+        marg = power_law_marginals(data.draw(st.integers(0, 2**32 - 1)), n, m)
+    else:
+        p, s = drawn_masses(data, n, kind), drawn_masses(data, m, kind)
+        marg = hs.Marginals(p / p.sum(), s / s.sum())
+    rows = np.array(data.draw(st.permutations(range(n))))
+    cols = np.array(data.draw(st.permutations(range(m))))
+    return marg, _northwest_vertex(marg.p, marg.s, rows, cols)
 
 
 def drawn_masses(data, size, kind):
