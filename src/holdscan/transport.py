@@ -13,7 +13,10 @@ the support acts through sorted prefix sums and the solver forms no
 n x m array. The maximizer is found either by decoding every spanning
 tree from its bipartite Prüfer code (small systems, exact and certified)
 or by vertex local search along improving polytope edges (large systems,
-a certified lower bound only).
+a certified lower bound only), restarted from staircase vertices along
+row and column orders drawn from the PCG64 stream of numpy's
+``default_rng(seed)``, reproduced here on Python integers so that the
+search does not load numpy's random module.
 
 The feasible-range sparsity score locates an observed matrix between the
 fixed-marginal minimum and maximum.
@@ -21,6 +24,7 @@ fixed-marginal minimum and maximum.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -176,9 +180,10 @@ def max_micro(marg: Marginals, budget: int = 64, *, seed: int = 0) -> TransportS
     bipartite graph on active rows and columns is at most
     ``MAX_ENUMERATION`` (every tree's vertex, from its Prüfer code);
     otherwise a seeded multi-start vertex local search returning a lower
-    bound (``certified=False``). Ties between vertices break toward the
-    lexicographically smallest support, so the reported argmax is
-    deterministic.
+    bound (``certified=False``), whose restart orders are the permutations
+    numpy's ``default_rng(seed)`` draws, reproduced bit for bit in this
+    module. Ties between vertices break toward the lexicographically
+    smallest support, so the reported argmax is deterministic.
     """
     _check_search(budget, seed)
     p, s = marg.p, marg.s
@@ -203,7 +208,15 @@ def max_micro(marg: Marginals, budget: int = 64, *, seed: int = 0) -> TransportS
 
 
 def _check_search(budget: int, seed: int) -> None:
-    """Reject a restart budget or seed that the maximum search cannot use."""
+    """Reject a restart budget or seed that the maximum search cannot use.
+
+    Both must be integers (``operator.index`` accepts numpy's too).
+    """
+    for name, value in (("budget", budget), ("seed", seed)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
     if budget < 1:
         raise OutOfRange(f"budget must be positive, got {budget}")
     if seed < 0:
@@ -486,13 +499,12 @@ def _decode_trees(
 
 
 def _northwest_vertex(
-    p: np.ndarray, s: np.ndarray, row_order: np.ndarray, col_order: np.ndarray
+    p: np.ndarray, s: np.ndarray, rows: list[int], cols: list[int]
 ) -> np.ndarray:
     """Greedy staircase vertex along permuted rows and columns."""
     n, m = p.size, s.size
     mat = np.zeros((n, m))
     rem_p, rem_s = p.tolist(), s.tolist()
-    rows, cols = row_order.tolist(), col_order.tolist()
     ri = cj = 0
     while ri < n and cj < m:
         i, j = rows[ri], cols[cj]
@@ -510,7 +522,7 @@ def _northwest_vertex(
 def _local_search_max(
     p: np.ndarray, s: np.ndarray, budget: int, seed: int
 ) -> tuple[np.ndarray, float]:
-    rng = np.random.default_rng(seed)
+    orders = _Permutations(seed)
     n, m = p.size, s.size
     cap = min(float(p @ p), float(s @ s))  # unreachable above this value
     best_obj = -1.0
@@ -519,14 +531,14 @@ def _local_search_max(
     for restart in range(budget):
         if restart == 0:
             # largest-to-largest greedy staircase, usually near-optimal
-            row_order = np.argsort(-p, kind="stable")
-            col_order = np.argsort(-s, kind="stable")
+            row_order = np.argsort(-p, kind="stable").tolist()
+            col_order = np.argsort(-s, kind="stable").tolist()
         elif restart == 1:
-            row_order = np.arange(n)
-            col_order = np.arange(m)
+            row_order = list(range(n))
+            col_order = list(range(m))
         else:
-            row_order = rng.permutation(n)
-            col_order = rng.permutation(m)
+            row_order = orders.permutation(n)
+            col_order = orders.permutation(m)
         mat = _northwest_vertex(p, s, row_order, col_order)
         mat, obj = _hill_climb(mat)
         support = np.flatnonzero(mat > 0).tolist()  # row-major, so ordered as (i, j) pairs
@@ -536,6 +548,86 @@ def _local_search_max(
             break
     assert best_mat is not None
     return best_mat, best_obj
+
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+
+#: PCG's default 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _Permutations:
+    """numpy's ``default_rng(seed).permutation(k)``, bit for bit, as lists.
+
+    numpy's default generator is PCG64 (O'Neill 2014: a 128-bit LCG read
+    out by XSL-RR) seeded through ``SeedSequence``; both run here on Python
+    integers, because loading numpy's random module costs a process about
+    6 MB of memory. ``SeedSequence(seed)`` hashes the seed's 32-bit
+    little-endian words into a pool of four and draws eight words from it,
+    read in pairs (low, high) as the four 64-bit halves of the LCG's seed
+    and stream. A 32-bit draw is the low half of a 64-bit output, the next
+    one its kept high half, and that half carries over from one
+    permutation to the next. A permutation shuffles ``range(k)`` by
+    Fisher-Yates from the last place down, taking for place i the first
+    draw under the mask ``2**i.bit_length() - 1`` that is at most i.
+    """
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+
+        def hasher(const: int, mult: int) -> Callable[[int], int]:
+            def hashmix(value: int) -> int:
+                nonlocal const
+                value ^= const
+                const = const * mult & _M32
+                value = value * const & _M32
+                return value ^ value >> 16
+
+            return hashmix
+
+        def mix(x: int, y: int) -> int:
+            value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return value ^ value >> 16
+
+        hashmix = hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        draw = hasher(0x8B51F9DD, 0x58F38DED)
+        state = [draw(pool[i % 4]) for i in range(8)]
+        halves = [state[k] | state[k + 1] << 32 for k in (0, 2, 4, 6)]
+        start = halves[0] << 64 | halves[1]
+        self.inc = ((halves[2] << 64 | halves[3]) << 1 | 1) & _M128
+        self.state = ((self.inc + start) * _PCG_MULT + self.inc) & _M128
+        self.high: int | None = None  # the high half of the last output, unread
+
+    def permutation(self, k: int) -> list[int]:
+        order = list(range(k))
+        state, inc, high = self.state, self.inc, self.high
+        for i in range(k - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while True:
+                if high is None:
+                    state = (state * _PCG_MULT + inc) & _M128
+                    word = ((state >> 64) ^ state) & _M64
+                    turn = state >> 122
+                    word = (word >> turn | word << (64 - turn)) & _M64
+                    j, high = word & mask, word >> 32
+                else:
+                    j, high = high & mask, None
+                if j <= i:
+                    break
+            order[i], order[j] = order[j], order[i]
+        self.state, self.high = state, high
+        return order
 
 
 class _Forest:

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from holdscan.errors import (
     InternalConsistencyError,
     MixedSignWithoutFlag,
     NonFiniteResult,
+    OutOfRange,
     ParseError,
     ValidationError,
 )
@@ -754,14 +756,18 @@ def test_search_flags_only_on_search_commands(golden_csv, capsys):
     assert json.loads(capsys.readouterr().out)["certified"] is True
 
 
+def search_book():
+    """A 12 x 10 book whose maximum is searched, not enumerated."""
+    entries = np.random.default_rng(4).random((12, 10)) + 0.01
+    return hs.OwnershipMatrix(entries / entries.sum(), [f"i{k}" for k in range(12)],
+                              [f"s{k}" for k in range(10)])
+
+
 @pytest.mark.parametrize("command", ["psi", "dashboard"])
 def test_negative_seed_exits_2(tmp_path, golden_csv, capsys, monkeypatch, command):
     # the golden book's maximum is certified; the 12 x 10 book's is searched
-    rng = np.random.default_rng(4)
     search_csv = tmp_path / "search.csv"
-    entries = rng.random((12, 10)) + 0.01
-    cli.write_csv(hs.OwnershipMatrix(entries / entries.sum(), [f"i{k}" for k in range(12)],
-                                     [f"s{k}" for k in range(10)]), search_csv)
+    cli.write_csv(search_book(), search_csv)
     bad = [
         (["--seed", "-1"], "error: seed must be nonnegative, got -1\n"),
         (["--max-budget", "-3"], "error: budget must be positive, got -3\n"),
@@ -778,6 +784,39 @@ def test_negative_seed_exits_2(tmp_path, golden_csv, capsys, monkeypatch, comman
     for flags, message in bad:
         assert cli.main([command, str(golden_csv), *flags]) == 2
         assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("compute_psi", [None, True, False])
+@pytest.mark.parametrize("search", [{"seed": 1.5}, {"max_budget": 2.5}])
+def test_dashboard_rejects_non_integer_search_arguments(golden, compute_psi, search):
+    (key, value), = search.items()
+    name = "budget" if key == "max_budget" else "seed"
+    for matrix in (golden, search_book()):
+        with pytest.raises(OutOfRange, match=f"^{name} must be an integer, got {value}$"):
+            cli.dashboard(matrix, compute_psi=compute_psi, **search)
+
+
+def test_search_does_not_load_numpy_random(tmp_path):
+    # the restart orders are drawn in the library; numpy's random module
+    # would add about 6 MB to every process that searches
+    path = tmp_path / "search.csv"
+    cli.write_csv(search_book(), path)
+    code = (
+        "import io, json, sys, contextlib\n"
+        "from holdscan import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    codes = [cli.main(['psi', sys.argv[1], '--format', 'json']),\n"
+        "             cli.main(['dashboard', sys.argv[1], '--psi', '--format', 'json'])]\n"
+        "print(json.dumps([codes, out.getvalue(), 'numpy.random' in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True, check=True, env=env, timeout=120)
+    codes, out, loaded = json.loads(done.stdout)
+    assert codes == [0, 0]
+    assert json.JSONDecoder().raw_decode(out)[0]["certified"] is False
+    assert not loaded
 
 
 # (case, file text, message): one file with several bad rows; the first in

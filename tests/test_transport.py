@@ -328,6 +328,22 @@ LOCAL_SEARCH_PINS = [
 ]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**70 + 3, 2**200 + 1])
+def test_restart_orders_match_numpy_permutations(seed):
+    # numpy stays the oracle: each restart from 2 to 63 draws a row order and
+    # then a column order from one generator. The sizes straddle the powers
+    # of two where the draw mask widens; 2**200 + 1 has more seed words than
+    # the pool holds.
+    from holdscan.transport import _Permutations
+
+    sizes = [1, 2, 3, 4, 5, 31, 32, 33, 64, 65, 1000]
+    for n, m in zip(sizes, reversed(sizes)):
+        rng, orders = np.random.default_rng(seed), _Permutations(seed)
+        for _ in range(2, 64):
+            for k in (n, m):
+                assert orders.permutation(k) == rng.permutation(k).tolist(), (seed, n, m)
+
+
 @pytest.mark.parametrize("case", range(len(LOCAL_SEARCH_PINS)))
 def test_local_search_pinned_vertices(case):
     n, m, budget, objective, support = LOCAL_SEARCH_PINS[case]
@@ -754,7 +770,9 @@ def test_hill_climb_gain_rounds_as_oracle_cycle_sums(monkeypatch):
         rng = np.random.default_rng(seed)
         n, m = (int(k) for k in rng.integers(3, 13, 2))
         marg = lognormal_marginals(seed, n, m)
-        start = _northwest_vertex(marg.p, marg.s, rng.permutation(n), rng.permutation(m))
+        start = _northwest_vertex(
+            marg.p, marg.s, rng.permutation(n).tolist(), rng.permutation(m).tolist()
+        )
         forest = _Forest(start)
         records = []  # (candidate, gain), each gain above all before it in scan order
         for i in range(n):
@@ -915,8 +933,8 @@ def drawn_staircase(data, n, m, kind):
     else:
         p, s = drawn_masses(data, n, kind), drawn_masses(data, m, kind)
         marg = hs.Marginals(p / p.sum(), s / s.sum())
-    rows = np.array(data.draw(st.permutations(range(n))))
-    cols = np.array(data.draw(st.permutations(range(m))))
+    rows = data.draw(st.permutations(range(n)))
+    cols = data.draw(st.permutations(range(m)))
     return marg, _northwest_vertex(marg.p, marg.s, rows, cols)
 
 
@@ -1018,3 +1036,24 @@ def test_max_micro_rejects_negative_seed(golden, certified):
     assert (hs.vertex_count(marg.n, marg.m) <= MAX_ENUMERATION) == certified
     with pytest.raises(OutOfRange):
         hs.max_micro(marg, seed=-1)
+
+
+@pytest.mark.parametrize("certified", [True, False])
+@pytest.mark.parametrize("search", [{"seed": 1.5}, {"budget": 2.5}, {"seed": "1"}, {"budget": None}])
+def test_max_micro_rejects_non_integer_search_arguments(golden, certified, search):
+    from holdscan.transport import MAX_ENUMERATION
+
+    marg = hs.marginals(golden) if certified else power_law_marginals(0, 12, 10)
+    assert (hs.vertex_count(marg.n, marg.m) <= MAX_ENUMERATION) == certified
+    with pytest.raises(OutOfRange, match=f"^{next(iter(search))} must be an integer, got "):
+        hs.max_micro(marg, **search)
+
+
+@pytest.mark.parametrize("certified", [True, False])
+def test_max_micro_takes_numpy_integer_search_arguments(golden, certified):
+    marg = hs.marginals(golden) if certified else power_law_marginals(0, 12, 10)
+    got = hs.max_micro(marg, np.int64(3), seed=np.uint8(5))
+    expect = hs.max_micro(marg, 3, seed=5)
+    assert got.certified == certified
+    assert got.objective == expect.objective
+    assert np.array_equal(got.matrix, expect.matrix)
