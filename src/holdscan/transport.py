@@ -15,8 +15,7 @@ tree from its bipartite Prüfer code (small systems, exact and certified)
 or by vertex local search along improving polytope edges (large systems,
 a certified lower bound only), restarted from staircase vertices along
 row and column orders drawn from the PCG64 stream of numpy's
-``default_rng(seed)``, reproduced here on Python integers so that the
-search does not load numpy's random module.
+``default_rng(seed)``, which ``_pcg`` reproduces on Python integers.
 
 The feasible-range sparsity score locates an observed matrix between the
 fixed-marginal minimum and maximum.
@@ -30,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pcg import Permutations
 from .core import OwnershipMatrix, Marginals, _agree, _at_most, _freeze, require_active
 from .errors import (
     ConvergenceFailure,
@@ -181,9 +181,10 @@ def max_micro(marg: Marginals, budget: int = 64, *, seed: int = 0) -> TransportS
     ``MAX_ENUMERATION`` (every tree's vertex, from its Prüfer code);
     otherwise a seeded multi-start vertex local search returning a lower
     bound (``certified=False``), whose restart orders are the permutations
-    numpy's ``default_rng(seed)`` draws, reproduced bit for bit in this
-    module. Ties between vertices break toward the lexicographically
-    smallest support, so the reported argmax is deterministic.
+    numpy's ``default_rng(seed)`` draws, reproduced bit for bit by
+    ``_pcg.Permutations``. Ties between vertices break toward the
+    lexicographically smallest support, so the reported argmax is
+    deterministic.
     """
     _check_search(budget, seed)
     p, s = marg.p, marg.s
@@ -522,7 +523,7 @@ def _northwest_vertex(
 def _local_search_max(
     p: np.ndarray, s: np.ndarray, budget: int, seed: int
 ) -> tuple[np.ndarray, float]:
-    orders = _Permutations(seed)
+    orders = Permutations(seed)
     n, m = p.size, s.size
     cap = min(float(p @ p), float(s @ s))  # unreachable above this value
     best_obj = -1.0
@@ -548,86 +549,6 @@ def _local_search_max(
             break
     assert best_mat is not None
     return best_mat, best_obj
-
-
-_M32 = (1 << 32) - 1
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-
-#: PCG's default 128-bit LCG multiplier.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-class _Permutations:
-    """numpy's ``default_rng(seed).permutation(k)``, bit for bit, as lists.
-
-    numpy's default generator is PCG64 (O'Neill 2014: a 128-bit LCG read
-    out by XSL-RR) seeded through ``SeedSequence``; both run here on Python
-    integers, because loading numpy's random module costs a process about
-    6 MB of memory. ``SeedSequence(seed)`` hashes the seed's 32-bit
-    little-endian words into a pool of four and draws eight words from it,
-    read in pairs (low, high) as the four 64-bit halves of the LCG's seed
-    and stream. A 32-bit draw is the low half of a 64-bit output, the next
-    one its kept high half, and that half carries over from one
-    permutation to the next. A permutation shuffles ``range(k)`` by
-    Fisher-Yates from the last place down, taking for place i the first
-    draw under the mask ``2**i.bit_length() - 1`` that is at most i.
-    """
-
-    def __init__(self, seed: int):
-        seed = operator.index(seed)
-        words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-
-        def hasher(const: int, mult: int) -> Callable[[int], int]:
-            def hashmix(value: int) -> int:
-                nonlocal const
-                value ^= const
-                const = const * mult & _M32
-                value = value * const & _M32
-                return value ^ value >> 16
-
-            return hashmix
-
-        def mix(x: int, y: int) -> int:
-            value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-            return value ^ value >> 16
-
-        hashmix = hasher(0x43B0D7E5, 0x931E8875)
-        pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in words[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        draw = hasher(0x8B51F9DD, 0x58F38DED)
-        state = [draw(pool[i % 4]) for i in range(8)]
-        halves = [state[k] | state[k + 1] << 32 for k in (0, 2, 4, 6)]
-        start = halves[0] << 64 | halves[1]
-        self.inc = ((halves[2] << 64 | halves[3]) << 1 | 1) & _M128
-        self.state = ((self.inc + start) * _PCG_MULT + self.inc) & _M128
-        self.high: int | None = None  # the high half of the last output, unread
-
-    def permutation(self, k: int) -> list[int]:
-        order = list(range(k))
-        state, inc, high = self.state, self.inc, self.high
-        for i in range(k - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            while True:
-                if high is None:
-                    state = (state * _PCG_MULT + inc) & _M128
-                    word = ((state >> 64) ^ state) & _M64
-                    turn = state >> 122
-                    word = (word >> turn | word << (64 - turn)) & _M64
-                    j, high = word & mask, word >> 32
-                else:
-                    j, high = high & mask, None
-                if j <= i:
-                    break
-            order[i], order[j] = order[j], order[i]
-        self.state, self.high = state, high
-        return order
 
 
 class _Forest:

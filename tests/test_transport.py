@@ -334,11 +334,11 @@ def test_restart_orders_match_numpy_permutations(seed):
     # then a column order from one generator. The sizes straddle the powers
     # of two where the draw mask widens; 2**200 + 1 has more seed words than
     # the pool holds.
-    from holdscan.transport import _Permutations
+    from holdscan._pcg import Permutations
 
     sizes = [1, 2, 3, 4, 5, 31, 32, 33, 64, 65, 1000]
     for n, m in zip(sizes, reversed(sizes)):
-        rng, orders = np.random.default_rng(seed), _Permutations(seed)
+        rng, orders = np.random.default_rng(seed), Permutations(seed)
         for _ in range(2, 64):
             for k in (n, m):
                 assert orders.permutation(k) == rng.permutation(k).tolist(), (seed, n, m)
