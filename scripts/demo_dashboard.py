@@ -28,7 +28,7 @@ def main() -> None:
     print(f"wrote {target}")
 
     matrix = cli.ingest(target)
-    dash = cli.dashboard(matrix)
+    dash = hs.dashboard(matrix)
     dep = hs.dependence_index(matrix)
     print(cli.report(matrix, dash, dep, fmt="text"))
 

@@ -16,13 +16,19 @@ import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .comparative import OperationDelta, dilute, merge_investors, nonid_family, remove_stock
-from .core import OwnershipMatrix, _normalized, _rescaled, _summed_cells, held_cells, marginals
-from .dependence import DependenceReport, Partition, aggregate, dependence_index
-from .dynamics import active_variance, fire_sale
+from .core import (
+    OwnershipMatrix,
+    _check_search,
+    _normalized,
+    _rescaled,
+    _summed_cells,
+    held_cells,
+    marginals,
+)
 from .errors import (
     AllZeroMatrix,
     DegenerateRange,
@@ -32,10 +38,12 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .extensions import renyi_summary, signed_dependence, signed_from_raw
-from .indices import concentration_summary, micro_decomposition
-from .spectral import whiten
-from .transport import _check_search, family_2x2, sparsity_score, transport_matrix_2x2
+
+# Each subcommand imports the library functions it calls, so a process
+# loads only the modules its subcommands run.
+if TYPE_CHECKING:
+    from .comparative import OperationDelta
+    from .dependence import DependenceReport, Partition
 
 #: Dashboards skip the sparsity score by default above this label count,
 #: because the fixed-marginal maximization cost grows combinatorially.
@@ -119,6 +127,7 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
         sums = np.bincount(where, _rescaled(amounts), minlength=sums.size)
     if not signed:
         return _normalized((n, m), rows, cols, sums, investors, stocks)
+    from .extensions import signed_from_raw
 
     raw = np.zeros((2 * n, m))
     raw[rows, cols] = sums
@@ -493,6 +502,8 @@ def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.nda
 
 def _read_partition(path: str | Path, matrix: OwnershipMatrix) -> Partition:
     """One group per line, comma-separated investor labels, quoted CSV-style as needed."""
+    from .dependence import Partition
+
     path = Path(path)
     index = {label: i for i, label in enumerate(matrix.investor_labels)}
     groups = []
@@ -528,6 +539,10 @@ def dashboard(
     ``compute_psi=None`` decides automatically from the label count. The
     search arguments are checked whether or not Psi is computed.
     """
+    from .dependence import dependence_index
+    from .indices import concentration_summary
+    from .spectral import whiten
+
     _check_search(max_budget, seed)
     summary = concentration_summary(matrix)
     dep = dependence_index(matrix)
@@ -539,6 +554,8 @@ def dashboard(
     if not compute_psi:
         reason = "disabled"
     else:
+        from .transport import sparsity_score
+
         try:
             score = sparsity_score(matrix, budget=max_budget, seed=seed)
             psi, certified = score.psi, score.certified
@@ -693,6 +710,8 @@ def _headline_payload(delta: OperationDelta) -> dict:
 
 
 def _cmd_dashboard(args) -> str:
+    from .dependence import dependence_index
+
     matrix = ingest(args.file, args.input_format)
     dash = dashboard(matrix, compute_psi=args.psi, max_budget=args.max_budget, seed=args.seed)
     flags = {
@@ -705,6 +724,9 @@ def _cmd_dashboard(args) -> str:
 
 
 def _cmd_decompose(args) -> str:
+    from .dependence import dependence_index
+    from .indices import micro_decomposition
+
     matrix = ingest(args.file, args.input_format)
     marg = marginals(matrix)
     dec = micro_decomposition(matrix)
@@ -748,6 +770,8 @@ def _cmd_decompose(args) -> str:
 
 
 def _cmd_psi(args) -> str:
+    from .transport import sparsity_score
+
     matrix = ingest(args.file, args.input_format)
     score = sparsity_score(matrix, budget=args.max_budget, seed=args.seed)
     payload = {
@@ -761,6 +785,8 @@ def _cmd_psi(args) -> str:
 
 
 def _cmd_shock(args) -> str:
+    from .dynamics import fire_sale
+
     matrix = ingest(args.file, args.input_format)
     delta = _read_vector(args.shocks, matrix.investor_labels, "investor")
     result = fire_sale(matrix, delta)
@@ -775,6 +801,8 @@ def _cmd_shock(args) -> str:
 
 
 def _cmd_alpha(args) -> str:
+    from .dynamics import active_variance
+
     matrix = ingest(args.file, args.input_format)
     returns = _read_vector(args.returns, matrix.stock_labels, "stock")
     result = active_variance(
@@ -791,6 +819,8 @@ def _cmd_alpha(args) -> str:
 
 
 def _cmd_merge(args) -> str:
+    from .comparative import merge_investors
+
     matrix = ingest(args.file, args.input_format)
     try:
         tokens = next(csv.reader([args.pair], skipinitialspace=True))
@@ -804,18 +834,24 @@ def _cmd_merge(args) -> str:
 
 
 def _cmd_drop_stock(args) -> str:
+    from .comparative import remove_stock
+
     matrix = ingest(args.file, args.input_format)
     delta = remove_stock(matrix, matrix.stock_index(args.stock))
     return _render(_headline_payload(delta), args.format)
 
 
 def _cmd_dilute(args) -> str:
+    from .comparative import dilute
+
     matrix = ingest(args.file, args.input_format)
     delta = dilute(matrix, args.mass)
     return _render(_headline_payload(delta), args.format)
 
 
 def _cmd_aggregate(args) -> str:
+    from .dependence import aggregate
+
     matrix = ingest(args.file, args.input_format)
     partition = _read_partition(args.groups, matrix)
     split = aggregate(matrix, partition)
@@ -830,6 +866,8 @@ def _cmd_aggregate(args) -> str:
 
 def _cmd_family(args) -> str:
     if args.kind == "2x2":
+        from .transport import family_2x2, transport_matrix_2x2
+
         if args.a is None or args.b is None:
             raise ParseError("family 2x2 needs --a and --b")
         fam = family_2x2(args.a, args.b)
@@ -843,12 +881,16 @@ def _cmd_family(args) -> str:
         return _render(payload, args.format)
     if args.t is None:
         raise ParseError("family nonid needs --t")
+    from .comparative import nonid_family
+
     matrix, micro_formula, dependence_formula = nonid_family(args.t)
     payload = {"entries": matrix.entries, "M": micro_formula, "X": dependence_formula}
     return _render(payload, args.format)
 
 
 def _cmd_renyi(args) -> str:
+    from .extensions import renyi_summary
+
     matrix = ingest(args.file, args.input_format)
     summary = renyi_summary(matrix, args.alpha)
     payload = {
@@ -864,6 +906,8 @@ def _cmd_renyi(args) -> str:
 
 
 def _cmd_signed(args) -> str:
+    from .extensions import signed_dependence
+
     book = ingest(args.file, args.input_format, signed=True)
     value = signed_dependence(book)
     payload = {

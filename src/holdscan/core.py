@@ -11,6 +11,7 @@ functions, safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from functools import wraps
 from itertools import compress
@@ -29,6 +30,7 @@ from .errors import (
     NonFiniteEntry,
     NotAProbabilityVector,
     NotNormalized,
+    OutOfRange,
 )
 
 #: Absolute tolerance on every total-mass check.
@@ -131,6 +133,22 @@ def _probability_vector(values: "np.typing.ArrayLike", name: str) -> np.ndarray:
             f"{name} sums to {float(vec.sum())!r}, expected 1 within {TOL_NORM:g}"
         )
     return vec
+
+
+def _check_search(budget: int, seed: int) -> None:
+    """Reject a restart budget or seed that the maximum search cannot use.
+
+    Both must be integers (``operator.index`` accepts numpy's too).
+    """
+    for name, value in (("budget", budget), ("seed", seed)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
+    if budget < 1:
+        raise OutOfRange(f"budget must be positive, got {budget}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be nonnegative, got {seed}")
 
 
 _Derive = TypeVar("_Derive", bound=Callable)

@@ -23,14 +23,21 @@ fixed-marginal minimum and maximum.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._pcg import Permutations
-from .core import OwnershipMatrix, Marginals, _agree, _at_most, _freeze, require_active
+from .core import (
+    OwnershipMatrix,
+    Marginals,
+    _agree,
+    _at_most,
+    _check_search,
+    _freeze,
+    require_active,
+)
 from .errors import (
     ConvergenceFailure,
     DegenerateRange,
@@ -206,22 +213,6 @@ def max_micro(marg: Marginals, budget: int = 64, *, seed: int = 0) -> TransportS
         certified=certified,
         marginals=marg,
     )
-
-
-def _check_search(budget: int, seed: int) -> None:
-    """Reject a restart budget or seed that the maximum search cannot use.
-
-    Both must be integers (``operator.index`` accepts numpy's too).
-    """
-    for name, value in (("budget", budget), ("seed", seed)):
-        try:
-            operator.index(value)
-        except TypeError:
-            raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
-    if budget < 1:
-        raise OutOfRange(f"budget must be positive, got {budget}")
-    if seed < 0:
-        raise OutOfRange(f"seed must be nonnegative, got {seed}")
 
 
 def sparsity_score(

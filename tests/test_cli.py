@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holdscan as hs
+import holdscan.dependence
 from holdscan import cli
 from holdscan.core import held_cells
 from holdscan.errors import (
@@ -297,7 +298,7 @@ def test_main_exit_codes(tmp_path, golden_csv, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise InternalConsistencyError("synthetic failure")
 
-    monkeypatch.setattr(cli, "dependence_index", explode)
+    monkeypatch.setattr(holdscan.dependence, "dependence_index", explode)
     assert cli.main(["dashboard", str(golden_csv)]) == 3
     capsys.readouterr()
 
@@ -817,6 +818,48 @@ def test_search_does_not_load_numpy_random(tmp_path):
     assert codes == [0, 0]
     assert json.JSONDecoder().raw_decode(out)[0]["certified"] is False
     assert not loaded
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path, golden_csv):
+    # every library module loads on first use, so the command line's set-up
+    # compiles only cli, core and errors, and a subcommand adds only its layers
+    files = {"shocks.csv": "label,value\ninv1,0.5\ninv2,-0.25\ninv3,0\n",
+             "rets.csv": "label,value\nstk1,1.5\nstk2,-0.5\n",
+             "groups.txt": "inv1,inv2\ninv3\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    book = str(golden_csv)
+    groups = [
+        [["decompose", book], ["merge", book, "--pair", "inv1,inv2"],
+         ["drop-stock", book, "--stock", "stk1"], ["dilute", book, "--mass", "0.25"],
+         ["aggregate", book, "--groups", str(tmp_path / "groups.txt")],
+         ["renyi", book, "--alpha", "3"]],
+        [["dashboard", book, "--no-psi"], ["shock", book, "--shocks", str(tmp_path / "shocks.csv")],
+         ["alpha", book, "--returns", str(tmp_path / "rets.csv"), "--project-returns",
+          "--dispersion", "2"]],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import holdscan\n"
+        "from holdscan import cli\n"
+        "cli.build_parser()\n"
+        "loaded = lambda: sorted(name for name in sys.modules if name.startswith('holdscan'))\n"
+        "seen, codes = [loaded()], []\n"
+        "for group in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes += [cli.main(argv) for argv in group]\n"
+        "    seen.append(loaded())\n"
+        "print(json.dumps([codes, seen]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(groups)], capture_output=True,
+                          text=True, check=True, env=env, timeout=120)
+    codes, (setup, after_ingest_large, after_dashboard) = json.loads(done.stdout)
+    assert codes == [0] * 9
+    assert setup == ["holdscan", "holdscan.cli", "holdscan.core", "holdscan.errors"]
+    skipped = {f"holdscan.{name}" for name in ("transport", "_pcg", "spectral", "dynamics")}
+    assert not skipped & set(after_ingest_large)
+    assert not {"holdscan.transport", "holdscan._pcg"} & set(after_dashboard)
 
 
 # (case, file text, message): one file with several bad rows; the first in
