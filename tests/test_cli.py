@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holdscan as hs
-import holdscan.dependence
 from holdscan import cli
 from holdscan.core import held_cells
 from holdscan.errors import (
@@ -298,7 +297,7 @@ def test_main_exit_codes(tmp_path, golden_csv, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise InternalConsistencyError("synthetic failure")
 
-    monkeypatch.setattr(holdscan.dependence, "dependence_index", explode)
+    monkeypatch.setattr("holdscan.dependence.dependence_index", explode)
     assert cli.main(["dashboard", str(golden_csv)]) == 3
     capsys.readouterr()
 
