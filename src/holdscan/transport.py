@@ -15,7 +15,10 @@ tree from its bipartite Prüfer code (small systems, exact and certified)
 or by vertex local search along improving polytope edges (large systems,
 a certified lower bound only), restarted from staircase vertices along
 row and column orders drawn from the PCG64 stream of numpy's
-``default_rng(seed)``, which ``_pcg`` reproduces on Python integers.
+``default_rng(seed)``, which ``_pcg`` reproduces on Python integers. The
+restarts are shared round-robin among forked worker processes, one per
+CPU the process may run on, and their results are taken in restart order,
+so the search returns what one process would, bit for bit.
 
 The feasible-range sparsity score locates an observed matrix between the
 fixed-marginal minimum and maximum.
@@ -23,8 +26,13 @@ fixed-marginal minimum and maximum.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import os
+import pickle
+import signal
+import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -191,7 +199,10 @@ def max_micro(marg: Marginals, budget: int = 64, *, seed: int = 0) -> TransportS
     numpy's ``default_rng(seed)`` draws, reproduced bit for bit by
     ``_pcg.Permutations``. Ties between vertices break toward the
     lexicographically smallest support, so the reported argmax is
-    deterministic.
+    deterministic. The restarts are shared among forked processes, one
+    per CPU this process may run on, with the result of one process; the
+    search stays in this process when other Python threads run, when
+    ``os.fork`` is missing, or when ``budget`` is 1.
     """
     _check_search(budget, seed)
     p, s = marg.p, marg.s
@@ -514,12 +525,89 @@ def _northwest_vertex(
 def _local_search_max(
     p: np.ndarray, s: np.ndarray, budget: int, seed: int
 ) -> tuple[np.ndarray, float]:
+    """Best of ``budget`` climbs; restart k runs in worker k % W (0 is this process).
+
+    The W - 1 other workers are forked children that pickle each result to
+    a pipe as soon as they have it. Results are taken in restart order, so
+    the tie rule and the early stop see what one process would see, and the
+    answer is the serial one bit for bit. Every child is killed and reaped
+    before this returns or raises.
+    """
+    cap = min(float(p @ p), float(s @ s))  # unreachable above this value
+    workers = _worker_count(budget)
+    children: dict[int, tuple[int, BinaryIO]] = {}  # worker -> (pid, pipe)
+    best_obj = -1.0
+    best_support: list[int] = []
+    best_values: list[float] = []
+    try:
+        for worker in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _serve(_restarts(p, s, budget, seed, worker, workers), write)
+            os.close(write)
+            children[worker] = pid, os.fdopen(read, "rb")
+        own = _restarts(p, s, budget, seed, 0, workers)
+        for restart in range(budget):
+            worker = restart % workers
+            if worker == 0:
+                obj, support, values = next(own)
+            else:
+                pid, pipe = children[worker]
+                try:
+                    obj, support, values = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    del children[worker]
+                    pipe.close()
+                    status = _end(pid)
+                    raise InternalConsistencyError(
+                        f"search worker {worker} ended with status {status} "
+                        f"before sending restart {restart}"
+                    ) from None
+            if obj > best_obj + 1e-15 or (abs(obj - best_obj) <= 1e-15 and support < best_support):
+                best_obj, best_support, best_values = obj, support, values
+            if best_obj >= cap - 1e-12:
+                break
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            _end(pid)
+    best = np.zeros((p.size, s.size))
+    best.flat[best_support] = best_values
+    return best, best_obj
+
+
+def _worker_count(budget: int) -> int:
+    """Processes that share a search's restarts.
+
+    One per CPU this process may run on, at most one per restart; only
+    this process when it cannot fork or runs other Python threads, whose
+    locks a forked child would inherit without the threads that hold them.
+    """
+    if budget == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), budget)
+    return min(os.cpu_count() or 1, budget)
+
+
+def _restarts(
+    p: np.ndarray, s: np.ndarray, budget: int, seed: int, worker: int, workers: int
+) -> Iterator[tuple[float, list[int], list[float]]]:
+    """Climbs of restarts worker, worker + workers, ...: (objective, support, cells).
+
+    Every worker draws the whole order stream in restart order, so restart
+    k starts from the same vertex in whichever worker climbs it. The
+    support lists the positive cells' flat indices in row-major order, so
+    it is ordered as (i, j) pairs; the cells are their values.
+    """
     orders = Permutations(seed)
     n, m = p.size, s.size
-    cap = min(float(p @ p), float(s @ s))  # unreachable above this value
-    best_obj = -1.0
-    best_support: list[int] | None = None
-    best_mat: np.ndarray | None = None
     for restart in range(budget):
         if restart == 0:
             # largest-to-largest greedy staircase, usually near-optimal
@@ -531,15 +619,35 @@ def _local_search_max(
         else:
             row_order = orders.permutation(n)
             col_order = orders.permutation(m)
-        mat = _northwest_vertex(p, s, row_order, col_order)
-        mat, obj = _hill_climb(mat)
-        support = np.flatnonzero(mat > 0).tolist()  # row-major, so ordered as (i, j) pairs
-        if obj > best_obj + 1e-15 or (abs(obj - best_obj) <= 1e-15 and support < best_support):
-            best_obj, best_support, best_mat = obj, support, mat
-        if best_obj >= cap - 1e-12:
-            break
-    assert best_mat is not None
-    return best_mat, best_obj
+        if restart % workers == worker:
+            mat, obj = _hill_climb(_northwest_vertex(p, s, row_order, col_order))
+            support = np.flatnonzero(mat > 0)
+            yield obj, support.tolist(), mat.flat[support].tolist()
+
+
+def _serve(results: Iterator[object], write: int) -> NoReturn:
+    """In a forked worker: pickle each result to the pipe ``write``, then exit.
+
+    The worker leaves through ``os._exit``, so it never flushes the stdio
+    buffers or runs the exit handlers it inherited, and it leaves the pipe
+    open until then: the reader sees the pipe end only once the status is
+    final. Status 0 means every result was written.
+    """
+    status = 1
+    try:
+        pipe = os.fdopen(write, "wb")
+        for result in results:
+            pickle.dump(result, pipe)
+            pipe.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _end(pid: int) -> int:
+    """Kill and reap a search worker; its exit code, or minus the signal that ended it."""
+    os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 class _Forest:

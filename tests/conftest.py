@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,17 @@ inv2,stk2,25
 inv3,stk1,15
 inv3,stk2,15
 """
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process unreaped, such as a search worker."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid or '(still running)'} unreaped")
 
 
 @pytest.fixture

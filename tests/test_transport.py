@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import numpy.testing as nptest
 import networkx as nx
@@ -10,6 +15,7 @@ from holdscan.errors import (
     ConvergenceFailure,
     DegenerateRange,
     DimensionMismatch,
+    InternalConsistencyError,
     NonFiniteEntry,
     NotFeasible,
     OutOfRange,
@@ -405,6 +411,256 @@ def test_local_search_pinned_pivot_path(case, count, digest, monkeypatch):
     hs.max_micro(power_law_marginals(case // 2, n, m), budget)
     assert len(pivots) == count
     assert hashlib.sha256("\n".join(pivots).encode()).hexdigest() == digest
+
+
+# -- the local search's restarts in forked workers -----------------------------
+
+
+def use_workers(monkeypatch, count):
+    """Share every search's restarts among ``count`` processes (fewer if the budget is smaller)."""
+    import holdscan.transport as transport
+
+    monkeypatch.setattr(transport, "_worker_count", lambda budget: min(count, budget))
+
+
+def count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def refuse_fork(monkeypatch):
+    def refused():
+        raise AssertionError("the search forked")
+
+    monkeypatch.setattr(os, "fork", refused)
+
+
+@pytest.mark.parametrize("case", [1, 3, 5])
+def test_pinned_searches_match_in_any_number_of_workers(case, monkeypatch):
+    n, m, budget, objective, support = LOCAL_SEARCH_PINS[case]
+    assert budget == 64
+    marg = power_law_marginals(case // 2, n, m)
+    forks = count_forks(monkeypatch)
+    results = []
+    for workers in (1, 2, 3, 5):
+        use_workers(monkeypatch, workers)
+        before = len(forks)
+        sol = hs.max_micro(marg, budget)
+        assert len(forks) - before == workers - 1
+        results.append((sol.objective.hex(), np.flatnonzero(sol.matrix > 0).tolist(),
+                        sol.matrix.tobytes()))
+        no_child_left()
+    assert results[0][:2] == (objective, support)
+    assert all(result == results[0] for result in results)
+
+
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from(["lognormal", "tied"]),
+    st.integers(1, 12),
+    st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_local_search_is_the_serial_one_in_any_number_of_workers(n, m, kind, budget, data):
+    # 1-3 integer masses tie objectives, so the support tie rule decides
+    import holdscan.transport as transport
+
+    p, s = drawn_masses(data, n, kind), drawn_masses(data, m, kind)
+    p, s = p / p.sum(), s / s.sum()
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    count = transport._worker_count
+    try:
+        results = []
+        for workers in (1, 2, 3):
+            transport._worker_count = lambda budget: min(workers, budget)
+            mat, obj = transport._local_search_max(p, s, budget, seed)
+            results.append((obj.hex(), mat.tobytes()))
+    finally:
+        transport._worker_count = count
+    assert all(result == results[0] for result in results)
+
+
+def scripted_climbs(monkeypatch, p, s, budget, script):
+    """Make restart k's climb return ``script(k, cap)``: an objective and a support.
+
+    The climb knows its restart by its start vertex, recorded from a serial
+    search, and returns the support's cells valued k + 1. The patched
+    function is inherited by the forked workers.
+    """
+    import holdscan.transport as transport
+
+    starts = []
+    use_workers(monkeypatch, 1)
+    monkeypatch.setattr(transport, "_hill_climb", lambda mat: starts.append(mat.tobytes()) or (mat, 0.0))
+    transport._local_search_max(p, s, budget, 0)
+    assert len(set(starts)) == budget
+    restart_of = {start: k for k, start in enumerate(starts)}
+    cap = min(float(p @ p), float(s @ s))
+
+    def climb(mat):
+        k = restart_of[mat.tobytes()]
+        objective, support = script(k, cap)
+        out = np.zeros_like(mat)
+        out.flat[support] = k + 1.0
+        return out, objective
+
+    monkeypatch.setattr(transport, "_hill_climb", climb)
+
+
+def serial_and_forked(monkeypatch, p, s, budget):
+    """(objective hex, matrix bytes) of the search in 1, 2, 3 and 5 workers."""
+    import holdscan.transport as transport
+
+    results = []
+    for workers in (1, 2, 3, 5):
+        use_workers(monkeypatch, workers)
+        mat, obj = transport._local_search_max(p, s, budget, 0)
+        no_child_left()
+        results.append((obj.hex(), mat.tobytes()))
+    return results
+
+
+def test_forked_search_keeps_the_tie_rule(monkeypatch):
+    # an objective within 1e-15 of the best so far ties with it, and the
+    # smaller support wins, wherever the two restarts ran: the best moves
+    # up at restarts 2 and 6 and to a smaller support at 1, 4, 7 and 8
+    marg = lognormal_marginals(3, 12, 10)
+    offsets = [0.0, -9e-16, 5e-16, 4e-16, -3e-16, 0.0, 1.4e-15, 8e-16, 1.1e-15, -2e-16]
+    supports = [[5, 9, 40], [2, 50], [1, 7], [3, 4, 5], [0, 99], [2, 49], [8], [1, 6, 7],
+                [1, 5], [0, 98]]
+    scripted_climbs(monkeypatch, marg.p, marg.s, 10, lambda k, cap: (cap / 2 + offsets[k], supports[k]))
+    results = serial_and_forked(monkeypatch, marg.p, marg.s, 10)
+    assert all(result == results[0] for result in results)
+    best = np.frombuffer(results[0][1]).reshape(12, 10)
+    assert np.flatnonzero(best).tolist() == [1, 5] and best.flat[1] == 9.0
+
+
+@pytest.mark.parametrize("budget", [1, 2, 16])
+def test_forked_search_stops_at_the_cap_as_one_process_does(budget, monkeypatch):
+    # restart 3 reaches the cap: the search stops there, later restarts lose,
+    # and every worker is reaped
+    marg = lognormal_marginals(4, 12, 10)
+    climbs = []
+
+    def script(k, cap):
+        if os.getpid() == caller:
+            climbs.append(k)
+        objective = cap if k == 3 else cap / 2 + k * 1e-3 * cap
+        return objective, [k, 20 + k]
+
+    caller = os.getpid()
+    scripted_climbs(monkeypatch, marg.p, marg.s, budget, script)
+    results = serial_and_forked(monkeypatch, marg.p, marg.s, budget)
+    assert all(result == results[0] for result in results)
+    if budget > 3:
+        assert float.fromhex(results[0][0]) == min(float(marg.p @ marg.p), float(marg.s @ marg.s))
+        assert max(climbs) <= 3  # the caller climbs nothing after the stop
+
+
+def test_failing_worker_raises_and_is_reaped(monkeypatch):
+    import holdscan.transport as transport
+
+    climb, caller = transport._hill_climb, os.getpid()
+
+    def failing(mat):
+        if os.getpid() != caller:
+            raise RuntimeError("a worker fails")
+        return climb(mat)
+
+    monkeypatch.setattr(transport, "_hill_climb", failing)
+    use_workers(monkeypatch, 3)
+    with pytest.raises(InternalConsistencyError, match="ended with status 1 before sending restart 1$"):
+        hs.max_micro(power_law_marginals(0, 12, 10), 64)
+    no_child_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failing_caller_reaps_its_workers(error, monkeypatch):
+    import holdscan.transport as transport
+
+    climb, caller = transport._hill_climb, os.getpid()
+
+    def failing(mat):
+        if os.getpid() == caller:
+            raise error("the caller fails")
+        return climb(mat)
+
+    monkeypatch.setattr(transport, "_hill_climb", failing)
+    use_workers(monkeypatch, 3)
+    with pytest.raises(error):
+        hs.max_micro(power_law_marginals(0, 12, 10), 64)
+    no_child_left()
+
+
+def test_forked_workers_leave_the_callers_output_alone(tmp_path):
+    # unflushed text in the caller's stdout buffer is copied into each fork;
+    # a worker that flushed it or ran on into the CLI would print it again
+    rows = [f"i{i},s{j},{(i + 1) * (j + 2) % 7 + 1}" for i in range(12) for j in range(10)]
+    book = tmp_path / "book.csv"
+    book.write_text("investor,stock,amount\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code = ("import sys\nfrom holdscan import cli\n"
+            "sys.stdout.write('written before the search\\n')\n"
+            "sys.exit(cli.main(['psi', sys.argv[1]]))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)  # keep the text in the buffer
+    done = subprocess.run([sys.executable, "-c", code, str(book)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.count("written before the search") == 1
+    assert done.stdout.count("schema_version") == 1
+    assert "certified                    false" in done.stdout
+
+
+def test_search_in_a_second_thread_does_not_fork(monkeypatch):
+    n, m, budget, objective, support = LOCAL_SEARCH_PINS[1]
+    refuse_fork(monkeypatch)
+    found = []
+    thread = threading.Thread(
+        target=lambda: found.append(hs.max_micro(power_law_marginals(0, n, m), budget))
+    )
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert found[0].objective.hex() == objective
+    assert np.flatnonzero(found[0].matrix > 0).tolist() == support
+
+
+@pytest.mark.parametrize("case", [0, 2, 4])
+def test_budget_one_search_does_not_fork(case, monkeypatch):
+    n, m, budget, objective, support = LOCAL_SEARCH_PINS[case]
+    assert budget == 1
+    refuse_fork(monkeypatch)
+    sol = hs.max_micro(power_law_marginals(case // 2, n, m), budget)
+    assert sol.objective.hex() == objective
+    assert np.flatnonzero(sol.matrix > 0).tolist() == support
+
+
+def test_worker_count(monkeypatch):
+    from holdscan.transport import _worker_count
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert _worker_count(64) == min(cpus, 64)
+    assert _worker_count(1) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _worker_count(64) == min(os.cpu_count(), 64)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert _worker_count(64) == 1
 
 
 # -- certified maximum: the Prüfer decode against a recursive oracle ----------
