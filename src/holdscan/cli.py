@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -91,7 +92,9 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     The cells are built from coded columns (see ``_scan_csv``): the codes
     become one int64 key per lot and are freed before the keys are sorted,
     so a plain CSV peaks at about its coded columns plus the sort's
-    temporaries, never at the size of the file.
+    temporaries, never at the size of the file. A plain CSV of more than
+    one block is scanned by one forked process per CPU, to the same
+    columns; a child that dies first raises ``InternalConsistencyError``.
     """
     # a plain CSV is scanned in numpy; csv.reader or json reads any other
     # file, to the same columns, and words every error
@@ -175,32 +178,61 @@ def _scan_csv(path: Path) -> tuple[_Coded, bool] | None:
     whose signs are empty, ``+`` or ``-``. The file is read in blocks
     (``_blocks``) and each block gets every check; what a block leaves
     behind is its coded columns (``_Block``), so no field becomes a Python
-    object and peak memory is about the coded columns plus one block. The
-    labels are then ranked once, over the blocks' distinct labels. The
-    columns are those ``_read_csv`` reads, bit for bit; the legs of a file
-    without a sign column are a read-only zero-stride view of 0.
+    object and peak memory is about the coded columns plus one block per
+    worker. A file of more than one ``_BLOCK`` is shared among W processes,
+    W = ``_fork.worker_count(reads)``: each scans the blocks of a run of
+    consecutive reads, the caller the first run, and forked children send
+    theirs back. The caller takes the runs in file order, so the blocks and
+    their checks are those of one process, whatever W is. The labels are
+    then ranked once, over the blocks' distinct labels. The columns are
+    those ``_read_csv`` reads, bit for bit; the legs of a file without a
+    sign column are a read-only zero-stride view of 0.
     """
-    width, parts = None, []
     try:
-        for text in _blocks(path):
-            start = 0
-            if width is None:  # the first block starts with the header
-                start = text.find(b"\n") + 1
-                width = _HEADER_WIDTHS.get(text[: start - 1])
-                if width is None:
-                    return None
-                if start == len(text):
-                    continue  # the first record runs on past this block
-            part = _scanned_block(text, start, width)
-            if part is None:
+        with open(path, "rb") as handle:
+            fd = handle.fileno()
+            header, newline, _ = os.pread(fd, 64, 0).partition(b"\n")
+            width = _HEADER_WIDTHS.get(header.removesuffix(b"\r")) if newline else None
+            if width is None:
                 return None
-            parts.append(part)
+            head = len(header) + 1  # the records start here
+            reads = -(-os.fstat(fd).st_size // _BLOCK)
+            if reads <= 1:
+                return _coded_blocks(_scanned_run(fd, width, head, 0, None), width)
+            return _scanned_runs(fd, width, head, reads)
     except OSError:
         return None
+
+
+def _scanned_runs(fd: int, width: int, head: int, reads: int) -> tuple[_Coded, bool] | None:
+    """``_coded_blocks`` of ``_scanned_run`` over ``reads``, with one run of reads per worker.
+
+    The blocks are merged while the children exit.
+    """
+    from . import _fork
+
+    workers = _fork.worker_count(reads)
+    firsts = [worker * reads // workers for worker in range(workers)] + [None]
+
+    def share(worker: int) -> Iterator[list[_Block] | None]:
+        yield _scanned_run(fd, width, head, firsts[worker], firsts[worker + 1])
+
+    with _fork.forked("scan", share, workers) as receive:
+        parts = _scanned_run(fd, width, head, 0, firsts[1])
+        for worker in range(1, workers):
+            if parts is None:
+                break  # declined: no need to wait for the rest
+            more = receive(worker, "its blocks")
+            parts = None if more is None else parts + more
+        return _coded_blocks(parts, width)
+
+
+def _coded_blocks(parts: list[_Block] | None, width: int) -> tuple[_Coded, bool] | None:
+    """The file's coded columns from its blocks in file order, or None to decline the file."""
     if not parts:
-        return None  # no records
+        return None  # declined, or no records
     investors, investor_codes, stocks, stock_codes, amounts, minus = zip(*parts)
-    del parts
+    parts.clear()  # free each block's tuple as its columns merge
     amounts = np.concatenate(amounts)
     legs = (
         np.broadcast_to(np.intp(0), amounts.shape) if width == 3
@@ -212,27 +244,61 @@ def _scan_csv(path: Path) -> tuple[_Coded, bool] | None:
     ), width == 4
 
 
-def _blocks(path: Path) -> Iterator[bytes]:
-    """The file's bytes with ``\\r\\n`` read as ``\\n``, a block at a time.
+def _scanned_run(
+    fd: int, width: int, head: int, first: int, stop: int | None
+) -> list[_Block] | None:
+    """The coded columns of ``_blocks(fd, first, stop)``, or None to decline the file.
 
-    A block is what ``_BLOCK`` bytes of reading add to the partial line the
-    last block left, up to its last line end, so it holds whole lines and a
-    line longer than ``_BLOCK`` makes its block longer. The last block gets
-    a line end if the file lacks one. One block is held at a time.
+    ``head`` is the size of the header line, which starts the file's first block.
     """
-    with open(path, "rb") as handle:
-        rest = b""
-        while chunk := handle.read(_BLOCK):
-            rest += chunk
-            del chunk
-            cut = rest.rfind(b"\n") + 1
-            if cut:
-                block, rest = rest[:cut], rest[cut:]
-                if b"\r" in block:
-                    block = block.replace(b"\r\n", b"\n")
-                yield block
-        if rest:
-            yield rest.replace(b"\r\n", b"\n") + b"\n"
+    parts, header = [], first * _BLOCK < head
+    for text in _blocks(fd, first, stop):
+        if text is None:
+            return None
+        start = text.find(b"\n") + 1 if header else 0
+        header = False
+        if start == len(text):
+            continue  # the first record runs on past this block
+        part = _scanned_block(text, start, width)
+        if part is None:
+            return None
+        parts.append(part)
+    return parts
+
+
+def _blocks(fd: int, first: int = 0, stop: int | None = None) -> Iterator[bytes | None]:
+    """The bytes of the file open as ``fd``, ``\\r\\n`` read as ``\\n``, a block at a time.
+
+    A block is what one ``os.pread`` of ``_BLOCK`` bytes adds to the
+    partial line the last block left, up to its last line end, so it holds
+    whole lines and a line longer than ``_BLOCK`` makes its block longer.
+    These are the blocks that reads ``first`` to ``stop`` - 1 end (all of
+    them when ``stop`` is None); the first starts with the line pending at
+    read ``first``, so a file cut into runs of reads gives the blocks of
+    one pass. The file's last block gets a line end if it lacks one. A
+    pending line longer than any record, 4 × (``csv.field_size_limit()`` +
+    1) bytes, gives None, and no block after it. One block is held at a
+    time.
+    """
+    longest = 4 * (csv.field_size_limit() + 1)
+    at = first * _BLOCK
+    rest = os.pread(fd, min(at, longest + 1), at - min(at, longest + 1))
+    rest = rest[rest.rfind(b"\n") + 1 :]
+    while len(rest) <= longest:
+        if first == stop or not (chunk := os.pread(fd, _BLOCK, first * _BLOCK)):
+            if rest and stop is None:
+                yield rest.replace(b"\r\n", b"\n") + b"\n"
+            return
+        first += 1
+        rest += chunk
+        del chunk
+        cut = rest.rfind(b"\n") + 1
+        if cut:
+            block, rest = rest[:cut], rest[cut:]
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n")
+            yield block
+    yield None  # a line no record can fill
 
 
 def _scanned_block(text: bytes, start: int, width: int) -> _Block | None:

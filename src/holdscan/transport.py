@@ -26,13 +26,8 @@ fixed-marginal minimum and maximum.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -533,67 +528,29 @@ def _local_search_max(
     answer is the serial one bit for bit. Every child is killed and reaped
     before this returns or raises.
     """
+    from . import _fork
+
     cap = min(float(p @ p), float(s @ s))  # unreachable above this value
-    workers = _worker_count(budget)
-    children: dict[int, tuple[int, BinaryIO]] = {}  # worker -> (pid, pipe)
+    workers = _fork.worker_count(budget)
     best_obj = -1.0
     best_support: list[int] = []
     best_values: list[float] = []
-    try:
-        for worker in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _serve(_restarts(p, s, budget, seed, worker, workers), write)
-            os.close(write)
-            children[worker] = pid, os.fdopen(read, "rb")
-        own = _restarts(p, s, budget, seed, 0, workers)
+
+    def share(worker: int) -> Iterator[tuple[float, list[int], list[float]]]:
+        return _restarts(p, s, budget, seed, worker, workers)
+
+    with _fork.forked("search", share, workers) as receive:
+        own = share(0)
         for restart in range(budget):
             worker = restart % workers
-            if worker == 0:
-                obj, support, values = next(own)
-            else:
-                pid, pipe = children[worker]
-                try:
-                    obj, support, values = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    del children[worker]
-                    pipe.close()
-                    status = _end(pid)
-                    raise InternalConsistencyError(
-                        f"search worker {worker} ended with status {status} "
-                        f"before sending restart {restart}"
-                    ) from None
+            obj, support, values = receive(worker, f"restart {restart}") if worker else next(own)
             if obj > best_obj + 1e-15 or (abs(obj - best_obj) <= 1e-15 and support < best_support):
                 best_obj, best_support, best_values = obj, support, values
             if best_obj >= cap - 1e-12:
                 break
-    finally:
-        for pid, pipe in children.values():
-            pipe.close()
-            _end(pid)
     best = np.zeros((p.size, s.size))
     best.flat[best_support] = best_values
     return best, best_obj
-
-
-def _worker_count(budget: int) -> int:
-    """Processes that share a search's restarts.
-
-    One per CPU this process may run on, at most one per restart; only
-    this process when it cannot fork or runs other Python threads, whose
-    locks a forked child would inherit without the threads that hold them.
-    """
-    if budget == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return min(len(os.sched_getaffinity(0)), budget)
-    return min(os.cpu_count() or 1, budget)
 
 
 def _restarts(
@@ -623,31 +580,6 @@ def _restarts(
             mat, obj = _hill_climb(_northwest_vertex(p, s, row_order, col_order))
             support = np.flatnonzero(mat > 0)
             yield obj, support.tolist(), mat.flat[support].tolist()
-
-
-def _serve(results: Iterator[object], write: int) -> NoReturn:
-    """In a forked worker: pickle each result to the pipe ``write``, then exit.
-
-    The worker leaves through ``os._exit``, so it never flushes the stdio
-    buffers or runs the exit handlers it inherited, and it leaves the pipe
-    open until then: the reader sees the pipe end only once the status is
-    final. Status 0 means every result was written.
-    """
-    status = 1
-    try:
-        pipe = os.fdopen(write, "wb")
-        for result in results:
-            pickle.dump(result, pipe)
-            pipe.flush()
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _end(pid: int) -> int:
-    """Kill and reap a search worker; its exit code, or minus the signal that ended it."""
-    os.kill(pid, signal.SIGKILL)
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 class _Forest:

@@ -29,6 +29,43 @@ def no_child_process_left():
     pytest.fail(f"the test left child process {pid or '(still running)'} unreaped")
 
 
+def use_workers(monkeypatch, count):
+    """Share every search's restarts and every scan's reads among ``count`` processes.
+
+    Fewer if there are fewer restarts or reads.
+    """
+    import holdscan._fork as fork
+
+    monkeypatch.setattr(fork, "worker_count", lambda tasks: min(count, tasks))
+
+
+def count_forks(monkeypatch):
+    """Count the children ``os.fork`` makes; the list of their pids."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def refuse_fork(monkeypatch):
+    def refused():
+        raise AssertionError("forked a worker")
+
+    monkeypatch.setattr(os, "fork", refused)
+
+
 @pytest.fixture
 def golden() -> hs.OwnershipMatrix:
     """3x2 worked holdings book used across the suite."""

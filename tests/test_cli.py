@@ -2,9 +2,11 @@ import csv
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holdscan as hs
-from holdscan import cli
+from holdscan import _fork, cli
 from holdscan.core import held_cells
 from holdscan.errors import (
     AllZeroMatrix,
@@ -30,7 +32,7 @@ from holdscan.errors import (
     ValidationError,
 )
 
-from conftest import GOLDEN_CSV
+from conftest import GOLDEN_CSV, count_forks, no_child_left, refuse_fork, use_workers
 
 
 def test_ingest_golden_csv(golden_csv):
@@ -859,6 +861,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path, golden_csv):
     skipped = {f"holdscan.{name}" for name in ("transport", "_pcg", "spectral", "dynamics")}
     assert not skipped & set(after_ingest_large)
     assert not {"holdscan.transport", "holdscan._pcg"} & set(after_dashboard)
+    assert "holdscan._fork" not in after_dashboard  # a one-block book is scanned here
 
 
 # (case, file text, message): one file with several bad rows; the first in
@@ -1226,11 +1229,20 @@ def edited_csv_texts(draw):
 block_sizes = st.integers(1, 48) | st.just(cli._BLOCK)
 
 
+def in_workers(workers):
+    """Share each scan's reads among ``workers`` processes (fewer if there are fewer reads).
+
+    The property tests scan in one process; ``test_forked_scan_is_the_one_process_scan``
+    forks in a bounded sample of their files.
+    """
+    return mock.patch.object(_fork, "worker_count", lambda tasks: min(workers, tasks))
+
+
 @given(edited_csv_texts(), st.booleans(), block_sizes)
 @settings(max_examples=500, deadline=None)
 def test_scanner_matches_csv_reader(drawn, signed, block):
     text, _ = drawn
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_BLOCK", block):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_BLOCK", block), in_workers(1):
         path = Path(tmp) / "lots.csv"
         path.write_bytes(text.encode("utf-8"))
         assert_scan_matches_reference(path, signed)
@@ -1240,7 +1252,7 @@ def test_scanner_matches_csv_reader(drawn, signed, block):
 @settings(max_examples=200, deadline=None)
 def test_scanner_accepts_plain_files(drawn, block):
     text, with_sign = drawn
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_BLOCK", block):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_BLOCK", block), in_workers(1):
         path = Path(tmp) / "lots.csv"
         path.write_bytes(text.encode("ascii"))
         assert_scan_matches_reference(path, with_sign, accepted=True)
@@ -1288,6 +1300,13 @@ def test_scanner_declines_what_it_cannot_read_exactly(tmp_path, text):
 
 CRLF_HEAD = HEAD.replace("\n", "\r\n")
 
+
+def file_blocks(path):
+    """The scanner's blocks of the file at ``path``, as one process reads them."""
+    with open(path, "rb") as handle:
+        return list(cli._blocks(handle.fileno()))
+
+
 # (case, file text, block size): plain files whose first read of the block
 # size stops inside a record, between a carriage return and its line feed,
 # or before the end of a record longer than a block
@@ -1307,7 +1326,7 @@ def test_scanner_reads_records_split_across_blocks(tmp_path, monkeypatch, text, 
     path = tmp_path / "lots.csv"
     path.write_bytes(text.encode("ascii"))
     monkeypatch.setattr(cli, "_BLOCK", block)
-    blocks = list(cli._blocks(path))
+    blocks = file_blocks(path)
     # whole lines, with \r\n read as \n, and a block outgrows the block size
     # only by the line it stops in
     assert len(blocks) > 1
@@ -1342,7 +1361,7 @@ def test_scanner_declines_in_the_last_block(tmp_path, monkeypatch, last, expecte
     assert cli._scan_csv(plain) is not None
     path = tmp_path / "lots.csv"
     path.write_bytes((HEAD + PLAIN_RECORDS + last).encode("ascii"))
-    blocks = list(cli._blocks(path))
+    blocks = file_blocks(path)
     assert len(blocks) > 2 and blocks[-1].endswith(last.encode("ascii"))
     assert_scan_matches_reference(path, False, accepted=False)
     outcome = ingest_outcome(path, False)
@@ -1350,6 +1369,150 @@ def test_scanner_declines_in_the_last_block(tmp_path, monkeypatch, last, expecte
         assert outcome == (ParseError, expected.format(path=path))
     else:
         assert outcome[0][0] == expected
+
+
+def test_scanner_declines_an_endless_line_early(tmp_path, monkeypatch):
+    # a header, then one line that never ends. No record is longer than
+    # 4 x (field limit + 1) bytes, so the scanner stops reading once the
+    # pending line is longer; it used to read the whole file, growing the
+    # line one read at a time (quadratic time). Reads counted in the caller
+    limit = csv.field_size_limit(1000)
+    try:
+        monkeypatch.setattr(cli, "_BLOCK", 256)
+        path = tmp_path / "lots.csv"
+        path.write_bytes((HEAD + "a," + "x" * 100_000).encode("ascii"))
+        pread, read = os.pread, []
+
+        def counted(fd, size, at):
+            data = pread(fd, size, at)
+            read.append(len(data))
+            return data
+
+        monkeypatch.setattr(os, "pread", counted)
+        for workers in (1, 2):
+            read.clear()
+            with in_workers(workers):
+                assert cli._scan_csv(path) is None
+            # the header probe, then reads until the line passes 4004 bytes
+            assert sum(read) == 64 + 16 * 256
+        assert_scan_matches_reference(path, False, accepted=False)
+        assert ingest_outcome(path, False) == (
+            ParseError, f"{path}:2: field larger than field limit (1000)")
+    finally:
+        csv.field_size_limit(limit)
+
+
+# -- the scan of a large CSV in forked workers ---------------------------------
+
+
+@given(plain_csv_texts() | edited_csv_texts(), block_sizes)
+@settings(max_examples=40, deadline=None)
+def test_forked_scan_is_the_one_process_scan(drawn, block):
+    # the same labels, codes, amount bits and legs, or the same decline, in
+    # any number of workers: blocks cut records, CRLF line ends and labels
+    text, _ = drawn
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_BLOCK", block):
+        path = Path(tmp) / "lots.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with in_workers(1):
+            expected = cli._scan_csv(path)
+        for workers in (2, 3):
+            with in_workers(workers):
+                scanned = cli._scan_csv(path)
+            no_child_left()
+            assert (scanned is None) == (expected is None)
+            if expected is not None:
+                assert_same_coded(scanned, expected)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize(
+    "last, expected",
+    [case[1:] for case in LAST_BLOCK_DECLINES],
+    ids=[case[0] for case in LAST_BLOCK_DECLINES],
+)
+def test_forked_scan_declines_in_a_childs_last_block(tmp_path, monkeypatch, last, expected, workers):
+    # the last worker, a child, scans the blocks up to the end of the file
+    monkeypatch.setattr(cli, "_BLOCK", 64)
+    use_workers(monkeypatch, workers)
+    forks = count_forks(monkeypatch)
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes((HEAD + PLAIN_RECORDS).encode("ascii"))
+    assert_same_coded(cli._scan_csv(plain), reference_coded(plain))
+    path = tmp_path / "lots.csv"
+    path.write_bytes((HEAD + PLAIN_RECORDS + last).encode("ascii"))
+    assert cli._scan_csv(path) is None
+    assert len(forks) == 2 * (workers - 1)
+    outcome = ingest_outcome(path, False)
+    if expected.startswith("{path}"):
+        assert outcome == (ParseError, expected.format(path=path))
+    else:
+        assert outcome[0][0] == expected
+        with mock.patch.object(cli, "_scan_csv", return_value=None):
+            assert outcome == ingest_outcome(path, False)
+
+
+@pytest.mark.parametrize("failure, status", [("exception", 1), ("kill", -signal.SIGKILL)])
+def test_dying_scan_worker_raises_and_is_reaped(tmp_path, monkeypatch, capsys, failure, status):
+    # a child that ends without sending its blocks is an internal error,
+    # not a decline: the CLI exits 3 with one line, and no child is left
+    monkeypatch.setattr(cli, "_BLOCK", 64)
+    use_workers(monkeypatch, 3)
+    path = tmp_path / "lots.csv"
+    path.write_bytes((HEAD + PLAIN_RECORDS).encode("ascii"))
+    run, caller = cli._scanned_run, os.getpid()
+
+    def dying(*args):
+        if os.getpid() != caller:
+            if failure == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("a worker fails")
+        return run(*args)
+
+    monkeypatch.setattr(cli, "_scanned_run", dying)
+    message = f"scan worker 1 ended with status {status} before sending its blocks"
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        cli._scan_csv(path)
+    no_child_left()
+    assert cli.main(["decompose", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    no_child_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failing_scan_caller_reaps_its_workers(tmp_path, monkeypatch, error):
+    monkeypatch.setattr(cli, "_BLOCK", 64)
+    use_workers(monkeypatch, 3)
+    path = tmp_path / "lots.csv"
+    path.write_bytes((HEAD + PLAIN_RECORDS).encode("ascii"))
+    run, caller = cli._scanned_run, os.getpid()
+
+    def failing(*args):
+        if os.getpid() == caller:
+            raise error("the caller fails")
+        return run(*args)
+
+    monkeypatch.setattr(cli, "_scanned_run", failing)
+    with pytest.raises(error):
+        cli._scan_csv(path)
+    no_child_left()
+
+
+def test_scan_in_a_second_thread_or_of_one_block_does_not_fork(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK", 64)
+    path = tmp_path / "lots.csv"
+    path.write_bytes((HEAD + PLAIN_RECORDS).encode("ascii"))
+    one_block = tmp_path / "one-block.csv"
+    one_block.write_bytes((HEAD + "a,x,1\n" * 7).encode("ascii"))
+    assert one_block.stat().st_size == cli._BLOCK
+    refuse_fork(monkeypatch)
+    assert_same_coded(cli._scan_csv(one_block), reference_coded(one_block))
+    found = []
+    thread = threading.Thread(target=lambda: found.append(cli._scan_csv(path)))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert_same_coded(found[0], reference_coded(path))
 
 
 def test_scanner_accepts_crlf_large_book(tmp_path):

@@ -21,6 +21,7 @@ from holdscan.errors import (
     OutOfRange,
 )
 
+from conftest import count_forks, no_child_left, refuse_fork, use_workers
 
 
 def support_graph(matrix):
@@ -416,39 +417,6 @@ def test_local_search_pinned_pivot_path(case, count, digest, monkeypatch):
 # -- the local search's restarts in forked workers -----------------------------
 
 
-def use_workers(monkeypatch, count):
-    """Share every search's restarts among ``count`` processes (fewer if the budget is smaller)."""
-    import holdscan.transport as transport
-
-    monkeypatch.setattr(transport, "_worker_count", lambda budget: min(count, budget))
-
-
-def count_forks(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def refuse_fork(monkeypatch):
-    def refused():
-        raise AssertionError("the search forked")
-
-    monkeypatch.setattr(os, "fork", refused)
-
-
 @pytest.mark.parametrize("case", [1, 3, 5])
 def test_pinned_searches_match_in_any_number_of_workers(case, monkeypatch):
     n, m, budget, objective, support = LOCAL_SEARCH_PINS[case]
@@ -478,20 +446,21 @@ def test_pinned_searches_match_in_any_number_of_workers(case, monkeypatch):
 @settings(max_examples=30, deadline=None)
 def test_local_search_is_the_serial_one_in_any_number_of_workers(n, m, kind, budget, data):
     # 1-3 integer masses tie objectives, so the support tie rule decides
+    import holdscan._fork as fork
     import holdscan.transport as transport
 
     p, s = drawn_masses(data, n, kind), drawn_masses(data, m, kind)
     p, s = p / p.sum(), s / s.sum()
     seed = data.draw(st.integers(0, 2**32 - 1))
-    count = transport._worker_count
+    count = fork.worker_count
     try:
         results = []
         for workers in (1, 2, 3):
-            transport._worker_count = lambda budget: min(workers, budget)
+            fork.worker_count = lambda budget: min(workers, budget)
             mat, obj = transport._local_search_max(p, s, budget, seed)
             results.append((obj.hex(), mat.tobytes()))
     finally:
-        transport._worker_count = count
+        fork.worker_count = count
     assert all(result == results[0] for result in results)
 
 
@@ -652,15 +621,15 @@ def test_budget_one_search_does_not_fork(case, monkeypatch):
 
 
 def test_worker_count(monkeypatch):
-    from holdscan.transport import _worker_count
+    from holdscan._fork import worker_count
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert _worker_count(64) == min(cpus, 64)
-    assert _worker_count(1) == 1
+    assert worker_count(64) == min(cpus, 64)
+    assert worker_count(1) == 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert _worker_count(64) == min(os.cpu_count(), 64)
+    assert worker_count(64) == min(os.cpu_count(), 64)
     monkeypatch.delattr(os, "fork", raising=False)
-    assert _worker_count(64) == 1
+    assert worker_count(64) == 1
 
 
 # -- certified maximum: the Prüfer decode against a recursive oracle ----------
