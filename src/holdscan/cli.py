@@ -197,7 +197,7 @@ def _scan_csv(path: Path) -> tuple[_Coded, bool] | None:
                 return None
             head = len(header) + 1  # the records start here
             reads = -(-os.fstat(fd).st_size // _BLOCK)
-            if reads <= 1:
+            if reads <= 1:  # scanned here, without loading the fork module
                 return _coded_blocks(_scanned_run(fd, width, head, 0, None), width)
             return _scanned_runs(fd, width, head, reads)
     except OSError:
