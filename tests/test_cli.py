@@ -1406,7 +1406,7 @@ def test_scanner_declines_an_endless_line_early(tmp_path, monkeypatch):
 
 
 @given(plain_csv_texts() | edited_csv_texts(), block_sizes)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=25, deadline=None)
 def test_forked_scan_is_the_one_process_scan(drawn, block):
     # the same labels, codes, amount bits and legs, or the same decline, in
     # any number of workers: blocks cut records, CRLF line ends and labels
