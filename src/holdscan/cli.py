@@ -16,6 +16,7 @@ import os
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quoted
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -51,6 +52,9 @@ if TYPE_CHECKING:
 PSI_AUTO_LIMIT = 2000
 
 SCHEMA_VERSION = 1
+
+#: A report's leaf as JSON, once ``_rounded`` has made it a Python scalar.
+_scalar = json.JSONEncoder(allow_nan=False).encode
 
 
 @dataclass(frozen=True)
@@ -704,28 +708,47 @@ def _fmt(value) -> str:
 
 
 def _rounded(obj):
-    """``obj`` with every float rounded to 6 significant digits and arrays as lists.
+    """``obj`` with floats at 6 significant digits, numpy values as Python ones, tuples as lists.
 
-    A finite Python float, the usual leaf, is rounded inline by its dict or
-    list; any other leaf takes one more call.
+    A non-finite float raises ``NonFiniteResult``.
     """
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
-        return {
-            key: float(f"{val:.6g}") if type(val) is float and math.isfinite(val) else _rounded(val)
-            for key, val in obj.items()
-        }
+        return {key: _rounded(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [
-            float(f"{val:.6g}") if type(val) is float and math.isfinite(val) else _rounded(val)
-            for val in obj
-        ]
+        return [_rounded(val) for val in obj]
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise NonFiniteResult(f"a reported value is {obj}")
-        return float(f"{float(obj):.6g}")
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return _rounded(obj.tolist())
+        return float(f"{obj:.6g}")
     return obj
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """``json.dumps(_rounded(obj), indent=2)`` in one pass; ``pad``: a line break, ``obj``'s indent.
+
+    No rounded copy is made, and each container joins its items' text once.
+    """
+    if type(obj) is float and math.isfinite(obj):
+        return repr(float(f"{obj:.6g}"))
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        parts, close = ["{"], "}"
+        for key, val in obj.items():
+            parts += (inner, _quoted(key), ": ", _json(val, inner), ",")
+    elif isinstance(obj, (list, tuple)):
+        parts, close = ["["], "]"
+        for val in obj:
+            parts += (inner, _json(val, inner), ",")
+    else:
+        return _scalar(_rounded(obj))
+    if len(parts) == 1:
+        return parts[0] + close
+    parts[-1] = pad + close
+    return "".join(parts)
 
 
 def _render(payload: dict, fmt: str) -> str:
@@ -734,11 +757,13 @@ def _render(payload: dict, fmt: str) -> str:
     Every float, Python or numpy, also inside dicts, lists, tuples and
     arrays, is rounded; arrays and tuples become lists, and ints, bools,
     strings and None pass through. A non-finite number raises
-    ``NonFiniteResult``. ``text`` writes one ``dotted.key  value`` line per leaf.
+    ``NonFiniteResult``. ``json`` writes the bytes of ``json.dumps`` with
+    ``indent=2``; ``text`` writes one ``dotted.key  value`` line per leaf.
     """
-    payload = _rounded({"schema_version": SCHEMA_VERSION, **payload})
+    payload = {"schema_version": SCHEMA_VERSION, **payload}
     if fmt == "json":
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        return _json(payload) + "\n"
+    payload = _rounded(payload)
     lines: list[str] = []
 
     def walk(prefix: str, obj: dict) -> None:

@@ -1,9 +1,16 @@
 import os
 
-import numpy as np
-import pytest
+# OpenBLAS sizes its thread pool when numpy is first loaded, so BLAS is
+# pinned to one thread, as bench/run.py pins it, before numpy is imported.
+# On a 2-core host a dense SVD ran about ten times slower on two threads.
+os.environ.update(
+    {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+)
 
-import holdscan as hs
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import holdscan as hs  # noqa: E402
 
 GOLDEN_RAW = [[30.0, 10.0], [5.0, 25.0], [15.0, 15.0]]
 
