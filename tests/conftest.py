@@ -2,7 +2,7 @@ import os
 
 # OpenBLAS sizes its thread pool when numpy is first loaded, so BLAS is
 # pinned to one thread, as bench/run.py pins it, before numpy is imported.
-# On a 2-core host a dense SVD ran about ten times slower on two threads.
+# On a busy 2-core host a dense SVD was seen to run ten times slower on two.
 os.environ.update(
     {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 )
