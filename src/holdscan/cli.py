@@ -18,9 +18,10 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quoted
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
+
+import holdscan as hs
 
 from .core import (
     OwnershipMatrix,
@@ -40,12 +41,6 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-
-# Each subcommand imports the library functions it calls, so a process
-# loads only the modules its subcommands run.
-if TYPE_CHECKING:
-    from .comparative import OperationDelta
-    from .dependence import DependenceReport, Partition
 
 #: Dashboards skip the sparsity score by default above this label count,
 #: because the fixed-marginal maximization cost grows combinatorially.
@@ -134,8 +129,6 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
         sums = np.bincount(where, _rescaled(amounts), minlength=sums.size)
     if not signed:
         return _normalized((n, m), rows, cols, sums, investors, stocks)
-    from .extensions import signed_from_raw
-
     raw = np.zeros((2 * n, m))
     raw[rows, cols] = sums
     plus, minus = raw.reshape(2, n, m)
@@ -148,7 +141,7 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
         )
     if not (plus.any() or minus.any()):
         raise AllZeroMatrix(f"{path}: all amounts are zero")
-    return signed_from_raw(plus, minus, investors, stocks)
+    return hs.extensions.signed_from_raw(plus, minus, investors, stocks)
 
 
 def _coded(column: Sequence[str]) -> tuple[list[str], np.ndarray]:
@@ -213,15 +206,13 @@ def _scanned_runs(fd: int, width: int, head: int, reads: int) -> tuple[_Coded, b
 
     The blocks are merged while the children exit.
     """
-    from . import _fork
-
-    workers = _fork.worker_count(reads)
+    workers = hs._fork.worker_count(reads)
     firsts = [worker * reads // workers for worker in range(workers)] + [None]
 
     def share(worker: int) -> Iterator[list[_Block] | None]:
         yield _scanned_run(fd, width, head, firsts[worker], firsts[worker + 1])
 
-    with _fork.forked("scan", share, workers) as receive:
+    with hs._fork.forked("scan", share, workers) as receive:
         parts = _scanned_run(fd, width, head, 0, firsts[1])
         for worker in range(1, workers):
             if parts is None:
@@ -570,10 +561,8 @@ def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.nda
     return np.array([seen[lab][1] for lab in labels])
 
 
-def _read_partition(path: str | Path, matrix: OwnershipMatrix) -> Partition:
+def _read_partition(path: str | Path, matrix: OwnershipMatrix) -> hs.dependence.Partition:
     """One group per line, comma-separated investor labels, quoted CSV-style as needed."""
-    from .dependence import Partition
-
     path = Path(path)
     index = {label: i for i, label in enumerate(matrix.investor_labels)}
     groups = []
@@ -591,7 +580,7 @@ def _read_partition(path: str | Path, matrix: OwnershipMatrix) -> Partition:
         groups.append(tuple(members))
     if not groups:
         raise ParseError(f"{path}: no groups found")
-    return Partition(tuple(groups))
+    return hs.dependence.Partition(tuple(groups))
 
 
 # -- dashboard and reports ---------------------------------------------------
@@ -609,14 +598,10 @@ def dashboard(
     ``compute_psi=None`` decides automatically from the label count. The
     search arguments are checked whether or not Psi is computed.
     """
-    from .dependence import dependence_index
-    from .indices import concentration_summary
-    from .spectral import whiten
-
     _check_search(max_budget, seed)
-    summary = concentration_summary(matrix)
-    dep = dependence_index(matrix)
-    res = whiten(matrix)
+    summary = hs.indices.concentration_summary(matrix)
+    dep = hs.dependence.dependence_index(matrix)
+    res = hs.spectral.whiten(matrix)
     if compute_psi is None:
         compute_psi = matrix.n + matrix.m <= PSI_AUTO_LIMIT
     psi = certified = None
@@ -624,10 +609,8 @@ def dashboard(
     if not compute_psi:
         reason = "disabled"
     else:
-        from .transport import sparsity_score
-
         try:
-            score = sparsity_score(matrix, budget=max_budget, seed=seed)
+            score = hs.transport.sparsity_score(matrix, budget=max_budget, seed=seed)
             psi, certified = score.psi, score.certified
         except DegenerateRange as exc:
             reason = str(exc)
@@ -653,7 +636,7 @@ _METRICS = ("H_I", "H_S", "M", "Psi", "X", "rho", "N_I", "N_S", "N_M")
 def report(
     matrix: OwnershipMatrix,
     dash: Dashboard,
-    contributions: DependenceReport,
+    contributions: hs.dependence.DependenceReport,
     fmt: str = "text",
     seed: int = 0,
     flags: dict | None = None,
@@ -781,7 +764,7 @@ def _render(payload: dict, fmt: str) -> str:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _headline_payload(delta: OperationDelta) -> dict:
+def _headline_payload(delta: hs.comparative.OperationDelta) -> dict:
     def block(values) -> dict:
         return {
             "H_I": values.investor_herfindahl,
@@ -801,8 +784,6 @@ def _headline_payload(delta: OperationDelta) -> dict:
 
 
 def _cmd_dashboard(args) -> str:
-    from .dependence import dependence_index
-
     matrix = ingest(args.file, args.input_format)
     dash = dashboard(matrix, compute_psi=args.psi, max_budget=args.max_budget, seed=args.seed)
     flags = {
@@ -811,17 +792,15 @@ def _cmd_dashboard(args) -> str:
         "format": args.format,
         "input_format": args.input_format,
     }
-    return report(matrix, dash, dependence_index(matrix), args.format, args.seed, flags)
+    dep = hs.dependence.dependence_index(matrix)
+    return report(matrix, dash, dep, args.format, args.seed, flags)
 
 
 def _cmd_decompose(args) -> str:
-    from .dependence import dependence_index
-    from .indices import micro_decomposition
-
     matrix = ingest(args.file, args.input_format)
     marg = marginals(matrix)
-    dec = micro_decomposition(matrix)
-    dep = dependence_index(matrix)
+    dec = hs.indices.micro_decomposition(matrix)
+    dep = hs.dependence.dependence_index(matrix)
     sides = (
         (
             "investor",
@@ -861,10 +840,8 @@ def _cmd_decompose(args) -> str:
 
 
 def _cmd_psi(args) -> str:
-    from .transport import sparsity_score
-
     matrix = ingest(args.file, args.input_format)
-    score = sparsity_score(matrix, budget=args.max_budget, seed=args.seed)
+    score = hs.transport.sparsity_score(matrix, budget=args.max_budget, seed=args.seed)
     payload = {
         "psi": score.psi,
         "m_min": score.m_min,
@@ -876,11 +853,9 @@ def _cmd_psi(args) -> str:
 
 
 def _cmd_shock(args) -> str:
-    from .dynamics import fire_sale
-
     matrix = ingest(args.file, args.input_format)
     delta = _read_vector(args.shocks, matrix.investor_labels, "investor")
-    result = fire_sale(matrix, delta)
+    result = hs.dynamics.fire_sale(matrix, delta)
     payload = {
         "severity": result.severity,
         "parallel_term": result.parallel_term,
@@ -892,11 +867,9 @@ def _cmd_shock(args) -> str:
 
 
 def _cmd_alpha(args) -> str:
-    from .dynamics import active_variance
-
     matrix = ingest(args.file, args.input_format)
     returns = _read_vector(args.returns, matrix.stock_labels, "stock")
-    result = active_variance(
+    result = hs.dynamics.active_variance(
         matrix, returns, project=args.project_returns, dispersion=args.dispersion
     )
     payload = {
@@ -910,42 +883,34 @@ def _cmd_alpha(args) -> str:
 
 
 def _cmd_merge(args) -> str:
-    from .comparative import merge_investors
-
     matrix = ingest(args.file, args.input_format)
     try:
         tokens = next(csv.reader([args.pair], skipinitialspace=True))
         first, second = (tok.strip() for tok in tokens)
     except (ValueError, csv.Error):
         raise ParseError(f"--pair expects two comma-separated labels, got {args.pair!r}") from None
-    delta = merge_investors(
+    delta = hs.comparative.merge_investors(
         matrix, matrix.investor_index(first), matrix.investor_index(second)
     )
     return _render(_headline_payload(delta), args.format)
 
 
 def _cmd_drop_stock(args) -> str:
-    from .comparative import remove_stock
-
     matrix = ingest(args.file, args.input_format)
-    delta = remove_stock(matrix, matrix.stock_index(args.stock))
+    delta = hs.comparative.remove_stock(matrix, matrix.stock_index(args.stock))
     return _render(_headline_payload(delta), args.format)
 
 
 def _cmd_dilute(args) -> str:
-    from .comparative import dilute
-
     matrix = ingest(args.file, args.input_format)
-    delta = dilute(matrix, args.mass)
+    delta = hs.comparative.dilute(matrix, args.mass)
     return _render(_headline_payload(delta), args.format)
 
 
 def _cmd_aggregate(args) -> str:
-    from .dependence import aggregate
-
     matrix = ingest(args.file, args.input_format)
     partition = _read_partition(args.groups, matrix)
-    split = aggregate(matrix, partition)
+    split = hs.dependence.aggregate(matrix, partition)
     payload = {
         "between": split.between,
         "within": split.within,
@@ -957,12 +922,10 @@ def _cmd_aggregate(args) -> str:
 
 def _cmd_family(args) -> str:
     if args.kind == "2x2":
-        from .transport import family_2x2, transport_matrix_2x2
-
         if args.a is None or args.b is None:
             raise ParseError("family 2x2 needs --a and --b")
-        fam = family_2x2(args.a, args.b)
-        mat_min = transport_matrix_2x2(args.a, args.b, fam.x_min_constrained)
+        fam = hs.transport.family_2x2(args.a, args.b)
+        mat_min = hs.transport.transport_matrix_2x2(args.a, args.b, fam.x_min_constrained)
         payload = {
             "interval": fam.interval,
             "x_star": fam.x_star,
@@ -972,18 +935,14 @@ def _cmd_family(args) -> str:
         return _render(payload, args.format)
     if args.t is None:
         raise ParseError("family nonid needs --t")
-    from .comparative import nonid_family
-
-    matrix, micro_formula, dependence_formula = nonid_family(args.t)
+    matrix, micro_formula, dependence_formula = hs.comparative.nonid_family(args.t)
     payload = {"entries": matrix.entries, "M": micro_formula, "X": dependence_formula}
     return _render(payload, args.format)
 
 
 def _cmd_renyi(args) -> str:
-    from .extensions import renyi_summary
-
     matrix = ingest(args.file, args.input_format)
-    summary = renyi_summary(matrix, args.alpha)
+    summary = hs.extensions.renyi_summary(matrix, args.alpha)
     payload = {
         "alpha": summary.alpha,
         "H_I_alpha": summary.investor_power_sum,
@@ -997,10 +956,8 @@ def _cmd_renyi(args) -> str:
 
 
 def _cmd_signed(args) -> str:
-    from .extensions import signed_dependence
-
     book = ingest(args.file, args.input_format, signed=True)
-    value = signed_dependence(book)
+    value = hs.extensions.signed_dependence(book)
     payload = {
         "eta": book.net_exposure,
         "X_signed": value,

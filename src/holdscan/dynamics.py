@@ -42,6 +42,11 @@ def _finite_vector(values: "np.typing.ArrayLike", name: str, size: int, side: st
     return vec
 
 
+def _check_dispersion(sigma: float) -> None:
+    if not np.isfinite(sigma) or sigma < 0:
+        raise OutOfRange(f"dispersion must be a nonnegative scalar, got {sigma!r}")
+
+
 def _require_finite(what: str, **results: "np.typing.ArrayLike") -> None:
     """Raise NonFiniteResult naming the first result that is not finite."""
     for name, value in results.items():
@@ -143,6 +148,8 @@ def active_variance(
     the two must agree. With ``dispersion`` given, the isotropic expected
     capacity is attached.
     """
+    if dispersion is not None:
+        _check_dispersion(dispersion)
     marg = require_active(matrix)
     r = _finite_vector(returns, "returns", matrix.m, "stocks")
     p, s = marg.p, marg.s
@@ -186,9 +193,8 @@ def isotropic_capacity(matrix: OwnershipMatrix, sigma: float) -> float:
     cross-checked against the covariance trace formula on the residual
     operator.
     """
+    _check_dispersion(sigma)
     res = whiten(matrix)
-    if not np.isfinite(sigma) or sigma < 0:
-        raise OutOfRange(f"dispersion must be a nonnegative scalar, got {sigma!r}")
     try:
         scale = float(sigma) ** 2
     except OverflowError:

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import holdscan as hs
+
 from ._pcg import Permutations
 from .core import (
     OwnershipMatrix,
@@ -232,6 +234,7 @@ def sparsity_score(
     result, the observed value itself is the better lower bound and the
     range is widened to it.
     """
+    _check_search(budget, seed)
     marg = require_active(matrix)
     observed = micro_concentration(matrix)
     lo = min_micro(marg)
@@ -528,10 +531,8 @@ def _local_search_max(
     answer is the serial one bit for bit. Every child is killed and reaped
     before this returns or raises.
     """
-    from . import _fork
-
     cap = min(float(p @ p), float(s @ s))  # unreachable above this value
-    workers = _fork.worker_count(budget)
+    workers = hs._fork.worker_count(budget)
     best_obj = -1.0
     best_support: list[int] = []
     best_values: list[float] = []
@@ -539,7 +540,7 @@ def _local_search_max(
     def share(worker: int) -> Iterator[tuple[float, list[int], list[float]]]:
         return _restarts(p, s, budget, seed, worker, workers)
 
-    with _fork.forked("search", share, workers) as receive:
+    with hs._fork.forked("search", share, workers) as receive:
         own = share(0)
         for restart in range(budget):
             worker = restart % workers

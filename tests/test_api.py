@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -71,6 +72,21 @@ def test_submodules_resolve_after_a_bare_import():
     assert loaded == ["holdscan"]
     assert kinds == [True] * len(SUBMODULES)
     assert home == "holdscan.errors"
+
+
+def test_modules_import_nothing_inside_a_function():
+    # one lazy-loading rule: a module reaches the others as ``hs.<module>.<name>``,
+    # which the package loads on first access, never by an import in a function
+    found = set()
+    for path in sorted(Path(hs.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if "TYPE_CHECKING" in text:
+            found.add(f"{path.name}: TYPE_CHECKING")
+        for func in ast.walk(ast.parse(text)):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                             if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert sorted(found) == []
 
 
 def test_unknown_name_raises_attribute_error():

@@ -475,6 +475,22 @@ def test_alpha_with_dispersion_whitens_once(tmp_path, golden_csv, capsys, monkey
     assert payload["isotropic_capacity"] == pytest.approx(4.0 * 7.0 / 30.0, rel=1e-5)
 
 
+def test_negative_dispersion_is_rejected_before_whitening(tmp_path, golden_csv, capsys,
+                                                          monkeypatch):
+    rets = tmp_path / "rets.csv"
+    rets.write_text("label,value\nstk1,1.5\nstk2,-1.5\n", encoding="utf-8")
+    work = count_work(monkeypatch)
+    message = "dispersion must be a nonnegative scalar, got -1.0"
+    # each call gets a fresh book, so a spectrum kept by an earlier one cannot hide a whitening
+    with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+        hs.active_variance(cli.ingest(golden_csv), np.array([1.0, -1.0]), dispersion=-1.0)
+    with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+        hs.isotropic_capacity(cli.ingest(golden_csv), -1.0)
+    assert cli.main(["alpha", str(golden_csv), "--returns", str(rets), "--dispersion", "-1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert (work["svd"], len(work["books"])) == (0, 3)
+
+
 def test_vector_file_validation(tmp_path, golden_csv, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("label,value\ninv1,1.0\n", encoding="utf-8")
@@ -786,6 +802,24 @@ def test_negative_seed_exits_2(tmp_path, golden_csv, capsys, monkeypatch, comman
     for flags, message in bad:
         assert cli.main([command, str(golden_csv), *flags]) == 2
         assert capsys.readouterr() == ("", message)
+
+
+def test_psi_checks_its_search_arguments_before_solving(golden, golden_csv, capsys, monkeypatch):
+    def unreached(*args):
+        pytest.fail("solved the minimum for a search that cannot run")
+
+    monkeypatch.setattr("holdscan.transport._dual_newton_min", unreached)
+    cases = [
+        ({"budget": 0}, ["--max-budget", "0"], "budget must be positive, got 0"),
+        ({"seed": -1}, ["--seed", "-1"], "seed must be nonnegative, got -1"),
+        ({"budget": 2.5}, None, "budget must be an integer, got 2.5"),
+    ]
+    for search, flags, message in cases:
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+            hs.sparsity_score(golden, **search)
+        if flags:
+            assert cli.main(["psi", str(golden_csv), *flags]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("compute_psi", [None, True, False])
