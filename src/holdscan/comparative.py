@@ -108,9 +108,16 @@ def merge_investors(matrix: OwnershipMatrix, a: int, b: int) -> OperationDelta:
     n, m = matrix.shape
     lo, hi = min(a, b), max(a, b)
     rows, cols, values = held_cells(matrix)
-    # row hi joins row lo, and the rows below it move up one
-    rows = np.where(rows == hi, lo, rows - (rows > hi))
-    rows, cols, values, _ = _summed_cells(rows * m + cols, values, m)
+    # row hi joins row lo, and the rows below it move up one: the cells are
+    # in row-major order, so both are runs of cells
+    start, stop = np.searchsorted(rows, (hi, hi + 1))
+    keys = rows.astype(np.int64)
+    keys[start:stop] = lo
+    keys[stop:] -= 1
+    keys *= m
+    keys += cols
+    rows, cols, values = _summed_cells(keys, values, m)[:3]
+    del keys  # sorted in place into each cell's position, which is not needed
     labels = list(matrix.investor_labels[:hi] + matrix.investor_labels[hi + 1 :])
     labels[lo] = _unique_label(
         matrix.investor_labels[a] + "+" + matrix.investor_labels[b], labels[:lo] + labels[lo + 1 :]
@@ -158,19 +165,24 @@ def remove_stock(matrix: OwnershipMatrix, stock: int) -> OperationDelta:
 
     n, m = matrix.shape
     rows, cols, values = held_cells(matrix)
-    in_column = cols == j0
+    rest = cols != j0
     column = np.zeros(n)
-    column[rows[in_column]] = values[in_column]
-    rest = ~in_column
-    rows, cols, values = rows[rest], cols[rest] - (cols[rest] > j0), values[rest] / weight
+    column[rows[~rest]] = values[~rest]
+    rows, cols, values = rows[rest], cols[rest], values[rest]
+    del rest
+    cols -= cols > j0
+    values /= weight
     keep_rows = np.bincount(rows, values, minlength=n) >= TOL_NORM
     dropped = tuple(compress(matrix.investor_labels, ~keep_rows))
-    kept = keep_rows[rows]
+    if dropped:
+        kept = keep_rows[rows]
+        rows, cols, values = (np.cumsum(keep_rows) - 1)[rows[kept]], cols[kept], values[kept]
+        del kept
     after_matrix = OwnershipMatrix._from_cells(
         (int(keep_rows.sum()), m - 1),
-        (np.cumsum(keep_rows) - 1)[rows[kept]],
-        cols[kept],
-        values[kept],
+        rows,
+        cols,
+        values,
         tuple(compress(matrix.investor_labels, keep_rows)),
         matrix.stock_labels[:j0] + matrix.stock_labels[j0 + 1 :],
     )
@@ -213,11 +225,14 @@ def dilute(matrix: OwnershipMatrix, weight: float) -> OperationDelta:
     rows, cols, values = held_cells(matrix)
     label = _unique_label(f"MARKET({weight:g})", matrix.investor_labels)
     # the new investor is the last row and holds every stock
+    scaled = np.empty(values.size + m)
+    np.multiply(values, 1.0 - weight, out=scaled[: values.size])
+    np.multiply(marg.s, weight, out=scaled[values.size :])
     diluted = OwnershipMatrix._from_cells(
         (n + 1, m),
         np.concatenate([rows, np.full(m, n)]),
         np.concatenate([cols, np.arange(m)]),
-        np.concatenate([(1.0 - weight) * values, weight * marg.s]),
+        scaled,
         matrix.investor_labels + (label,),
         matrix.stock_labels,
     )

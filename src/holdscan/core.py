@@ -43,6 +43,18 @@ def _freeze(arr: np.ndarray, dtype: "np.typing.DTypeLike" = float) -> np.ndarray
     return out
 
 
+def _owned(arr: np.ndarray, dtype: "np.typing.DTypeLike") -> np.ndarray:
+    """``arr`` itself, made read-only, if it is an array of ``dtype`` that owns its memory.
+
+    Anything else is frozen as a copy: a view, whose memory another array
+    may still write, and an array of another dtype.
+    """
+    if not isinstance(arr, np.ndarray) or arr.base is not None or arr.dtype != dtype:
+        return _freeze(arr, dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 def _freeze_fields(obj: object, *names: str) -> None:
     """Replace each named array field of a frozen dataclass by a read-only float copy."""
     for name in names:
@@ -199,13 +211,25 @@ class OwnershipMatrix:
     def _from_cells(
         cls, shape, rows, cols, values, investor_labels=None, stock_labels=None
     ) -> "OwnershipMatrix":
-        """A matrix from its cells in row-major order; cells of value zero are dropped."""
+        """A matrix from its cells in row-major order; cells of value zero are dropped.
+
+        The matrix takes ownership of the arrays it is handed (see ``_store``):
+        pass fresh arrays, or the read-only store of another matrix.
+        """
         matrix = cls.__new__(cls)
         matrix._store(shape, rows, cols, values, investor_labels, stock_labels)
         return matrix
 
     def _store(self, shape, rows, cols, values, investor_labels, stock_labels) -> None:
-        """Validate the cells in O(nnz) and keep them; ``entries`` is left unbuilt."""
+        """Validate the cells in O(nnz) and keep them; ``entries`` is left unbuilt.
+
+        Each array is kept as it is, made read-only, when it already has the
+        store's dtype (``intp`` indices, ``float`` values) and owns its memory;
+        only a view or an array of another dtype is copied. So a book holds
+        24 bytes per held cell and is built without a second copy. The
+        public constructors pass arrays of their own making, so a caller's
+        array is never frozen in place.
+        """
         n, m = (int(k) for k in shape)
         if n == 0 or m == 0:
             raise DimensionMismatch(f"entries must be a nonempty 2-d array, got shape {(n, m)}")
@@ -220,7 +244,7 @@ class OwnershipMatrix:
             rows, cols, values = rows[held], cols[held], values[held]
         for name, value in (
             ("_shape", (n, m)),
-            ("_cells", (_freeze(rows, np.intp), _freeze(cols, np.intp), _freeze(values))),
+            ("_cells", (_owned(rows, np.intp), _owned(cols, np.intp), _owned(values, float))),
             ("_derived", {}),
             ("investor_labels", _label_tuple(investor_labels, n, "investor")),
             ("stock_labels", _label_tuple(stock_labels, m, "stock")),
@@ -356,21 +380,25 @@ def _summed_cells(
 
     Returns the rows, columns and sums of the distinct cells in row-major
     order, and for each value the position of its cell. Each cell adds its
-    values one by one in the order given.
+    values one by one in the order given. ``keys`` must be a fresh int64
+    array: it is sorted in place and returned as the positions, so beside
+    it only the sort order and the narrow ranks are held, never a copy.
     """
-    # np.unique(keys, return_inverse=True), without its copy of the keys
-    # and with its sorted copy freed before the inverse is built
+    # np.unique(keys, return_inverse=True), in the keys' own buffer
     order = keys.argsort()
-    ordered = keys[order]
+    keys.sort()
     first = np.empty(keys.size, bool)  # where a new cell starts, in key order
     first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    cells = ordered[first]
-    del ordered
-    where = np.empty(keys.size, np.intp)
-    where[order] = np.cumsum(first) - 1
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    cells = keys[first]
+    ranks = first.astype(np.min_scalar_type(keys.size))
+    del first
+    np.cumsum(ranks, out=ranks)  # in place: cumsum to a dtype would buffer int64
+    ranks -= 1
+    keys[order] = ranks
+    del order, ranks
     rows, cols = np.divmod(cells, m)
-    return rows, cols, np.bincount(where, values, minlength=cells.size), where
+    return rows, cols, np.bincount(keys, values, minlength=cells.size), keys
 
 
 @_per_book

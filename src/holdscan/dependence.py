@@ -133,23 +133,33 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
     n, m = matrix.shape
     rows, cols, e = held_cells(matrix)
     p_h, s_h = p[rows], s[cols]
-    bench = p_h * s_h
-    dev = e - bench
-    # benchmark mass of the empty cells; exactly zero when there are none
-    unheld = float(p.sum() * s.sum() - bench.sum()) if e.size < n * m else 0.0
+    term = np.empty(e.size)  # the one scratch array: each form's terms in turn
     # a p_i * s_j that underflows, or a ratio that overflows, fails the checks below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        definitional = float(np.sum(dev * dev / bench)) + unheld
-        closed = float(np.sum(e * e / bench) - 1.0)
-        likelihood = float(np.sum(bench * (e / bench - 1.0) ** 2)) + unheld
         investor_contrib = p * (
-            np.bincount(rows, (e / p_h - s_h) ** 2 / s_h, minlength=n)
+            np.bincount(rows, _profile_terms(e, p_h, s_h, term), minlength=n)
             + _empty_mass(rows, s_h, s, n)
         )
         stock_contrib = s * (
-            np.bincount(cols, (e / s_h - p_h) ** 2 / p_h, minlength=m)
+            np.bincount(cols, _profile_terms(e, s_h, p_h, term), minlength=m)
             + _empty_mass(cols, p_h, p, m)
         )
+        bench = np.multiply(p_h, s_h, out=p_h)
+        del s_h
+        # benchmark mass of the empty cells; exactly zero when there are none
+        unheld = float(p.sum() * s.sum() - bench.sum()) if e.size < n * m else 0.0
+        np.subtract(e, bench, out=term)  # the deviation from the benchmark
+        term *= term
+        term /= bench
+        definitional = float(np.sum(term)) + unheld
+        np.multiply(e, e, out=term)
+        term /= bench
+        closed = float(np.sum(term) - 1.0)
+        np.divide(e, bench, out=term)
+        term -= 1.0
+        term *= term
+        term *= bench
+        likelihood = float(np.sum(term)) + unheld
 
     forms = np.array([closed, likelihood, investor_contrib.sum(), stock_contrib.sum()])
     _agree(forms, definitional, "dependence forms disagree beyond tolerance", _FORM_TOL)
@@ -158,6 +168,22 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
         investor_contributions=investor_contrib,
         stock_contributions=stock_contrib,
     )
+
+
+def _profile_terms(
+    e: np.ndarray, own: np.ndarray, other: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``(e / own - other) ** 2 / other`` for each held cell, written into ``out``.
+
+    With ``own`` the investor masses and ``other`` the stock masses of the
+    cells, these are the squared deviations of each portfolio from the
+    market portfolio; swapped, those of each owner base from the investors'.
+    """
+    np.divide(e, own, out=out)
+    out -= other
+    out *= out
+    out /= other
+    return out
 
 
 def _empty_mass(
@@ -196,27 +222,44 @@ def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit
     group = np.empty(n, dtype=np.intp)
     for a, members in enumerate(partition.groups):
         group[list(members)] = a
+    index = dependence_index(matrix).index  # before this function's own arrays
     # the merged matrix's cells; member rows add in index order
     rows, cols, e = held_cells(matrix)
-    g_rows, g_cols, summed, where = _summed_cells(group[rows] * m + cols, e, m)
+    keys = group.astype(np.int64).take(rows)
+    keys *= m
+    keys += cols
+    g_rows, g_cols, summed, where = _summed_cells(keys, e, m)
+    del keys  # sorted in place into ``where``
     mass = np.bincount(group, p, minlength=size)
     mean = summed / mass[g_rows]  # each group's mean profile, on its held cells
     s_g = s[g_cols]
+    dev = mean - s_g  # from the market portfolio
+    dev *= dev
+    dev /= s_g
     between = float(mass @ (
-        np.bincount(g_rows, (mean - s_g) ** 2 / s_g, minlength=size)
-        + _empty_mass(g_rows, s_g, s, size)
+        np.bincount(g_rows, dev, minlength=size) + _empty_mass(g_rows, s_g, s, size)
     ))
     # a member that leaves empty a cell its group holds deviates there by the
     # whole mean; a member holding every cell of its group adds exactly zero
-    gap = mean * mean / s_g
-    spread = e / p[rows] - mean[where]
+    gap = np.multiply(mean, mean, out=dev)
+    gap /= s_g
+    del s_g
+    # scratch; every index is in range, and take's default mode would buffer out
+    term, other = np.empty(e.size), np.empty(e.size)
     unheld = np.where(
         np.bincount(rows, minlength=n) < np.bincount(g_rows, minlength=size)[group],
-        np.bincount(g_rows, gap, minlength=size)[group] - np.bincount(rows, gap[where], minlength=n),
+        np.bincount(g_rows, gap, minlength=size)[group]
+        - np.bincount(rows, gap.take(where, out=term, mode="clip"), minlength=n),
         0.0,
     )
-    within = float(p @ (np.bincount(rows, spread * spread / s[cols], minlength=n) + unheld))
-    _agree(between + within, dependence_index(matrix).index,
+    del gap
+    spread = np.divide(e, p.take(rows, out=term, mode="clip"), out=term)
+    spread -= mean.take(where, out=other, mode="clip")
+    del where, mean
+    spread *= spread
+    spread /= s.take(cols, out=other, mode="clip")
+    within = float(p @ (np.bincount(rows, spread, minlength=n) + unheld))
+    _agree(between + within, index,
            "between + within disagrees with the dependence index", _EXACT_TOL, between, within)
 
     merged_labels: list[str] = []

@@ -1114,6 +1114,65 @@ def test_non_utf8_input_exits_2(tmp_path, golden_csv, capsys):
     fails_on(groups, ["aggregate", str(golden_csv), "--groups", str(groups)])
 
 
+def test_byte_order_mark_is_read_past(tmp_path, golden_csv, capsys):
+    # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark; a
+    # marked copy of every input file gives the plain file's report bytes
+    records = tmp_path / "holdings.json"
+    records.write_text(json.dumps([
+        {"investor": inv, "stock": stk, "amount": float(amount)}
+        for inv, stk, amount in csv.reader(GOLDEN_CSV.splitlines()[1:])
+    ]), encoding="utf-8")
+    shocks = tmp_path / "shocks.csv"
+    shocks.write_text("label,value\ninv1,0.5\ninv2,-0.25\ninv3,0\n", encoding="utf-8")
+    returns = tmp_path / "returns.csv"
+    returns.write_text("label,value\nstk1,1.5\nstk2,-0.5\n", encoding="utf-8")
+    groups = tmp_path / "groups.txt"
+    groups.write_text("inv1,inv2\ninv3\n", encoding="utf-8")
+    commands = [
+        (golden_csv, ["decompose", golden_csv, "--format", "json"]),
+        (records, ["decompose", records, "--input-format", "json"]),
+        (shocks, ["shock", golden_csv, "--shocks", shocks]),
+        (returns, ["alpha", golden_csv, "--returns", returns, "--project-returns"]),
+        (groups, ["aggregate", golden_csv, "--groups", groups]),
+    ]
+    for marked, argv in commands:
+        assert cli.main([str(arg) for arg in argv]) == 0
+        plain = capsys.readouterr()
+        copy = tmp_path / f"marked-{marked.name}"
+        copy.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+        assert cli.main([str(copy if arg == marked else arg) for arg in argv]) == 0
+        assert capsys.readouterr() == plain
+
+
+def test_merge_names_a_label_given_twice(golden_csv, capsys):
+    assert cli.main(["merge", str(golden_csv), "--pair", "inv2, inv2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --pair needs two distinct investors, got 'inv2' twice\n"
+    )
+
+
+def test_forked_commands_pass_python_dev_mode(tmp_path):
+    # an unclosed pipe or file in a worker path warns only at collection,
+    # which the in-process warning filter does not see: run the command line
+    # in a fresh interpreter with every warning an error
+    book = tmp_path / "book.csv"
+    rng = np.random.default_rng(5)
+    with open(book, "w", encoding="utf-8", newline="") as handle:
+        handle.write("investor,stock,amount\n")
+        handle.writelines(f"inv{i},stk{j},{a!r}\n" for i, j, a in zip(
+            *(rng.integers(0, k, 70_000).tolist() for k in (900, 700)), rng.random(70_000).tolist()))
+    assert book.stat().st_size > cli._BLOCK  # so the scan is shared among workers
+    searched = tmp_path / "search.csv"
+    cli.write_csv(search_book(), searched)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv in (["decompose", book, "--format", "json"], ["psi", searched]):
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "holdscan.cli", *map(str, argv)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_dashboard_computes_dependence_once(golden_csv, capsys, monkeypatch):
     for fmt in ("text", "json"):
         with monkeypatch.context() as patch:

@@ -11,6 +11,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import numpy.testing as nptest
@@ -22,6 +23,8 @@ import holdscan as hs
 from holdscan import cli
 from holdscan.core import _summed_cells, held_cells
 from holdscan.errors import AllZeroMatrix
+
+from conftest import use_workers
 
 
 def sparse_active(rng, n, m, density):
@@ -270,9 +273,8 @@ def peak_bytes(operation, *args):
         tracemalloc.stop()
 
 
-def test_held_cell_paths_allocate_no_dense_temporaries(tmp_path):
-    # 3000 x 2000 at about 1% density; each call may use a quarter of one
-    # dense float64 array at most
+def one_percent_book():
+    """Raw holdings, 3000 x 2000 at about 1% density, every row and column held."""
     n, m = 3000, 2000
     rng = np.random.default_rng(7)
     raw = np.zeros(n * m)
@@ -281,6 +283,23 @@ def test_held_cell_paths_allocate_no_dense_temporaries(tmp_path):
     raw[np.arange(n), rng.integers(0, m, n)] = 1.0
     raw[rng.integers(0, n, m), np.arange(m)] = 1.0
     raw *= rng.random((n, m)) + 1e-3
+    return raw
+
+
+def write_lots(path, matrix, lots_per_cell):
+    """The book's held cells as a plain holdings CSV, each cell split into equal lots."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["investor", "stock", "amount"])
+        for i, j, value in zip(*(a.tolist() for a in held_cells(matrix))):
+            writer.writerows([(f"I{i}", f"S{j}", f"{value * 0.25e9:.6g}")] * lots_per_cell)
+
+
+def test_held_cell_paths_allocate_no_dense_temporaries(tmp_path):
+    # 3000 x 2000 at about 1% density; each call may use a quarter of one
+    # dense float64 array at most
+    raw = one_percent_book()
+    n, m = raw.shape
     budget = n * m * 8 // 4
     groups = hs.Partition(tuple(tuple(range(g, n, 50)) for g in range(50)))
     calls = [
@@ -310,10 +329,116 @@ def test_held_cell_paths_allocate_no_dense_temporaries(tmp_path):
     # the same book as a lots file, each cell split in two (129k lots, 2.5 MB);
     # a plain CSV is scanned with no Python object per field
     path = tmp_path / "lots.csv"
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["investor", "stock", "amount"])
-        for i, j, value in zip(*(a.tolist() for a in held_cells(matrix))):
-            writer.writerows([(f"I{i}", f"S{j}", f"{value * 0.25e9:.6g}")] * 2)
+    write_lots(path, matrix, 2)
     peak = peak_bytes(cli.ingest, path)
     assert peak < 2 * budget, f"ingest peaked at {peak / 1e6:.1f} MB"
+
+
+#: Peak bytes that each operation may allocate per held cell of a fresh
+#: one-percent book (64,627 cells), the book itself aside: the tracemalloc
+#: peaks when these were set (34, 60, 61, 61 and 66 bytes) plus 20%. Before
+#: the operations kept their terms in one scratch array and books took their
+#: fresh arrays without a copy, the peaks were 49, 108, 103, 77 and 102 bytes.
+CELL_BUDGETS = {
+    "dependence_index": 41,
+    "merge_investors": 72,
+    "remove_stock": 73,
+    "dilute": 74,
+    "aggregate": 80,
+}
+
+
+def test_held_cell_operations_stay_within_their_per_cell_budgets():
+    raw = one_percent_book()
+    n = raw.shape[0]
+    groups = hs.Partition(tuple(tuple(range(g, n, 50)) for g in range(50)))
+    calls = [
+        (hs.dependence_index,),
+        (hs.merge_investors, 0, 1),
+        (hs.remove_stock, 0),
+        (hs.dilute, 0.25),
+        (hs.aggregate, groups),
+    ]
+    for operation, *args in calls:
+        matrix = hs.normalize(raw)  # fresh, so nothing is cached yet
+        per_cell = peak_bytes(operation, matrix, *args) / held_cells(matrix)[0].size
+        budget = CELL_BUDGETS[operation.__name__]
+        assert per_cell <= budget, f"{operation.__name__}: {per_cell:.1f} bytes per held cell"
+
+
+def test_ingest_stays_within_its_per_lot_budget(tmp_path, monkeypatch):
+    # the one-percent book, four lots a cell: 258,508 lots in 4.9 MB, whose
+    # five reads two workers share. The peak was 32.2 bytes a lot when this
+    # budget was set (plus 25%), and 53.2 with intp codes and a sorted copy
+    # of the keys
+    use_workers(monkeypatch, 2)
+    matrix = hs.normalize(one_percent_book())
+    path = tmp_path / "lots.csv"
+    write_lots(path, matrix, 4)
+    lots = 4 * held_cells(matrix)[0].size
+    del matrix
+    assert path.stat().st_size > 4 * cli._BLOCK
+    per_lot = peak_bytes(cli.ingest, path) / lots
+    assert per_lot <= 40, f"ingest: {per_lot:.1f} bytes per lot"
+
+
+@pytest.mark.parametrize("n, m", [(250, 300), (300, 250)])
+def test_ingest_forms_keys_wider_than_the_codes(tmp_path, n, m):
+    # up to 256 labels are coded in uint8, up to 65,536 in uint16; the cell
+    # key i * m + j runs past 2**16 here, so it must not be formed in either
+    rng = np.random.default_rng(n)
+    raw = sparse_active(rng, n, m, 0.05)
+    investors = [f"i{k:03d}" for k in range(n)]
+    stocks = [f"s{k:03d}" for k in range(m)]
+    rows, cols = np.nonzero(raw)
+    lots = rng.permutation(rows.size)  # in no order of cells
+    path = tmp_path / "book.csv"
+    path.write_text("investor,stock,amount\n" + "".join(
+        f"{investors[i]},{stocks[j]},{amount!r}\n"
+        for i, j, amount in zip(rows[lots].tolist(), cols[lots].tolist(), raw[rows, cols][lots].tolist())
+    ), encoding="utf-8")
+    coded, _ = cli._scan_csv(path)
+    assert (coded[1].dtype, coded[3].dtype) == (np.dtype(np.uint8 if n <= 256 else np.uint16),
+                                                np.dtype(np.uint8 if m <= 256 else np.uint16))
+    expected = hs.normalize(raw, investors, stocks)
+    with mock.patch.object(cli, "_scan_csv", return_value=None):
+        by_records = cli.ingest(path)
+    for matrix in (cli.ingest(path), by_records):
+        assert (matrix.investor_labels, matrix.stock_labels) == (tuple(investors), tuple(stocks))
+        for got, want in zip(held_cells(matrix), held_cells(expected)):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
+def test_books_keep_their_cells_from_the_caller(golden_csv):
+    given = sparse_active(np.random.default_rng(2), 6, 5, 0.5)
+    shares = given / given.sum()
+    books = [hs.OwnershipMatrix(shares), hs.normalize(given)]
+    kept = [[array.copy() for array in held_cells(book)] for book in books]
+    shares[:] = 7.0
+    given[:] = 7.0
+    for book, cells in zip(books, kept):
+        for got, want in zip(held_cells(book), cells):
+            nptest.assert_array_equal(got, want)
+    # a view handed to the store is copied, and what it views stays writable
+    values = np.array([0.25, 0.75, 9.0])
+    book = hs.OwnershipMatrix._from_cells((1, 2), np.zeros(2, np.intp), np.arange(2), values[:2])
+    values[0] = 0.5
+    assert values.flags.writeable
+    nptest.assert_array_equal(held_cells(book)[2], [0.25, 0.75])
+
+    matrix = cli.ingest(golden_csv)
+    with mock.patch.object(cli, "_scan_csv", return_value=None):
+        by_records = cli.ingest(golden_csv)
+    padded = hs.OwnershipMatrix(np.pad(shares / shares.sum(), ((0, 1), (0, 1))))
+    books += [
+        matrix,
+        by_records,
+        padded,
+        hs.restrict_active(padded),
+        hs.merge_investors(matrix, 0, 2).matrix_after,
+        hs.remove_stock(matrix, 0).matrix_after,
+        hs.dilute(matrix, 0.5).matrix_after,
+        hs.aggregate(matrix, hs.Partition(((0, 2), (1,)))).merged,
+    ]
+    for book in books:
+        assert not any(array.flags.writeable for array in held_cells(book))
