@@ -16,7 +16,7 @@ from itertools import compress
 import numpy as np
 
 from .core import (
-    _EXACT_TOL, OwnershipMatrix, TOL_NORM, _agree, _dense_row, _summed_cells, _unique_label,
+    _EXACT_TOL, OwnershipMatrix, TOL_NORM, _agree, _dense_row, _index, _summed_cells, _unique_label,
     held_cells, marginals, require_active, restrict_active,
 )
 from .dependence import dependence_index, merger_delta, _row_pair
@@ -152,7 +152,7 @@ def remove_stock(matrix: OwnershipMatrix, stock: int) -> OperationDelta:
     remaining mass.
     """
     marg = marginals(matrix)
-    j0 = int(stock)
+    j0 = _index(stock, IndexOutOfRange, "stock index")
     if j0 < 0 or j0 >= matrix.m:
         raise IndexOutOfRange(f"stock index {j0} outside 0..{matrix.m - 1}")
     # the rest's own mass, summed rather than found by a difference that cancels

@@ -147,16 +147,18 @@ def _probability_vector(values: "np.typing.ArrayLike", name: str) -> np.ndarray:
     return vec
 
 
-def _check_search(budget: int, seed: int) -> None:
-    """Reject a restart budget or seed that the maximum search cannot use.
+def _index(value: int, error: type[Exception], name: str) -> int:
+    """``value`` as an int; anything but an integer (numpy's pass) raises ``error`` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
-    Both must be integers (``operator.index`` accepts numpy's too).
-    """
+
+def _check_search(budget: int, seed: int) -> None:
+    """Reject a restart budget or seed that the maximum search cannot use."""
     for name, value in (("budget", budget), ("seed", seed)):
-        try:
-            operator.index(value)
-        except TypeError:
-            raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
+        _index(value, OutOfRange, name)
     if budget < 1:
         raise OutOfRange(f"budget must be positive, got {budget}")
     if seed < 0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _EXACT_TOL, OwnershipMatrix, _agree, _dense_row, _freeze_fields, _per_book,
+    _EXACT_TOL, OwnershipMatrix, _agree, _dense_row, _freeze_fields, _index, _per_book,
     _probability_vector, _summed_cells, _unique_label, held_cells, require_active,
 )
 from .errors import (
@@ -70,7 +70,7 @@ class Partition:
         norm: list[tuple[int, ...]] = []
         seen: set[int] = set()
         for group in self.groups:
-            members = tuple(sorted(int(i) for i in group))
+            members = tuple(sorted(_index(i, InvalidPartition, "investor index") for i in group))
             if not members:
                 raise InvalidPartition("empty group")
             if any(i < 0 for i in members):
@@ -291,7 +291,7 @@ def merger_delta(matrix: OwnershipMatrix, a: int, b: int) -> float:
 
 
 def _row_pair(n: int, a: int, b: int) -> tuple[int, int]:
-    a, b = int(a), int(b)
+    a, b = (_index(idx, IndexOutOfRange, "investor index") for idx in (a, b))
     for idx in (a, b):
         if idx < 0 or idx >= n:
             raise IndexOutOfRange(f"investor index {idx} outside 0..{n - 1}")

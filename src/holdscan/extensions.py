@@ -11,13 +11,13 @@ aggregate net exposure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    TOL_NORM, OwnershipMatrix, _agree, _checked, _freeze, _label_tuple, _rescaled, held_cells,
+    TOL_NORM, OwnershipMatrix, _agree, _checked, _label_tuple, _owned, _rescaled, held_cells,
     marginals,
 )
 from .errors import (
@@ -56,15 +56,21 @@ class RenyiSummary:
 class SignedOwnership:
     """Long and short legs of a book, normalized by gross exposure.
 
-    ``plus`` and ``minus`` are nonnegative with no common support and sum
-    jointly to one. Gross marginals add the legs, net marginals subtract
-    them; ``net_exposure`` is the common total of the net marginals.
+    ``plus`` and ``minus`` are nonnegative with no common support, sum
+    jointly to one and are the halves of one read-only copy. Gross marginals
+    add the legs, net marginals subtract them; ``net_exposure`` is the common
+    total of the net marginals. Each is derived once, at construction.
     """
 
     plus: np.ndarray
     minus: np.ndarray
     investor_labels: tuple[str, ...] = None  # type: ignore[assignment]
     stock_labels: tuple[str, ...] = None  # type: ignore[assignment]
+    gross_investor_marginals: np.ndarray = field(init=False, repr=False)
+    gross_stock_marginals: np.ndarray = field(init=False, repr=False)
+    net_investor_marginals: np.ndarray = field(init=False, repr=False)
+    net_stock_marginals: np.ndarray = field(init=False, repr=False)
+    net_exposure: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         plus = np.asarray(self.plus, dtype=float)
@@ -73,7 +79,7 @@ class SignedOwnership:
             raise DimensionMismatch(
                 f"legs must be equal-shape 2-d arrays, got {plus.shape} and {minus.shape}"
             )
-        plus, minus = _freeze(_checked(np.stack([plus, minus]), "legs"))
+        plus, minus = _owned(_checked(np.stack([plus, minus]), "legs"), float)
         if np.any((plus > 0) & (minus > 0)):
             raise NegativeEntry("a cell cannot be long and short at once")
         gross_total = float(plus.sum() + minus.sum())
@@ -82,41 +88,25 @@ class SignedOwnership:
                 f"gross exposure sums to {gross_total!r}, expected 1 within {TOL_NORM:g}"
             )
         n, m = plus.shape
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
-        object.__setattr__(
-            self, "investor_labels", _label_tuple(self.investor_labels, n, "investor")
-        )
-        object.__setattr__(
-            self, "stock_labels", _label_tuple(self.stock_labels, m, "stock")
-        )
+        # gross, then net, in one n-by-m buffer beside the legs
+        both = plus + minus
+        gross_p, gross_s = _owned(both.sum(axis=1), float), _owned(both.sum(axis=0), float)
+        np.subtract(plus, minus, out=both)
+        net_p, net_s = _owned(both.sum(axis=1), float), _owned(both.sum(axis=0), float)
+        eta = float(net_p.sum())
+        _agree(eta, float(net_s.sum()), "net exposure differs across sides", 1e-12)
+        for name, value in (
+            ("plus", plus), ("minus", minus), ("net_exposure", eta),
+            ("investor_labels", _label_tuple(self.investor_labels, n, "investor")),
+            ("stock_labels", _label_tuple(self.stock_labels, m, "stock")),
+            ("gross_investor_marginals", gross_p), ("gross_stock_marginals", gross_s),
+            ("net_investor_marginals", net_p), ("net_stock_marginals", net_s),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def net(self) -> np.ndarray:
         return self.plus - self.minus
-
-    @property
-    def gross_investor_marginals(self) -> np.ndarray:
-        return (self.plus + self.minus).sum(axis=1)
-
-    @property
-    def gross_stock_marginals(self) -> np.ndarray:
-        return (self.plus + self.minus).sum(axis=0)
-
-    @property
-    def net_investor_marginals(self) -> np.ndarray:
-        return self.net.sum(axis=1)
-
-    @property
-    def net_stock_marginals(self) -> np.ndarray:
-        return self.net.sum(axis=0)
-
-    @property
-    def net_exposure(self) -> float:
-        eta_p = float(self.net_investor_marginals.sum())
-        eta_s = float(self.net_stock_marginals.sum())
-        _agree(eta_p, eta_s, "net exposure differs across sides", 1e-12)
-        return eta_p
 
 
 def signed_from_raw(
@@ -125,22 +115,27 @@ def signed_from_raw(
     investor_labels: Sequence[str] | None = None,
     stock_labels: Sequence[str] | None = None,
 ) -> SignedOwnership:
-    """Normalize raw long and short exposures by total gross exposure."""
+    """Normalize raw long and short exposures by total gross exposure.
+
+    The legs are checked and divided in place in one stacked copy, whose
+    halves the book copies into its own store.
+    """
     plus = np.asarray(raw_plus, dtype=float)
     minus = np.asarray(raw_minus, dtype=float)
     if plus.shape != minus.shape:
         raise DimensionMismatch(
             f"legs must share a shape, got {plus.shape} and {minus.shape}"
         )
-    plus, minus = _checked(np.stack([plus, minus]), "raw legs")
+    plus, minus = legs = _checked(np.stack([plus, minus]), "raw legs")
     with np.errstate(over="ignore"):
         gross = float(plus.sum() + minus.sum())
     if gross == np.inf:  # finite exposures whose total overflows
-        plus, minus = _rescaled(np.stack([plus, minus]))
+        plus, minus = legs = _rescaled(legs)
         gross = float(plus.sum() + minus.sum())
     if gross <= 0.0:
         raise AllZeroMatrix("gross exposure is zero")
-    return SignedOwnership(plus / gross, minus / gross, investor_labels, stock_labels)
+    legs /= gross
+    return SignedOwnership(plus, minus, investor_labels, stock_labels)
 
 
 def renyi_summary(matrix: OwnershipMatrix, alpha: float) -> RenyiSummary:

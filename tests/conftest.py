@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 # OpenBLAS sizes its thread pool when numpy is first loaded, so BLAS is
 # pinned to one thread, as bench/run.py pins it, before numpy is imported.
@@ -115,3 +116,13 @@ def spectral_identity_gap(matrix: hs.OwnershipMatrix) -> float:
 def philox(seed: int) -> np.random.Generator:
     """Counter-based stream for reproducible, splittable Monte Carlo."""
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def peak_bytes(operation, *args) -> int:
+    """The peak of the memory that ``operation(*args)`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        operation(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -89,6 +89,24 @@ def test_modules_import_nothing_inside_a_function():
     assert sorted(found) == []
 
 
+def test_runtime_imports_are_the_standard_library_and_numpy():
+    # pyproject.toml declares numpy alone; scipy, networkx and hypothesis are
+    # installed for the tests, so a stray import would pass every other test
+    allowed = sys.stdlib_module_names | {"numpy", "holdscan"}
+    found = set()
+    for path in sorted(Path(hs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.update(f"{path.name}: {name}" for name in names
+                         if name.partition(".")[0] not in allowed)
+    assert sorted(found) == []
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match=r"^module 'holdscan' has no attribute 'whitened'$"):
         hs.whitened

@@ -525,6 +525,15 @@ def test_drop_stock_subcommand(golden_csv, capsys):
     assert payload["after"]["M"] == 0.46
 
 
+def test_unknown_stock_and_nan_shock_exit_2(tmp_path, golden_csv, capsys):
+    assert cli.main(["drop-stock", str(golden_csv), "--stock", "nope"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown stock label 'nope'\n")
+    shocks = tmp_path / "shocks.csv"
+    shocks.write_text("label,value\ninv1,0.1\ninv2,nan\ninv3,0\n", encoding="utf-8")
+    assert cli.main(["shock", str(golden_csv), "--shocks", str(shocks)]) == 2
+    assert capsys.readouterr() == ("", "error: shock must be finite\n")
+
+
 def test_dilute_subcommand(golden_csv, capsys):
     assert cli.main(
         ["dilute", str(golden_csv), "--mass", "0.5", "--format", "json"]

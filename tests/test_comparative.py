@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import numpy.testing as nptest
@@ -102,6 +103,18 @@ def test_remove_stock_drops_empty_investors():
 def test_remove_stock_index_out_of_range(golden, stock):
     with pytest.raises(IndexOutOfRange, match=rf"^stock index {stock} outside 0\.\.1$"):
         hs.remove_stock(golden, stock)
+
+
+@pytest.mark.parametrize("stock", [0.9, 1.0, np.float64(0.0), "1", None], ids=repr)
+def test_remove_stock_rejects_a_non_integer_index(golden, stock):
+    # int() once truncated 0.9 to stock 0
+    message = f"^stock index must be an integer, got {re.escape(repr(stock))}$"
+    with pytest.raises(IndexOutOfRange, match=message):
+        hs.remove_stock(golden, stock)
+
+
+def test_remove_stock_accepts_a_numpy_integer(golden):
+    assert hs.remove_stock(golden, np.int64(1)).after == hs.remove_stock(golden, 1).after
 
 
 def test_remove_everything_rejected():

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import numpy.testing as nptest
@@ -12,7 +13,9 @@ from holdscan.errors import (
     AllZeroMatrix,
     DimensionMismatch,
     DuplicateLabel,
+    InvalidPartition,
     NegativeEntry,
+    NonFiniteEntry,
     NotNormalized,
 )
 
@@ -161,11 +164,72 @@ def test_label_lookup(golden):
     assert golden.stock_index("stk2") == 1
     with pytest.raises(hs.errors.LabelNotFound):
         golden.investor_index("nobody")
+    with pytest.raises(hs.errors.LabelNotFound, match="^unknown stock label 'nope'$"):
+        golden.stock_index("nope")
 
 
 def test_entries_are_read_only(golden):
     with pytest.raises(ValueError):
         golden.entries[0, 0] = 0.5
+
+
+def test_book_attributes_cannot_be_assigned_or_deleted(golden):
+    with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'stock_labels'$"):
+        golden.stock_labels = ("a", "b")
+    with pytest.raises(FrozenInstanceError, match="^cannot delete field '_cells'$"):
+        del golden._cells
+    assert golden.stock_labels == ("stk1", "stk2")
+
+
+def off_diagonal(golden, shift):
+    """The golden matrix with ``shift`` moved around a 2 x 2 cycle: the same marginals."""
+    return golden.entries + np.array([[shift, -shift], [-shift, shift], [0.0, 0.0]])
+
+
+#: (case, call on the golden book, error, message): checks of public input
+#: that no other test reaches
+INPUT_CHECK_CASES = [
+    ("normalize-nan", lambda g: hs.normalize([[1.0, np.nan]]),
+     NonFiniteEntry, "raw holdings must be finite"),
+    ("normalize-1d", lambda g: hs.normalize([1.0, 2.0]),
+     DimensionMismatch, "raw holdings must be a nonempty 2-d array, got shape (2,)"),
+    ("herfindahl-2d", lambda g: hs.herfindahl([[0.5, 0.5]]),
+     DimensionMismatch, "weights must be a nonempty 1-d vector"),
+    ("herfindahl-nan", lambda g: hs.herfindahl([0.5, np.nan]),
+     NonFiniteEntry, "weights must be finite"),
+    ("chi2-lengths", lambda g: hs.chi2_divergence([0.5, 0.5], [1.0]),
+     DimensionMismatch, "length mismatch: 2 vs 1"),
+    ("marginals-2d", lambda g: hs.Marginals([[0.5, 0.5]], [1.0]),
+     DimensionMismatch, "p must be a nonempty 1-d vector"),
+    ("marginals-sum", lambda g: hs.Marginals([0.6, 0.5], [1.0]),
+     NotNormalized, "p sums to 1.1, expected 1 within 1e-09"),
+    ("feasible-1d", lambda g: hs.is_feasible([0.5, 0.5], hs.marginals(g)),
+     DimensionMismatch, "expected a 2-d matrix, got ndim=1"),
+    ("feasible-nan", lambda g: hs.is_feasible(off_diagonal(g, np.nan), hs.marginals(g)),
+     NonFiniteEntry, "matrix must be finite"),
+    ("partition-negative", lambda g: hs.Partition(((0, -1), (2,))),
+     InvalidPartition, "negative investor index"),
+    ("fire-sale-nan", lambda g: hs.fire_sale(g, [0.1, np.nan, 0.0]),
+     NonFiniteEntry, "shock must be finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [case[1:] for case in INPUT_CHECK_CASES],
+    ids=[case[0] for case in INPUT_CHECK_CASES],
+)
+def test_public_input_checks(golden, call, error, message):
+    with pytest.raises(error) as caught:
+        call(golden)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_is_feasible_rejects_a_negative_entry(golden):
+    marg = hs.marginals(golden)
+    assert hs.is_feasible(off_diagonal(golden, 0.0), marg)
+    assert not hs.is_feasible(off_diagonal(golden, 0.2), marg)  # -0.1 at (0, 1)
 
 
 def test_each_quantity_is_derived_once_per_book(golden):

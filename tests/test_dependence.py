@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as nptest
 import pytest
@@ -247,6 +249,28 @@ def test_merger_delta_index_errors(golden):
         hs.merger_delta(golden, 0, 7)
     with pytest.raises(SameInvestor):
         hs.merger_delta(golden, 1, 1)
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, np.float64(1.0), "1", None], ids=repr)
+def test_non_integer_investor_indices_are_rejected(golden, index):
+    # int() once truncated 1.5 to investor 1
+    message = f"^investor index must be an integer, got {re.escape(repr(index))}$"
+    with pytest.raises(InvalidPartition, match=message):
+        hs.Partition(((index, 0), (2,)))
+    for call in (hs.merger_delta, hs.merge_investors):
+        with pytest.raises(IndexOutOfRange, match=message):
+            call(golden, 0, index)
+        with pytest.raises(IndexOutOfRange, match=message):
+            call(golden, index, 2)
+
+
+def test_numpy_integer_investor_indices_are_accepted(golden):
+    groups = hs.Partition(((np.int64(1), np.uint8(0)), (np.intp(2),))).groups
+    assert groups == ((0, 1), (2,))
+    assert all(type(i) is int for group in groups for i in group)
+    assert hs.merger_delta(golden, np.int32(0), np.int64(1)) == hs.merger_delta(golden, 0, 1)
+    merged = hs.merge_investors(golden, np.uint16(0), np.int64(1))
+    assert merged.after == hs.merge_investors(golden, 0, 1).after
 
 
 @given(st.integers(0, 2**32 - 1))

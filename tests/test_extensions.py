@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import numpy.testing as nptest
@@ -6,12 +7,17 @@ import pytest
 
 import holdscan as hs
 from holdscan.errors import (
+    AllZeroMatrix,
     AlphaNearOne,
+    DimensionMismatch,
     InactiveGrossSupport,
     MarketNeutral,
     NegativeEntry,
+    NotNormalized,
     OutOfRange,
 )
+
+from conftest import peak_bytes
 
 
 
@@ -146,9 +152,95 @@ def test_signed_complementarity_enforced():
         hs.signed_from_raw(plus, minus)
 
 
+#: (case, call, error, message): the shape and mass checks of a signed book
+SIGNED_CHECK_CASES = [
+    ("raw-shapes", lambda: hs.signed_from_raw(np.ones((2, 2)), np.ones((2, 3))),
+     DimensionMismatch, "legs must share a shape, got (2, 2) and (2, 3)"),
+    ("raw-all-zero", lambda: hs.signed_from_raw(np.zeros((2, 2)), np.zeros((2, 2))),
+     AllZeroMatrix, "gross exposure is zero"),
+    ("book-shapes", lambda: hs.SignedOwnership(np.full((2, 2), 0.125), np.full((3, 2), 0.125)),
+     DimensionMismatch, "legs must be equal-shape 2-d arrays, got (2, 2) and (3, 2)"),
+    ("book-gross-total", lambda: hs.SignedOwnership([[0.5, 0.0]], [[0.0, 0.3]]),
+     NotNormalized, "gross exposure sums to 0.8, expected 1 within 1e-09"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [case[1:] for case in SIGNED_CHECK_CASES],
+    ids=[case[0] for case in SIGNED_CHECK_CASES],
+)
+def test_signed_input_checks(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_signed_legs_whose_gross_total_overflows():
+    # every exposure is finite, their total is not: the shares are those of
+    # the same legs in smaller units, bit for bit
+    plus = np.array([[1.5, 0.0], [0.0, 1.0]])
+    minus = np.array([[0.0, 1.25], [0.5, 0.0]])
+    huge = hs.signed_from_raw(plus * 2.0**1023, minus * 2.0**1023)
+    small = hs.signed_from_raw(plus * 2.0**23, minus * 2.0**23)
+    assert huge.plus.tobytes() == small.plus.tobytes()
+    assert huge.minus.tobytes() == small.minus.tobytes()
+    assert huge.net_exposure == small.net_exposure == pytest.approx(0.75 / 4.25, rel=1e-15)
+
+
 def test_signed_reduces_to_net_matrix_when_all_long(golden):
     book = hs.signed_from_raw(golden.entries, np.zeros(golden.shape))
     nptest.assert_allclose(book.net, golden.entries, atol=1e-15)
     nptest.assert_allclose(book.gross_investor_marginals, hs.marginals(golden).p, atol=1e-15)
     value = hs.signed_dependence(book)
     assert value >= 0.0
+
+
+def signed_legs(n=400, m=300):
+    """Raw legs of a seeded n x m book: about 30% of cells held, a fifth of them short."""
+    rng = np.random.default_rng(31)
+    raw = rng.lognormal(0.0, 1.0, (n, m)) * (rng.random((n, m)) < 0.3)
+    short = rng.random((n, m)) < 0.2
+    return np.where(short, 0.0, raw), np.where(short, raw, 0.0)
+
+
+def test_signed_book_derives_its_values_once():
+    book = hs.signed_from_raw(*signed_legs())
+    plus, minus = book.plus, book.minus
+    assert plus.base is minus.base and not plus.flags.writeable
+    expected = {
+        "gross_investor_marginals": (plus + minus).sum(axis=1),
+        "gross_stock_marginals": (plus + minus).sum(axis=0),
+        "net_investor_marginals": (plus - minus).sum(axis=1),
+        "net_stock_marginals": (plus - minus).sum(axis=0),
+    }
+    for name, value in expected.items():
+        derived = getattr(book, name)
+        assert derived is getattr(book, name)
+        assert not derived.flags.writeable
+        assert derived.tobytes() == value.tobytes()
+        with pytest.raises(FrozenInstanceError):
+            setattr(book, name, value)
+    assert book.net_exposure == float(book.net_investor_marginals.sum())
+    with pytest.raises(FrozenInstanceError):
+        book.net_exposure = 0.5
+    assert book.net.tobytes() == (plus - minus).tobytes()
+
+    # once the book is scored, reading its values forms no n x m temporary
+    hs.signed_dependence(book)
+    names = [*expected, "net_exposure"]
+    reads = peak_bytes(lambda: [getattr(book, name) for _ in range(100) for name in names])
+    assert reads < plus.nbytes
+
+
+def test_signed_book_holds_one_copy_of_its_legs():
+    # the constructor holds its own stack of the legs and one n x m buffer for
+    # the sums; signed_from_raw adds the stack it divides in place. The peaks
+    # were 1.53 and 2.53 legs when these bounds were set, and 2.0 and 4.0
+    # when the book kept a second copy and the quotients were fresh arrays
+    raw_plus, raw_minus = signed_legs()
+    legs = 2 * raw_plus.nbytes
+    book = hs.signed_from_raw(raw_plus, raw_minus)
+    assert peak_bytes(hs.SignedOwnership, book.plus.copy(), book.minus.copy()) <= 1.75 * legs
+    assert peak_bytes(hs.signed_from_raw, raw_plus, raw_minus) <= 3.0 * legs

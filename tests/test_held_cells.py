@@ -9,7 +9,6 @@ dense raw matrix, and check that no n-by-m temporary is allocated.
 import csv
 import sys
 import threading
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -24,7 +23,7 @@ from holdscan import cli
 from holdscan.core import _summed_cells, held_cells
 from holdscan.errors import AllZeroMatrix
 
-from conftest import use_workers
+from conftest import peak_bytes, use_workers
 
 
 def sparse_active(rng, n, m, density):
@@ -262,15 +261,6 @@ def test_ingest_builds_the_store_of_normalize(tmp_path_factory, lots):
         assert got.dtype == want.dtype
         nptest.assert_array_equal(got, want)
     nptest.assert_array_equal(matrix.entries, expected.entries)
-
-
-def peak_bytes(operation, *args):
-    tracemalloc.start()
-    try:
-        operation(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def one_percent_book():

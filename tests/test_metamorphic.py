@@ -4,10 +4,11 @@ A seeded 2000x1500 book with about 72k held cells reported as about 200k
 lots. No dense oracle is affordable at this scale, so each test compares
 two runs whose answers must agree: a reordered, rescaled, relabelled or
 split file must give the same report bytes, the transposed book must swap
-the two sides, and grouping every investor alone must keep the whole
-dependence between the groups. The reports go through ``decompose`` and
-``aggregate``, which never whiten. The golden book, scaled until its sums
-overflow, must print the bytes of the golden book.
+the two sides, grouping every investor alone must keep the whole
+dependence between the groups, and merging an investor with its double
+must keep the dependence. The reports go through ``decompose``,
+``aggregate`` and ``merge``, which never whiten. The golden book, scaled
+until its sums overflow, must print the bytes of the golden book.
 """
 
 import contextlib
@@ -69,11 +70,10 @@ def write_lots(path, book, amounts, order, prefixes="IS"):
     Labels are zero-padded after their side's prefix and amounts written in
     shortest round-trip form.
     """
-    inv = [f"{prefixes[0]}{i:04d}" for i in range(SHAPE[0])]
-    stk = [f"{prefixes[1]}{j:04d}" for j in range(SHAPE[1])]
+    inv, stk = prefixes
     lines = ["investor,stock,amount"]
     lines += [
-        f"{inv[i]},{stk[j]},{a!r}"
+        f"{inv}{i:04d},{stk}{j:04d},{a!r}"
         for i, j, a in zip(
             book.rows[order].tolist(), book.cols[order].tolist(), amounts[order].tolist()
         )
@@ -126,6 +126,48 @@ def test_transposing_swaps_the_sides(book):
     nptest.assert_allclose(dep_t.stock_contributions, dep.investor_contributions, **rel)
 
 
+def assert_same_to_the_printed_digit(a, b):
+    """Two numbers printed at 6 significant digits differ by at most one unit in the 6th."""
+    size = max(abs(a), abs(b))
+    unit = 10.0 ** (np.floor(np.log10(size)) - 5) if size else 0.0
+    assert abs(a - b) <= unit * (1 + 1e-9), (a, b)
+
+
+def decompose_rows(report, fmt):
+    """The rows of a ``decompose`` report by side: label, mass, concentration, dependence."""
+    if fmt == "json":
+        payload = json.loads(report)
+        return {side[:-1]: [tuple(row.values()) for row in payload[side]]
+                for side in ("investors", "stocks")}
+    rows = {"investor": [], "stock": []}
+    header, *lines = report.splitlines()
+    assert header.split() == ["side", "label", "mass", "conc", "dependence"]
+    for line in lines:
+        side, label, *numbers = line.split()
+        rows[side].append((label, *map(float, numbers)))
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_swapping_the_label_columns_swaps_the_report_sides(book, tmp_path, fmt):
+    # the stocks' labels in the investor column and the investors' in the stock
+    # column: the transposed book, whose cells sum in another order, so only
+    # the 6th printed digit may move
+    swapped = tmp_path / "swapped.csv"
+    write_lots(swapped, SimpleNamespace(rows=book.cols, cols=book.rows), book.amounts,
+               book.order, prefixes="SI")
+    report = book.report if fmt == "json" else run(["decompose", str(book.path), "--format", fmt])
+    rows = decompose_rows(report, fmt)
+    flipped = decompose_rows(run(["decompose", str(swapped), "--format", fmt]), fmt)
+    assert [len(rows["investor"]), len(rows["stock"])] == list(SHAPE)
+    for side, other in (("investor", "stock"), ("stock", "investor")):
+        assert len(flipped[other]) == len(rows[side])
+        for (label, *numbers), (label_t, *numbers_t) in zip(rows[side], flipped[other]):
+            assert label_t == label
+            for a, b in zip(numbers, numbers_t):
+                assert_same_to_the_printed_digit(a, b)
+
+
 def test_splitting_each_first_lot_keeps_decompose_bytes(book, tmp_path):
     # each cell's first lot in the file becomes two halves in its place:
     # the cell then starts from x/2 + x/2 = x, exactly in binary arithmetic
@@ -156,6 +198,33 @@ def test_singleton_groups_keep_all_dependence_between(book, tmp_path):
     assert split["between"] == pytest.approx(index, rel=1e-5)
     assert split["between"] == float(f"{hs.dependence_index(cli.ingest(book.path)).index:.6g}")
     assert split["within"] == 0.0
+    text = run(["aggregate", str(book.path), "--groups", str(groups), "--format", "text"])
+    fields = dict(line.split(maxsplit=1) for line in text.splitlines())
+    assert fields["within"] == "0"
+    assert float(fields["between"]) == split["between"] == float(fields["total"])
+
+
+def test_merging_an_investor_with_its_double_keeps_the_dependence(book, tmp_path):
+    # a new last investor holds each lot of the investor with the most lots,
+    # doubled and in the same file order: exactly the same profile, so merging
+    # the two costs nothing
+    k = int(np.bincount(book.rows).argmax())
+    lots = book.order[book.rows[book.order] == k]
+    twin = SimpleNamespace(
+        rows=np.concatenate([book.rows, np.full(lots.size, SHAPE[0])]),
+        cols=np.concatenate([book.cols, book.cols[lots]]),
+    )
+    amounts = np.concatenate([book.amounts, 2 * book.amounts[lots]])
+    order = np.concatenate([book.order, book.rows.size + np.arange(lots.size)])
+    path = tmp_path / "twin.csv"
+    write_lots(path, twin, amounts, order)
+    pair = f"I{k:04d}", f"I{SHAPE[0]}"
+    matrix = cli.ingest(path)
+    assert matrix.shape == (SHAPE[0] + 1, SHAPE[1])
+    assert hs.merger_delta(matrix, *map(matrix.investor_index, pair)) == 0.0
+    report = json.loads(run(["merge", str(path), "--pair", ",".join(pair), "--format", "json"]))
+    assert report["predicted_after"]["X"] == report["before"]["X"]
+    assert report["after"]["X"] == report["before"]["X"]
 
 
 @pytest.mark.parametrize("scale, parts", [
