@@ -125,37 +125,37 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
             legs = legs[held]
     del held
     n, m = len(investors), len(stocks)
-    # cells in row-major order, the short leg's after the long one's; keys
-    # are formed in int64, since a narrow code times m may overflow its own
-    # type, and bincount over them adds each cell's lots one by one in file order
+    # cells in row-major order; keys are formed in int64, since a narrow code
+    # times m may overflow its own type, and bincount over them adds each
+    # cell's lots one by one in file order. A signed book keys its legs
+    # 2 * (i * m + j) + leg, so a cell's long and short sums sit side by side
     keys = rows.astype(np.int64)
     del rows  # each column is freed once spent
     keys *= m
     keys += cols
     del cols
-    if has_sign_column:
-        np.add(keys, n * m, out=keys, where=legs)
+    if signed:
+        keys *= 2
+        if has_sign_column:
+            keys += legs
     del legs
-    rows, cols, sums, where = _summed_cells(keys, amounts, m)
+    rows, cols, sums, where = _summed_cells(keys, amounts, 2 * m if signed else m)
     del keys  # sorted in place into ``where``
     if np.isinf(sums).any():  # finite lots whose cell's sum overflows
         sums = np.bincount(where, _rescaled(amounts), minlength=sums.size)
     del where, amounts
     if not signed:
         return _normalized((n, m), rows, cols, sums, investors, stocks)
-    raw = np.zeros((2 * n, m))
-    raw[rows, cols] = sums
-    plus, minus = raw.reshape(2, n, m)
-    both = (plus > 0) & (minus > 0)
-    if np.any(both):
-        i, j = map(int, np.argwhere(both)[0])
+    both = hs.extensions._on_both_legs(rows, cols)
+    if both.size:
+        i, j = rows[both[0]], cols[both[0]] >> 1
         raise ParseError(
             f"{path}: investor {investors[i]!r} is both long and short "
             f"stock {stocks[j]!r}; net the book before ingestion"
         )
-    if not (plus.any() or minus.any()):
+    if not sums.any():
         raise AllZeroMatrix(f"{path}: all amounts are zero")
-    return hs.extensions.signed_from_raw(plus, minus, investors, stocks)
+    return hs.extensions.SignedOwnership._from_raw((n, m), rows, cols, sums, investors, stocks)
 
 
 def _coded(column: Sequence[str]) -> tuple[list[str], np.ndarray]:

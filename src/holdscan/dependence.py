@@ -119,10 +119,12 @@ def chi2_divergence(u: "np.typing.ArrayLike", v: "np.typing.ArrayLike") -> float
 def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
     """Chi-square dependence of the matrix relative to its product benchmark.
 
-    The reported index uses the definitional sum of squared benchmark
-    deviations. The closed form, the likelihood-ratio form, and both
-    profile decompositions are computed independently and must agree with
-    it to 1e-10 (relative above one). Computed once per matrix.
+    The reported index is the sum that signed books share (``_chi_square``).
+    The closed form, the likelihood-ratio form, and both profile
+    decompositions are computed independently and must agree with it to
+    1e-10 (relative above one). No form divides by a product of two
+    marginals, which underflows on books whose masses span the float range.
+    Computed once per matrix.
 
     Every sum runs over the held cells only: an empty cell deviates from
     the benchmark by its whole mass ``p_i * s_j``, so the empty cells enter
@@ -131,10 +133,10 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
     marg = require_active(matrix)
     p, s = marg.p, marg.s
     n, m = matrix.shape
-    rows, cols, e = held_cells(matrix)
+    rows, cols, e = cells = held_cells(matrix)
     p_h, s_h = p[rows], s[cols]
-    term = np.empty(e.size)  # the one scratch array: each form's terms in turn
-    # a p_i * s_j that underflows, or a ratio that overflows, fails the checks below
+    term = np.empty(e.size)  # scratch: each form writes its terms here in turn
+    # a ratio that overflows fails the checks below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         investor_contrib = p * (
             np.bincount(rows, _profile_terms(e, p_h, s_h, term), minlength=n)
@@ -144,30 +146,53 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
             np.bincount(cols, _profile_terms(e, s_h, p_h, term), minlength=m)
             + _empty_mass(cols, p_h, p, m)
         )
-        bench = np.multiply(p_h, s_h, out=p_h)
-        del s_h
-        # benchmark mass of the empty cells; exactly zero when there are none
-        unheld = float(p.sum() * s.sum() - bench.sum()) if e.size < n * m else 0.0
-        np.subtract(e, bench, out=term)  # the deviation from the benchmark
-        term *= term
-        term /= bench
-        definitional = float(np.sum(term)) + unheld
-        np.multiply(e, e, out=term)
-        term /= bench
-        closed = float(np.sum(term) - 1.0)
-        np.divide(e, bench, out=term)
-        term -= 1.0
-        term *= term
-        term *= bench
-        likelihood = float(np.sum(term)) + unheld
+        # closed: the sum of (e / p) (e / s), less one
+        closed = float(np.multiply(np.divide(e, p_h, out=term), e / s_h, out=term).sum()) - 1.0
+        # likelihood: ((e / p) / s - 1)**2 p s, each the square of the ratio times
+        # sqrt(p) sqrt(s), and the empty cells' benchmark mass
+        unheld = float(p.sum() * s.sum() - np.multiply(p_h, s_h, out=term).sum())
+        ratio = np.divide(e, p_h, out=term)
+        ratio /= s_h
+        ratio -= 1.0
+        ratio *= np.sqrt(p_h, out=p_h)
+        ratio *= np.sqrt(s_h, out=s_h)
+        likelihood = float(ratio @ ratio) + unheld
+        del p_h, s_h
+        index = _chi_square(cells, (n, m), p, s, p, s, 1.0, term)
 
     forms = np.array([closed, likelihood, investor_contrib.sum(), stock_contrib.sum()])
-    _agree(forms, definitional, "dependence forms disagree beyond tolerance", _FORM_TOL)
+    _agree(forms, index, "dependence forms disagree beyond tolerance", _FORM_TOL)
     return DependenceReport(
-        index=definitional,
+        index=index,
         investor_contributions=investor_contrib,
         stock_contributions=stock_contrib,
     )
+
+
+def _chi_square(cells, shape, a, b, g, h, eta, term) -> float:
+    """The sum over every cell of an n-by-m book of (A_ij - a_i b_j / eta)**2 / (g_i h_j).
+
+    ``cells`` are the rows, columns and values of A's held cells. A held
+    cell adds (A/g - (a/g) (b/eta)) (A/h - (a/eta) (b/h)), formed in the
+    scratch array ``term``; an empty cell adds (a a/g)_i (b b/h)_j / eta**2,
+    so the empty cells enter as the product of those two sums less its
+    held part. No product of two marginals is a divisor. An unsigned book
+    has a = g = p, b = h = s and eta = 1.
+    """
+    rows, cols, values = cells
+    a_g, b_h = a / g, b / h
+    bench = a_g[rows]
+    bench *= (b / eta)[cols]
+    left = np.divide(values, g[rows], out=term)
+    left -= bench
+    right = np.multiply((a / eta)[rows], b_h[cols], out=bench)
+    np.subtract(values / h[cols], right, out=right)
+    left *= right
+    if values.size == shape[0] * shape[1]:
+        return float(np.sum(left))
+    a_g *= a
+    b_h *= b
+    return float(np.sum(left)) + float(a_g.sum() * b_h.sum() - a_g[rows] @ b_h[cols]) / eta**2
 
 
 def _profile_terms(
@@ -231,21 +256,16 @@ def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit
     g_rows, g_cols, summed, where = _summed_cells(keys, e, m)
     del keys  # sorted in place into ``where``
     mass = np.bincount(group, p, minlength=size)
-    mean = summed / mass[g_rows]  # each group's mean profile, on its held cells
-    s_g = s[g_cols]
-    dev = mean - s_g  # from the market portfolio
-    dev *= dev
-    dev /= s_g
-    between = float(mass @ (
-        np.bincount(g_rows, dev, minlength=size) + _empty_mass(g_rows, s_g, s, size)
-    ))
-    # a member that leaves empty a cell its group holds deviates there by the
-    # whole mean; a member holding every cell of its group adds exactly zero
-    gap = np.multiply(mean, mean, out=dev)
-    gap /= s_g
-    del s_g
     # scratch; every index is in range, and take's default mode would buffer out
     term, other = np.empty(e.size), np.empty(e.size)
+    between = _chi_square(
+        (g_rows, g_cols, summed), (size, m), mass, s, mass, s, 1.0, term[: summed.size]
+    )
+    mean = summed / mass[g_rows]  # each group's mean profile, on its held cells
+    # a member that leaves empty a cell its group holds deviates there by the
+    # whole mean; a member holding every cell of its group adds exactly zero
+    gap = np.multiply(mean, mean, out=other[: summed.size])
+    gap /= s[g_cols]
     unheld = np.where(
         np.bincount(rows, minlength=n) < np.bincount(g_rows, minlength=size)[group],
         np.bincount(g_rows, gap, minlength=size)[group]

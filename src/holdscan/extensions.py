@@ -11,14 +11,16 @@ aggregate net exposure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+import holdscan as hs
+
 from .core import (
-    TOL_NORM, OwnershipMatrix, _agree, _checked, _label_tuple, _owned, _rescaled, held_cells,
-    marginals,
+    TOL_NORM, OwnershipMatrix, _agree, _checked, _label_tuple, _nonzero_cells, _normalized, _owned,
+    held_cells, marginals,
 )
 from .errors import (
     AllZeroMatrix,
@@ -52,61 +54,99 @@ class RenyiSummary:
     effective_cells: float
 
 
-@dataclass(frozen=True, eq=False)
 class SignedOwnership:
     """Long and short legs of a book, normalized by gross exposure.
 
-    ``plus`` and ``minus`` are nonnegative with no common support, sum
-    jointly to one and are the halves of one read-only copy. Gross marginals
-    add the legs, net marginals subtract them; ``net_exposure`` is the common
-    total of the net marginals. Each is derived once, at construction.
+    The book holds its legs' held cells as one n-by-2m ``OwnershipMatrix``,
+    in which column 2j holds the long leg of stock j and column 2j + 1 its
+    short leg; no cell is long and short at once. ``plus`` and ``minus`` are
+    read-only views of its dense entries, built on first read and then
+    kept; ``net`` is formed on each read. Gross marginals add the legs and
+    net marginals subtract them, each a ``bincount`` over the held cells in
+    row-major order; ``net_exposure`` is the common total of the net
+    marginals. Each is derived once, at construction.
     """
 
-    plus: np.ndarray
-    minus: np.ndarray
-    investor_labels: tuple[str, ...] = None  # type: ignore[assignment]
-    stock_labels: tuple[str, ...] = None  # type: ignore[assignment]
-    gross_investor_marginals: np.ndarray = field(init=False, repr=False)
-    gross_stock_marginals: np.ndarray = field(init=False, repr=False)
-    net_investor_marginals: np.ndarray = field(init=False, repr=False)
-    net_stock_marginals: np.ndarray = field(init=False, repr=False)
-    net_exposure: float = field(init=False, repr=False)
+    def __init__(
+        self,
+        plus: "np.typing.ArrayLike",
+        minus: "np.typing.ArrayLike",
+        investor_labels: Sequence[str] | None = None,
+        stock_labels: Sequence[str] | None = None,
+    ) -> None:
+        (n, m), rows, cols, values = _leg_cells(plus, minus, "legs")
+        total = float(values.sum())
+        if abs(total - 1.0) > TOL_NORM:
+            raise NotNormalized(f"gross exposure sums to {total!r}, expected 1 within {TOL_NORM:g}")
+        legs = OwnershipMatrix._from_cells((n, 2 * m), rows, cols, values, investor_labels)
+        self._store(legs, stock_labels)
 
-    def __post_init__(self) -> None:
-        plus = np.asarray(self.plus, dtype=float)
-        minus = np.asarray(self.minus, dtype=float)
-        if plus.ndim != 2 or plus.size == 0 or plus.shape != minus.shape:
-            raise DimensionMismatch(
-                f"legs must be equal-shape 2-d arrays, got {plus.shape} and {minus.shape}"
-            )
-        plus, minus = _owned(_checked(np.stack([plus, minus]), "legs"), float)
-        if np.any((plus > 0) & (minus > 0)):
-            raise NegativeEntry("a cell cannot be long and short at once")
-        gross_total = float(plus.sum() + minus.sum())
-        if abs(gross_total - 1.0) > TOL_NORM:
-            raise NotNormalized(
-                f"gross exposure sums to {gross_total!r}, expected 1 within {TOL_NORM:g}"
-            )
-        n, m = plus.shape
-        # gross, then net, in one n-by-m buffer beside the legs
-        both = plus + minus
-        gross_p, gross_s = _owned(both.sum(axis=1), float), _owned(both.sum(axis=0), float)
-        np.subtract(plus, minus, out=both)
-        net_p, net_s = _owned(both.sum(axis=1), float), _owned(both.sum(axis=0), float)
+    def _store(self, legs: OwnershipMatrix, stock_labels: Sequence[str] | None) -> None:
+        """Keep ``legs``, whose cells no long and short pair shares, and derive the marginals."""
+        n, m = legs.n, legs.m // 2
+        rows, cols, net = _net_cells(legs)
+        gross_p, gross_s, net_p, net_s = (
+            _owned(np.bincount(line, values, minlength=size), float)
+            for values in (held_cells(legs)[2], net) for line, size in ((rows, n), (cols, m))
+        )
         eta = float(net_p.sum())
         _agree(eta, float(net_s.sum()), "net exposure differs across sides", 1e-12)
-        for name, value in (
-            ("plus", plus), ("minus", minus), ("net_exposure", eta),
-            ("investor_labels", _label_tuple(self.investor_labels, n, "investor")),
-            ("stock_labels", _label_tuple(self.stock_labels, m, "stock")),
-            ("gross_investor_marginals", gross_p), ("gross_stock_marginals", gross_s),
-            ("net_investor_marginals", net_p), ("net_stock_marginals", net_s),
-        ):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(
+            _legs=legs, investor_labels=legs.investor_labels,
+            stock_labels=_label_tuple(stock_labels, m, "stock"),
+            gross_investor_marginals=gross_p, gross_stock_marginals=gross_s,
+            net_investor_marginals=net_p, net_stock_marginals=net_s, net_exposure=eta,
+        )
 
-    @property
-    def net(self) -> np.ndarray:
-        return self.plus - self.minus
+    @classmethod
+    def _from_raw(cls, shape, rows, cols, raw, investor_labels, stock_labels) -> "SignedOwnership":
+        """The book of raw exposures in the cells of its legs, normalized as ``normalize`` does.
+
+        The gross total is numpy's (pairwise) sum of both legs' held cells
+        in row-major order; where it overflows, the exposures are first
+        divided by the power of two of the largest one.
+        """
+        book = cls.__new__(cls)
+        legs = _normalized((shape[0], 2 * shape[1]), rows, cols, raw, investor_labels, None)
+        book._store(legs, stock_labels)
+        return book
+
+    __setattr__, __delattr__ = OwnershipMatrix.__setattr__, OwnershipMatrix.__delattr__
+
+    plus = property(lambda self: self._legs.entries[:, 0::2])
+    minus = property(lambda self: self._legs.entries[:, 1::2])
+    net = property(lambda self: self.plus - self.minus)
+
+
+def _leg_cells(plus, minus, name: str):
+    """The shape of two dense legs and their nonzero cells as ``SignedOwnership`` holds them.
+
+    The values are checked finite and nonnegative; ``name`` words the errors.
+    """
+    plus, minus = (np.asarray(leg, dtype=float) for leg in (plus, minus))
+    if plus.ndim != 2 or plus.size == 0 or plus.shape != minus.shape:
+        raise DimensionMismatch(
+            f"legs must be equal-shape 2-d arrays, got {plus.shape} and {minus.shape}"
+        )
+    _, rows, cols, values = _nonzero_cells(
+        np.stack([plus, minus], axis=2).reshape(len(plus), -1), name
+    )
+    values = _checked(values, name)
+    if _on_both_legs(rows, cols).size:
+        raise NegativeEntry("a cell cannot be long and short at once")
+    return plus.shape, rows, cols, values
+
+
+def _on_both_legs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Where, in cells of both legs in row-major order, the next cell is the other leg's."""
+    return np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] >> 1 == cols[:-1] >> 1))
+
+
+def _net_cells(legs: OwnershipMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, columns and net shares of a signed book's held cells, in row-major order."""
+    rows, cols, values = held_cells(legs)
+    cols, short = np.divmod(cols, 2)
+    return rows, cols, np.where(short == 1, -values, values)
 
 
 def signed_from_raw(
@@ -115,27 +155,17 @@ def signed_from_raw(
     investor_labels: Sequence[str] | None = None,
     stock_labels: Sequence[str] | None = None,
 ) -> SignedOwnership:
-    """Normalize raw long and short exposures by total gross exposure.
-
-    The legs are checked and divided in place in one stacked copy, whose
-    halves the book copies into its own store.
-    """
+    """Normalize raw long and short exposures by total gross exposure (see ``_from_raw``)."""
     plus = np.asarray(raw_plus, dtype=float)
     minus = np.asarray(raw_minus, dtype=float)
     if plus.shape != minus.shape:
         raise DimensionMismatch(
             f"legs must share a shape, got {plus.shape} and {minus.shape}"
         )
-    plus, minus = legs = _checked(np.stack([plus, minus]), "raw legs")
-    with np.errstate(over="ignore"):
-        gross = float(plus.sum() + minus.sum())
-    if gross == np.inf:  # finite exposures whose total overflows
-        plus, minus = legs = _rescaled(legs)
-        gross = float(plus.sum() + minus.sum())
-    if gross <= 0.0:
+    shape, rows, cols, raw = _leg_cells(plus, minus, "raw legs")
+    if not raw.size:
         raise AllZeroMatrix("gross exposure is zero")
-    legs /= gross
-    return SignedOwnership(plus, minus, investor_labels, stock_labels)
+    return SignedOwnership._from_raw(shape, rows, cols, raw, investor_labels, stock_labels)
 
 
 def renyi_summary(matrix: OwnershipMatrix, alpha: float) -> RenyiSummary:
@@ -169,28 +199,32 @@ def renyi_summary(matrix: OwnershipMatrix, alpha: float) -> RenyiSummary:
 def signed_dependence(book: SignedOwnership) -> float:
     """Gross-whitened dependence of a signed book from its net benchmark.
 
-    The benchmark is the rank-one matrix built from the net marginals and
-    scaled by the inverse aggregate net exposure; it shares the book's net
-    marginals. The plain sum form and the whitened Frobenius form are both
-    computed and must agree.
+    The sum over every cell of (N_ij - a_i b_j / eta)**2 / (g_i h_j), with N
+    the net book, a and b its net marginals, g and h its gross marginals
+    and eta its net exposure: the benchmark a b^T / eta shares the book's
+    net marginals. It is summed over the held cells by the kernel of the
+    unsigned index and checked against the expanded square, sum of (N/g)
+    (N/h) less 2/eta times sum of N (a/g) (b/h), plus (sum of a a/g) (sum
+    of b b/h) / eta**2. Time and memory are O(nnz + n + m).
     """
     eta = book.net_exposure
     if abs(eta) < 1e-10:
         raise MarketNeutral(
             "aggregate net exposure is zero; the net rank-one benchmark is undefined"
         )
-    gross_p = book.gross_investor_marginals
-    gross_s = book.gross_stock_marginals
-    if np.any(gross_p <= 0) or np.any(gross_s <= 0):
+    g, h = book.gross_investor_marginals, book.gross_stock_marginals
+    if np.any(g <= 0) or np.any(h <= 0):
         raise InactiveGrossSupport(
             "every investor and stock needs positive gross exposure"
         )
-    net = book.net
-    benchmark = np.outer(book.net_investor_marginals, book.net_stock_marginals) / eta
-    dev = net - benchmark
-
-    sum_form = float(np.sum(dev * dev / np.outer(gross_p, gross_s)))
-    whitened = dev / np.sqrt(np.outer(gross_p, gross_s))
-    frob_form = float(np.sum(whitened * whitened))
-    _agree(sum_form, frob_form, "signed dependence forms disagree", 1e-10)
-    return sum_form
+    a, b = book.net_investor_marginals, book.net_stock_marginals
+    rows, cols, net = _net_cells(book._legs)
+    index = hs.dependence._chi_square(
+        (rows, cols, net), (a.size, b.size), a, b, g, h, eta, np.empty(net.size)
+    )
+    square = float(np.sum(net / g[rows] * (net / h[cols])))
+    cross = 2.0 * float(np.sum(net * (a / g)[rows] * (b / h)[cols])) / eta
+    bench = float(a @ (a / g)) * float(b @ (b / h)) / eta**2
+    _agree(index, square - cross + bench, "signed dependence forms disagree", 1e-10,
+           square, cross, bench)
+    return index

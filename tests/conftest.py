@@ -74,6 +74,13 @@ def refuse_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", refused)
 
 
+def assert_same_to_the_printed_digit(a, b):
+    """Two numbers printed at 6 significant digits differ by at most one unit in the 6th."""
+    size = max(abs(a), abs(b))
+    unit = 10.0 ** (np.floor(np.log10(size)) - 5) if size else 0.0
+    assert abs(a - b) <= unit * (1 + 1e-9), (a, b)
+
+
 @pytest.fixture
 def golden() -> hs.OwnershipMatrix:
     """3x2 worked holdings book used across the suite."""

@@ -324,17 +324,50 @@ def test_overflowing_results_exit_3(tmp_path, golden_csv, capsys):
 
 
 def test_nan_dependence_exits_3_in_both_formats(tmp_path, capsys):
-    # p2 * s2 underflows to 0, so every form of X is nan; at one time text
-    # printed "X nan" with exit 0 and JSON failed only when rendering
-    book = tmp_path / "underflow.csv"
-    book.write_text("investor,stock,amount\ni1,s1,1e170\ni2,s2,1\n", encoding="utf-8")
+    # the profile ratios of the second cell overflow, so two forms of X are
+    # infinite; at one time text printed "X nan" with exit 0 and JSON failed
+    # only when rendering
+    book = tmp_path / "overflow.csv"
+    book.write_text("investor,stock,amount\ni1,s1,1e300\ni2,s2,1e-20\n", encoding="utf-8")
     for argv in (["dashboard", str(book), "--no-psi"], ["decompose", str(book)]):
         for fmt in ("text", "json"):
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 assert cli.main([*argv, "--format", fmt]) == 3
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: dependence forms disagree beyond tolerance\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_masses_whose_product_underflows_report_their_index(tmp_path, capsys, fmt):
+    # p2 * s2 = 1e-170 * 1e-170 underflows to 0; X and rho are 1, as in
+    # every book of two cells on the diagonal
+    book = tmp_path / "underflow.csv"
+    book.write_text("investor,stock,amount\ni1,s1,1e170\ni2,s2,1\n", encoding="utf-8")
+    groups = tmp_path / "groups.txt"
+    groups.write_text("i1\ni2\n", encoding="utf-8")
+    reports = {}
+    for argv in (["decompose"], ["dashboard", "--no-psi"], ["aggregate", "--groups", str(groups)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([argv[0], str(book), *argv[1:], "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports[argv[0]] = captured.out
+    if fmt == "json":
+        reports = {name: json.loads(out) for name, out in reports.items()}
+        headline = reports["dashboard"]["dashboard"]
+        assert (headline["X"], headline["rho"]) == (1.0, 1.0)
+        for side in ("investors", "stocks"):
+            contributions = [row["dependence_contribution"] for row in reports["decompose"][side]]
+            assert contributions == [0.0, 1.0]
+        assert (reports["aggregate"]["between"], reports["aggregate"]["total"]) == (1.0, 1.0)
+    else:
+        assert "\nX       1\nrho     1\n" in reports["dashboard"]
+        lines = reports["decompose"].splitlines()
+        assert [line.split()[-1] for line in lines[1:]] == ["0", "1", "0", "1"]
+        assert "\nbetween                      1\n" in reports["aggregate"]
 
 
 def test_render_rounds_every_float_and_puts_schema_version_first():
@@ -758,7 +791,9 @@ def test_ingest_sums_lots_in_file_order(rows, with_sign, seed):
         stocks = [lab for lab, held in zip(stocks, held_j) if held]
         raw = raw[:, held_i][:, :, held_j].copy()  # row-major, so its sum adds as ingest's does
         if with_sign:
-            total = float(raw[0].sum() + raw[1].sum())
+            # a signed book's gross total adds both legs' held cells in row-major order
+            gross = raw[0] + raw[1]
+            total = float(gross[gross != 0].sum())
             book = cli.ingest(path, signed=True)
             assert book.investor_labels == tuple(investors)
             assert book.stock_labels == tuple(stocks)
@@ -1207,8 +1242,8 @@ def test_shock_whitens_once(tmp_path, golden_csv, monkeypatch):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", [["dashboard", "--no-psi"], ["decompose"]])
 @pytest.mark.parametrize("amounts", [
-    ("1e170", "1"),  # the benchmark mass p * s of the second cell underflows to zero
-    ("1e300", "1e-20"),  # and its profile ratios overflow as well
+    ("1e-20", "1e300"),  # the profile ratios of the first cell overflow
+    ("1e300", "1e-20"),  # and of the second
 ])
 def test_extreme_book_fails_without_warnings(tmp_path, capsys, amounts, command, fmt):
     path = tmp_path / "extreme.csv"

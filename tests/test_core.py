@@ -243,8 +243,8 @@ def test_each_quantity_is_derived_once_per_book(golden):
     assert hs.is_active(golden) is True
     assert hs.rho(golden) == hs.whiten(golden).rho
     # a call that raises keeps nothing, so it raises again
-    underflow = hs.normalize([[1e170, 0.0], [0.0, 1.0]])
+    overflow = hs.normalize([[1e300, 0.0], [0.0, 1e-20]])
     for derive in (hs.dependence_index, hs.whiten):
         for _ in range(2):
             with pytest.raises(InternalConsistencyError, match="^dependence forms disagree"):
-                derive(underflow)
+                derive(overflow)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import numpy.testing as nptest
@@ -63,12 +64,27 @@ def test_dependence_zero_on_product():
 
 
 def test_nan_forms_raise_instead_of_passing():
-    # p2 * s2 = 1e-170 * 1e-170 underflows to 0, so every form of X is nan,
-    # and abs(nan - nan) > tol is False; the agreement check must fail on it
-    matrix = hs.normalize([[1e170, 0.0], [0.0, 1.0]])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # p2 = s2 = 1e-320 (subnormal): the profile ratios (e / p) / s overflow,
+    # so two forms of X are infinite and the slack is nan, and abs(inf - 1)
+    # <= nan is False; the agreement check must fail on it, warning nothing
+    matrix = hs.normalize([[1e300, 0.0], [0.0, 1e-20]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(InternalConsistencyError, match="^dependence forms disagree"):
             hs.dependence_index(matrix)
+
+
+def test_masses_whose_product_underflows_keep_their_index():
+    # p2 * s2 = 1e-170 * 1e-170 underflows to 0; no form divides by it, so
+    # the index is the true X = 1, held by the second investor and stock
+    matrix = hs.normalize([[1e170, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = hs.dependence_index(matrix)
+        assert hs.rho(matrix) == pytest.approx(1.0, rel=1e-12)
+    assert report.index == 1.0
+    nptest.assert_array_equal(report.investor_contributions, [0.0, 1.0])
+    nptest.assert_array_equal(report.stock_contributions, [0.0, 1.0])
 
 
 def test_dependence_antidiagonal_half():

@@ -6,18 +6,20 @@ import numpy.testing as nptest
 import pytest
 
 import holdscan as hs
+from holdscan import dependence
 from holdscan.errors import (
     AllZeroMatrix,
     AlphaNearOne,
     DimensionMismatch,
     InactiveGrossSupport,
+    InternalConsistencyError,
     MarketNeutral,
     NegativeEntry,
     NotNormalized,
     OutOfRange,
 )
 
-from conftest import peak_bytes
+from conftest import GOLDEN_RAW, assert_same_to_the_printed_digit, peak_bytes
 
 
 
@@ -189,12 +191,40 @@ def test_signed_legs_whose_gross_total_overflows():
     assert huge.net_exposure == small.net_exposure == pytest.approx(0.75 / 4.25, rel=1e-15)
 
 
-def test_signed_reduces_to_net_matrix_when_all_long(golden):
-    book = hs.signed_from_raw(golden.entries, np.zeros(golden.shape))
-    nptest.assert_allclose(book.net, golden.entries, atol=1e-15)
-    nptest.assert_allclose(book.gross_investor_marginals, hs.marginals(golden).p, atol=1e-15)
-    value = hs.signed_dependence(book)
-    assert value >= 0.0
+def test_signed_reduces_to_net_matrix_when_all_long():
+    # an all-long book's signed index is the unsigned index of its matrix
+    for raw in (np.array(GOLDEN_RAW), sum(signed_legs())):
+        matrix = hs.normalize(raw)
+        book = hs.signed_from_raw(raw, np.zeros(raw.shape))
+        nptest.assert_allclose(book.net, matrix.entries, atol=1e-15)
+        nptest.assert_allclose(book.gross_investor_marginals, hs.marginals(matrix).p, atol=1e-15)
+        expected = hs.dependence_index(matrix).index
+        assert hs.signed_dependence(book) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_transposed_legs_swap_the_sides_of_a_signed_book():
+    plus, minus = signed_legs()
+    book, flipped = hs.signed_from_raw(plus, minus), hs.signed_from_raw(plus.T, minus.T)
+    assert_same_to_the_printed_digit(hs.signed_dependence(book), hs.signed_dependence(flipped))
+    for kind in ("gross", "net"):
+        for side, other in (("investor", "stock"), ("stock", "investor")):
+            nptest.assert_allclose(getattr(flipped, f"{kind}_{side}_marginals"),
+                                   getattr(book, f"{kind}_{other}_marginals"), rtol=1e-12, atol=0)
+    assert flipped.net_exposure == pytest.approx(book.net_exposure, rel=1e-12)
+
+
+def test_both_kinds_of_book_check_the_one_kernel(monkeypatch):
+    # one function sums X for unsigned and signed books, and each checks it
+    # against forms of its own: a kernel off by one part in a million fails both
+    kernel = dependence._chi_square
+    calls = []
+    monkeypatch.setattr(dependence, "_chi_square",
+                        lambda *args: calls.append(args) or kernel(*args) * (1 + 1e-6))
+    with pytest.raises(InternalConsistencyError, match="^dependence forms disagree"):
+        hs.dependence_index(hs.normalize(GOLDEN_RAW))
+    with pytest.raises(InternalConsistencyError, match="^signed dependence forms disagree"):
+        hs.signed_dependence(hs.signed_from_raw(*signed_legs()))
+    assert len(calls) == 2
 
 
 def signed_legs(n=400, m=300):
@@ -209,11 +239,14 @@ def test_signed_book_derives_its_values_once():
     book = hs.signed_from_raw(*signed_legs())
     plus, minus = book.plus, book.minus
     assert plus.base is minus.base and not plus.flags.writeable
+    # bincount over the held cells in row-major order, as core.marginals sums
+    rows, cols = np.nonzero(plus + minus)
+    gross, net = (plus + minus)[rows, cols], (plus - minus)[rows, cols]
     expected = {
-        "gross_investor_marginals": (plus + minus).sum(axis=1),
-        "gross_stock_marginals": (plus + minus).sum(axis=0),
-        "net_investor_marginals": (plus - minus).sum(axis=1),
-        "net_stock_marginals": (plus - minus).sum(axis=0),
+        "gross_investor_marginals": np.bincount(rows, gross, minlength=plus.shape[0]),
+        "gross_stock_marginals": np.bincount(cols, gross, minlength=plus.shape[1]),
+        "net_investor_marginals": np.bincount(rows, net, minlength=plus.shape[0]),
+        "net_stock_marginals": np.bincount(cols, net, minlength=plus.shape[1]),
     }
     for name, value in expected.items():
         derived = getattr(book, name)

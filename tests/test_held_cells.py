@@ -276,13 +276,17 @@ def one_percent_book():
     return raw
 
 
-def write_lots(path, matrix, lots_per_cell):
-    """The book's held cells as a plain holdings CSV, each cell split into equal lots."""
+def write_lots(path, matrix, lots_per_cell, short_every=0):
+    """The book's held cells as a plain holdings CSV, each cell split into equal lots.
+
+    With ``short_every`` k, a sign column makes every k-th held cell short.
+    """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["investor", "stock", "amount"])
-        for i, j, value in zip(*(a.tolist() for a in held_cells(matrix))):
-            writer.writerows([(f"I{i}", f"S{j}", f"{value * 0.25e9:.6g}")] * lots_per_cell)
+        writer.writerow(["investor", "stock", "amount"] + ["sign"] * bool(short_every))
+        for k, (i, j, value) in enumerate(zip(*(a.tolist() for a in held_cells(matrix)))):
+            sign = ["+-"[k % short_every == 0]] if short_every else []
+            writer.writerows([[f"I{i}", f"S{j}", f"{value * 0.25e9:.6g}", *sign]] * lots_per_cell)
 
 
 def test_held_cell_paths_allocate_no_dense_temporaries(tmp_path):
@@ -322,6 +326,14 @@ def test_held_cell_paths_allocate_no_dense_temporaries(tmp_path):
     write_lots(path, matrix, 2)
     peak = peak_bytes(cli.ingest, path)
     assert peak < 2 * budget, f"ingest peaked at {peak / 1e6:.1f} MB"
+
+    # and as a signed lots file, every fifth cell short: a signed book holds
+    # its cells as the unsigned one does, and its index sums over them
+    write_lots(path, matrix, 2, short_every=5)
+    peak = peak_bytes(cli.ingest, path, "csv", True)
+    assert peak < 2 * budget, f"signed ingest peaked at {peak / 1e6:.1f} MB"
+    peak = peak_bytes(hs.signed_dependence, cli.ingest(path, signed=True))
+    assert peak < budget, f"signed_dependence peaked at {peak / 1e6:.1f} MB"
 
 
 #: Peak bytes that each operation may allocate per held cell of a fresh

@@ -24,7 +24,7 @@ import pytest
 import holdscan as hs
 from holdscan import cli
 
-from conftest import GOLDEN_CSV
+from conftest import GOLDEN_CSV, assert_same_to_the_printed_digit
 
 SHAPE = (2000, 1500)
 DENSITY = 0.023
@@ -124,13 +124,6 @@ def test_transposing_swaps_the_sides(book):
     nptest.assert_allclose(hs.herfindahl(marg_t.s), hs.herfindahl(marg.p), **rel)
     nptest.assert_allclose(dep_t.investor_contributions, dep.stock_contributions, **rel)
     nptest.assert_allclose(dep_t.stock_contributions, dep.investor_contributions, **rel)
-
-
-def assert_same_to_the_printed_digit(a, b):
-    """Two numbers printed at 6 significant digits differ by at most one unit in the 6th."""
-    size = max(abs(a), abs(b))
-    unit = 10.0 ** (np.floor(np.log10(size)) - 5) if size else 0.0
-    assert abs(a - b) <= unit * (1 + 1e-9), (a, b)
 
 
 def decompose_rows(report, fmt):
