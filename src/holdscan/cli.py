@@ -177,7 +177,7 @@ _SPACE = np.zeros(256, bool)
 _SPACE[list(b"\t\x0b\x0c\x1c\x1d\x1e\x1f ")] = True
 
 #: Bytes of a holdings CSV that ``_scan_csv`` reads at a time.
-_BLOCK = 1 << 20
+_BLOCK = 1 << 19
 
 #: One block's coded columns: its distinct investor labels (NUL-padded
 #: bytes) and each record's index into them, the same for stocks, the
@@ -283,6 +283,7 @@ def _blocks(fd: int, first: int = 0, stop: int | None = None) -> Iterator[bytes 
     A block is what one ``os.pread`` of ``_BLOCK`` bytes adds to the
     partial line the last block left, up to its last line end, so it holds
     whole lines and a line longer than ``_BLOCK`` makes its block longer.
+    No read asks for bytes past the file's size when the blocks start.
     These are the blocks that reads ``first`` to ``stop`` - 1 end (all of
     them when ``stop`` is None); the first starts with the line pending at
     read ``first``, so a file cut into runs of reads gives the blocks of
@@ -292,11 +293,13 @@ def _blocks(fd: int, first: int = 0, stop: int | None = None) -> Iterator[bytes 
     time.
     """
     longest = 4 * (csv.field_size_limit() + 1)
+    size = os.fstat(fd).st_size
     at = first * _BLOCK
     rest = os.pread(fd, min(at, longest + 1), at - min(at, longest + 1))
     rest = rest[rest.rfind(b"\n") + 1 :]
     while len(rest) <= longest:
-        if first == stop or not (chunk := os.pread(fd, _BLOCK, first * _BLOCK)):
+        at = first * _BLOCK
+        if first == stop or at >= size or not (chunk := os.pread(fd, min(_BLOCK, size - at), at)):
             if rest and stop is None:
                 yield rest.replace(b"\r\n", b"\n") + b"\n"
             return
@@ -386,7 +389,13 @@ def _block_labels(
 def _merged_labels(
     labels: tuple[np.ndarray, ...], codes: tuple[np.ndarray, ...]
 ) -> tuple[list[str], np.ndarray]:
-    """A label column as ``_coded`` gives it, from each block's distinct labels and codes."""
+    """A label column as ``_coded`` gives it, from each block's distinct labels and codes.
+
+    A lone block's labels are already distinct and ranked, and its codes
+    already have the narrowest dtype, so they are taken as they are.
+    """
+    if len(labels) == 1:
+        return [label.decode("ascii") for label in labels[0].tolist()], codes[0]
     distinct, index = _ranked(np.concatenate(labels))
     index = index.astype(_code_type(distinct.size))
     out = np.empty(sum(block.size for block in codes), index.dtype)
@@ -731,27 +740,31 @@ def _rounded(obj):
 def _json(obj, pad: str = "\n") -> str:
     """``json.dumps(_rounded(obj), indent=2)`` in one pass; ``pad``: a line break, ``obj``'s indent.
 
-    No rounded copy is made, and each container joins its items' text once.
+    No rounded copy is made. A finite float, numpy's ``float64`` included,
+    and a string are written here, as is a vector of finite floats, in one
+    ``%``; only other leaves pass through ``_rounded`` and the encoder. Each
+    container joins its items' text once.
     """
-    if type(obj) is float and math.isfinite(obj):
+    if isinstance(obj, float) and math.isfinite(obj):
         return repr(float(f"{obj:.6g}"))
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+    if isinstance(obj, str):
+        return _quoted(obj)
     inner = pad + "  "
     if isinstance(obj, dict):
-        parts, close = ["{"], "}"
-        for key, val in obj.items():
-            parts += (inner, _quoted(key), ": ", _json(val, inner), ",")
+        texts, brackets = [f"{_quoted(key)}: {_json(val, inner)}" for key, val in obj.items()], "{}"
     elif isinstance(obj, (list, tuple)):
-        parts, close = ["["], "]"
-        for val in obj:
-            parts += (inner, _json(val, inner), ",")
-    else:
+        texts, brackets = [_json(val, inner) for val in obj], "[]"
+    elif not isinstance(obj, np.ndarray):
         return _scalar(_rounded(obj))
-    if len(parts) == 1:
-        return parts[0] + close
-    parts[-1] = pad + close
-    return "".join(parts)
+    elif obj.ndim == 1 and obj.dtype == float and np.isfinite(obj).all():
+        # one % formats every entry, each as the float branch above does
+        text = "%.6g " * obj.size % tuple(obj.tolist())
+        texts, brackets = [repr(float(entry)) for entry in text.split()], "[]"
+    else:
+        return _json(obj.tolist(), pad)
+    if not texts:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(texts)}{pad}{brackets[1]}"
 
 
 def _render(payload: dict, fmt: str) -> str:
@@ -881,7 +894,7 @@ def _cmd_shock(args) -> str:
         "parallel_term": result.parallel_term,
         "perp_term": result.perp_term,
         "bound": result.bound,
-        "impact": dict(zip(matrix.stock_labels, result.impact)),
+        "impact": dict(zip(matrix.stock_labels, result.impact.tolist())),
     }
     return _render(payload, args.format)
 
@@ -895,7 +908,7 @@ def _cmd_alpha(args) -> str:
     payload = {
         "variance": result.variance,
         "worst_case_bound": result.worst_case_bound,
-        "alpha": dict(zip(matrix.investor_labels, result.alpha)),
+        "alpha": dict(zip(matrix.investor_labels, result.alpha.tolist())),
     }
     if result.isotropic_capacity is not None:
         payload["isotropic_capacity"] = result.isotropic_capacity

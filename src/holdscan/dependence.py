@@ -133,11 +133,12 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
     marg = require_active(matrix)
     p, s = marg.p, marg.s
     n, m = matrix.shape
-    rows, cols, e = cells = held_cells(matrix)
+    rows, cols, e = held_cells(matrix)
     p_h, s_h = p[rows], s[cols]
     term = np.empty(e.size)  # scratch: each form writes its terms here in turn
     # a ratio that overflows fails the checks below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        index = _chi_square(e, (n, m), (p_h, s_h), (s_h, p_h), float(p.sum() * s.sum()), term)
         investor_contrib = p * (
             np.bincount(rows, _profile_terms(e, p_h, s_h, term), minlength=n)
             + _empty_mass(rows, s_h, s, n)
@@ -157,8 +158,6 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
         ratio *= np.sqrt(p_h, out=p_h)
         ratio *= np.sqrt(s_h, out=s_h)
         likelihood = float(ratio @ ratio) + unheld
-        del p_h, s_h
-        index = _chi_square(cells, (n, m), p, s, p, s, 1.0, term)
 
     forms = np.array([closed, likelihood, investor_contrib.sum(), stock_contrib.sum()])
     _agree(forms, index, "dependence forms disagree beyond tolerance", _FORM_TOL)
@@ -169,30 +168,29 @@ def dependence_index(matrix: OwnershipMatrix) -> DependenceReport:
     )
 
 
-def _chi_square(cells, shape, a, b, g, h, eta, term) -> float:
+def _chi_square(values, shape, divisors, benches, total, term) -> float:
     """The sum over every cell of an n-by-m book of (A_ij - a_i b_j / eta)**2 / (g_i h_j).
 
-    ``cells`` are the rows, columns and values of A's held cells. A held
-    cell adds (A/g - (a/g) (b/eta)) (A/h - (a/eta) (b/h)), formed in the
-    scratch array ``term``; an empty cell adds (a a/g)_i (b b/h)_j / eta**2,
-    so the empty cells enter as the product of those two sums less its
-    held part. No product of two marginals is a divisor. An unsigned book
-    has a = g = p, b = h = s and eta = 1.
+    ``values`` are A's held cells. At each of them the caller gives the
+    ``divisors`` g_i and h_j and the ``benches`` (a_i / g_i) (b_j / eta)
+    and (a_i / eta) (b_j / h_j), gathered from the vectors it holds. A held
+    cell adds (A/g - the first bench) (A/h - the second), formed in the
+    scratch array ``term`` and one array more; an empty cell adds the
+    product of its benches, so the empty cells enter as ``total``, that
+    product summed over every cell, (sum of a a/g) (sum of b b/h) / eta**2,
+    less its held part. No product of two marginals is a divisor. An
+    unsigned book has a = g = p, b = h = s and eta = 1: its divisors are
+    p_i and s_j, its benches s_j and p_i, and ``total`` is 1 but for rounding.
     """
-    rows, cols, values = cells
-    a_g, b_h = a / g, b / h
-    bench = a_g[rows]
-    bench *= (b / eta)[cols]
-    left = np.divide(values, g[rows], out=term)
-    left -= bench
-    right = np.multiply((a / eta)[rows], b_h[cols], out=bench)
-    np.subtract(values / h[cols], right, out=right)
+    (g, h), (bench_g, bench_h) = divisors, benches
+    left = np.divide(values, g, out=term)
+    left -= bench_g
+    right = values / h
+    right -= bench_h
     left *= right
     if values.size == shape[0] * shape[1]:
         return float(np.sum(left))
-    a_g *= a
-    b_h *= b
-    return float(np.sum(left)) + float(a_g.sum() * b_h.sum() - a_g[rows] @ b_h[cols]) / eta**2
+    return float(np.sum(left)) + float(total - bench_h @ bench_g)
 
 
 def _profile_terms(
@@ -258,14 +256,18 @@ def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit
     mass = np.bincount(group, p, minlength=size)
     # scratch; every index is in range, and take's default mode would buffer out
     term, other = np.empty(e.size), np.empty(e.size)
+    g_mass, g_s = mass.take(g_rows, out=other[: summed.size], mode="clip"), s[g_cols]
     between = _chi_square(
-        (g_rows, g_cols, summed), (size, m), mass, s, mass, s, 1.0, term[: summed.size]
+        summed, (size, m), (g_mass, g_s), (g_s, g_mass), float(mass.sum() * s.sum()),
+        term[: summed.size],
     )
-    mean = summed / mass[g_rows]  # each group's mean profile, on its held cells
+    mean = summed / g_mass  # each group's mean profile, on its held cells
+    del g_mass
     # a member that leaves empty a cell its group holds deviates there by the
     # whole mean; a member holding every cell of its group adds exactly zero
     gap = np.multiply(mean, mean, out=other[: summed.size])
-    gap /= s[g_cols]
+    gap /= g_s
+    del g_s
     unheld = np.where(
         np.bincount(rows, minlength=n) < np.bincount(g_rows, minlength=size)[group],
         np.bincount(g_rows, gap, minlength=size)[group]

@@ -219,12 +219,21 @@ def signed_dependence(book: SignedOwnership) -> float:
         )
     a, b = book.net_investor_marginals, book.net_stock_marginals
     rows, cols, net = _net_cells(book._legs)
-    index = hs.dependence._chi_square(
-        (rows, cols, net), (a.size, b.size), a, b, g, h, eta, np.empty(net.size)
-    )
-    square = float(np.sum(net / g[rows] * (net / h[cols])))
-    cross = 2.0 * float(np.sum(net * (a / g)[rows] * (b / h)[cols])) / eta
+    g_c, h_c = g[rows], h[cols]
+    term = np.empty(net.size)  # scratch: each sum writes its terms here in turn
+    square = float(np.multiply(np.divide(net, g_c, out=term), net / h_c, out=term).sum())
+    # the kernel's benches (a/g)(b/eta) and (a/eta)(b/h), formed over a/g and b/h;
+    # every index is in range, and take's default mode would buffer out
+    bench_g, bench_h = (a / g)[rows], (b / h)[cols]
+    np.multiply(net, bench_g, out=term)
+    cross = 2.0 * float(np.multiply(term, bench_h, out=term).sum()) / eta
+    bench_g *= np.take(b / eta, cols, out=term, mode="clip")
+    del cols
+    bench_h *= (a / eta)[rows]
     bench = float(a @ (a / g)) * float(b @ (b / h)) / eta**2
+    index = hs.dependence._chi_square(
+        net, (a.size, b.size), (g_c, h_c), (bench_g, bench_h), bench, term
+    )
     _agree(index, square - cross + bench, "signed dependence forms disagree", 1e-10,
            square, cross, bench)
     return index

@@ -57,8 +57,9 @@ def whiten(matrix: OwnershipMatrix) -> SpectralResidual:
     marg = require_active(matrix)
     u = np.sqrt(marg.p)
     v = np.sqrt(marg.s)
-    k = matrix.entries / np.outer(u, v)
-    ell = k - np.outer(u, v)
+    mode = np.outer(u, v)
+    k = matrix.entries / mode
+    ell = np.subtract(k, mode, out=mode)
     sigma = np.linalg.svd(k, compute_uv=False)
 
     _agree(np.array([u @ u, v @ v]), 1.0, "square-root marginals are not unit vectors", 2e-12)
@@ -76,7 +77,7 @@ def whiten(matrix: OwnershipMatrix) -> SpectralResidual:
         residual=ell,
         row_unit=u,
         col_unit=v,
-        singular_values=tuple(float(x) for x in sigma),
+        singular_values=tuple(sigma.tolist()),
         rho=float(sigma[1]) if len(sigma) > 1 else 0.0,
     )
 
