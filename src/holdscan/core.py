@@ -56,9 +56,9 @@ def _owned(arr: np.ndarray, dtype: "np.typing.DTypeLike") -> np.ndarray:
 
 
 def _freeze_fields(obj: object, *names: str) -> None:
-    """Replace each named array field of a frozen dataclass by a read-only float copy."""
+    """Keep each named array field of a frozen dataclass as ``_owned(field, float)``."""
     for name in names:
-        object.__setattr__(obj, name, _freeze(getattr(obj, name)))
+        object.__setattr__(obj, name, _owned(getattr(obj, name), float))
 
 
 #: The default base slack of an identity check (see ``_scaled_tol``), and what it compares.
@@ -207,13 +207,14 @@ class OwnershipMatrix:
         investor_labels: Sequence[str] | None = None,
         stock_labels: Sequence[str] | None = None,
     ) -> None:
-        self._store(*_nonzero_cells(entries, "entries"), investor_labels, stock_labels)
+        shape, rows, cols, values = _nonzero_cells(entries, "entries")
+        self._store(shape, rows, cols, _checked(values, "entries"), investor_labels, stock_labels)
 
     @classmethod
     def _from_cells(
         cls, shape, rows, cols, values, investor_labels=None, stock_labels=None
     ) -> "OwnershipMatrix":
-        """A matrix from its cells in row-major order; cells of value zero are dropped.
+        """A matrix from its finite, nonnegative cells in row-major order; zero cells are dropped.
 
         The matrix takes ownership of the arrays it is handed (see ``_store``):
         pass fresh arrays, or the read-only store of another matrix.
@@ -223,7 +224,7 @@ class OwnershipMatrix:
         return matrix
 
     def _store(self, shape, rows, cols, values, investor_labels, stock_labels) -> None:
-        """Validate the cells in O(nnz) and keep them; ``entries`` is left unbuilt.
+        """Check the values' sum in O(nnz) and keep the cells; ``entries`` is left unbuilt.
 
         Each array is kept as it is, made read-only, when it already has the
         store's dtype (``intp`` indices, ``float`` values) and owns its memory;
@@ -235,7 +236,6 @@ class OwnershipMatrix:
         n, m = (int(k) for k in shape)
         if n == 0 or m == 0:
             raise DimensionMismatch(f"entries must be a nonempty 2-d array, got shape {(n, m)}")
-        values = _checked(values, "entries")
         total = float(values.sum())
         if abs(total - 1.0) > TOL_NORM:
             raise NotNormalized(

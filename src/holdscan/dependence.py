@@ -254,7 +254,7 @@ def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit
     g_rows, g_cols, summed, where = _summed_cells(keys, e, m)
     del keys  # sorted in place into ``where``
     mass = np.bincount(group, p, minlength=size)
-    # scratch; every index is in range, and take's default mode would buffer out
+    # scratch, which take fills unbuffered in mode "clip" over the writable g_rows and where
     term, other = np.empty(e.size), np.empty(e.size)
     g_mass, g_s = mass.take(g_rows, out=other[: summed.size], mode="clip"), s[g_cols]
     between = _chi_square(
@@ -275,11 +275,11 @@ def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit
         0.0,
     )
     del gap
-    spread = np.divide(e, p.take(rows, out=term, mode="clip"), out=term)
+    spread = np.divide(e, p[rows], out=term)
     spread -= mean.take(where, out=other, mode="clip")
     del where, mean
     spread *= spread
-    spread /= s.take(cols, out=other, mode="clip")
+    spread /= s[cols]
     within = float(p @ (np.bincount(rows, spread, minlength=n) + unheld))
     _agree(between + within, index,
            "between + within disagrees with the dependence index", _EXACT_TOL, between, within)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze_fields, _scaled_tol, require_active,
+    _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze_fields, _scaled_tol, held_cells,
+    require_active,
 )
 from .dependence import dependence_index
 from .errors import (
@@ -101,16 +102,17 @@ def fire_sale(matrix: OwnershipMatrix, delta: "np.typing.ArrayLike") -> FireSale
     shock = _finite_vector(delta, "shock", matrix.n, "investors")
 
     p, s = marg.p, marg.s
+    rows, cols, e = held_cells(matrix)
     res = whiten(matrix)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(p @ shock)
         parallel = np.full(matrix.n, mean)
         perp = shock - parallel
-        pressure = matrix.entries.T @ shock
+        pressure = np.bincount(cols, e * shock[rows], minlength=matrix.m)
         impact = pressure / s
         severity = float(s @ (impact * impact))
         parallel_term = float(p @ (parallel * parallel))
-        perp_whitened = res.residual.T @ (np.sqrt(p) * perp)
+        perp_whitened = res.residual.T @ (res.row_unit * perp)
         perp_term = float(perp_whitened @ perp_whitened)
         bound = parallel_term + res.rho**2 * float(p @ (perp * perp))
     _require_finite(
@@ -163,14 +165,15 @@ def active_variance(
             f"expected 0 within {center_tol:g}"
         )
 
+    rows, cols, e = held_cells(matrix)
     res = whiten(matrix)
     with np.errstate(over="ignore", invalid="ignore"):
-        q = matrix.entries / p[:, None]
-        alpha_profile = (q - s[None, :]) @ r
-        alpha_operator = (matrix.entries - np.outer(p, s)) @ r / p
+        alpha_profile = np.bincount(rows, e / p[rows] * r[cols], minlength=matrix.n) - centered
         variance = float(p @ (alpha_profile * alpha_profile))
-        whitened_returns = np.sqrt(s) * r
-        operator_variance = float(np.sum((res.residual @ whitened_returns) ** 2))
+        # L (v r) = u alpha, so both operator forms come from one product
+        image = res.residual @ (res.col_unit * r)
+        alpha_operator = image / res.row_unit
+        operator_variance = float(image @ image)
         bound = res.rho**2 * float(s @ (r * r))
     _require_finite("active variance", alpha=alpha_profile, variance=variance, worst_case_bound=bound)
 
@@ -204,6 +207,6 @@ def isotropic_capacity(matrix: OwnershipMatrix, sigma: float) -> float:
         raise NonFiniteResult(f"isotropic capacity at dispersion {sigma!r} is not finite")
     # tr(L C L^T) for the covariance C = sigma^2 (I - v v^T), v = res.col_unit
     ell = res.residual
-    trace = scale * (float(np.sum(ell * ell)) - float(np.sum((ell @ res.col_unit) ** 2)))
+    trace = scale * (float(np.vdot(ell, ell)) - float(np.sum((ell @ res.col_unit) ** 2)))
     _agree(value, trace, "capacity disagrees with the trace formula")
     return value

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze_fields, _per_book, require_active,
+    _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze_fields, _per_book, held_cells,
+    require_active,
 )
 from .dependence import dependence_index
 
@@ -55,11 +56,12 @@ def whiten(matrix: OwnershipMatrix) -> SpectralResidual:
     once per matrix.
     """
     marg = require_active(matrix)
-    u = np.sqrt(marg.p)
-    v = np.sqrt(marg.s)
-    mode = np.outer(u, v)
-    k = matrix.entries / mode
-    ell = np.subtract(k, mode, out=mode)
+    u, v = np.sqrt(marg.p), np.sqrt(marg.s)
+    rows, cols, e = held_cells(matrix)
+    k = np.zeros(matrix.shape)
+    k[rows, cols] = e / (u[rows] * v[cols])  # the products np.outer(u, v) holds there
+    ell = np.outer(u, v)
+    np.subtract(k, ell, out=ell)
     sigma = np.linalg.svd(k, compute_uv=False)
 
     _agree(np.array([u @ u, v @ v]), 1.0, "square-root marginals are not unit vectors", 2e-12)
@@ -69,7 +71,7 @@ def whiten(matrix: OwnershipMatrix) -> SpectralResidual:
         _agree(image, unit, "square-root marginals are not a singular pair")
     _agree(np.concatenate([ell @ v, u @ ell]), 0.0, "residual does not annihilate the market mode")
     tail = float(np.sum(np.square(sigma[1:])))
-    _agree(np.array([np.sum(ell * ell), dependence_index(matrix).index]), tail,
+    _agree(np.array([np.vdot(ell, ell), dependence_index(matrix).index]), tail,
            "residual norm or dependence index disagrees with spectrum tail")
 
     return SpectralResidual(

@@ -10,6 +10,7 @@ import csv
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -444,3 +445,50 @@ def test_books_keep_their_cells_from_the_caller(golden_csv):
     ]
     for book in books:
         assert not any(array.flags.writeable for array in held_cells(book))
+
+
+def test_spectrum_and_dynamics_apply_the_book_through_held_cells_and_the_residual():
+    # 600 x 400 at about 3% density. whiten holds K and L, 2.16 dense arrays
+    # under tracemalloc, which does not see LAPACK's copy of K (5.03 when K was
+    # divided out of the dense book); with the spectrum built, each dynamic
+    # reads the held cells and applies L to vectors (0.02, 3.00 and 1.00
+    # dense arrays when they read the dense book)
+    rng = np.random.default_rng(5)
+    matrix = hs.normalize(sparse_active(rng, 600, 400, 0.03))
+    dense = matrix.n * matrix.m * 8
+    peak = peak_bytes(hs.whiten, matrix)
+    assert peak < 3.5 * dense, f"whiten peaked at {peak / dense:.2f} dense arrays"
+    delta, returns = rng.standard_normal(matrix.n), rng.standard_normal(matrix.m)
+    calls = [
+        partial(hs.fire_sale, matrix, delta),
+        partial(hs.active_variance, matrix, returns, project=True, dispersion=0.02),
+        partial(hs.isotropic_capacity, matrix, 0.02),
+    ]
+    for call in calls:
+        peak = peak_bytes(call)
+        assert peak < dense / 4, f"{call.func.__name__} peaked at {peak / dense:.2f} dense arrays"
+
+    # the dense book's forms are the oracle; K and L keep every bit
+    e, marg = matrix.entries, hs.marginals(matrix)
+    p, s = marg.p, marg.s
+    mode = np.outer(np.sqrt(p), np.sqrt(s))
+    nptest.assert_array_equal(hs.whiten(matrix).whitened, e / mode)
+    nptest.assert_array_equal(hs.whiten(matrix).residual, e / mode - mode)
+    pressure = hs.fire_sale(matrix, delta).pressure
+    nptest.assert_allclose(pressure, e.T @ delta, rtol=1e-12, atol=1e-15)
+    alpha = (e / p[:, None] - s) @ (returns - s @ returns)
+    nptest.assert_allclose(hs.active_variance(matrix, returns, project=True).alpha, alpha,
+                           rtol=1e-12, atol=1e-12)
+
+
+def test_results_keep_a_fresh_float_array_and_copy_anything_else():
+    fresh = np.array([0.5, 0.25])
+    result = hs.ActiveVarianceResult(alpha=fresh, variance=0.0, worst_case_bound=0.0)
+    assert result.alpha is fresh and not fresh.flags.writeable
+    backing = np.array([0.5, 0.25, 0.25])
+    for given in (backing[:2], [0.5, 0.25], np.array([1, 2])):
+        result = hs.ActiveVarianceResult(alpha=given, variance=0.0, worst_case_bound=0.0)
+        assert result.alpha is not given and result.alpha.dtype == float
+        assert not result.alpha.flags.writeable
+        nptest.assert_array_equal(result.alpha, given)
+    assert backing.flags.writeable
