@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Time the large-book commands on a seeded 13F-sized book, each in a fresh process.
+
+    python3 scripts/xl_probe.py [--shape 6000 8000] [--cells 370000] [--seed 1] [--out DIR]
+
+Writes a holdings CSV with one line per held cell, a shock vector over
+the investors and a return vector over the stocks, all without forming
+an n-by-m array. Investor and stock sizes follow the rank-size laws of
+``bench/books.py`` (exponents 1.0 and 0.8, lognormal jitter); ``--cells``
+cells are drawn uniformly, one more per investor and per stock keeps every
+label active, and cells drawn twice merge.
+
+Then runs ``decompose``, ``dashboard --no-psi``, ``shock``, ``alpha
+--project-returns --dispersion 0.02`` and ``drop-stock`` on the largest
+stock, each in a fresh interpreter with BLAS pinned to one thread. The
+library is imported from the caller's ``PYTHONPATH``, so the same probe
+measures any tree. Prints one JSON object: for each command its exit code,
+wall seconds, the peak RSS of the process and of its children (forked
+workers) in MB, and the sha256 of its stdout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+#: Run in each fresh process: the command, then its own and its children's peak RSS.
+_RUN = """
+import resource, sys
+from holdscan import cli
+code = cli.main(sys.argv[2:])
+sys.stdout.flush()
+with open(sys.argv[1], "w") as out:
+    out.write(" ".join(str(resource.getrusage(who).ru_maxrss)
+                       for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+sys.exit(code)
+"""
+
+
+def _rank_sizes(rng: np.random.Generator, count: int, exponent: float) -> np.ndarray:
+    return (rng.permutation(count) + 1.0) ** -exponent * rng.lognormal(0.0, 0.25, count)
+
+
+def _write_vector(path: Path, prefix: str, values: np.ndarray) -> None:
+    path.write_text("label,value\n" + "".join(
+        f"{prefix}{k},{x:.6g}\n" for k, x in enumerate(values.tolist())
+    ), encoding="utf-8")
+
+
+def write_book(out: Path, n: int, m: int, cells: int, seed: int) -> dict:
+    """Write ``book.csv``, ``shocks.csv`` and ``returns.csv``; return the book's facts."""
+    rng = np.random.default_rng(seed)
+    inv_size, cap = _rank_sizes(rng, n, 1.0), _rank_sizes(rng, m, 0.8)
+    keys = np.unique(np.concatenate([
+        rng.integers(0, n * m, cells),
+        np.arange(n) * m + rng.integers(0, m, n),
+        rng.integers(0, n, m) * m + np.arange(m),
+    ]))
+    rows, cols = np.divmod(keys, m)
+    amounts = inv_size[rows] * cap[cols] * rng.lognormal(0.0, 1.0, keys.size)
+    text = [f"{x:.6g}" for x in amounts.tolist()]
+    with open(out / "book.csv", "w", encoding="utf-8") as handle:
+        handle.write("investor,stock,amount\n")
+        handle.writelines(f"I{i},S{j},{t}\n" for i, j, t in zip(rows.tolist(), cols.tolist(), text))
+    _write_vector(out / "shocks.csv", "I", rng.uniform(-0.5, 0.5, n))
+    _write_vector(out / "returns.csv", "S", rng.normal(0.0, 0.02, m))
+    largest = int(np.argmax(np.bincount(cols, np.array(text, dtype=float), minlength=m)))
+    return {"shape": [n, m], "cells": int(keys.size), "seed": seed, "largest_stock": f"S{largest}"}
+
+
+def run(out: Path, argv: list[str]) -> dict:
+    """Run one command in a fresh process; its exit code, wall time, peak RSS and output digest."""
+    env = {**os.environ, **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                 "MKL_NUM_THREADS")}}
+    usage = out / "rusage.txt"
+    usage.unlink(missing_ok=True)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", _RUN, str(usage), *argv, "--format", "json"],
+                          capture_output=True, env=env)
+    wall = time.perf_counter() - start
+    kib = [int(k) for k in usage.read_text().split()] if usage.exists() else [0, 0]
+    return {
+        "exit": done.returncode,
+        "wall_s": round(wall, 3),
+        "maxrss_mb": round(kib[0] / 1024, 1),
+        "children_maxrss_mb": round(kib[1] / 1024, 1),
+        "stdout_sha256": hashlib.sha256(done.stdout).hexdigest(),
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--shape", type=int, nargs=2, default=(6000, 8000), metavar=("N", "M"))
+    parser.add_argument("--cells", type=int, default=370_000)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, help="keep the book here, not in a temporary directory")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as scratch:
+        out = args.out or Path(scratch)
+        out.mkdir(parents=True, exist_ok=True)
+        facts = write_book(out, *args.shape, args.cells, args.seed)
+        book = str(out / "book.csv")
+        commands = {
+            "decompose": ["decompose", book],
+            "dashboard --no-psi": ["dashboard", book, "--no-psi"],
+            "shock": ["shock", book, "--shocks", str(out / "shocks.csv")],
+            "alpha": ["alpha", book, "--returns", str(out / "returns.csv"), "--project-returns",
+                      "--dispersion", "0.02"],
+            "drop-stock": ["drop-stock", book, "--stock", facts["largest_stock"]],
+        }
+        facts["commands"] = {name: run(out, argv) for name, argv in commands.items()}
+        (out / "rusage.txt").unlink(missing_ok=True)
+    print(json.dumps(facts))
+
+
+if __name__ == "__main__":
+    main()

@@ -16,7 +16,7 @@ from itertools import compress
 import numpy as np
 
 from .core import (
-    _EXACT_TOL, OwnershipMatrix, TOL_NORM, _agree, _dense_row, _index, _summed_cells, _unique_label,
+    _EXACT_TOL, OwnershipMatrix, _agree, _dense_row, _index, _summed_cells, _unique_label,
     held_cells, marginals, require_active, restrict_active,
 )
 from .dependence import dependence_index, merger_delta, _row_pair
@@ -145,34 +145,34 @@ def remove_stock(matrix: OwnershipMatrix, stock: int) -> OperationDelta:
 
     The new cell concentration follows the closed form
     (old value minus the dropped column's squared cells) divided by the
-    squared remaining mass. Investors left with no wealth are dropped and
-    reported. When the dropped stock holds nearly all the mass, the forms
-    for cell and investor concentration subtract nearly equal terms, and
-    their checks allow for the rounding of those terms over the squared
-    remaining mass.
+    squared remaining mass. Investors left with no held cell are dropped and
+    reported; one with a held cell left stays, however small its mass. When
+    the dropped stock holds nearly all the mass, the forms for cell and
+    investor concentration subtract nearly equal terms, and their checks
+    allow for the rounding of those terms over the squared remaining mass.
     """
     marg = marginals(matrix)
     j0 = _index(stock, IndexOutOfRange, "stock index")
     if j0 < 0 or j0 >= matrix.m:
         raise IndexOutOfRange(f"stock index {j0} outside 0..{matrix.m - 1}")
-    # the rest's own mass, summed rather than found by a difference that cancels
-    weight = float(np.delete(marg.s, j0).sum())
-    if weight <= TOL_NORM:
-        raise RemovingEverything(
-            f"stock {matrix.stock_labels[j0]!r} carries all remaining mass"
-        )
-    before = headline(matrix)
-
     n, m = matrix.shape
     rows, cols, values = held_cells(matrix)
     rest = cols != j0
+    if not rest.any():
+        raise RemovingEverything(
+            f"stock {matrix.stock_labels[j0]!r} carries all remaining mass"
+        )
+    # the rest's own mass, summed rather than found by a difference that cancels
+    weight = float(np.delete(marg.s, j0).sum())
+    before = headline(matrix)
+
     column = np.zeros(n)
     column[rows[~rest]] = values[~rest]
     rows, cols, values = rows[rest], cols[rest], values[rest]
     del rest
     cols -= cols > j0
     values /= weight
-    keep_rows = np.bincount(rows, values, minlength=n) >= TOL_NORM
+    keep_rows = np.bincount(rows, minlength=n) > 0
     dropped = tuple(compress(matrix.investor_labels, ~keep_rows))
     if dropped:
         kept = keep_rows[rows]

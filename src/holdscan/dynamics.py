@@ -28,7 +28,7 @@ from .errors import (
     NotCentered,
     OutOfRange,
 )
-from .spectral import whiten
+from .spectral import _apply_residual, whiten
 
 #: Base slack of the capitalization-weighted mean of returns, scaled by their weighted mean size.
 _CENTER_TOL = 1e-10
@@ -112,7 +112,7 @@ def fire_sale(matrix: OwnershipMatrix, delta: "np.typing.ArrayLike") -> FireSale
         impact = pressure / s
         severity = float(s @ (impact * impact))
         parallel_term = float(p @ (parallel * parallel))
-        perp_whitened = res.residual.T @ (res.row_unit * perp)
+        perp_whitened = _apply_residual(res, res.row_unit * perp, adjoint=True)
         perp_term = float(perp_whitened @ perp_whitened)
         bound = parallel_term + res.rho**2 * float(p @ (perp * perp))
     _require_finite(
@@ -171,7 +171,7 @@ def active_variance(
         alpha_profile = np.bincount(rows, e / p[rows] * r[cols], minlength=matrix.n) - centered
         variance = float(p @ (alpha_profile * alpha_profile))
         # L (v r) = u alpha, so both operator forms come from one product
-        image = res.residual @ (res.col_unit * r)
+        image = _apply_residual(res, res.col_unit * r)
         alpha_operator = image / res.row_unit
         operator_variance = float(image @ image)
         bound = res.rho**2 * float(s @ (r * r))
@@ -205,8 +205,9 @@ def isotropic_capacity(matrix: OwnershipMatrix, sigma: float) -> float:
     value = scale * dependence_index(matrix).index
     if not np.isfinite(value):
         raise NonFiniteResult(f"isotropic capacity at dispersion {sigma!r} is not finite")
-    # tr(L C L^T) for the covariance C = sigma^2 (I - v v^T), v = res.col_unit
-    ell = res.residual
-    trace = scale * (float(np.vdot(ell, ell)) - float(np.sum((ell @ res.col_unit) ** 2)))
+    # tr(L C L^T) for the covariance C = sigma^2 (I - v v^T), v = res.col_unit, with
+    # ||L||_F^2 = sum w^2 - 1 over the held cells (see whiten)
+    w, image = res.cells[2], _apply_residual(res, res.col_unit)
+    trace = scale * (float(w @ w) - 1.0 - float(image @ image))
     _agree(value, trace, "capacity disagrees with the trace formula")
     return value

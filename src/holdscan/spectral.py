@@ -12,11 +12,12 @@ value is the dominant overlap mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
-    _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze_fields, _per_book, held_cells,
+    _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze_fields, _owned, _per_book, held_cells,
     require_active,
 )
 from .dependence import dependence_index
@@ -24,25 +25,42 @@ from .dependence import dependence_index
 
 @dataclass(frozen=True, eq=False)
 class SpectralResidual:
-    """Whitened matrix, rank-one market mode, residual, and spectrum.
+    """Whitened matrix, rank-one market mode, residual operator, and spectrum.
 
-    ``whitened`` is the rescaled share matrix; ``row_unit``/``col_unit``
-    are the square-root marginal unit vectors forming its top singular
-    pair; ``residual`` is the whitened matrix minus that rank-one mode.
-    ``singular_values`` lists all singular values of the whitened matrix
-    in descending order, and ``rho`` is the second one (zero when the
-    matrix has a single row or column).
+    ``whitened`` is the rescaled share matrix K; ``row_unit``/``col_unit``
+    are the square-root marginal unit vectors u, v forming its top singular
+    pair. ``cells`` holds the book's held rows and columns and K's value
+    there, w = e / (u_i v_j): the residual operator L = K - u v^T applies
+    to vectors from them. ``residual`` is L as a dense array, built on first
+    read and then kept; no operation reads it. ``singular_values`` lists
+    all singular values of K in descending order, and ``rho`` is the second
+    one (zero when the matrix has a single row or column).
     """
 
     whitened: np.ndarray
-    residual: np.ndarray
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray]
     row_unit: np.ndarray
     col_unit: np.ndarray
     singular_values: tuple[float, ...]
     rho: float
 
     def __post_init__(self) -> None:
-        _freeze_fields(self, "whitened", "residual", "row_unit", "col_unit")
+        _freeze_fields(self, "whitened", "row_unit", "col_unit")
+        object.__setattr__(self, "cells", tuple(map(_owned, self.cells, (np.intp, np.intp, float))))
+
+    @cached_property
+    def residual(self) -> np.ndarray:
+        """L = K - u v^T as a dense read-only array, built on first read and then kept."""
+        return _owned(self.whitened - np.outer(self.row_unit, self.col_unit), float)
+
+
+def _apply_residual(res: SpectralResidual, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """L x, or L^T x with ``adjoint``, from the held cells: K x less u (v . x)."""
+    rows, cols, w = res.cells
+    u, v = res.row_unit, res.col_unit
+    if adjoint:
+        rows, cols, u, v = cols, rows, v, u
+    return np.bincount(rows, w * x[cols], minlength=u.size) - u * (v @ x)
 
 
 @_per_book
@@ -50,38 +68,37 @@ def whiten(matrix: OwnershipMatrix) -> SpectralResidual:
     """Whiten an active share matrix and extract its singular structure.
 
     Validates the defining identities before returning: the square-root
-    marginals are a unit singular pair at value one, the residual
-    annihilates them, and both the residual's squared Frobenius norm and
-    the dependence index match the tail of the squared spectrum. Computed
-    once per matrix.
+    marginals are unit vectors that the residual annihilates on both sides
+    (so they are a singular pair of K at value one), and both the
+    residual's squared Frobenius norm and the dependence index match the
+    tail of the squared spectrum. Computed once per matrix.
     """
     marg = require_active(matrix)
     u, v = np.sqrt(marg.p), np.sqrt(marg.s)
     rows, cols, e = held_cells(matrix)
+    w = e / (u[rows] * v[cols])  # the products np.outer(u, v) holds there
     k = np.zeros(matrix.shape)
-    k[rows, cols] = e / (u[rows] * v[cols])  # the products np.outer(u, v) holds there
-    ell = np.outer(u, v)
-    np.subtract(k, ell, out=ell)
+    k[rows, cols] = w
     sigma = np.linalg.svd(k, compute_uv=False)
-
-    _agree(np.array([u @ u, v @ v]), 1.0, "square-root marginals are not unit vectors", 2e-12)
-    _agree(sigma[0], 1.0, f"top singular value {sigma[0]!r} is not 1 within {_EXACT_TOL:g}")
-    _at_most(-sigma[-1], 0.0, "singular values escape [0, 1]")
-    for image, unit in ((k @ v, u), (k.T @ u, v)):
-        _agree(image, unit, "square-root marginals are not a singular pair")
-    _agree(np.concatenate([ell @ v, u @ ell]), 0.0, "residual does not annihilate the market mode")
-    tail = float(np.sum(np.square(sigma[1:])))
-    _agree(np.array([np.vdot(ell, ell), dependence_index(matrix).index]), tail,
-           "residual norm or dependence index disagrees with spectrum tail")
-
-    return SpectralResidual(
+    res = SpectralResidual(
         whitened=k,
-        residual=ell,
+        cells=(rows, cols, w),
         row_unit=u,
         col_unit=v,
         singular_values=tuple(sigma.tolist()),
         rho=float(sigma[1]) if len(sigma) > 1 else 0.0,
     )
+
+    _agree(np.array([u @ u, v @ v]), 1.0, "square-root marginals are not unit vectors", 2e-12)
+    _agree(sigma[0], 1.0, f"top singular value {sigma[0]!r} is not 1 within {_EXACT_TOL:g}")
+    _at_most(-sigma[-1], 0.0, "singular values escape [0, 1]")
+    _agree(np.concatenate([_apply_residual(res, v), _apply_residual(res, u, adjoint=True)]), 0.0,
+           "residual does not annihilate the square-root marginals")
+    # ||L||_F^2 = ||K||_F^2 - 2 u.K v + |u|^2 |v|^2 = sum w^2 - 1, since u.K v = sum e = 1
+    tail = float(np.sum(np.square(sigma[1:])))
+    _agree(np.array([float(w @ w) - 1.0, dependence_index(matrix).index]), tail,
+           "residual norm or dependence index disagrees with spectrum tail")
+    return res
 
 
 def rho(matrix: OwnershipMatrix) -> float:

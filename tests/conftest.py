@@ -100,6 +100,25 @@ def random_active(rng: np.random.Generator, n: int, m: int) -> hs.OwnershipMatri
     return hs.normalize(rng.random((n, m)) + 1e-3)
 
 
+#: Investor b holds 1e-10 of each stock; dropping s2 leaves it a cell in s1.
+SMALL_HOLDER_CSV = "investor,stock,amount\na,s1,1\na,s2,1\nb,s1,1e-10\nb,s2,1e-10\nc,s1,1\n"
+
+
+def small_holder_book(rng: np.random.Generator, n: int = 3000, m: int = 40) -> np.ndarray:
+    """Raw holdings of three stocks per investor in which 1% of investors hold under 1e-10 each.
+
+    The small holders hold over 2e-9 of the book between them, so a drop that
+    lost them would leave the rest summing to under 1 - 2e-9, outside ``TOL_NORM``.
+    """
+    raw = np.zeros((n, m))
+    for i in range(n):
+        raw[i, rng.choice(m, 3, replace=False)] = rng.pareto(1.5, 3) + 1e-3
+    small = rng.choice(n, n // 100, replace=False)
+    share = rng.uniform(0.8e-10, 0.95e-10, (small.size, 1))
+    raw[small] *= share * raw.sum() / raw[small].sum(axis=1, keepdims=True)
+    return raw
+
+
 def profiles(matrix: hs.OwnershipMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Dense oracle: row profiles (portfolio weights) and column profiles (owner shares).
 

@@ -32,7 +32,10 @@ from holdscan.errors import (
     ValidationError,
 )
 
-from conftest import GOLDEN_CSV, count_forks, no_child_left, refuse_fork, use_workers
+from conftest import (
+    GOLDEN_CSV, SMALL_HOLDER_CSV, count_forks, no_child_left, refuse_fork, small_holder_book,
+    use_workers,
+)
 
 
 def test_ingest_golden_csv(golden_csv):
@@ -556,6 +559,27 @@ def test_drop_stock_subcommand(golden_csv, capsys):
     ) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["after"]["M"] == 0.46
+
+
+def test_drop_stock_keeps_small_holders(tmp_path, capsys):
+    # b holds 1e-10 of each stock: dropping s2 once listed it as dropped,
+    # though it still held s1, and printed X 2.5e-21 for a one-stock book
+    book = tmp_path / "small.csv"
+    book.write_text(SMALL_HOLDER_CSV, encoding="utf-8")
+    assert cli.main(["drop-stock", str(book), "--stock", "s2", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "dropped_investors" not in payload
+    assert payload["after"]["X"] == 0.0
+    # 30 of 3000 investors hold under 1e-10 each; every drop once exited 2
+    raw = small_holder_book(np.random.default_rng(36))
+    rows, cols = np.nonzero(raw)
+    book.write_text("investor,stock,amount\n" + "".join(
+        f"I{i},S{j},{amount!r}\n"
+        for i, j, amount in zip(rows.tolist(), cols.tolist(), raw[rows, cols].tolist())
+    ), encoding="utf-8")
+    largest = f"S{np.argmax(raw.sum(axis=0))}"
+    assert cli.main(["drop-stock", str(book), "--stock", largest, "--format", "json"]) == 0
+    assert "dropped_investors" not in json.loads(capsys.readouterr().out)
 
 
 def test_unknown_stock_and_nan_shock_exit_2(tmp_path, golden_csv, capsys):

@@ -74,11 +74,17 @@ def refuse_dense_book(matrix):
     raise AssertionError("a report built the dense book")
 
 
+def refuse_dense_residual(res):
+    raise AssertionError("a report built the dense residual")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
 def test_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, name, argv, fmt):
     # every report but family nonid's, which prints the matrix, is made from
-    # the held cells and the whitened residual, never from the dense book
+    # the held cells and the residual operator, never from the dense book;
+    # no report builds the dense residual
+    monkeypatch.setattr(hs.SpectralResidual, "residual", property(refuse_dense_residual))
     if name != "family_nonid":
         monkeypatch.setattr(hs.OwnershipMatrix, "entries", property(refuse_dense_book))
     suffix = "json" if fmt == "json" else "txt"

@@ -10,7 +10,7 @@ from holdscan.errors import (
     IndexOutOfRange, InternalConsistencyError, OutOfRange, RemovingEverything,
 )
 
-from conftest import random_active
+from conftest import random_active, small_holder_book
 
 
 def test_merge_golden_first_pair(golden):
@@ -115,6 +115,30 @@ def test_remove_stock_rejects_a_non_integer_index(golden, stock):
 
 def test_remove_stock_accepts_a_numpy_integer(golden):
     assert hs.remove_stock(golden, np.int64(1)).after == hs.remove_stock(golden, 1).after
+
+
+def test_remove_stock_keeps_a_small_holder_with_a_cell_left():
+    # b holds 1e-10 of each stock; it was dropped once its mass after the drop
+    # fell below TOL_NORM, though it still held s1
+    matrix = hs.normalize(np.array([[1.0, 1.0], [1e-10, 1e-10], [1.0, 0.0]]), ["a", "b", "c"])
+    delta = hs.remove_stock(matrix, 1)
+    assert delta.dropped_investors == ()
+    assert delta.matrix_after.investor_labels == ("a", "b", "c")
+    expected = np.array([1.0, 1e-10, 1.0]) / (2 + 1e-10)
+    nptest.assert_allclose(delta.matrix_after.entries[:, 0], expected, rtol=1e-15)
+    assert delta.after.dependence == 0.0
+
+
+def test_remove_stock_keeps_every_small_holder_of_a_seeded_book():
+    # 30 of 3000 investors hold under 1e-10 each; every drop once lost all of
+    # them and failed the sum check of the book it built
+    raw = small_holder_book(np.random.default_rng(36))
+    matrix = hs.normalize(raw)
+    for j in range(matrix.m):
+        delta = hs.remove_stock(matrix, j)
+        only_j = np.flatnonzero(np.count_nonzero(np.delete(raw, j, axis=1), axis=1) == 0)
+        assert delta.dropped_investors == tuple(matrix.investor_labels[i] for i in only_j)
+        assert delta.matrix_after.n == matrix.n - only_j.size
 
 
 def test_remove_everything_rejected():

@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -23,3 +24,18 @@ def test_script_runs_to_its_known_line(tmp_path, name, line):
                           cwd=tmp_path, timeout=120)
     assert done.returncode == 0, done.stderr
     assert line in done.stdout.splitlines()
+
+
+def test_xl_probe_runs_every_command_at_a_tiny_shape(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(hs.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, SCRIPTS / "xl_probe.py", "--shape", "30", "20", "--cells", "120"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    facts = json.loads(done.stdout)
+    assert facts["shape"] == [30, 20] and facts["cells"] >= 120
+    assert {name: run["exit"] for name, run in facts["commands"].items()} == dict.fromkeys(
+        ["decompose", "dashboard --no-psi", "shock", "alpha", "drop-stock"], 0
+    )
+    assert list(tmp_path.iterdir()) == []  # the book went with its temporary directory

@@ -31,6 +31,21 @@ def test_whiten_product_benchmark_is_rank_one():
     assert np.max(np.abs(res.residual)) <= 1e-12
 
 
+def test_residual_is_built_on_first_read_and_then_kept():
+    rng = np.random.default_rng(36)
+    matrix = random_active(rng, 7, 5)
+    res = hs.whiten(matrix)
+    hs.fire_sale(matrix, rng.standard_normal(matrix.n))
+    hs.active_variance(matrix, rng.standard_normal(matrix.m), project=True, dispersion=0.5)
+    assert "residual" not in vars(res)  # whiten and the dynamics apply L through the cells
+    ell = res.residual
+    assert vars(res)["residual"] is ell and res.residual is ell
+    assert not ell.flags.writeable
+    expected = res.whitened - np.outer(res.row_unit, res.col_unit)
+    assert (ell.dtype, ell.shape) == (expected.dtype, expected.shape)
+    assert ell.tobytes() == expected.tobytes()  # bit for bit
+
+
 def test_whiten_single_cell():
     res = hs.whiten(hs.OwnershipMatrix(np.array([[1.0]])))
     assert res.singular_values == (1.0,)
