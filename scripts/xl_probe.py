@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the large-book commands on a seeded 13F-sized book, each in a fresh process.
+"""Time the large-book commands on a seeded 13F-sized book, in fresh processes and in one.
 
     python3 scripts/xl_probe.py [--shape 6000 8000] [--cells 370000] [--seed 1] [--out DIR]
 
@@ -8,15 +8,21 @@ the investors and a return vector over the stocks, all without forming
 an n-by-m array. Investor and stock sizes follow the rank-size laws of
 ``bench/books.py`` (exponents 1.0 and 0.8, lognormal jitter); ``--cells``
 cells are drawn uniformly, one more per investor and per stock keeps every
-label active, and cells drawn twice merge.
+label active, and cells drawn twice merge. Then 1% of the investors (at
+least one) are scaled down to hold under 1e-10 of the book each, as 13F
+books have holders far below any absolute tolerance.
 
 Then runs ``decompose``, ``dashboard --no-psi``, ``shock``, ``alpha
 --project-returns --dispersion 0.02`` and ``drop-stock`` on the largest
-stock, each in a fresh interpreter with BLAS pinned to one thread. The
-library is imported from the caller's ``PYTHONPATH``, so the same probe
-measures any tree. Prints one JSON object: for each command its exit code,
-wall seconds, the peak RSS of the process and of its children (forked
-workers) in MB, and the sha256 of its stdout.
+stock, each in a fresh interpreter with BLAS pinned to one thread, and
+then all five in order in one such interpreter, as a batch caller of
+``cli.main`` would. The library is imported from the caller's
+``PYTHONPATH``, so the same probe measures any tree. Prints one JSON
+object: for each command in its own process, its exit code, wall seconds,
+the peak RSS of the process and of its children (forked workers) in MB,
+and the sha256 of its stdout; for the one process, each call's exit code,
+wall seconds and stdout sha256, and the process's peak RSS. Exits 1 if a
+call in the one process printed other bytes than its own process did.
 """
 
 from __future__ import annotations
@@ -46,6 +52,29 @@ sys.exit(code)
 """
 
 
+#: Run in one fresh process: each command line of the JSON list ``sys.argv[2]``
+#: in order, then each call's exit code, wall seconds and stdout digest.
+_RUN_ALL = """
+import contextlib, hashlib, io, json, resource, sys, time
+from holdscan import cli
+calls = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    calls.append({"exit": code, "wall_s": round(time.perf_counter() - start, 3),
+                  "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()})
+with open(sys.argv[1], "w") as done:
+    json.dump({"calls": calls, "maxrss_kib": [resource.getrusage(who).ru_maxrss
+                                              for who in (resource.RUSAGE_SELF,
+                                                          resource.RUSAGE_CHILDREN)]}, done)
+"""
+
+#: Each small holder holds a share of the book drawn from this range.
+_SMALL_SHARE = (0.8e-10, 0.95e-10)
+
+
 def _rank_sizes(rng: np.random.Generator, count: int, exponent: float) -> np.ndarray:
     return (rng.permutation(count) + 1.0) ** -exponent * rng.lognormal(0.0, 0.25, count)
 
@@ -67,6 +96,14 @@ def write_book(out: Path, n: int, m: int, cells: int, seed: int) -> dict:
     ]))
     rows, cols = np.divmod(keys, m)
     amounts = inv_size[rows] * cap[cols] * rng.lognormal(0.0, 1.0, keys.size)
+    # the small holders: each is scaled to its drawn share of the others' total,
+    # which the book's total exceeds, so each holds under 1e-10 of the book
+    held = np.bincount(rows, amounts, minlength=n)
+    small = rng.choice(n, max(1, n // 100), replace=False)
+    scale = np.ones(n)
+    scale[small] = rng.uniform(*_SMALL_SHARE, small.size) * (held.sum() - held[small].sum())
+    scale[small] /= held[small]
+    amounts *= scale[rows]
     text = [f"{x:.6g}" for x in amounts.tolist()]
     with open(out / "book.csv", "w", encoding="utf-8") as handle:
         handle.write("investor,stock,amount\n")
@@ -74,30 +111,49 @@ def write_book(out: Path, n: int, m: int, cells: int, seed: int) -> dict:
     _write_vector(out / "shocks.csv", "I", rng.uniform(-0.5, 0.5, n))
     _write_vector(out / "returns.csv", "S", rng.normal(0.0, 0.02, m))
     largest = int(np.argmax(np.bincount(cols, np.array(text, dtype=float), minlength=m)))
-    return {"shape": [n, m], "cells": int(keys.size), "seed": seed, "largest_stock": f"S{largest}"}
+    return {"shape": [n, m], "cells": int(keys.size), "seed": seed, "small_holders": small.size,
+            "largest_stock": f"S{largest}"}
+
+
+#: BLAS pinned to one thread, in every process the probe starts.
+_ENV = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS"), "1")}
+
+
+def _mb(kib: int) -> float:
+    return round(kib / 1024, 1)
 
 
 def run(out: Path, argv: list[str]) -> dict:
     """Run one command in a fresh process; its exit code, wall time, peak RSS and output digest."""
-    env = {**os.environ, **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                                 "MKL_NUM_THREADS")}}
     usage = out / "rusage.txt"
     usage.unlink(missing_ok=True)
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", _RUN, str(usage), *argv, "--format", "json"],
-                          capture_output=True, env=env)
+    done = subprocess.run([sys.executable, "-c", _RUN, str(usage), *argv], capture_output=True,
+                          env=_ENV)
     wall = time.perf_counter() - start
     kib = [int(k) for k in usage.read_text().split()] if usage.exists() else [0, 0]
     return {
         "exit": done.returncode,
         "wall_s": round(wall, 3),
-        "maxrss_mb": round(kib[0] / 1024, 1),
-        "children_maxrss_mb": round(kib[1] / 1024, 1),
+        "maxrss_mb": _mb(kib[0]),
+        "children_maxrss_mb": _mb(kib[1]),
         "stdout_sha256": hashlib.sha256(done.stdout).hexdigest(),
     }
 
 
-def main() -> None:
+def run_all(out: Path, commands: dict[str, list[str]]) -> dict:
+    """Run every command in order in one fresh process; each call's exit, wall time and digest."""
+    report = out / "one_process.json"
+    argvs = json.dumps(list(commands.values()))
+    subprocess.run([sys.executable, "-c", _RUN_ALL, str(report), argvs], check=True, env=_ENV)
+    done = json.loads(report.read_text())
+    report.unlink()
+    return {"calls": dict(zip(commands, done["calls"])), "maxrss_mb": _mb(done["maxrss_kib"][0]),
+            "children_maxrss_mb": _mb(done["maxrss_kib"][1])}
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--shape", type=int, nargs=2, default=(6000, 8000), metavar=("N", "M"))
     parser.add_argument("--cells", type=int, default=370_000)
@@ -117,10 +173,19 @@ def main() -> None:
                       "--dispersion", "0.02"],
             "drop-stock": ["drop-stock", book, "--stock", facts["largest_stock"]],
         }
+        commands = {name: [*argv, "--format", "json"] for name, argv in commands.items()}
         facts["commands"] = {name: run(out, argv) for name, argv in commands.items()}
         (out / "rusage.txt").unlink(missing_ok=True)
+        facts["one_process"] = run_all(out, commands)
     print(json.dumps(facts))
+    differ = [name for name, call in facts["one_process"]["calls"].items()
+              if call["stdout_sha256"] != facts["commands"][name]["stdout_sha256"]]
+    if differ:
+        print(f"in one process, {', '.join(differ)} printed other bytes than in its own",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

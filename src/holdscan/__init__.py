@@ -40,7 +40,7 @@ _HOMES = {
 __all__ = sorted(_HOMES)
 
 #: The submodules that resolve as attributes before they are imported.
-_SUBMODULES = {*_HOMES.values(), "errors", "_pcg", "_fork"}
+_SUBMODULES = {*_HOMES.values(), "errors", "_pcg", "_fork", "_digest"}
 
 
 def __getattr__(name: str):

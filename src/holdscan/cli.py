@@ -84,8 +84,38 @@ class Dashboard:
 _Coded = tuple[list[str], np.ndarray, list[str], np.ndarray, np.ndarray, np.ndarray]
 
 
+#: The last book ``ingest`` read: its key (the path as given, the format
+#: and ``signed``), the SHA-256 of the file's bytes, and the book.
+_kept: tuple[tuple, bytes, object] | None = None
+
+
 def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
-    """Read a holdings file into a share matrix or a signed book.
+    """Read a holdings file into a share matrix or a signed book (see ``_read_book``).
+
+    A process keeps the last book it read. A call with the same path (as
+    given), ``fmt`` and ``signed`` gets that book again, the same object
+    with all that ``_per_book`` has kept on it, while the path names a
+    regular file whose bytes have the same SHA-256. Any other call drops
+    the kept book before it reads, so no two books are held, and keeps its
+    own only if the file's bytes hashed the same before and after the read;
+    a read that raises keeps nothing. A pipe or any other file that is not
+    regular is read as ``_read_book`` reads it, and never kept.
+    """
+    global _kept
+    key, kept, _kept = (path, fmt, signed), _kept, None
+    digest = hs._digest.regular_file_sha256(path)
+    if digest is not None and kept is not None and kept[:2] == (key, digest):
+        _kept = kept
+        return kept[2]
+    del kept
+    book = _read_book(path, fmt, signed)
+    if digest is not None and hs._digest.regular_file_sha256(path) == digest:
+        _kept = key, digest, book
+    return book
+
+
+def _read_book(path: str | Path, fmt: str, signed: bool):
+    """Read a holdings file into a share matrix or a signed book, every call.
 
     Duplicate (investor, stock) rows are summed in file order; labels are
     ordered lexicographically so ingestion is deterministic. Zero-amount

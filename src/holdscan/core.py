@@ -31,10 +31,14 @@ from .errors import (
     NotAProbabilityVector,
     NotNormalized,
     OutOfRange,
+    ParseError,
 )
 
 #: Absolute tolerance on every total-mass check.
 TOL_NORM = 1e-9
+
+#: The smallest positive normal float; a share below it has lost bits, or is zero.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _freeze(arr: np.ndarray, dtype: "np.typing.DTypeLike" = float) -> np.ndarray:
@@ -263,9 +267,7 @@ class OwnershipMatrix:
     @_per_book
     def entries(self) -> np.ndarray:
         """The n-by-m share matrix, scattered from the held cells on first use."""
-        rows, cols, values = self._cells
-        dense = np.zeros(self._shape)
-        dense[rows, cols] = values
+        dense = _scattered(self._cells, self._shape)
         dense.setflags(write=False)
         return dense
 
@@ -330,7 +332,8 @@ def normalize(
     """Divide a raw nonnegative holdings matrix by its total mass.
 
     Raises AllZeroMatrix when the total is zero, NegativeEntry on any
-    negative cell, and DimensionMismatch when labels disagree with the
+    negative cell, ParseError when a held cell's share underflows (see
+    ``_normalized``), and DimensionMismatch when labels disagree with the
     matrix shape. Beyond one scan for the nonzero cells, only those are
     visited.
     """
@@ -355,7 +358,10 @@ def _nonzero_cells(
 def _normalized(shape, rows, cols, raw, investor_labels, stock_labels) -> OwnershipMatrix:
     """The share matrix of raw holdings given by their nonzero cells in row-major order.
 
-    The total mass is numpy's (pairwise) sum of ``raw`` in that order.
+    The total mass is numpy's (pairwise) sum of ``raw`` in that order. A
+    held cell whose share is zero or subnormal has lost its value to
+    underflow, so such a book is refused with a ``ParseError`` naming the
+    first such cell and its ratio to the total.
     """
     raw = _checked(raw, "raw holdings")
     with np.errstate(over="ignore"):
@@ -365,9 +371,27 @@ def _normalized(shape, rows, cols, raw, investor_labels, stock_labels) -> Owners
         total = float(raw.sum())
     if total <= 0.0:
         raise AllZeroMatrix("raw holdings sum to zero")
-    return OwnershipMatrix._from_cells(
-        shape, rows, cols, raw / total, investor_labels, stock_labels
-    )
+    shares = raw / total
+    if shares.min() < _TINY:  # every raw cell is positive, so one has underflowed
+        k = int(np.argmax(shares < _TINY))
+        investor = _label_tuple(investor_labels, shape[0], "investor")[rows[k]]
+        stock = _label_tuple(stock_labels, shape[1], "stock")[cols[k]]
+        raise ParseError(
+            f"investor {investor!r} holds {_ratio(raw[k], total)} of the total in stock "
+            f"{stock!r}, below the smallest normal share {_TINY:g}, which underflow would "
+            "round or lose"
+        )
+    return OwnershipMatrix._from_cells(shape, rows, cols, shares, investor_labels, stock_labels)
+
+
+def _ratio(part: float, whole: float) -> str:
+    """``part / whole`` to three digits, as ``1e-400``: from logarithms, so it cannot underflow."""
+    power = float(np.log10(part) - np.log10(whole))
+    exponent = int(np.floor(power))
+    digits = f"{10 ** (power - exponent):.3g}"
+    if digits == "10":  # the mantissa rounded up to the next power
+        digits, exponent = "1", exponent + 1
+    return f"{digits}e{exponent}"
 
 
 def _rescaled(values: np.ndarray) -> np.ndarray:
@@ -437,6 +461,14 @@ def held_cells(matrix: OwnershipMatrix) -> tuple[np.ndarray, np.ndarray, np.ndar
     computed.
     """
     return matrix._cells
+
+
+def _scattered(cells: tuple[np.ndarray, ...], shape: tuple[int, int]) -> np.ndarray:
+    """The array of ``shape`` that is zero but at the cells, where it holds their values."""
+    rows, cols, values = cells
+    dense = np.zeros(shape)
+    dense[rows, cols] = values
+    return dense
 
 
 def _dense_row(matrix: OwnershipMatrix, i: int) -> np.ndarray:

@@ -107,8 +107,11 @@ class SignedOwnership:
         divided by the power of two of the largest one.
         """
         book = cls.__new__(cls)
-        legs = _normalized((shape[0], 2 * shape[1]), rows, cols, raw, investor_labels, None)
-        book._store(legs, stock_labels)
+        stocks = _label_tuple(stock_labels, shape[1], "stock")
+        # each leg is labelled by its stock and side, so an error names it
+        legs = _normalized((shape[0], 2 * shape[1]), rows, cols, raw, investor_labels,
+                           [f"{stock} ({side})" for stock in stocks for side in ("long", "short")])
+        book._store(legs, stocks)
         return book
 
     __setattr__, __delattr__ = OwnershipMatrix.__setattr__, OwnershipMatrix.__delattr__

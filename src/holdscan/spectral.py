@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze_fields, _owned, _per_book, held_cells,
-    require_active,
+    _EXACT_TOL, OwnershipMatrix, _agree, _at_most, _freeze_fields, _owned, _per_book, _scattered,
+    held_cells, require_active,
 )
 from .dependence import dependence_index
 
@@ -27,17 +27,16 @@ from .dependence import dependence_index
 class SpectralResidual:
     """Whitened matrix, rank-one market mode, residual operator, and spectrum.
 
-    ``whitened`` is the rescaled share matrix K; ``row_unit``/``col_unit``
-    are the square-root marginal unit vectors u, v forming its top singular
-    pair. ``cells`` holds the book's held rows and columns and K's value
-    there, w = e / (u_i v_j): the residual operator L = K - u v^T applies
-    to vectors from them. ``residual`` is L as a dense array, built on first
-    read and then kept; no operation reads it. ``singular_values`` lists
-    all singular values of K in descending order, and ``rho`` is the second
-    one (zero when the matrix has a single row or column).
+    ``cells`` holds the book's held rows and columns and the rescaled share
+    matrix K's value there, w = e / (u_i v_j); ``row_unit``/``col_unit``
+    are the square-root marginal unit vectors u, v forming K's top singular
+    pair. The residual operator L = K - u v^T applies to vectors from them.
+    ``whitened`` (K) and ``residual`` (L) are dense arrays, each built on
+    first read and then kept; no operation reads either. ``singular_values``
+    lists all singular values of K in descending order, and ``rho`` is the
+    second one (zero when the matrix has a single row or column).
     """
 
-    whitened: np.ndarray
     cells: tuple[np.ndarray, np.ndarray, np.ndarray]
     row_unit: np.ndarray
     col_unit: np.ndarray
@@ -45,8 +44,13 @@ class SpectralResidual:
     rho: float
 
     def __post_init__(self) -> None:
-        _freeze_fields(self, "whitened", "row_unit", "col_unit")
+        _freeze_fields(self, "row_unit", "col_unit")
         object.__setattr__(self, "cells", tuple(map(_owned, self.cells, (np.intp, np.intp, float))))
+
+    @cached_property
+    def whitened(self) -> np.ndarray:
+        """K as a dense read-only array, scattered from the cells on first read and then kept."""
+        return _owned(_scattered(self.cells, (self.row_unit.size, self.col_unit.size)), float)
 
     @cached_property
     def residual(self) -> np.ndarray:
@@ -77,11 +81,8 @@ def whiten(matrix: OwnershipMatrix) -> SpectralResidual:
     u, v = np.sqrt(marg.p), np.sqrt(marg.s)
     rows, cols, e = held_cells(matrix)
     w = e / (u[rows] * v[cols])  # the products np.outer(u, v) holds there
-    k = np.zeros(matrix.shape)
-    k[rows, cols] = w
-    sigma = np.linalg.svd(k, compute_uv=False)
+    sigma = np.linalg.svd(_scattered((rows, cols, w), matrix.shape), compute_uv=False)
     res = SpectralResidual(
-        whitened=k,
         cells=(rows, cols, w),
         row_unit=u,
         col_unit=v,

@@ -74,6 +74,33 @@ def refuse_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", refused)
 
 
+@pytest.fixture
+def reads_afresh(monkeypatch):
+    """Every ``cli.ingest`` of the test reads its file, as if no call before had kept a book."""
+    cli = hs.cli
+    ingest = cli.ingest
+
+    def afresh(*args, **kwargs):
+        monkeypatch.setattr(cli, "_kept", None)
+        return ingest(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ingest", afresh)
+
+
+def count_reads(monkeypatch):
+    """The paths that ``cli.ingest`` reads from their files, in order; a kept book adds none."""
+    cli = hs.cli
+    reads = []
+    read = cli._read_book
+
+    def counted(path, *args):
+        reads.append(path)
+        return read(path, *args)
+
+    monkeypatch.setattr(cli, "_read_book", counted)
+    return reads
+
+
 def assert_same_to_the_printed_digit(a, b):
     """Two numbers printed at 6 significant digits differ by at most one unit in the 6th."""
     size = max(abs(a), abs(b))

@@ -357,7 +357,7 @@ def test_criterion_09_extension_laws():
             assert abs(hs.signed_dependence(rescaled) - sum_form) <= 1e-10
 
 
-def test_criterion_10_cli_determinism(tmp_path, capsys):
+def test_criterion_10_cli_determinism(tmp_path, capsys, reads_afresh):
     with criterion("criterion 10 CLI determinism"):
         path = write_golden_csv(tmp_path)
         argv = [

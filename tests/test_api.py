@@ -33,7 +33,7 @@ CONSTANTS = {"TOL_NORM": "core", "MAX_ENUMERATION": "transport", "TOL_FEAS": "tr
              "TOL_KKT": "transport"}
 
 SUBMODULES = ["cli", "comparative", "core", "dependence", "dynamics", "errors", "extensions",
-              "indices", "spectral", "transport", "_pcg"]
+              "indices", "spectral", "transport", "_pcg", "_fork", "_digest"]
 
 
 def test_public_names_are_pinned():

@@ -55,7 +55,7 @@ def columns():
     digest = hashlib.sha256()
     for column in cli._scan_csv(sys.argv[1])[0]:
         digest.update(repr(column).encode() if isinstance(column, list) else column.tobytes())
-    book = cli.ingest(sys.argv[1])
+    book = cli._read_book(sys.argv[1], "csv", False)  # read by these workers, never kept
     digest.update(repr((book.investor_labels, book.stock_labels)).encode() + book.entries.tobytes())
     return digest.hexdigest()
 

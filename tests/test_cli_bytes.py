@@ -13,6 +13,8 @@ import pytest
 import holdscan as hs
 from holdscan import cli
 
+from conftest import count_reads
+
 PINS = Path(__file__).parent / "cli_bytes"
 
 INPUTS = {
@@ -78,13 +80,18 @@ def refuse_dense_residual(res):
     raise AssertionError("a report built the dense residual")
 
 
+def refuse_dense_whitened(res):
+    raise AssertionError("a report built the dense whitened matrix")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
 def test_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, name, argv, fmt):
     # every report but family nonid's, which prints the matrix, is made from
     # the held cells and the residual operator, never from the dense book;
-    # no report builds the dense residual
+    # no report builds the dense residual or the dense whitened matrix
     monkeypatch.setattr(hs.SpectralResidual, "residual", property(refuse_dense_residual))
+    monkeypatch.setattr(hs.SpectralResidual, "whitened", property(refuse_dense_whitened))
     if name != "family_nonid":
         monkeypatch.setattr(hs.OwnershipMatrix, "entries", property(refuse_dense_book))
     suffix = "json" if fmt == "json" else "txt"
@@ -92,9 +99,15 @@ def test_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, name, argv, fmt)
     assert run(tmp_path, argv, fmt, capsys) == expected
 
 
-def test_report_bytes_repeat_within_one_process(tmp_path, capsys):
-    # every call of main parses with the same parser; no call may leak into the next
+def test_report_bytes_repeat_within_one_process(tmp_path, capsys, monkeypatch):
+    # every call of main parses with the same parser; no call may leak into
+    # the next, and the repeat is served the book the first call kept
+    reads = count_reads(monkeypatch)
     for _, argv in CASES:
         for fmt in ("text", "json"):
+            monkeypatch.setattr(cli, "_kept", None)  # the first call reads its book
             first = run(tmp_path, argv, fmt, capsys)
+            read = len(reads)
             assert run(tmp_path, argv, fmt, capsys) == first
+            assert len(reads) == read
+    assert len(reads) == 2 * sum(argv[0] != "family" for _, argv in CASES)

@@ -18,6 +18,8 @@ import pytest
 
 from holdscan import cli
 
+from conftest import count_reads
+
 PIN = Path(__file__).parent / "cli_parser.json"
 
 
@@ -92,11 +94,14 @@ def fresh_process(argv: list[str]) -> str:
     return done.stdout
 
 
-def test_psi_flag_does_not_carry_over(golden_csv, capsys):
+def test_psi_flag_does_not_carry_over(golden_csv, capsys, monkeypatch):
+    # nor through the book the first call kept, which the second is served
+    reads = count_reads(monkeypatch)
     plain = ["dashboard", str(golden_csv), "--format", "json"]
     assert cli.main([*plain, "--no-psi"]) == 0
     assert '"Psi_omitted": "disabled"' in capsys.readouterr().out
     assert cli.main(plain) == 0
+    assert reads == [str(golden_csv)]
     out = capsys.readouterr().out
     assert '"psi": null' in out
     assert out == fresh_process(plain)
@@ -109,7 +114,7 @@ def test_usage_error_leaves_parser_usable(golden_csv, capsys):
     assert json.loads(capsys.readouterr().out)["certified"] is True
 
 
-def test_parser_is_built_once(golden_csv, capsys, monkeypatch):
+def test_parser_is_built_once(golden_csv, capsys, monkeypatch, reads_afresh):
     built = []
     build = cli.build_parser
 

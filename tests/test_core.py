@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -17,6 +18,7 @@ from holdscan.errors import (
     NegativeEntry,
     NonFiniteEntry,
     NotNormalized,
+    ParseError,
 )
 
 from conftest import GOLDEN_RAW, profiles, random_active
@@ -51,6 +53,30 @@ def test_normalize_book_whose_total_overflows():
         huge = hs.normalize(np.array(GOLDEN_RAW) * 2.0**1018)
     assert book.entries.tobytes() == hs.normalize([[1.0, 0], [0, 1.0]]).entries.tobytes()
     assert huge.entries.tobytes() == hs.normalize(GOLDEN_RAW).entries.tobytes()
+
+
+@pytest.mark.parametrize("raw, share", [
+    ([[1e300, 0.0], [0.0, 1e-20]], "1e-320"),  # subnormal
+    ([[1e200, 1e-100], [1.0, 1e-200]], "1e-400"),  # zero
+    ([[1e308, 0.0], [1e308, 0.0], [0.0, 1.0]], "5e-309"),  # subnormal of a total that overflows
+])
+def test_normalize_refuses_a_share_that_underflows(raw, share):
+    # the share of the last held cell is 0 or subnormal, so it has lost bits
+    message = (f"investor 'I{len(raw)}' holds {share} of the total in stock 'S2', below the "
+               "smallest normal share 2.22507e-308, which underflow would round or lose")
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        hs.normalize(raw)
+    # the smallest normal share is kept
+    tiny = np.finfo(float).tiny
+    book = hs.normalize([[1.0, tiny]])
+    assert hs.marginals(book).s[1] == tiny
+
+
+def test_signed_book_names_the_leg_whose_share_underflows():
+    message = "investor 'h2' holds 1e-320 of the total in stock 's2 (short)'"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        hs.signed_from_raw([[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1e-20]],
+                           ["h1", "h2"], ["s1", "s2"])
 
 
 def test_normalize_rejects_all_zero():
@@ -243,7 +269,8 @@ def test_each_quantity_is_derived_once_per_book(golden):
     assert hs.is_active(golden) is True
     assert hs.rho(golden) == hs.whiten(golden).rho
     # a call that raises keeps nothing, so it raises again
-    overflow = hs.normalize([[1e300, 0.0], [0.0, 1e-20]])
+    # (the shares of 1e300 and 1e-20, which normalize refuses as underflowing)
+    overflow = hs.OwnershipMatrix([[1.0, 0.0], [0.0, 1e-320]])
     for derive in (hs.dependence_index, hs.whiten):
         for _ in range(2):
             with pytest.raises(InternalConsistencyError, match="^dependence forms disagree"):

@@ -66,8 +66,9 @@ def test_dependence_zero_on_product():
 def test_nan_forms_raise_instead_of_passing():
     # p2 = s2 = 1e-320 (subnormal): the profile ratios (e / p) / s overflow,
     # so two forms of X are infinite and the slack is nan, and abs(inf - 1)
-    # <= nan is False; the agreement check must fail on it, warning nothing
-    matrix = hs.normalize([[1e300, 0.0], [0.0, 1e-20]])
+    # <= nan is False; the agreement check must fail on it, warning nothing.
+    # These are the shares of 1e300 and 1e-20, which normalize refuses
+    matrix = hs.OwnershipMatrix([[1.0, 0.0], [0.0, 1e-320]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InternalConsistencyError, match="^dependence forms disagree"):

@@ -7,8 +7,10 @@ dense raw matrix, and check that no n-by-m temporary is allocated.
 """
 
 import csv
+import re
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from unittest import mock
@@ -16,13 +18,13 @@ from unittest import mock
 import numpy as np
 import numpy.testing as nptest
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holdscan as hs
 from holdscan import cli
 from holdscan.core import _summed_cells, held_cells
-from holdscan.errors import AllZeroMatrix
+from holdscan.errors import AllZeroMatrix, ParseError
 
 from conftest import peak_bytes, use_workers
 
@@ -233,6 +235,7 @@ def lot_files(draw):
 
 
 @given(lot_files())
+@example([("q", "y", 2.2250738585072014e-308), ("q", "c", 0.1), ("q", "c", 1.0)])
 @settings(max_examples=150, deadline=None)
 def test_ingest_builds_the_store_of_normalize(tmp_path_factory, lots):
     path = tmp_path_factory.mktemp("lots") / "lots.csv"
@@ -250,11 +253,16 @@ def test_ingest_builds_the_store_of_normalize(tmp_path_factory, lots):
             cli.ingest(path)
         return
     rows, cols = raw.sum(axis=1) > 0, raw.sum(axis=0) > 0
-    expected = hs.normalize(
-        raw[np.ix_(rows, cols)],
-        [lab for lab, keep in zip(investors, rows) if keep],
-        [lab for lab, keep in zip(stocks, cols) if keep],
-    )
+    try:
+        expected = hs.normalize(
+            raw[np.ix_(rows, cols)],
+            [lab for lab, keep in zip(investors, rows) if keep],
+            [lab for lab, keep in zip(stocks, cols) if keep],
+        )
+    except ParseError as exc:  # a share underflows, and ingest refuses the book alike
+        with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
+            cli.ingest(path)
+        return
     matrix = cli.ingest(path)
     assert matrix.investor_labels == expected.investor_labels
     assert matrix.stock_labels == expected.stock_labels
@@ -322,18 +330,19 @@ def test_held_cell_paths_allocate_no_dense_temporaries(tmp_path):
     assert peak < budget, f"restrict_active peaked at {peak / 1e6:.1f} MB"
 
     # the same book as a lots file, each cell split in two (129k lots, 2.5 MB);
-    # a plain CSV is scanned with no Python object per field
+    # a plain CSV is scanned with no Python object per field. Each file is
+    # read (``_read_book``), never served from a book kept before
     path = tmp_path / "lots.csv"
     write_lots(path, matrix, 2)
-    peak = peak_bytes(cli.ingest, path)
+    peak = peak_bytes(cli._read_book, path, "csv", False)
     assert peak < 2 * budget, f"ingest peaked at {peak / 1e6:.1f} MB"
 
     # and as a signed lots file, every fifth cell short: a signed book holds
     # its cells as the unsigned one does, and its index sums over them
     write_lots(path, matrix, 2, short_every=5)
-    peak = peak_bytes(cli.ingest, path, "csv", True)
+    peak = peak_bytes(cli._read_book, path, "csv", True)
     assert peak < 2 * budget, f"signed ingest peaked at {peak / 1e6:.1f} MB"
-    peak = peak_bytes(hs.signed_dependence, cli.ingest(path, signed=True))
+    peak = peak_bytes(hs.signed_dependence, cli._read_book(path, "csv", True))
     assert peak < budget, f"signed_dependence peaked at {peak / 1e6:.1f} MB"
 
 
@@ -381,7 +390,7 @@ def test_ingest_stays_within_its_per_lot_budget(tmp_path, monkeypatch):
     lots = 4 * held_cells(matrix)[0].size
     del matrix
     assert path.stat().st_size > 4 * cli._BLOCK
-    per_lot = peak_bytes(cli.ingest, path) / lots
+    per_lot = peak_bytes(cli._read_book, path, "csv", False) / lots
     assert per_lot <= 40, f"ingest: {per_lot:.1f} bytes per lot"
 
 
@@ -405,8 +414,8 @@ def test_ingest_forms_keys_wider_than_the_codes(tmp_path, n, m):
                                                 np.dtype(np.uint8 if m <= 256 else np.uint16))
     expected = hs.normalize(raw, investors, stocks)
     with mock.patch.object(cli, "_scan_csv", return_value=None):
-        by_records = cli.ingest(path)
-    for matrix in (cli.ingest(path), by_records):
+        by_records = cli._read_book(path, "csv", False)
+    for matrix in (cli._read_book(path, "csv", False), by_records):
         assert (matrix.investor_labels, matrix.stock_labels) == (tuple(investors), tuple(stocks))
         for got, want in zip(held_cells(matrix), held_cells(expected)):
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
@@ -431,7 +440,7 @@ def test_books_keep_their_cells_from_the_caller(golden_csv):
 
     matrix = cli.ingest(golden_csv)
     with mock.patch.object(cli, "_scan_csv", return_value=None):
-        by_records = cli.ingest(golden_csv)
+        by_records = cli._read_book(golden_csv, "csv", False)
     padded = hs.OwnershipMatrix(np.pad(shares / shares.sum(), ((0, 1), (0, 1))))
     books += [
         matrix,
@@ -448,17 +457,26 @@ def test_books_keep_their_cells_from_the_caller(golden_csv):
 
 
 def test_spectrum_and_dynamics_apply_the_book_through_held_cells_and_the_residual():
-    # 600 x 400 at about 3% density. whiten holds K and the held cells, and
-    # checks L through them: 1.20 dense arrays under tracemalloc, which still
-    # does not see LAPACK's copy of K (2.16 when it also held a dense L, 5.03
-    # when K was divided out of the dense book); with the spectrum built, each
-    # dynamic reads the held cells and applies L to vectors (0.02, 3.00 and
-    # 1.00 dense arrays when they read the dense book)
+    # 600 x 400 at about 3% density. whiten forms K for the svd and checks L
+    # through the held cells: 1.09 dense arrays under tracemalloc, which still
+    # does not see LAPACK's copy of K (1.24 when it kept K, 2.16 when it also
+    # held a dense L, 5.03 when K was divided out of the dense book). It keeps
+    # the cells, not K: it leaves 0.10 dense arrays allocated, with the book's
+    # other memos (1.10 when it kept K); with the spectrum built, each dynamic
+    # reads the held cells and
+    # applies L to vectors (0.02, 3.00 and 1.00 dense arrays when they read
+    # the dense book)
     rng = np.random.default_rng(5)
     matrix = hs.normalize(sparse_active(rng, 600, 400, 0.03))
     dense = matrix.n * matrix.m * 8
-    peak = peak_bytes(hs.whiten, matrix)
+    tracemalloc.start()
+    try:
+        hs.whiten(matrix)  # kept on the book
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < 1.5 * dense, f"whiten peaked at {peak / dense:.2f} dense arrays"
+    assert kept < dense / 4, f"whiten left {kept / dense:.2f} dense arrays allocated"
     delta, returns = rng.standard_normal(matrix.n), rng.standard_normal(matrix.m)
     calls = [
         partial(hs.fire_sale, matrix, delta),

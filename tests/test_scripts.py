@@ -35,7 +35,13 @@ def test_xl_probe_runs_every_command_at_a_tiny_shape(tmp_path):
     assert done.returncode == 0, done.stderr
     facts = json.loads(done.stdout)
     assert facts["shape"] == [30, 20] and facts["cells"] >= 120
-    assert {name: run["exit"] for name, run in facts["commands"].items()} == dict.fromkeys(
-        ["decompose", "dashboard --no-psi", "shock", "alpha", "drop-stock"], 0
-    )
+    assert facts["small_holders"] == 1
+    names = ["decompose", "dashboard --no-psi", "shock", "alpha", "drop-stock"]
+    assert {name: run["exit"] for name, run in facts["commands"].items()} == dict.fromkeys(names, 0)
+    # the same commands in order in one process, each printing what its own process printed
+    calls = facts["one_process"]["calls"]
+    assert list(calls) == names
+    for name, call in calls.items():
+        assert call["exit"] == 0 and call["wall_s"] >= 0
+        assert call["stdout_sha256"] == facts["commands"][name]["stdout_sha256"]
     assert list(tmp_path.iterdir()) == []  # the book went with its temporary directory

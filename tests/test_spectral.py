@@ -46,6 +46,16 @@ def test_residual_is_built_on_first_read_and_then_kept():
     assert ell.tobytes() == expected.tobytes()  # bit for bit
 
 
+def test_whitened_is_built_on_first_read_and_then_kept(golden):
+    res = hs.whiten(golden)
+    assert "whitened" not in vars(res)  # whiten keeps the cells, not K
+    k = res.whitened
+    assert vars(res)["whitened"] is k and res.whitened is k
+    assert not k.flags.writeable
+    expected = golden.entries / np.outer(res.row_unit, res.col_unit)
+    assert (k.dtype, k.shape, k.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+
 def test_whiten_single_cell():
     res = hs.whiten(hs.OwnershipMatrix(np.array([[1.0]])))
     assert res.singular_values == (1.0,)
