@@ -171,11 +171,14 @@ def _read_book(path: str | Path, fmt: str, signed: bool):
     del legs
     rows, cols, sums, where = _summed_cells(keys, amounts, 2 * m if signed else m)
     del keys  # sorted in place into ``where``
+    undivided = None
     if np.isinf(sums).any():  # finite lots whose cell's sum overflows
-        sums = np.bincount(where, _rescaled(amounts), minlength=sums.size)
+        lots, power = _rescaled(amounts)
+        undivided, sums = (sums, power), np.bincount(where, lots, minlength=sums.size)
+        del lots
     del where, amounts
     if not signed:
-        return _normalized((n, m), rows, cols, sums, investors, stocks)
+        return _normalized((n, m), rows, cols, sums, investors, stocks, undivided=undivided)
     both = hs.extensions._on_both_legs(rows, cols)
     if both.size:
         i, j = rows[both[0]], cols[both[0]] >> 1
@@ -185,7 +188,9 @@ def _read_book(path: str | Path, fmt: str, signed: bool):
         )
     if not sums.any():
         raise AllZeroMatrix(f"{path}: all amounts are zero")
-    return hs.extensions.SignedOwnership._from_raw((n, m), rows, cols, sums, investors, stocks)
+    return hs.extensions.SignedOwnership._from_raw(
+        (n, m), rows, cols, sums, investors, stocks, undivided=undivided
+    )
 
 
 def _coded(column: Sequence[str]) -> tuple[list[str], np.ndarray]:

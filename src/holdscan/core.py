@@ -355,48 +355,65 @@ def _nonzero_cells(
     return arr.shape, rows, cols, arr.ravel()[flat]
 
 
-def _normalized(shape, rows, cols, raw, investor_labels, stock_labels) -> OwnershipMatrix:
+def _normalized(
+    shape, rows, cols, raw, investor_labels, stock_labels, *, undivided=None, stock_name=None
+) -> OwnershipMatrix:
     """The share matrix of raw holdings given by their nonzero cells in row-major order.
 
     The total mass is numpy's (pairwise) sum of ``raw`` in that order. A
     held cell whose share is zero or subnormal has lost its value to
     underflow, so such a book is refused with a ``ParseError`` naming the
-    first such cell and its ratio to the total.
+    first such cell and its ratio to the total. That ratio is taken from the
+    cell's holdings before any division by a power of two, which may have
+    rounded them to zero: ``undivided`` gives them and the exponent when the
+    caller has divided ``raw`` already, as ``cli.ingest`` divides lots whose
+    cell sums overflow. ``stock_name(j)`` names column j in the refusal; by
+    default its label does.
     """
     raw = _checked(raw, "raw holdings")
+    held, power = (raw, 0) if undivided is None else undivided
     with np.errstate(over="ignore"):
         total = float(raw.sum())
     if total == np.inf:  # finite amounts whose total overflows
-        raw = _rescaled(raw)
+        raw, exponent = _rescaled(raw)
+        power += exponent
         total = float(raw.sum())
     if total <= 0.0:
         raise AllZeroMatrix("raw holdings sum to zero")
     shares = raw / total
-    if shares.min() < _TINY:  # every raw cell is positive, so one has underflowed
+    if shares.min() < _TINY:  # every held cell is positive, so one has underflowed
         k = int(np.argmax(shares < _TINY))
         investor = _label_tuple(investor_labels, shape[0], "investor")[rows[k]]
-        stock = _label_tuple(stock_labels, shape[1], "stock")[cols[k]]
+        if stock_name is None:
+            stock_name = _label_tuple(stock_labels, shape[1], "stock").__getitem__
         raise ParseError(
-            f"investor {investor!r} holds {_ratio(raw[k], total)} of the total in stock "
-            f"{stock!r}, below the smallest normal share {_TINY:g}, which underflow would "
-            "round or lose"
+            f"investor {investor!r} holds {_ratio(held[k], total, power)} of the total in "
+            f"stock {stock_name(cols[k])!r}, below the smallest normal share {_TINY:g}, "
+            "which underflow would round or lose"
         )
     return OwnershipMatrix._from_cells(shape, rows, cols, shares, investor_labels, stock_labels)
 
 
-def _ratio(part: float, whole: float) -> str:
-    """``part / whole`` to three digits, as ``1e-400``: from logarithms, so it cannot underflow."""
-    power = float(np.log10(part) - np.log10(whole))
-    exponent = int(np.floor(power))
-    digits = f"{10 ** (power - exponent):.3g}"
+def _ratio(part: float, whole: float, power: int) -> str:
+    """``part / (whole * 2**power)`` to three digits, as ``1e-400``.
+
+    Worked out from logarithms, so it cannot underflow.
+    """
+    log = float(np.log10(part) - np.log10(whole) - power * np.log10(2.0))
+    exponent = int(np.floor(log))
+    digits = f"{10 ** (log - exponent):.3g}"
     if digits == "10":  # the mantissa rounded up to the next power
         digits, exponent = "1", exponent + 1
     return f"{digits}e{exponent}"
 
 
-def _rescaled(values: np.ndarray) -> np.ndarray:
-    """``values`` over the power of two of their largest: exact, so shares keep every bit."""
-    return np.ldexp(values, -np.frexp(values.max())[1])
+def _rescaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``values`` over the power of two of their largest, and its exponent.
+
+    Exact where the quotients stay normal, so shares keep every bit.
+    """
+    exponent = int(np.frexp(values.max())[1])
+    return np.ldexp(values, -exponent), exponent
 
 
 def _summed_cells(

@@ -99,19 +99,22 @@ class SignedOwnership:
         )
 
     @classmethod
-    def _from_raw(cls, shape, rows, cols, raw, investor_labels, stock_labels) -> "SignedOwnership":
+    def _from_raw(
+        cls, shape, rows, cols, raw, investor_labels, stock_labels, undivided=None
+    ) -> "SignedOwnership":
         """The book of raw exposures in the cells of its legs, normalized as ``normalize`` does.
 
         The gross total is numpy's (pairwise) sum of both legs' held cells
         in row-major order; where it overflows, the exposures are first
-        divided by the power of two of the largest one.
+        divided by the power of two of the largest one. ``undivided`` is as
+        ``_normalized`` takes it.
         """
         book = cls.__new__(cls)
-        stocks = _label_tuple(stock_labels, shape[1], "stock")
-        # each leg is labelled by its stock and side, so an error names it
-        legs = _normalized((shape[0], 2 * shape[1]), rows, cols, raw, investor_labels,
-                           [f"{stock} ({side})" for stock in stocks for side in ("long", "short")])
-        book._store(legs, stocks)
+        legs = _normalized(
+            (shape[0], 2 * shape[1]), rows, cols, raw, investor_labels, None,
+            undivided=undivided, stock_name=lambda c: _leg_name(stock_labels, shape[1], c),
+        )
+        book._store(legs, stock_labels)
         return book
 
     __setattr__, __delattr__ = OwnershipMatrix.__setattr__, OwnershipMatrix.__delattr__
@@ -119,6 +122,11 @@ class SignedOwnership:
     plus = property(lambda self: self._legs.entries[:, 0::2])
     minus = property(lambda self: self._legs.entries[:, 1::2])
     net = property(lambda self: self.plus - self.minus)
+
+
+def _leg_name(stock_labels: Sequence[str] | None, m: int, c: int) -> str:
+    """The name of leg column ``c``: its stock's label and its side."""
+    return f"{_label_tuple(stock_labels, m, 'stock')[c >> 1]} ({('long', 'short')[c & 1]})"
 
 
 def _leg_cells(plus, minus, name: str):

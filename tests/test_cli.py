@@ -329,14 +329,17 @@ def test_overflowing_results_exit_3(tmp_path, golden_csv, capsys, reads_afresh):
 #: (lots, the share each book loses to underflow): a share below the
 #: smallest normal float is 0 or subnormal. The first book printed X 0 and
 #: rho 1e-250 (exact: 1e-300 and 1e-150), the second X 9.99989e-21 (exact:
-#: 1e-20); the last two are diagonal, X = 1, and exited 3 as the profile
-#: ratios of their small cell overflowed.
+#: 1e-20); the third and fourth are diagonal, X = 1, and exited 3 as the
+#: profile ratios of their small cell overflowed. In the last the lots' cell
+#: sum overflows, dividing the lots by 2**1024 rounds the small one to 0,
+#: and the book was refused as having an investor without mass.
 UNDERFLOWING_BOOKS = [
     ([("i1", "s1", "1e200"), ("i2", "s2", "1e-200"), ("i1", "s2", "1e-100"), ("i2", "s1", "1")],
      "1e-400"),
     ([("i1", "s1", "1e300"), ("i2", "s2", "1e-20"), ("i1", "s2", "1")], "1e-320"),
     ([("i1", "s1", "1e300"), ("i2", "s2", "1e-20")], "1e-320"),
     ([("i1", "s1", "1e308"), ("i1", "s1", "1e308"), ("i2", "s2", "1")], "5e-309"),
+    ([("i1", "s1", "1e308"), ("i1", "s1", "1e308"), ("i2", "s2", "1e-20")], "5e-329"),
 ]
 
 
@@ -361,6 +364,21 @@ def test_underflowing_shares_exit_2_in_both_formats(tmp_path, capsys):
                                          "--input-format", reader]) == 2
                     captured = capsys.readouterr()
                     assert (captured.out, captured.err) == ("", message)
+
+
+def test_signed_share_lost_to_the_division_of_its_lots_exits_2(tmp_path, capsys):
+    # the long cell's lots sum past the largest float, so every lot is divided
+    # by 2**1024, which rounds the short lot to zero; the refusal names the
+    # short leg's share of the gross total as the lots give it
+    book = tmp_path / "signed.csv"
+    book.write_text("investor,stock,amount,sign\ni1,s1,1e308,+\ni1,s1,1e308,+\n"
+                    "i2,s2,1e-20,-\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["signed", str(book)]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: investor 'i2' holds 5e-329 of the total in stock 's2 (short)', below the "
+        "smallest normal share 2.22507e-308, which underflow would round or lose\n"))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -59,6 +59,8 @@ def test_normalize_book_whose_total_overflows():
     ([[1e300, 0.0], [0.0, 1e-20]], "1e-320"),  # subnormal
     ([[1e200, 1e-100], [1.0, 1e-200]], "1e-400"),  # zero
     ([[1e308, 0.0], [1e308, 0.0], [0.0, 1.0]], "5e-309"),  # subnormal of a total that overflows
+    # a total that overflows, and a cell that its division by 2**1024 rounds to zero
+    ([[1e308, 0.0], [1e308, 0.0], [0.0, 1e-20]], "5e-329"),
 ])
 def test_normalize_refuses_a_share_that_underflows(raw, share):
     # the share of the last held cell is 0 or subnormal, so it has lost bits
@@ -76,6 +78,10 @@ def test_signed_book_names_the_leg_whose_share_underflows():
     message = "investor 'h2' holds 1e-320 of the total in stock 's2 (short)'"
     with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
         hs.signed_from_raw([[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1e-20]],
+                           ["h1", "h2"], ["s1", "s2"])
+    message = "investor 'h2' holds 5e-329 of the total in stock 's2 (short)'"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        hs.signed_from_raw([[1e308, 1e308], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1e-20]],
                            ["h1", "h2"], ["s1", "s2"])
 
 
