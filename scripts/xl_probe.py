@@ -13,16 +13,20 @@ least one) are scaled down to hold under 1e-10 of the book each, as 13F
 books have holders far below any absolute tolerance.
 
 Then runs ``decompose``, ``dashboard --no-psi``, ``shock``, ``alpha
---project-returns --dispersion 0.02`` and ``drop-stock`` on the largest
-stock, each in a fresh interpreter with BLAS pinned to one thread, and
-then all five in order in one such interpreter, as a batch caller of
-``cli.main`` would. The library is imported from the caller's
-``PYTHONPATH``, so the same probe measures any tree. Prints one JSON
-object: for each command in its own process, its exit code, wall seconds,
-the peak RSS of the process and of its children (forked workers) in MB,
-and the sha256 of its stdout; for the one process, each call's exit code,
-wall seconds and stdout sha256, and the process's peak RSS. Exits 1 if a
-call in the one process printed other bytes than its own process did.
+--project-returns --dispersion 0.02``, ``drop-stock`` on the largest
+stock and ``merge`` of the two largest investors, each in a fresh
+interpreter with BLAS pinned to one thread, and then all six in order in
+one such interpreter, as a batch caller of ``cli.main`` would. The
+library is imported from the caller's ``PYTHONPATH``, so the same probe
+measures any tree. Prints one JSON object: for each command in its own
+process, its exit code, wall seconds, the peak RSS of the process and of
+its children (forked workers) in MB, and the sha256 of its stdout; for
+the one process, each call's exit code, wall seconds and stdout sha256,
+and the process's peak RSS; and ``checks``, which holds H_I and H_S from
+the marginals and X as a ``math.fsum`` over the held cells of
+e^2 / (p_i s_j), minus 1, each beside the dashboard's value. Exits 1 if
+one of those is not the dashboard's at 6 significant digits, or if a call
+in the one process printed other bytes than its own process did.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -110,9 +115,16 @@ def write_book(out: Path, n: int, m: int, cells: int, seed: int) -> dict:
         handle.writelines(f"I{i},S{j},{t}\n" for i, j, t in zip(rows.tolist(), cols.tolist(), text))
     _write_vector(out / "shocks.csv", "I", rng.uniform(-0.5, 0.5, n))
     _write_vector(out / "returns.csv", "S", rng.normal(0.0, 0.02, m))
-    largest = int(np.argmax(np.bincount(cols, np.array(text, dtype=float), minlength=m)))
+    # the book as the file holds it, by plain sums over its cells
+    e = np.array(text, dtype=float)
+    e /= math.fsum(e.tolist())
+    p, s = np.bincount(rows, e, minlength=n), np.bincount(cols, e, minlength=m)
+    largest = np.argsort(-p, kind="stable")[:2].tolist()
     return {"shape": [n, m], "cells": int(keys.size), "seed": seed, "small_holders": small.size,
-            "largest_stock": f"S{largest}"}
+            "largest_investors": [f"I{i}" for i in sorted(largest)],
+            "largest_stock": f"S{int(np.argmax(s))}",
+            "fsum": {"H_I": math.fsum((p * p).tolist()), "H_S": math.fsum((s * s).tolist()),
+                     "X": math.fsum((e * e / (p[rows] * s[cols])).tolist()) - 1.0}}
 
 
 #: BLAS pinned to one thread, in every process the probe starts.
@@ -124,8 +136,11 @@ def _mb(kib: int) -> float:
     return round(kib / 1024, 1)
 
 
-def run(out: Path, argv: list[str]) -> dict:
-    """Run one command in a fresh process; its exit code, wall time, peak RSS and output digest."""
+def run(out: Path, argv: list[str]) -> tuple[dict, bytes]:
+    """Run one command in a fresh process; its exit code, wall time, peak RSS and output digest.
+
+    Returns them with the command's stdout.
+    """
     usage = out / "rusage.txt"
     usage.unlink(missing_ok=True)
     start = time.perf_counter()
@@ -139,6 +154,20 @@ def run(out: Path, argv: list[str]) -> dict:
         "maxrss_mb": _mb(kib[0]),
         "children_maxrss_mb": _mb(kib[1]),
         "stdout_sha256": hashlib.sha256(done.stdout).hexdigest(),
+    }, done.stdout
+
+
+def checks(summed: dict, dashboard: bytes | None) -> dict:
+    """Each headline index the probe summed against the dashboard's, which must be it at 6 digits.
+
+    A value rounded to 6 significant digits is within 5e-6 of it, relative;
+    a dashboard that did not run agrees with nothing.
+    """
+    reported = json.loads(dashboard)["dashboard"] if dashboard else {}
+    return {
+        name: {"fsum": value, "dashboard": reported.get(name),
+               "agree": name in reported and abs(reported[name] - value) <= 5e-6 * abs(value)}
+        for name, value in summed.items()
     }
 
 
@@ -172,19 +201,24 @@ def main() -> int:
             "alpha": ["alpha", book, "--returns", str(out / "returns.csv"), "--project-returns",
                       "--dispersion", "0.02"],
             "drop-stock": ["drop-stock", book, "--stock", facts["largest_stock"]],
+            "merge": ["merge", book, "--pair", ",".join(facts["largest_investors"])],
         }
         commands = {name: [*argv, "--format", "json"] for name, argv in commands.items()}
-        facts["commands"] = {name: run(out, argv) for name, argv in commands.items()}
+        runs = {name: run(out, argv) for name, argv in commands.items()}
+        facts["commands"] = {name: record for name, (record, _) in runs.items()}
+        record, stdout = runs["dashboard --no-psi"]
+        facts["checks"] = checks(facts.pop("fsum"), stdout if record["exit"] == 0 else None)
         (out / "rusage.txt").unlink(missing_ok=True)
         facts["one_process"] = run_all(out, commands)
     print(json.dumps(facts))
-    differ = [name for name, call in facts["one_process"]["calls"].items()
-              if call["stdout_sha256"] != facts["commands"][name]["stdout_sha256"]]
-    if differ:
-        print(f"in one process, {', '.join(differ)} printed other bytes than in its own",
-              file=sys.stderr)
-        return 1
-    return 0
+    failed = [f"{name} is not the dashboard's" for name, check in facts["checks"].items()
+              if not check["agree"]]
+    failed += [f"in one process, {name} printed other bytes than in its own"
+               for name, call in facts["one_process"]["calls"].items()
+               if call["stdout_sha256"] != facts["commands"][name]["stdout_sha256"]]
+    for line in failed:
+        print(line, file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quoted
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -772,34 +773,86 @@ def _rounded(obj):
     return obj
 
 
+#: ``%.6g`` writes the digits ``repr`` writes for the float its text reads
+#: as (at most 6 digits round-trip), in the same layout, unless |x| is at
+#: least ``_REPR_AT`` (the text has no ``.``, or an exponent ``repr`` writes
+#: out) or below the smallest normal float (0, whose text has no ``.``, and
+#: the subnormals, whose shortest digits may be fewer).
+_REPR_AT, _NORMAL = 0.9999995, sys.float_info.min
+
+
 def _json(obj, pad: str = "\n") -> str:
     """``json.dumps(_rounded(obj), indent=2)`` in one pass; ``pad``: a line break, ``obj``'s indent.
 
     No rounded copy is made. A finite float, numpy's ``float64`` included,
-    and a string are written here, as is a vector of finite floats, in one
-    ``%``; only other leaves pass through ``_rounded`` and the encoder. Each
-    container joins its items' text once.
+    and a string are written here, and a container's items as one column
+    where they share a type (``_items``); only other leaves pass through
+    ``_rounded`` and the encoder. Each container joins its items' text once.
     """
     if isinstance(obj, float) and math.isfinite(obj):
         return repr(float(f"{obj:.6g}"))
     if isinstance(obj, str):
         return _quoted(obj)
+    if isinstance(obj, np.ndarray):
+        return _json(obj.tolist(), pad)
     inner = pad + "  "
     if isinstance(obj, dict):
-        texts, brackets = [f"{_quoted(key)}: {_json(val, inner)}" for key, val in obj.items()], "{}"
+        texts = _items(list(obj.values()), inner)
+        texts, brackets = [f"{_quoted(key)}: {text}" for key, text in zip(obj, texts)], "{}"
     elif isinstance(obj, (list, tuple)):
-        texts, brackets = [_json(val, inner) for val in obj], "[]"
-    elif not isinstance(obj, np.ndarray):
-        return _scalar(_rounded(obj))
-    elif obj.ndim == 1 and obj.dtype == float and np.isfinite(obj).all():
-        # one % formats every entry, each as the float branch above does
-        text = "%.6g " * obj.size % tuple(obj.tolist())
-        texts, brackets = [repr(float(entry)) for entry in text.split()], "[]"
+        texts, brackets = _items(obj, inner), "[]"
     else:
-        return _json(obj.tolist(), pad)
+        return _scalar(_rounded(obj))
     if not texts:
         return brackets
     return f"{brackets[0]}{inner}{(',' + inner).join(texts)}{pad}{brackets[1]}"
+
+
+def _items(values: Sequence, pad: str) -> list[str]:
+    """Each value's ``_json`` text at indent ``pad``.
+
+    Values that are all Python floats (a numpy scalar makes a mixed list),
+    all strings or all dicts are written as one column.
+    """
+    kinds = set(map(type, values))
+    texts = None
+    if kinds == {float}:
+        texts = _floats(values)
+    elif kinds == {str}:
+        texts = list(map(_quoted, values))
+    elif kinds == {dict}:
+        texts = _records(values, pad)
+    return [_json(val, pad) for val in values] if texts is None else texts
+
+
+def _floats(values: Sequence[float]) -> list[str] | None:
+    """``[repr(float(f"{x:.6g}")) for x in values]``, or None if a value is not finite.
+
+    One ``%`` writes every value; only those numpy flags by size pass
+    through ``repr`` (see ``_REPR_AT``).
+    """
+    size = np.abs(np.array(values))
+    if not np.isfinite(size).all():
+        return None
+    texts = ("%.6g " * len(values) % tuple(values)).split()
+    for k in np.flatnonzero((size >= _REPR_AT) | (size < _NORMAL)).tolist():
+        texts[k] = repr(float(texts[k]))
+    return texts
+
+
+def _records(rows: Sequence[dict], pad: str) -> list[str] | None:
+    """The texts of dicts that share their keys, in one order, through one row template; else None.
+
+    Each key's values are written as one column (``_items``).
+    """
+    keys = set(map(tuple, rows))
+    if len(keys) != 1 or not (keys := keys.pop()):
+        return None
+    inner = pad + "  "
+    fields = [inner + _quoted(key).replace("%", "%%") + ": %s" for key in keys]
+    template = "{" + ",".join(fields) + pad + "}"
+    columns = [_items(list(map(itemgetter(key), rows)), inner) for key in keys]
+    return list(map(template.__mod__, zip(*columns)))
 
 
 def _render(payload: dict, fmt: str) -> str:
@@ -894,8 +947,8 @@ def _cmd_decompose(args) -> str:
     if args.format == "json":
         payload = {
             f"{side}s": [
-                dict(zip(("label", "mass", conc, "dependence_contribution"), row))
-                for row in rows
+                {"label": label, "mass": mass, conc: c, "dependence_contribution": x}
+                for label, mass, c, x in rows
             ]
             for side, conc, rows in sides
         }

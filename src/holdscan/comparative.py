@@ -16,7 +16,7 @@ from itertools import compress
 import numpy as np
 
 from .core import (
-    _EXACT_TOL, OwnershipMatrix, _agree, _dense_row, _index, _summed_cells, _unique_label,
+    _EXACT_TOL, OwnershipMatrix, _agree, _dense_row, _index, _unique_label,
     held_cells, marginals, require_active, restrict_active,
 )
 from .dependence import dependence_index, merger_delta, _row_pair
@@ -108,16 +108,22 @@ def merge_investors(matrix: OwnershipMatrix, a: int, b: int) -> OperationDelta:
     n, m = matrix.shape
     lo, hi = min(a, b), max(a, b)
     rows, cols, values = held_cells(matrix)
-    # row hi joins row lo, and the rows below it move up one: the cells are
-    # in row-major order, so both are runs of cells
-    start, stop = np.searchsorted(rows, (hi, hi + 1))
-    keys = rows.astype(np.int64)
-    keys[start:stop] = lo
-    keys[stop:] -= 1
-    keys *= m
-    keys += cols
-    rows, cols, values = _summed_cells(keys, values, m)[:3]
-    del keys  # sorted in place into each cell's position, which is not needed
+    # the cells are in row-major order, so rows lo and hi are runs of cells:
+    # only their columns merge, lo's value first where both hold one, and the
+    # rows below hi move up one
+    lo_start, lo_stop, hi_start, hi_stop = np.searchsorted(rows, (lo, lo + 1, hi, hi + 1))
+    pair = np.r_[lo_start:lo_stop, hi_start:hi_stop]
+    union, where = np.unique(cols[pair], return_inverse=True)
+    summed = np.bincount(where, values[pair], minlength=union.size)
+
+    def spliced(column: np.ndarray, merged: np.ndarray) -> np.ndarray:
+        return np.concatenate(
+            [column[:lo_start], merged, column[lo_stop:hi_start], column[hi_stop:]]
+        )
+
+    rows, cols = spliced(rows, np.full(union.size, lo)), spliced(cols, union)
+    values = spliced(values, summed)
+    rows[lo_start + union.size + hi_start - lo_stop :] -= 1
     labels = list(matrix.investor_labels[:hi] + matrix.investor_labels[hi + 1 :])
     labels[lo] = _unique_label(
         matrix.investor_labels[a] + "+" + matrix.investor_labels[b], labels[:lo] + labels[lo + 1 :]

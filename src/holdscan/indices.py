@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    OwnershipMatrix, _agree, _at_most, _freeze_fields, _probability_vector, held_cells, marginals,
-    require_active,
+    OwnershipMatrix, _agree, _at_most, _freeze_fields, _per_book, _probability_vector, held_cells,
+    marginals, require_active,
 )
 from .errors import InternalConsistencyError
 
@@ -117,12 +117,14 @@ def concentration_summary(matrix: OwnershipMatrix) -> ConcentrationSummary:
     )
 
 
+@_per_book
 def micro_decomposition(matrix: OwnershipMatrix) -> MicroDecomposition:
     """Split the cell concentration by investors and, independently, by stocks.
 
     Requires an active matrix. Both term vectors are checked to sum to the
     directly computed micro concentration. Only held cells are visited:
-    O(nnz + n + m) time and memory.
+    O(nnz + n + m) time and memory, once per book; later calls on the same
+    book return the same read-only result.
     """
     marg = require_active(matrix)
     n, m = matrix.shape

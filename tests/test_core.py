@@ -268,7 +268,8 @@ def test_each_quantity_is_derived_once_per_book(golden):
     from holdscan.errors import InternalConsistencyError
 
     twin = hs.normalize(GOLDEN_RAW)
-    for derive in (lambda book: book.entries, hs.marginals, hs.dependence_index, hs.whiten):
+    for derive in (lambda book: book.entries, hs.marginals, hs.micro_decomposition,
+                   hs.dependence_index, hs.whiten):
         first = derive(golden)
         assert derive(golden) is first
         assert derive(twin) is not first  # an equal book builds its own

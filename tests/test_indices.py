@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import holdscan as hs
 from holdscan.errors import InactiveSupport, NotAProbabilityVector
+from holdscan.indices import MicroDecomposition
 
 from conftest import philox, profiles, random_active
 
@@ -74,6 +75,24 @@ def test_micro_decomposition_uniform():
 def test_micro_decomposition_requires_active():
     with pytest.raises(InactiveSupport):
         hs.micro_decomposition(hs.OwnershipMatrix(np.array([[0.5, 0.5], [0.0, 0.0]])))
+
+
+def test_micro_decomposition_is_built_once_per_book(golden, monkeypatch):
+    built = []
+
+    def recorded(**fields):
+        built.append(MicroDecomposition(**fields))
+        return built[-1]
+
+    monkeypatch.setattr(hs.indices, "MicroDecomposition", recorded)
+    bounds = hs.support_bounds(golden)
+    dec = hs.micro_decomposition(golden)
+    assert built == [dec]  # support_bounds built it, and the call after it got it
+    assert hs.micro_decomposition(golden) is dec
+    assert hs.support_bounds(golden) == bounds and built == [dec]
+    for name in ("investor_terms", "stock_terms", "portfolio_concentration",
+                 "owner_concentration", "row_support", "col_support"):
+        assert not getattr(dec, name).flags.writeable, name
 
 
 def test_support_bounds_golden(golden):

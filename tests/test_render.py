@@ -8,6 +8,7 @@ to 6 significant digits. The oracle below is that rounded copy followed by
 
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -55,7 +56,7 @@ edge_floats = st.sampled_from(
 )
 floats = finite | edge_floats
 labels = st.text(
-    st.characters() | st.sampled_from('"\\/\x00\x01\x1f\x7f\n\r\t\b\f é€😀'), max_size=8
+    st.characters() | st.sampled_from('%"\\/\x00\x01\x1f\x7f\n\r\t\b\f é€😀'), max_size=8
 )
 arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
                     elements=floats)
@@ -64,8 +65,25 @@ numpy_scalars = (
     | st.booleans().map(np.bool_)
 )
 leaves = floats | st.integers() | st.booleans() | st.none() | labels | arrays | numpy_scalars
+
+
+@st.composite
+def records(draw):
+    """1-4 dicts with the same keys in one order; a key's values: floats, strings or any leaves."""
+    keys = draw(st.lists(labels, max_size=4, unique=True))
+    kinds = [draw(st.sampled_from([floats, labels, leaves])) for _ in keys]
+    count = draw(st.integers(1, 4))
+    return [{key: draw(kind) for key, kind in zip(keys, kinds)} for _ in range(count)]
+
+
+# the columns the writer formats in one pass: lists of floats or of strings,
+# dicts of floats and record lists
+columns = (
+    st.lists(floats, max_size=6) | st.lists(labels, max_size=6)
+    | st.dictionaries(labels, floats, max_size=4) | records()
+)
 values = st.recursive(
-    leaves,
+    leaves | columns,
     lambda inner: (
         st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
         | st.dictionaries(labels, inner, max_size=4)
@@ -84,6 +102,28 @@ non_finite = st.sampled_from(
 @settings(deadline=None)
 def test_json_report_is_json_dumps_of_the_rounded_payload(payload):
     assert cli._render(payload, "json") == expected_json(payload)
+
+
+def shortest(values):
+    """Oracle: each value as the float branch of the writer formats one float."""
+    return [repr(float(f"{x:.6g}")) for x in values]
+
+
+@given(st.lists(floats, max_size=40))
+@settings(deadline=None)
+def test_the_column_formatter_writes_each_float_as_repr_of_its_6_digits(values):
+    assert cli._floats(values) == shortest(values)
+
+
+def test_the_column_formatter_at_the_edges_of_its_flags():
+    # each size where the %g text stops being repr's, or the float stops
+    # being normal, with its neighbours
+    edges = [0.0, 5e-324, 1.5e-310, sys.float_info.min, 0.9999995, 1e-4, 999999.5, 1e6, 1e16,
+             1.7976931348623157e308]
+    near = [y for x in edges for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+    values = [y for x in near for y in (x, -x) if math.isfinite(y)]
+    assert cli._floats(values) == shortest(values)
+    assert cli._floats([*values, math.inf]) is None
 
 
 def containers(obj):
