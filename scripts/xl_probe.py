@@ -4,8 +4,9 @@
     python3 scripts/xl_probe.py [--shape 6000 8000] [--cells 370000] [--seed 1] [--out DIR]
 
 Writes a holdings CSV with one line per held cell, a shock vector over
-the investors and a return vector over the stocks, all without forming
-an n-by-m array. Investor and stock sizes follow the rank-size laws of
+the investors, a return vector over the stocks and a partition of the
+investors into 50 groups (n // 2 below 100 investors, so every group
+has members to split within), all without forming an n-by-m array. Investor and stock sizes follow the rank-size laws of
 ``bench/books.py`` (exponents 1.0 and 0.8, lognormal jitter); ``--cells``
 cells are drawn uniformly, one more per investor and per stock keeps every
 label active, and cells drawn twice merge. Then 1% of the investors (at
@@ -14,9 +15,9 @@ books have holders far below any absolute tolerance.
 
 Then runs ``decompose``, ``dashboard --no-psi``, ``shock``, ``alpha
 --project-returns --dispersion 0.02``, ``drop-stock`` on the largest
-stock and ``merge`` of the two largest investors, each in a fresh
-interpreter with BLAS pinned to one thread, and then all six in order in
-one such interpreter, as a batch caller of ``cli.main`` would. The
+stock, ``merge`` of the two largest investors and ``aggregate`` over the
+partition, each in a fresh interpreter with BLAS pinned to one thread,
+and then all seven in order in one such interpreter, as a batch caller of ``cli.main`` would. The
 library is imported from the caller's ``PYTHONPATH``, so the same probe
 measures any tree. Prints one JSON object: for each command in its own
 process, its exit code, wall seconds, the peak RSS of the process and of
@@ -24,9 +25,11 @@ its children (forked workers) in MB, and the sha256 of its stdout; for
 the one process, each call's exit code, wall seconds and stdout sha256,
 and the process's peak RSS; and ``checks``, which holds H_I and H_S from
 the marginals and X as a ``math.fsum`` over the held cells of
-e^2 / (p_i s_j), minus 1, each beside the dashboard's value. Exits 1 if
-one of those is not the dashboard's at 6 significant digits, or if a call
-in the one process printed other bytes than its own process did.
+e^2 / (p_i s_j), minus 1, each beside the dashboard's value, and the
+aggregation law: ``aggregate``'s between + within beside the dashboard's
+X. Exits 1 if one of those is not the dashboard's at 6 significant
+digits, or if a call in the one process printed other bytes than its own
+process did.
 """
 
 from __future__ import annotations
@@ -79,6 +82,9 @@ with open(sys.argv[1], "w") as done:
 #: Each small holder holds a share of the book drawn from this range.
 _SMALL_SHARE = (0.8e-10, 0.95e-10)
 
+#: The investors are dealt into this many groups, or n // 2 below 100 investors.
+_GROUPS = 50
+
 
 def _rank_sizes(rng: np.random.Generator, count: int, exponent: float) -> np.ndarray:
     return (rng.permutation(count) + 1.0) ** -exponent * rng.lognormal(0.0, 0.25, count)
@@ -91,7 +97,7 @@ def _write_vector(path: Path, prefix: str, values: np.ndarray) -> None:
 
 
 def write_book(out: Path, n: int, m: int, cells: int, seed: int) -> dict:
-    """Write ``book.csv``, ``shocks.csv`` and ``returns.csv``; return the book's facts."""
+    """Write ``book.csv``, ``shocks.csv``, ``returns.csv`` and ``groups.txt``; return its facts."""
     rng = np.random.default_rng(seed)
     inv_size, cap = _rank_sizes(rng, n, 1.0), _rank_sizes(rng, m, 0.8)
     keys = np.unique(np.concatenate([
@@ -115,6 +121,12 @@ def write_book(out: Path, n: int, m: int, cells: int, seed: int) -> dict:
         handle.writelines(f"I{i},S{j},{t}\n" for i, j, t in zip(rows.tolist(), cols.tolist(), text))
     _write_vector(out / "shocks.csv", "I", rng.uniform(-0.5, 0.5, n))
     _write_vector(out / "returns.csv", "S", rng.normal(0.0, 0.02, m))
+    groups = max(1, min(_GROUPS, n // 2))
+    member = rng.permutation(n) % groups
+    (out / "groups.txt").write_text("".join(
+        ",".join(f"I{i}" for i in np.flatnonzero(member == g).tolist()) + "\n"
+        for g in range(groups)
+    ), encoding="utf-8")
     # the book as the file holds it, by plain sums over its cells
     e = np.array(text, dtype=float)
     e /= math.fsum(e.tolist())
@@ -157,18 +169,27 @@ def run(out: Path, argv: list[str]) -> tuple[dict, bytes]:
     }, done.stdout
 
 
-def checks(summed: dict, dashboard: bytes | None) -> dict:
+def checks(summed: dict, dashboard: bytes | None, aggregate: bytes | None) -> dict:
     """Each headline index the probe summed against the dashboard's, which must be it at 6 digits.
 
-    A value rounded to 6 significant digits is within 5e-6 of it, relative;
-    a dashboard that did not run agrees with nothing.
+    A value rounded to 6 significant digits is within 5e-6 of it, relative.
+    Last, ``aggregate``'s between + within against the dashboard's X: both
+    are rounded to 6 digits from values equal but for rounding, so they
+    differ by at most one unit in the sixth digit, 1e-5 relative. A command
+    that did not run agrees with nothing.
     """
     reported = json.loads(dashboard)["dashboard"] if dashboard else {}
-    return {
+    out = {
         name: {"fsum": value, "dashboard": reported.get(name),
                "agree": name in reported and abs(reported[name] - value) <= 5e-6 * abs(value)}
         for name, value in summed.items()
     }
+    total, x = json.loads(aggregate)["total"] if aggregate else None, reported.get("X")
+    out["between + within"] = {
+        "aggregate": total, "dashboard": x,
+        "agree": None not in (total, x) and abs(total - x) <= 1e-5 * abs(x),
+    }
+    return out
 
 
 def run_all(out: Path, commands: dict[str, list[str]]) -> dict:
@@ -202,12 +223,14 @@ def main() -> int:
                       "--dispersion", "0.02"],
             "drop-stock": ["drop-stock", book, "--stock", facts["largest_stock"]],
             "merge": ["merge", book, "--pair", ",".join(facts["largest_investors"])],
+            "aggregate": ["aggregate", book, "--groups", str(out / "groups.txt")],
         }
         commands = {name: [*argv, "--format", "json"] for name, argv in commands.items()}
         runs = {name: run(out, argv) for name, argv in commands.items()}
         facts["commands"] = {name: record for name, (record, _) in runs.items()}
-        record, stdout = runs["dashboard --no-psi"]
-        facts["checks"] = checks(facts.pop("fsum"), stdout if record["exit"] == 0 else None)
+        ran = {name: stdout for name, (record, stdout) in runs.items() if record["exit"] == 0}
+        facts["checks"] = checks(facts.pop("fsum"), ran.get("dashboard --no-psi"),
+                                 ran.get("aggregate"))
         (out / "rusage.txt").unlink(missing_ok=True)
         facts["one_process"] = run_all(out, commands)
     print(json.dumps(facts))

@@ -17,7 +17,6 @@ import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quoted
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -627,22 +626,27 @@ def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.nda
 
 
 def _read_partition(path: str | Path, matrix: OwnershipMatrix) -> hs.dependence.Partition:
-    """One group per line, comma-separated investor labels, quoted CSV-style as needed."""
+    """One group per line, comma-separated investor labels, quoted CSV-style as needed.
+
+    A line's labels are stripped and looked up in one pass each; only a
+    line with an empty or unknown label is gone through label by label, to
+    name the first.
+    """
     path = Path(path)
-    index = {label: i for i, label in enumerate(matrix.investor_labels)}
+    index = dict(zip(matrix.investor_labels, range(matrix.n)))
     groups = []
     for line, tokens in _csv_records(path, skipinitialspace=True):
         if len(tokens) < 2 and not "".join(tokens).strip():
             continue
-        members = []
-        for token in tokens:
-            label = token.strip()
-            if not label:
-                raise ParseError(f"{path}:{line}: empty label in group")
-            if label not in index:
-                raise ParseError(f"{path}:{line}: unknown investor label {label!r}")
-            members.append(index[label])
-        groups.append(tuple(members))
+        labels = list(map(str.strip, tokens))
+        members = tuple(map(index.get, labels))
+        if None in members or "" in labels:
+            for label in labels:
+                if not label:
+                    raise ParseError(f"{path}:{line}: empty label in group")
+                if label not in index:
+                    raise ParseError(f"{path}:{line}: unknown investor label {label!r}")
+        groups.append(members)
     if not groups:
         raise ParseError(f"{path}: no groups found")
     return hs.dependence.Partition(tuple(groups))
@@ -781,38 +785,61 @@ def _rounded(obj):
 _REPR_AT, _NORMAL = 0.9999995, sys.float_info.min
 
 
-def _json(obj, pad: str = "\n") -> str:
-    """``json.dumps(_rounded(obj), indent=2)`` in one pass; ``pad``: a line break, ``obj``'s indent.
+@dataclass(frozen=True)
+class _Rows:
+    """A list of dicts given by its columns, for ``_json``.
 
-    No rounded copy is made. A finite float, numpy's ``float64`` included,
-    and a string are written here, and a container's items as one column
-    where they share a type (``_items``); only other leaves pass through
-    ``_rounded`` and the encoder. Each container joins its items' text once.
+    Dict r maps ``keys[k]`` to ``columns[k][r]``. The keys are at least
+    one; each column is a sequence as long as the others.
+    """
+
+    keys: tuple[str, ...]
+    columns: tuple[Sequence, ...]
+
+
+def _json(obj, pad: str = "\n", end: str = "") -> str:
+    """``json.dumps(_rounded(obj), indent=2) + end`` in one pass.
+
+    ``pad`` is a line break and ``obj``'s indent. No rounded copy is made.
+    A finite float, numpy's ``float64`` included, and a string are written
+    here, and a container's items as one column where they share a type
+    (``_items``); ``_Rows`` are written as their list of dicts, a column at
+    a time (``_records``). Only other leaves pass through ``_rounded`` and
+    the encoder. Each container joins its items' text once, with its
+    brackets, its keys and ``end``, so no item's text is copied but into
+    its container's.
     """
     if isinstance(obj, float) and math.isfinite(obj):
-        return repr(float(f"{obj:.6g}"))
+        return repr(float(f"{obj:.6g}")) + end
     if isinstance(obj, str):
-        return _quoted(obj)
+        return _quoted(obj) + end
     if isinstance(obj, np.ndarray):
-        return _json(obj.tolist(), pad)
+        return _json(obj.tolist(), pad, end)
     inner = pad + "  "
     if isinstance(obj, dict):
-        texts = _items(list(obj.values()), inner)
-        texts, brackets = [f"{_quoted(key)}: {text}" for key, text in zip(obj, texts)], "{}"
+        texts, brackets = _items(list(obj.values()), inner), "{}"
     elif isinstance(obj, (list, tuple)):
         texts, brackets = _items(obj, inner), "[]"
+    elif isinstance(obj, _Rows):
+        texts, brackets = _records(obj, inner), "[]"
     else:
-        return _scalar(_rounded(obj))
+        return _scalar(_rounded(obj)) + end
     if not texts:
-        return brackets
-    return f"{brackets[0]}{inner}{(',' + inner).join(texts)}{pad}{brackets[1]}"
+        return brackets + end
+    # each item's text between what goes before it and, last, the closing bracket
+    parts = ["," + inner] * (2 * len(texts) + 1)
+    parts[0], parts[-1] = brackets[0] + inner, pad + brackets[1] + end
+    parts[1::2] = texts
+    if isinstance(obj, dict):
+        parts[:-1:2] = [f"{before}{_quoted(key)}: " for before, key in zip(parts[:-1:2], obj)]
+    return "".join(parts)
 
 
 def _items(values: Sequence, pad: str) -> list[str]:
     """Each value's ``_json`` text at indent ``pad``.
 
-    Values that are all Python floats (a numpy scalar makes a mixed list),
-    all strings or all dicts are written as one column.
+    Values that are all Python floats (a numpy scalar makes a mixed list)
+    or all strings are written as one column.
     """
     kinds = set(map(type, values))
     texts = None
@@ -820,8 +847,6 @@ def _items(values: Sequence, pad: str) -> list[str]:
         texts = _floats(values)
     elif kinds == {str}:
         texts = list(map(_quoted, values))
-    elif kinds == {dict}:
-        texts = _records(values, pad)
     return [_json(val, pad) for val in values] if texts is None else texts
 
 
@@ -840,19 +865,15 @@ def _floats(values: Sequence[float]) -> list[str] | None:
     return texts
 
 
-def _records(rows: Sequence[dict], pad: str) -> list[str] | None:
-    """The texts of dicts that share their keys, in one order, through one row template; else None.
+def _records(rows: _Rows, pad: str) -> list[str]:
+    """The text of each of ``rows``' dicts, through one row template.
 
-    Each key's values are written as one column (``_items``).
+    Each column is written as one (``_items``), and no dict is built.
     """
-    keys = set(map(tuple, rows))
-    if len(keys) != 1 or not (keys := keys.pop()):
-        return None
     inner = pad + "  "
-    fields = [inner + _quoted(key).replace("%", "%%") + ": %s" for key in keys]
+    fields = [inner + _quoted(key).replace("%", "%%") + ": %s" for key in rows.keys]
     template = "{" + ",".join(fields) + pad + "}"
-    columns = [_items(list(map(itemgetter(key), rows)), inner) for key in keys]
-    return list(map(template.__mod__, zip(*columns)))
+    return list(map(template.__mod__, zip(*[_items(column, inner) for column in rows.columns])))
 
 
 def _render(payload: dict, fmt: str) -> str:
@@ -866,7 +887,7 @@ def _render(payload: dict, fmt: str) -> str:
     """
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     if fmt == "json":
-        return _json(payload) + "\n"
+        return _json(payload, end="\n")
     payload = _rounded(payload)
     lines: list[str] = []
 
@@ -923,39 +944,28 @@ def _cmd_decompose(args) -> str:
     dec = hs.indices.micro_decomposition(matrix)
     dep = hs.dependence.dependence_index(matrix)
     sides = (
-        (
-            "investor",
-            "portfolio_concentration",
-            zip(
-                matrix.investor_labels,
-                marg.p.tolist(),
-                dec.portfolio_concentration.tolist(),
-                dep.investor_contributions.tolist(),
-            ),
-        ),
-        (
-            "stock",
-            "owner_concentration",
-            zip(
-                matrix.stock_labels,
-                marg.s.tolist(),
-                dec.owner_concentration.tolist(),
-                dep.stock_contributions.tolist(),
-            ),
-        ),
+        ("investor", "portfolio_concentration", (
+            matrix.investor_labels,
+            marg.p.tolist(),
+            dec.portfolio_concentration.tolist(),
+            dep.investor_contributions.tolist(),
+        )),
+        ("stock", "owner_concentration", (
+            matrix.stock_labels,
+            marg.s.tolist(),
+            dec.owner_concentration.tolist(),
+            dep.stock_contributions.tolist(),
+        )),
     )
     if args.format == "json":
         payload = {
-            f"{side}s": [
-                {"label": label, "mass": mass, conc: c, "dependence_contribution": x}
-                for label, mass, c, x in rows
-            ]
-            for side, conc, rows in sides
+            f"{side}s": _Rows(("label", "mass", conc, "dependence_contribution"), columns)
+            for side, conc, columns in sides
         }
         return _render(payload, args.format)
     lines = ["side     label        mass     conc     dependence"]
-    for side, _, rows in sides:
-        for label, mass, conc, x in rows:
+    for side, _, columns in sides:
+        for label, mass, conc, x in zip(*columns):
             lines.append(_row((side, label, _fmt(mass), _fmt(conc), _fmt(x)), (8, 12, 8, 8)))
     return "\n".join(lines) + "\n"
 

@@ -124,12 +124,11 @@ def merge_investors(matrix: OwnershipMatrix, a: int, b: int) -> OperationDelta:
     rows, cols = spliced(rows, np.full(union.size, lo)), spliced(cols, union)
     values = spliced(values, summed)
     rows[lo_start + union.size + hi_start - lo_stop :] -= 1
-    labels = list(matrix.investor_labels[:hi] + matrix.investor_labels[hi + 1 :])
-    labels[lo] = _unique_label(
-        matrix.investor_labels[a] + "+" + matrix.investor_labels[b], labels[:lo] + labels[lo + 1 :]
-    )
-    merged = OwnershipMatrix._from_cells(
-        (n - 1, m), rows, cols, values, labels, matrix.stock_labels
+    labels = matrix.investor_labels
+    rest = labels[:lo] + labels[lo + 1 : hi] + labels[hi + 1 :]
+    label = _unique_label(labels[a] + "+" + labels[b], rest)
+    merged = OwnershipMatrix._derived(
+        (n - 1, m), rows, cols, values, rest[:lo] + (label,) + rest[lo:], matrix.stock_labels
     )
 
     predicted = PredictedIndices(
@@ -184,7 +183,7 @@ def remove_stock(matrix: OwnershipMatrix, stock: int) -> OperationDelta:
         kept = keep_rows[rows]
         rows, cols, values = (np.cumsum(keep_rows) - 1)[rows[kept]], cols[kept], values[kept]
         del kept
-    after_matrix = OwnershipMatrix._from_cells(
+    after_matrix = OwnershipMatrix._derived(
         (int(keep_rows.sum()), m - 1),
         rows,
         cols,
@@ -234,7 +233,7 @@ def dilute(matrix: OwnershipMatrix, weight: float) -> OperationDelta:
     scaled = np.empty(values.size + m)
     np.multiply(values, 1.0 - weight, out=scaled[: values.size])
     np.multiply(marg.s, weight, out=scaled[values.size :])
-    diluted = OwnershipMatrix._from_cells(
+    diluted = OwnershipMatrix._derived(
         (n + 1, m),
         np.concatenate([rows, np.full(m, n)]),
         np.concatenate([cols, np.arange(m)]),

@@ -213,6 +213,7 @@ class OwnershipMatrix:
     ) -> None:
         shape, rows, cols, values = _nonzero_cells(entries, "entries")
         self._store(shape, rows, cols, _checked(values, "entries"), investor_labels, stock_labels)
+        self._check_labels()
 
     @classmethod
     def _from_cells(
@@ -221,14 +222,35 @@ class OwnershipMatrix:
         """A matrix from its finite, nonnegative cells in row-major order; zero cells are dropped.
 
         The matrix takes ownership of the arrays it is handed (see ``_store``):
-        pass fresh arrays, or the read-only store of another matrix.
+        pass fresh arrays, or the read-only store of another matrix. The
+        labels are checked as the public constructor checks them.
+        """
+        matrix = cls._derived(shape, rows, cols, values, investor_labels, stock_labels)
+        matrix._check_labels()
+        return matrix
+
+    @classmethod
+    def _derived(
+        cls, shape, rows, cols, values, investor_labels, stock_labels
+    ) -> "OwnershipMatrix":
+        """``_from_cells`` for a matrix built from a checked one, its labels taken as given.
+
+        Each label tuple must hold as many distinct strings as its side has
+        lines, as a checked matrix's do, and so any subset of them; none is
+        looked at.
         """
         matrix = cls.__new__(cls)
         matrix._store(shape, rows, cols, values, investor_labels, stock_labels)
         return matrix
 
+    def _check_labels(self) -> None:
+        """Keep the labels as ``_label_tuple`` checks them: the default ones for None."""
+        for name, count, side in (("investor_labels", self.n, "investor"),
+                                  ("stock_labels", self.m, "stock")):
+            object.__setattr__(self, name, _label_tuple(getattr(self, name), count, side))
+
     def _store(self, shape, rows, cols, values, investor_labels, stock_labels) -> None:
-        """Check the values' sum in O(nnz) and keep the cells; ``entries`` is left unbuilt.
+        """Check the values' sum in O(nnz), keep the cells and labels; ``entries`` is left unbuilt.
 
         Each array is kept as it is, made read-only, when it already has the
         store's dtype (``intp`` indices, ``float`` values) and owns its memory;
@@ -252,8 +274,8 @@ class OwnershipMatrix:
             ("_shape", (n, m)),
             ("_cells", (_owned(rows, np.intp), _owned(cols, np.intp), _owned(values, float))),
             ("_derived", {}),
-            ("investor_labels", _label_tuple(investor_labels, n, "investor")),
-            ("stock_labels", _label_tuple(stock_labels, m, "stock")),
+            ("investor_labels", investor_labels),
+            ("stock_labels", stock_labels),
         ):
             object.__setattr__(self, name, value)
 
@@ -505,7 +527,7 @@ def restrict_active(matrix: OwnershipMatrix) -> OwnershipMatrix:
         return matrix
     # every held cell lies on a kept row and column; renumber them in order
     rows, cols, values = held_cells(matrix)
-    return OwnershipMatrix._from_cells(
+    return OwnershipMatrix._derived(
         (int(keep_rows.sum()), int(keep_cols.sum())),
         (np.cumsum(keep_rows) - 1)[rows],
         (np.cumsum(keep_cols) - 1)[cols],

@@ -18,7 +18,9 @@ profiles are apart.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -67,23 +69,50 @@ class Partition:
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        norm: list[tuple[int, ...]] = []
-        seen: set[int] = set()
-        for group in self.groups:
-            members = tuple(sorted(_index(i, InvalidPartition, "investor index") for i in group))
-            if not members:
-                raise InvalidPartition("empty group")
-            if any(i < 0 for i in members):
-                raise InvalidPartition("negative investor index")
-            repeated = [a for a, b in zip(members, members[1:]) if a == b]
-            if repeated:
-                raise InvalidPartition(f"investor {repeated[0]} appears twice in one group")
-            overlap = seen.intersection(members)
-            if overlap:
-                raise InvalidPartition(f"investor {min(overlap)} appears in two groups")
-            seen.update(members)
-            norm.append(members)
-        object.__setattr__(self, "groups", tuple(norm))
+        groups = tuple(map(tuple, self.groups))
+        object.__setattr__(self, "groups", _sorted_groups(groups) or _checked_groups(groups))
+
+
+def _sorted_groups(groups: tuple[tuple, ...]) -> tuple[tuple[int, ...], ...] | None:
+    """The groups with their members sorted, checked in numpy; None if any check fails.
+
+    None too for a member that is no integer, members that int64 cannot
+    hold, or no members at all: ``_checked_groups`` then words the first
+    fault, or sorts what numpy could not.
+    """
+    sizes = list(map(len, groups))
+    try:
+        values = list(map(operator.index, chain.from_iterable(groups)))
+    except TypeError:
+        return None
+    members = np.sort(np.array(values))
+    if members.dtype != np.int64 or not all(sizes):
+        return None
+    if members[0] < 0 or (members[1:] == members[:-1]).any():
+        return None  # negative, or a repeat within or across groups
+    bounds = list(accumulate(sizes))
+    return tuple(tuple(sorted(values[a:b])) for a, b in zip([0, *bounds], bounds))
+
+
+def _checked_groups(groups: tuple[tuple, ...]) -> tuple[tuple[int, ...], ...]:
+    """The groups with their members sorted, checked one at a time; raises on the first fault."""
+    norm: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for group in groups:
+        members = tuple(sorted(_index(i, InvalidPartition, "investor index") for i in group))
+        if not members:
+            raise InvalidPartition("empty group")
+        if any(i < 0 for i in members):
+            raise InvalidPartition("negative investor index")
+        repeated = [a for a, b in zip(members, members[1:]) if a == b]
+        if repeated:
+            raise InvalidPartition(f"investor {repeated[0]} appears twice in one group")
+        overlap = seen.intersection(members)
+        if overlap:
+            raise InvalidPartition(f"investor {min(overlap)} appears in two groups")
+        seen.update(members)
+        norm.append(members)
+    return tuple(norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,24 +264,25 @@ def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit
     marg = require_active(matrix)
     p, s = marg.p, marg.s
     n, m = matrix.shape
-    covered = [i for group in partition.groups for i in group]
-    if any(i >= n for i in covered):
+    # the members are distinct and nonnegative, so n of them below n cover every investor
+    covered = np.array(list(chain.from_iterable(partition.groups)))
+    if covered.size and covered.max() >= n:
         raise InvalidPartition(f"investor index out of range for n={n}")
-    if len(covered) != n:
+    if covered.size != n:
         raise InvalidPartition("groups do not cover every investor")
 
     size = len(partition.groups)
     group = np.empty(n, dtype=np.intp)
-    for a, members in enumerate(partition.groups):
-        group[list(members)] = a
+    group[covered] = np.repeat(np.arange(size), list(map(len, partition.groups)))
+    del covered
     index = dependence_index(matrix).index  # before this function's own arrays
     # the merged matrix's cells; member rows add in index order
     rows, cols, e = held_cells(matrix)
     keys = group.astype(np.int64).take(rows)
     keys *= m
     keys += cols
-    g_rows, g_cols, summed, where = _summed_cells(keys, e, m)
-    del keys  # sorted in place into ``where``
+    g_rows, g_cols, summed, where = _grouped_cells(keys, e, (size, m))
+    del keys  # overwritten with ``where``
     mass = np.bincount(group, p, minlength=size)
     # scratch, which take fills unbuffered in mode "clip" over the writable g_rows and where
     term, other = np.empty(e.size), np.empty(e.size)
@@ -287,13 +317,37 @@ def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit
     merged_labels: list[str] = []
     taken: set[str] = set()
     for members in partition.groups:
-        label = _unique_label("+".join(matrix.investor_labels[i] for i in members), taken)
+        label = _unique_label("+".join(map(matrix.investor_labels.__getitem__, members)), taken)
         merged_labels.append(label)
         taken.add(label)
-    merged = OwnershipMatrix._from_cells(
-        (size, m), g_rows, g_cols, summed, merged_labels, matrix.stock_labels
+    merged = OwnershipMatrix._derived(
+        (size, m), g_rows, g_cols, summed, tuple(merged_labels), matrix.stock_labels
     )
     return AggregationSplit(between=between, within=within, merged=merged)
+
+
+def _grouped_cells(
+    keys: np.ndarray, values: np.ndarray, shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_summed_cells(keys, values, m)`` for positive values on cells of a ``shape`` book.
+
+    Returns the same arrays, bit for bit, and likewise consumes ``keys``.
+    When the book has at most twice as many cells as there are values, one
+    ``bincount`` over all its cells sums them, each cell adding its values
+    in the order given; past that, ``_summed_cells`` sorts the keys. Either
+    way time and memory are O(values + n + m).
+    """
+    size, m = shape
+    if size * m > 2 * keys.size:
+        return _summed_cells(keys, values, m)
+    sums = np.bincount(keys, values, minlength=size * m)
+    cells = np.flatnonzero(sums > 0)  # the cells held: each sums positive values
+    summed = sums[cells]
+    del sums
+    ranks = np.empty(size * m, np.intp)  # each cell's position, read at held cells only
+    ranks[cells] = np.arange(cells.size)
+    rows, cols = np.divmod(cells, m)
+    return rows, cols, summed, ranks.take(keys, out=keys, mode="clip")
 
 
 def merger_delta(matrix: OwnershipMatrix, a: int, b: int) -> float:

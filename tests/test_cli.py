@@ -1790,3 +1790,46 @@ def test_scanner_accepts_every_dashboard_benchmark_book(tmp_path):
     books = sorted(tmp_path.glob("book*.csv"))
     assert len(books) == 26
     assert [path.name for path in books if cli._scan_csv(path) is None] == []
+
+
+def loop_read_partition(path, matrix):
+    """Oracle: the partition file read and checked one label at a time, as it was."""
+    index = {label: i for i, label in enumerate(matrix.investor_labels)}
+    groups = []
+    for line, tokens in cli._csv_records(path, skipinitialspace=True):
+        if len(tokens) < 2 and not "".join(tokens).strip():
+            continue
+        members = []
+        for token in tokens:
+            label = token.strip()
+            if not label:
+                raise ParseError(f"{path}:{line}: empty label in group")
+            if label not in index:
+                raise ParseError(f"{path}:{line}: unknown investor label {label!r}")
+            members.append(index[label])
+        groups.append(tuple(members))
+    if not groups:
+        raise ParseError(f"{path}: no groups found")
+    return hs.Partition(tuple(groups))
+
+
+# known labels (one of them empty after a strip), unknown ones, empty fields
+# and padding, on lines that may be blank
+partition_tokens = st.sampled_from(["inv1", "inv2", "inv3", " inv2 ", "inv1 ", "", " ", "zzz",
+                                    "inv", '"inv3"', '" inv1"'])
+
+
+@given(st.lists(st.lists(partition_tokens, max_size=4), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_partition_reader_words_each_fault_as_the_loop_did(lines):
+    golden = hs.normalize([[30.0, 10.0], [5.0, 25.0], [15.0, 15.0]], ["inv1", "inv2", "inv3"])
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "groups.txt"
+        path.write_text("".join(",".join(tokens) + "\n" for tokens in lines), encoding="utf-8")
+        results = []
+        for read in (loop_read_partition, cli._read_partition):
+            try:
+                results.append(read(path, golden))
+            except Exception as exc:  # noqa: BLE001 - any exception is compared
+                results.append((type(exc), str(exc)))
+    assert results[0] == results[1]

@@ -282,3 +282,52 @@ def test_each_quantity_is_derived_once_per_book(golden):
         for _ in range(2):
             with pytest.raises(InternalConsistencyError, match="^dependence forms disagree"):
                 derive(overflow)
+
+
+def test_books_derived_from_a_checked_book_take_its_labels_as_given(golden, monkeypatch):
+    # every label of these books comes from a book that passed the check
+    gap = hs.OwnershipMatrix(
+        np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.25, 0.25, 0.0]]), ["a", "b", "c"],
+        ["x", "y", "z"],
+    )
+
+    def refuse(*args):
+        raise AssertionError("a derived book checked its labels again")
+
+    monkeypatch.setattr(hs.core, "_label_tuple", refuse)
+    derived = {
+        "merge": hs.merge_investors(golden, 2, 0).matrix_after,
+        "drop-stock": hs.remove_stock(golden, 0).matrix_after,
+        "dilute": hs.dilute(golden, 0.25).matrix_after,
+        "aggregate": hs.aggregate(golden, hs.Partition(((0, 2), (1,)))).merged,
+        "restrict_active": hs.restrict_active(gap),
+    }
+    assert {name: (book.investor_labels, book.stock_labels) for name, book in derived.items()} == {
+        "merge": (("inv3+inv1", "inv2"), ("stk1", "stk2")),
+        "drop-stock": (("inv1", "inv2", "inv3"), ("stk2",)),
+        "dilute": (("inv1", "inv2", "inv3", "MARKET(0.25)"), ("stk1", "stk2")),
+        "aggregate": (("inv1+inv3", "inv2"), ("stk1", "stk2")),
+        "restrict_active": (("a", "c"), ("x", "y")),
+    }
+
+
+def test_public_constructors_still_check_labels(tmp_path, monkeypatch):
+    entries = np.array([[0.5, 0.0], [0.25, 0.25]])
+    for build in (hs.OwnershipMatrix, hs.normalize):
+        with pytest.raises(DuplicateLabel, match="duplicate investor label 'a'"):
+            build(entries, ["a", "a"])
+        with pytest.raises(DimensionMismatch, match="expected 2 stock labels, got 3"):
+            build(entries, None, ["x", "y", "z"])
+    # a holdings file cannot give a book bad labels, so the reader's labels
+    # are made bad on their way to the check: one duplicated, or one dropped
+    path = tmp_path / "book.csv"
+    path.write_text("investor,stock,amount\na,x,1\nb,x,1\nb,y,2\n", encoding="utf-8")
+    check = hs.core._label_tuple
+    for bad, error in (
+        (lambda labels: [labels[0]] * len(labels), DuplicateLabel),
+        (lambda labels: labels[:-1], DimensionMismatch),
+    ):
+        monkeypatch.setattr(hs.core, "_label_tuple",
+                            lambda labels, count, side: check(bad(labels), count, side))
+        with pytest.raises(error):
+            hs.cli.ingest(path)

@@ -138,21 +138,70 @@ def test_aggregate_whole_partition(golden):
     nptest.assert_allclose(split.merged.entries, [[0.5, 0.5]], atol=1e-15)
 
 
+def sparse_book():
+    """6 x 7, two held cells a row: its 42 singleton-group cells exceed twice its 12 held ones."""
+    raw = np.zeros((6, 7))
+    raw[np.arange(6), np.arange(6)] = np.arange(1.0, 7.0)
+    raw[np.arange(6), np.arange(1, 7)] = 2.0
+    return hs.normalize(raw)
+
+
 def test_aggregate_checks_the_aggregation_law(golden, monkeypatch):
     # a quarter of the second merged cell's mass moved to the first: the
-    # merged book still sums to one, but between + within no longer equals X
-    summed_cells = dependence._summed_cells
+    # merged book still sums to one, but between + within no longer equals X.
+    # The fault goes in after the grouping both paths share: the golden
+    # book's 2 x 2 group cells are summed by slots, the sparse book's 6 x 7
+    # by the sort
+    grouped_cells, summed_cells, sorts = dependence._grouped_cells, dependence._summed_cells, []
 
-    def skewed(keys, values, m):
-        rows, cols, sums, where = summed_cells(keys, values, m)
+    def skewed(keys, values, shape):
+        rows, cols, sums, where = grouped_cells(keys, values, shape)
         delta = min(sums[:2]) / 4
         sums[0] += delta
         sums[1] -= delta
         return rows, cols, sums, where
 
-    monkeypatch.setattr(dependence, "_summed_cells", skewed)
-    with pytest.raises(InternalConsistencyError, match="between \\+ within"):
-        hs.aggregate(golden, hs.Partition(((0, 1), (2,))))
+    def sort(*args):
+        sorts.append(args)
+        return summed_cells(*args)
+
+    monkeypatch.setattr(dependence, "_grouped_cells", skewed)
+    monkeypatch.setattr(dependence, "_summed_cells", sort)
+    sparse = sparse_book()
+    for matrix, groups, sorted_ in (
+        (golden, ((0, 1), (2,)), 0),
+        (sparse, tuple((i,) for i in range(sparse.n)), 1),
+    ):
+        with pytest.raises(InternalConsistencyError, match="between \\+ within"):
+            hs.aggregate(matrix, hs.Partition(groups))
+        assert len(sorts) == sorted_
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_grouped_cells_match_the_sort_bit_for_bit(seed):
+    # the slot path against _summed_cells on the same keys, where both apply
+    rng = np.random.default_rng(seed)
+    size, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    count = int(rng.integers(1, 3 * size * m))
+    keys = rng.integers(0, size * m, count)
+    values = rng.random(count) + 1e-3
+    sorted_ = dependence._summed_cells(keys.copy(), values, m)
+    grouped = dependence._grouped_cells(keys.copy(), values, (size, m))
+    for a, b in zip(sorted_, grouped):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_aggregate_on_the_sort_path_splits_exactly():
+    matrix = sparse_book()
+    groups = ((0, 3), (1,), (2, 4), (5,))  # 4 x 7 group cells, 12 held cells
+    split = hs.aggregate(matrix, hs.Partition(groups))
+    x = hs.dependence_index(matrix).index
+    assert split.between + split.within == pytest.approx(x, abs=1e-12)
+    rows = np.array([matrix.entries[list(g)].sum(axis=0) for g in groups])
+    assert hs.dependence_index(split.merged).index == pytest.approx(
+        hs.dependence_index(hs.OwnershipMatrix(rows)).index, abs=1e-12
+    )
 
 
 def test_aggregate_label_collision_disambiguated():
@@ -394,3 +443,108 @@ def test_identity_checks_scale_with_large_dependence(kind):
         res = hs.whiten(matrix)
         assert res.rho == pytest.approx(1.0, abs=1e-12)
         assert sum(x * x for x in res.singular_values[1:]) == pytest.approx(1000.0, rel=1e-12)
+
+
+def loop_partition(groups):
+    """Oracle: the groups as the one-at-a-time loop checks and sorts them, raising its first fault."""
+    norm = []
+    seen = set()
+    for group in groups:
+        members = tuple(sorted(dependence._index(i, InvalidPartition, "investor index")
+                               for i in group))
+        if not members:
+            raise InvalidPartition("empty group")
+        if any(i < 0 for i in members):
+            raise InvalidPartition("negative investor index")
+        repeated = [a for a, b in zip(members, members[1:]) if a == b]
+        if repeated:
+            raise InvalidPartition(f"investor {repeated[0]} appears twice in one group")
+        overlap = seen.intersection(members)
+        if overlap:
+            raise InvalidPartition(f"investor {min(overlap)} appears in two groups")
+        seen.update(members)
+        norm.append(members)
+    return tuple(norm)
+
+
+def loop_coverage(groups, n):
+    """Oracle: the loop ``aggregate`` checked a partition's coverage of n investors with."""
+    covered = [i for group in groups for i in group]
+    if any(i >= n for i in covered):
+        raise InvalidPartition(f"investor index out of range for n={n}")
+    if len(covered) != n:
+        raise InvalidPartition("groups do not cover every investor")
+
+
+def outcome(call, *args):
+    """What ``call`` returns, or the class and message of what it raises."""
+    try:
+        return "returns", call(*args)
+    except Exception as exc:  # noqa: BLE001 - any exception is compared
+        return type(exc), str(exc)
+
+
+FAULTS = ["none", "empty group", "negative", "repeat", "overlap", "index >= n", "missing", "float"]
+
+
+@st.composite
+def faulty_partitions(draw):
+    """n investors and a partition of them with at most one fault, its members of mixed types."""
+    n = draw(st.integers(1, 10))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    groups = [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+    fault = draw(st.sampled_from(FAULTS))
+    g = draw(st.integers(0, len(groups) - 1))
+    at = draw(st.integers(0, len(groups[g])))
+    if fault == "empty group":
+        groups.insert(draw(st.integers(0, len(groups))), [])
+    elif fault == "negative":
+        groups[g].insert(at, -draw(st.integers(1, 3)))
+    elif fault == "repeat":
+        groups[g].insert(at, draw(st.sampled_from(groups[g])))
+    elif fault == "overlap" and len(groups) > 1:
+        h = draw(st.sampled_from([k for k in range(len(groups)) if k != g]))
+        groups[g].insert(at, draw(st.sampled_from(groups[h])))
+    elif fault == "index >= n":
+        groups[g].insert(at, n + draw(st.integers(0, 3)))
+    elif fault == "missing":
+        groups[g].pop(at % len(groups[g]))
+        groups = [group for group in groups if group]
+    elif fault == "float":
+        groups[g][at % len(groups[g])] = float(groups[g][at % len(groups[g])])
+
+    def typed(i):
+        if not isinstance(i, int):
+            return i
+        kinds = [int, np.int64, np.int32, np.intp]
+        if i >= 0:
+            kinds += [np.uint8, np.uint64]
+        if i in (0, 1):
+            kinds += [bool, np.bool_]
+        return draw(st.sampled_from(kinds))(i)
+
+    container = draw(st.sampled_from([tuple, list]))
+    return n, tuple(container(map(typed, group)) for group in groups)
+
+
+@given(faulty_partitions())
+@settings(max_examples=300, deadline=None)
+def test_partition_checks_word_each_fault_as_the_loop_did(drawn):
+    n, groups = drawn
+    expected, got = outcome(loop_partition, groups), outcome(hs.Partition, groups)
+    if expected[0] != "returns":
+        assert got == expected
+        return
+    assert got[0] == "returns" and got[1].groups == expected[1]
+    assert all(type(i) is int for group in got[1].groups for i in group)
+    matrix = hs.normalize(np.ones((n, 2)))
+    covered = outcome(loop_coverage, expected[1], n)
+    split = outcome(hs.aggregate, matrix, got[1])
+    assert split[0] == covered[0] and (covered[0] == "returns" or split == covered)
+
+
+@pytest.mark.parametrize("groups", [((1.0, 0), (2,)), ((0, np.float64(2)), (1,)),
+                                    ((0,), (np.float32(1), 2))], ids=repr)
+def test_partition_rejects_floats_as_the_loop_did(groups):
+    assert outcome(hs.Partition, groups) == outcome(loop_partition, groups)

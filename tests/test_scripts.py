@@ -36,13 +36,17 @@ def test_xl_probe_runs_every_command_at_a_tiny_shape(tmp_path):
     facts = json.loads(done.stdout)
     assert facts["shape"] == [30, 20] and facts["cells"] >= 120
     assert facts["small_holders"] == 1
-    names = ["decompose", "dashboard --no-psi", "shock", "alpha", "drop-stock", "merge"]
+    names = ["decompose", "dashboard --no-psi", "shock", "alpha", "drop-stock", "merge",
+             "aggregate"]
     assert {name: run["exit"] for name, run in facts["commands"].items()} == dict.fromkeys(names, 0)
-    # H_I, H_S and X summed from the written cells are the dashboard's at 6 digits
+    # H_I, H_S and X summed from the written cells are the dashboard's at 6
+    # digits, and so is between + within over 15 groups of two investors
     checks = facts["checks"]
+    law = checks.pop("between + within")
     assert list(checks) == ["H_I", "H_S", "X"]
     for check in checks.values():
         assert check["agree"] and check["dashboard"] == float(f"{check['fsum']:.6g}")
+    assert law["agree"] and law["dashboard"] == checks["X"]["dashboard"]
     # the same commands in order in one process, each printing what its own process printed
     calls = facts["one_process"]["calls"]
     assert list(calls) == names
