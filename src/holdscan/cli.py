@@ -626,27 +626,22 @@ def _read_vector(path: str | Path, labels: tuple[str, ...], kind: str) -> np.nda
 
 
 def _read_partition(path: str | Path, matrix: OwnershipMatrix) -> hs.dependence.Partition:
-    """One group per line, comma-separated investor labels, quoted CSV-style as needed.
-
-    A line's labels are stripped and looked up in one pass each; only a
-    line with an empty or unknown label is gone through label by label, to
-    name the first.
-    """
+    """One group per line, comma-separated investor labels, quoted CSV-style as needed."""
     path = Path(path)
     index = dict(zip(matrix.investor_labels, range(matrix.n)))
     groups = []
     for line, tokens in _csv_records(path, skipinitialspace=True):
         if len(tokens) < 2 and not "".join(tokens).strip():
             continue
-        labels = list(map(str.strip, tokens))
-        members = tuple(map(index.get, labels))
-        if None in members or "" in labels:
-            for label in labels:
-                if not label:
-                    raise ParseError(f"{path}:{line}: empty label in group")
-                if label not in index:
-                    raise ParseError(f"{path}:{line}: unknown investor label {label!r}")
-        groups.append(members)
+        members = []
+        for token in tokens:
+            label = token.strip()
+            if not label:
+                raise ParseError(f"{path}:{line}: empty label in group")
+            if label not in index:
+                raise ParseError(f"{path}:{line}: unknown investor label {label!r}")
+            members.append(index[label])
+        groups.append(tuple(members))
     if not groups:
         raise ParseError(f"{path}: no groups found")
     return hs.dependence.Partition(tuple(groups))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -69,50 +69,28 @@ class Partition:
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        groups = tuple(map(tuple, self.groups))
-        object.__setattr__(self, "groups", _sorted_groups(groups) or _checked_groups(groups))
-
-
-def _sorted_groups(groups: tuple[tuple, ...]) -> tuple[tuple[int, ...], ...] | None:
-    """The groups with their members sorted, checked in numpy; None if any check fails.
-
-    None too for a member that is no integer, members that int64 cannot
-    hold, or no members at all: ``_checked_groups`` then words the first
-    fault, or sorts what numpy could not.
-    """
-    sizes = list(map(len, groups))
-    try:
-        values = list(map(operator.index, chain.from_iterable(groups)))
-    except TypeError:
-        return None
-    members = np.sort(np.array(values))
-    if members.dtype != np.int64 or not all(sizes):
-        return None
-    if members[0] < 0 or (members[1:] == members[:-1]).any():
-        return None  # negative, or a repeat within or across groups
-    bounds = list(accumulate(sizes))
-    return tuple(tuple(sorted(values[a:b])) for a, b in zip([0, *bounds], bounds))
-
-
-def _checked_groups(groups: tuple[tuple, ...]) -> tuple[tuple[int, ...], ...]:
-    """The groups with their members sorted, checked one at a time; raises on the first fault."""
-    norm: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for group in groups:
-        members = tuple(sorted(_index(i, InvalidPartition, "investor index") for i in group))
-        if not members:
-            raise InvalidPartition("empty group")
-        if any(i < 0 for i in members):
-            raise InvalidPartition("negative investor index")
-        repeated = [a for a, b in zip(members, members[1:]) if a == b]
-        if repeated:
-            raise InvalidPartition(f"investor {repeated[0]} appears twice in one group")
-        overlap = seen.intersection(members)
-        if overlap:
-            raise InvalidPartition(f"investor {min(overlap)} appears in two groups")
-        seen.update(members)
-        norm.append(members)
-    return tuple(norm)
+        norm: list[tuple[int, ...]] = []
+        seen: set[int] = set()
+        for group in tuple(map(tuple, self.groups)):  # a group that is not iterable raises first
+            try:
+                members = tuple(sorted(map(operator.index, group)))
+            except TypeError:  # word the first member that is not an integer
+                for i in group:
+                    _index(i, InvalidPartition, "investor index")
+                raise
+            if not members:
+                raise InvalidPartition("empty group")
+            if members[0] < 0:
+                raise InvalidPartition("negative investor index")
+            repeated = [a for a, b in zip(members, members[1:]) if a == b]
+            if repeated:
+                raise InvalidPartition(f"investor {repeated[0]} appears twice in one group")
+            overlap = seen.intersection(members)
+            if overlap:
+                raise InvalidPartition(f"investor {min(overlap)} appears in two groups")
+            seen.update(members)
+            norm.append(members)
+        object.__setattr__(self, "groups", tuple(norm))
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ import numpy as np
 import holdscan as hs
 
 from .core import (
-    TOL_NORM, OwnershipMatrix, _agree, _checked, _label_tuple, _nonzero_cells, _normalized, _owned,
+    TOL_NORM, OwnershipMatrix, _agree, _checked, _label_tuple, _normalized, _owned,
     held_cells, marginals,
 )
 from .errors import (
@@ -139,10 +139,15 @@ def _leg_cells(plus, minus, name: str):
         raise DimensionMismatch(
             f"legs must be equal-shape 2-d arrays, got {plus.shape} and {minus.shape}"
         )
-    _, rows, cols, values = _nonzero_cells(
-        np.stack([plus, minus], axis=2).reshape(len(plus), -1), name
-    )
-    values = _checked(values, name)
+    # leg k's cell (i, j) is column 2j + k of the n x 2m book: key 2(i m + j) + k, row-major
+    legs = plus.ravel(), minus.ravel()
+    flats = [np.flatnonzero(leg) for leg in legs]
+    keys = np.concatenate([2 * flat + k for k, flat in enumerate(flats)])
+    values = np.concatenate([leg[flat] for leg, flat in zip(legs, flats)])
+    del flats
+    order = np.argsort(keys)
+    rows, cols = np.divmod(keys[order], 2 * plus.shape[1])
+    values = _checked(values[order], name)
     if _on_both_legs(rows, cols).size:
         raise NegativeEntry("a cell cannot be long and short at once")
     return plus.shape, rows, cols, values

@@ -40,7 +40,7 @@ from .core import (
     _agree,
     _at_most,
     _check_search,
-    _freeze,
+    _owned,
     require_active,
 )
 from .errors import (
@@ -96,18 +96,18 @@ class TransportSolution:
     multipliers: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", _freeze(mat))
+        mat = _owned(self.matrix, float)
+        object.__setattr__(self, "matrix", mat)
         if self.kind not in ("minimum", "maximum"):
             raise InternalConsistencyError(f"unknown solution kind {self.kind!r}")
         if not _matches_marginals(mat, self.marginals, TOL_FEAS):
             raise InternalConsistencyError("solution violates its own marginals")
         _agree(np.sum(mat * mat), self.objective, "objective disagrees with its matrix", 1e-12)
         if self.multipliers is not None:
-            lam, mu = (np.asarray(v, dtype=float) for v in self.multipliers)
+            lam, mu = (_owned(v, float) for v in self.multipliers)
             rebuilt = np.maximum(0.0, (lam[:, None] + mu[None, :]) / 2.0)
             _agree(rebuilt, mat, "multipliers do not reproduce the matrix", TOL_KKT)
-            object.__setattr__(self, "multipliers", (_freeze(lam), _freeze(mu)))
+            object.__setattr__(self, "multipliers", (lam, mu))
         if self.kind == "maximum" and self.certified and not _support_is_forest(mat):
             raise InternalConsistencyError("certified maximizer support is not a forest")
 

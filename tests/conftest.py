@@ -179,3 +179,11 @@ def peak_bytes(operation, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def outcome(call, *args):
+    """What ``call`` returns, or the class and message of what it raises."""
+    try:
+        return "returns", call(*args)
+    except Exception as exc:  # noqa: BLE001 - any exception is compared
+        return type(exc), str(exc)

@@ -218,6 +218,16 @@ def off_diagonal(golden, shift):
     return golden.entries + np.array([[shift, -shift], [-shift, shift], [0.0, 0.0]])
 
 
+class NoIndex:
+    """A member whose ``__index__`` raises ``TypeError``."""
+
+    def __index__(self):
+        raise TypeError("no index")
+
+    def __repr__(self):
+        return "NoIndex()"
+
+
 #: (case, call on the golden book, error, message): checks of public input
 #: that no other test reaches
 INPUT_CHECK_CASES = [
@@ -241,6 +251,17 @@ INPUT_CHECK_CASES = [
      NonFiniteEntry, "matrix must be finite"),
     ("partition-negative", lambda g: hs.Partition(((0, -1), (2,))),
      InvalidPartition, "negative investor index"),
+    ("partition-group-not-iterable", lambda g: hs.Partition(((0, 1), 2)),
+     TypeError, "'int' object is not iterable"),
+    # every group is read before any is checked
+    ("partition-empty-group-then-one-not-iterable", lambda g: hs.Partition(((), 5)),
+     TypeError, "'int' object is not iterable"),
+    ("partition-index-raises-type-error", lambda g: hs.Partition(((0, NoIndex()), (1, 2))),
+     InvalidPartition, "investor index must be an integer, got NoIndex()"),
+    ("partition-numpy-bool", lambda g: hs.Partition(((np.bool_(True), 0), (2,))),
+     InvalidPartition, f"investor index must be an integer, got {np.bool_(True)!r}"),
+    ("aggregate-index-beyond-int64", lambda g: hs.aggregate(g, hs.Partition(((0, 1, 2**70), (2,)))),
+     InvalidPartition, "investor index out of range for n=3"),
     ("fire-sale-nan", lambda g: hs.fire_sale(g, [0.1, np.nan, 0.0]),
      NonFiniteEntry, "shock must be finite"),
 ]

@@ -17,7 +17,7 @@ from holdscan.errors import (
     SupportMismatch,
 )
 
-from conftest import random_active
+from conftest import outcome, random_active
 
 
 def chi2_oracle(u, v):
@@ -334,6 +334,9 @@ def test_numpy_integer_investor_indices_are_accepted(golden):
     groups = hs.Partition(((np.int64(1), np.uint8(0)), (np.intp(2),))).groups
     assert groups == ((0, 1), (2,))
     assert all(type(i) is int for group in groups for i in group)
+    # a Python bool is an int; numpy's bool is not (see the core input checks)
+    bools = hs.Partition(((True, False), (2,))).groups
+    assert bools == groups and all(type(i) is int for group in bools for i in group)
     assert hs.merger_delta(golden, np.int32(0), np.int64(1)) == hs.merger_delta(golden, 0, 1)
     merged = hs.merge_investors(golden, np.uint16(0), np.int64(1))
     assert merged.after == hs.merge_investors(golden, 0, 1).after
@@ -474,14 +477,6 @@ def loop_coverage(groups, n):
         raise InvalidPartition(f"investor index out of range for n={n}")
     if len(covered) != n:
         raise InvalidPartition("groups do not cover every investor")
-
-
-def outcome(call, *args):
-    """What ``call`` returns, or the class and message of what it raises."""
-    try:
-        return "returns", call(*args)
-    except Exception as exc:  # noqa: BLE001 - any exception is compared
-        return type(exc), str(exc)
 
 
 FAULTS = ["none", "empty group", "negative", "repeat", "overlap", "index >= n", "missing", "float"]

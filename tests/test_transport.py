@@ -21,7 +21,7 @@ from holdscan.errors import (
     OutOfRange,
 )
 
-from conftest import count_forks, no_child_left, refuse_fork, use_workers
+from conftest import count_forks, no_child_left, peak_bytes, refuse_fork, use_workers
 
 
 def support_graph(matrix):
@@ -75,6 +75,31 @@ def test_min_micro_uniform_marginals():
     sol = hs.min_micro(marg)
     nptest.assert_allclose(sol.matrix, np.full((2, 2), 0.25), atol=1e-12)
     assert sol.objective == pytest.approx(0.25, abs=1e-12)
+
+
+def test_min_micro_keeps_its_plan_without_a_copy():
+    # the plan is kept read-only in place and only its checks add temporaries:
+    # 3.01 dense arrays when this bound was set, 4.01 when it was copied
+    rng = np.random.default_rng(5)
+    p, s = rng.lognormal(0.0, 1.0, 1200), rng.lognormal(0.0, 1.0, 900)
+    marg = hs.Marginals(p / p.sum(), s / s.sum())
+    dense = p.size * s.size * 8
+    peak = peak_bytes(hs.min_micro, marg)
+    assert peak <= 3.25 * dense, f"min_micro peaked at {peak / dense:.2f} dense arrays"
+
+
+def test_transport_solution_keeps_a_fresh_plan_read_only_in_place():
+    marg = hs.Marginals(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+    fresh, lam, mu = np.full((2, 2), 0.25), np.full(2, 0.25), np.full(2, 0.25)
+    solution = hs.TransportSolution(fresh, 0.25, "minimum", True, marg, (lam, mu))
+    assert solution.matrix is fresh and not fresh.flags.writeable
+    assert solution.multipliers[0] is lam and not mu.flags.writeable
+    backing = np.full((2, 3), 0.25)
+    for given in (backing[:, :2], fresh.tolist()):
+        solution = hs.TransportSolution(given, 0.25, "minimum", True, marg)
+        assert solution.matrix is not given and not solution.matrix.flags.writeable
+        nptest.assert_array_equal(solution.matrix, fresh)
+    assert backing.flags.writeable
 
 
 def test_max_micro_golden(golden):
