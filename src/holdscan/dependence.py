@@ -18,7 +18,6 @@ profiles are apart.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -72,12 +71,7 @@ class Partition:
         norm: list[tuple[int, ...]] = []
         seen: set[int] = set()
         for group in tuple(map(tuple, self.groups)):  # a group that is not iterable raises first
-            try:
-                members = tuple(sorted(map(operator.index, group)))
-            except TypeError:  # word the first member that is not an integer
-                for i in group:
-                    _index(i, InvalidPartition, "investor index")
-                raise
+            members = tuple(sorted(_index(i, InvalidPartition, "investor index") for i in group))
             if not members:
                 raise InvalidPartition("empty group")
             if members[0] < 0:

@@ -145,7 +145,7 @@ def _leg_cells(plus, minus, name: str):
     keys = np.concatenate([2 * flat + k for k, flat in enumerate(flats)])
     values = np.concatenate([leg[flat] for leg, flat in zip(legs, flats)])
     del flats
-    order = np.argsort(keys)
+    order = np.argsort(keys, kind="stable")  # merges the two legs' ascending runs
     rows, cols = np.divmod(keys[order], 2 * plus.shape[1])
     values = _checked(values[order], name)
     if _on_both_legs(rows, cols).size:
