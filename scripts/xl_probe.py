@@ -15,9 +15,10 @@ books have holders far below any absolute tolerance.
 
 Then runs ``decompose``, ``dashboard --no-psi``, ``shock``, ``alpha
 --project-returns --dispersion 0.02``, ``drop-stock`` on the largest
-stock, ``merge`` of the two largest investors and ``aggregate`` over the
-partition, each in a fresh interpreter with BLAS pinned to one thread,
-and then all seven in order in one such interpreter, as a batch caller of ``cli.main`` would. The
+stock, ``merge`` of the two largest investors, ``aggregate`` over the
+partition, ``dilute --mass 0.1`` and ``renyi --alpha 2``, each in a fresh
+interpreter with BLAS pinned to one thread, and then all nine in order in
+one such interpreter, as a batch caller of ``cli.main`` would. The
 library is imported from the caller's ``PYTHONPATH``, so the same probe
 measures any tree. Prints one JSON object: for each command in its own
 process, its exit code, wall seconds, the peak RSS of the process and of
@@ -224,6 +225,8 @@ def main() -> int:
             "drop-stock": ["drop-stock", book, "--stock", facts["largest_stock"]],
             "merge": ["merge", book, "--pair", ",".join(facts["largest_investors"])],
             "aggregate": ["aggregate", book, "--groups", str(out / "groups.txt")],
+            "dilute": ["dilute", book, "--mass", "0.1"],
+            "renyi": ["renyi", book, "--alpha", "2"],
         }
         commands = {name: [*argv, "--format", "json"] for name, argv in commands.items()}
         runs = {name: run(out, argv) for name, argv in commands.items()}

@@ -37,7 +37,7 @@ def test_xl_probe_runs_every_command_at_a_tiny_shape(tmp_path):
     assert facts["shape"] == [30, 20] and facts["cells"] >= 120
     assert facts["small_holders"] == 1
     names = ["decompose", "dashboard --no-psi", "shock", "alpha", "drop-stock", "merge",
-             "aggregate"]
+             "aggregate", "dilute", "renyi"]
     assert {name: run["exit"] for name, run in facts["commands"].items()} == dict.fromkeys(names, 0)
     # H_I, H_S and X summed from the written cells are the dashboard's at 6
     # digits, and so is between + within over 15 groups of two investors

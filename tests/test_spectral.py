@@ -3,9 +3,11 @@ import numpy.testing as nptest
 import pytest
 
 import holdscan as hs
-from holdscan.errors import InactiveSupport
+from holdscan.core import held_cells
+from holdscan.errors import InactiveSupport, InternalConsistencyError
 
 from conftest import random_active, spectral_identity_gap
+from test_held_cells import sparse_active
 
 
 def test_whiten_golden(golden):
@@ -169,3 +171,81 @@ def test_whiten_checks_the_dependence_index_against_the_spectrum(golden, monkeyp
     monkeypatch.setattr(spectral, "dependence_index", lambda matrix: bumped)
     with pytest.raises(InternalConsistencyError, match="disagrees with spectrum tail"):
         hs.whiten(golden)
+
+
+def whitened_cells(matrix):
+    """The cells of K and the square-root marginals, derived here from the book."""
+    marg = hs.marginals(matrix)
+    u, v = np.sqrt(marg.p), np.sqrt(marg.s)
+    rows, cols, e = held_cells(matrix)
+    return (rows, cols, e / (u[rows] * v[cols])), u, v
+
+
+def test_spectrum_is_built_on_first_read_and_equals_whitens():
+    rng = np.random.default_rng(41)
+    for matrix in (random_active(rng, 9, 6), hs.normalize(sparse_active(rng, 40, 30, 0.1))):
+        kept = hs.whiten(matrix)
+        assert {"singular_values", "rho"} <= set(vars(kept))  # whiten read rho, so built both
+        res = hs.SpectralResidual(*whitened_cells(matrix))
+        assert "singular_values" not in vars(res) and "rho" not in vars(res)
+        rho = res.rho
+        assert vars(res)["rho"] is rho and "singular_values" in vars(res)
+        sigma = res.singular_values
+        assert np.array(sigma).tobytes() == np.array(kept.singular_values).tobytes()
+        assert np.float64(rho).tobytes() == np.float64(kept.rho).tobytes()  # bit for bit
+
+
+def test_spectrum_checks_itself_when_read():
+    cells, u, v = whitened_cells(random_active(np.random.default_rng(42), 6, 5))
+    rows, cols, w = cells
+    res = hs.SpectralResidual((rows, cols, 1.5 * w), u, v)  # K no longer tops out at 1
+    with pytest.raises(InternalConsistencyError, match="top singular value"):
+        res.rho
+    assert "rho" not in vars(res)  # a read that raises keeps nothing
+
+
+def test_whiten_checks_rho_against_its_range(monkeypatch):
+    def too_large(res):
+        w = res.cells[2]
+        return np.sqrt(float(w @ w) - 1.0) * 1.01  # above ||L||_F, so rho^2 exceeds ||L||_F^2
+
+    monkeypatch.setattr(hs.SpectralResidual, "rho", property(too_large))
+    with pytest.raises(InternalConsistencyError, match=r"escapes \[0, 1\] or exceeds"):
+        hs.whiten(random_active(np.random.default_rng(43), 6, 5))
+
+
+def block_book(rng, blocks, block):
+    """A share matrix of disjoint ``block(rng, n, m)`` blocks down the diagonal."""
+    n, m = np.sum(blocks, axis=0)
+    raw = np.zeros((n, m))
+    i = j = 0
+    for bn, bm in blocks:
+        raw[i:i + bn, j:j + bm] = block(rng, bn, bm)
+        i, j = i + bn, j + bm
+    return hs.normalize(raw)
+
+
+@pytest.mark.parametrize("blocks, block", [
+    ([(3, 2), (3, 2), (3, 3)], lambda rng, n, m: rng.random((n, m)) + 1e-3),
+    ([(150, 100), (150, 100)], lambda rng, n, m: sparse_active(rng, n, m, 0.1)),
+])
+def test_disjoint_blocks_repeat_the_top_mode(blocks, block):
+    # each block is connected, so K has sigma = 1 once per block (Perron-Frobenius)
+    matrix = block_book(np.random.default_rng(44), blocks, block)
+    res = hs.whiten(matrix)  # every check holds with a repeated top value
+    assert res.rho == pytest.approx(1.0, abs=1e-12)
+    sigma = np.array(res.singular_values)
+    assert np.count_nonzero(np.abs(sigma - 1.0) <= 1e-12) == len(blocks)
+    assert sigma[len(blocks)] < 1.0 - 1e-6
+
+
+def test_transposing_keeps_the_spectrum():
+    rng = np.random.default_rng(45)
+    books = [random_active(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+             for _ in range(20)]
+    books += [hs.normalize(sparse_active(rng, 60, 40, 0.08)) for _ in range(3)]
+    for matrix in books:
+        res = hs.whiten(matrix)
+        flipped = hs.whiten(hs.OwnershipMatrix(matrix.entries.T))
+        nptest.assert_allclose(flipped.singular_values, res.singular_values, rtol=0, atol=1e-12)
+        assert flipped.rho == pytest.approx(res.rho, abs=1e-12)
