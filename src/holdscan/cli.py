@@ -85,7 +85,7 @@ _Coded = tuple[list[str], np.ndarray, list[str], np.ndarray, np.ndarray, np.ndar
 
 
 #: The last book ``ingest`` read: its key (the path as given, the format
-#: and ``signed``), the SHA-256 of the file's bytes, and the book.
+#: and ``signed``), the digest of the file's bytes (``_digest``), and the book.
 _kept: tuple[tuple, bytes, object] | None = None
 
 
@@ -95,7 +95,7 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     A process keeps the last book it read. A call with the same path (as
     given), ``fmt`` and ``signed`` gets that book again, the same object
     with all that ``_per_book`` has kept on it, while the path names a
-    regular file whose bytes have the same SHA-256. Any other call drops
+    regular file whose bytes have the same digest. Any other call drops
     the kept book before it reads, so no two books are held, and keeps its
     own only if the file's bytes hashed the same before and after the read;
     a read that raises keeps nothing. A pipe or any other file that is not

@@ -23,6 +23,13 @@ from .core import (
 from .dependence import dependence_index
 
 
+class _lazy(cached_property):
+    """``functools.cached_property`` without the class-wide lock it takes before Python 3.12."""
+
+    def __get__(self, res, owner=None):
+        return self if res is None else vars(res).setdefault(self.attrname, self.func(res))
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralResidual:
     """Whitened matrix, rank-one market mode, residual operator, and spectrum.
@@ -44,17 +51,17 @@ class SpectralResidual:
         _freeze_fields(self, "row_unit", "col_unit")
         object.__setattr__(self, "cells", tuple(map(_owned, self.cells, (np.intp, np.intp, float))))
 
-    @cached_property
+    @_lazy
     def whitened(self) -> np.ndarray:
         """K as a dense read-only array, scattered from the cells on first read and then kept."""
         return _owned(_scattered(self.cells, (self.row_unit.size, self.col_unit.size)), float)
 
-    @cached_property
+    @_lazy
     def residual(self) -> np.ndarray:
         """L = K - u v^T as a dense read-only array, built on first read and then kept."""
         return _owned(self.whitened - np.outer(self.row_unit, self.col_unit), float)
 
-    @cached_property
+    @_lazy
     def singular_values(self) -> tuple[float, ...]:
         """K's singular values, descending, by dense SVD on first read; checked, then kept."""
         w = self.cells[2]
@@ -66,7 +73,7 @@ class SpectralResidual:
                "spectrum tail disagrees with the residual norm ||L||_F^2")
         return tuple(sigma.tolist())
 
-    @cached_property
+    @_lazy
     def rho(self) -> float:
         """The second singular value of K, L's top one; zero with a single row or column."""
         return self.singular_values[1] if len(self.singular_values) > 1 else 0.0

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import numpy.testing as nptest
 import pytest
@@ -193,6 +195,36 @@ def test_spectrum_is_built_on_first_read_and_equals_whitens():
         sigma = res.singular_values
         assert np.array(sigma).tobytes() == np.array(kept.singular_values).tobytes()
         assert np.float64(rho).tobytes() == np.float64(kept.rho).tobytes()  # bit for bit
+
+
+def test_two_threads_build_two_spectra_at_once(monkeypatch):
+    # functools.cached_property before Python 3.12 locks a property for the whole class
+    # while one instance builds it, so the second svd would wait on the first
+    barrier, svd = threading.Barrier(2, timeout=10), np.linalg.svd
+
+    def meeting(*args, **kwargs):
+        barrier.wait()
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", meeting)
+    rng = np.random.default_rng(44)
+    books = [random_active(rng, 9, 6), hs.normalize(sparse_active(rng, 40, 30, 0.1))]
+    built, errors = [None, None], []
+
+    def build(k):
+        try:
+            built[k] = hs.whiten(books[k])
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    for res in built:
+        nptest.assert_allclose(res.singular_values, svd(res.whitened, compute_uv=False), rtol=0, atol=1e-12)
 
 
 def test_spectrum_checks_itself_when_read():
