@@ -126,10 +126,13 @@ def _read_book(path: str | Path, fmt: str, signed: bool):
     place into each lot's cell, and each column is freed once spent. So
     past the scan a lot costs 8 bytes of amount, 8 of key, 8 of sort order
     and at most 5 of rank: about 33 bytes a lot at the peak on a 199k-lot
-    book (6.25 MiB), never the size of the file. The book takes the cell
-    arrays built here without a copy. A plain CSV of more than one block
-    is scanned by one forked process per CPU, to the same columns; a child
-    that dies first raises ``InternalConsistencyError``.
+    book (6.25 MiB), never the size of the file. A book of at most twice
+    as many cells as lots holds a rank for every cell in place of the sort
+    order and the narrow ranks (``_summed_cells``): 8 bytes a cell, at most
+    16 a lot. The book takes the cell arrays built here without a copy. A
+    plain CSV of more than one block is scanned by one forked process per
+    CPU, to the same columns; a child that dies first raises
+    ``InternalConsistencyError``.
     """
     # a plain CSV is scanned in numpy; csv.reader or json reads any other
     # file, to the same columns, and words every error
@@ -169,8 +172,8 @@ def _read_book(path: str | Path, fmt: str, signed: bool):
         if has_sign_column:
             keys += legs
     del legs
-    rows, cols, sums, where = _summed_cells(keys, amounts, 2 * m if signed else m)
-    del keys  # sorted in place into ``where``
+    rows, cols, sums, where = _summed_cells(keys, amounts, (n, 2 * m if signed else m))
+    del keys  # overwritten with ``where``
     undivided = None
     if np.isinf(sums).any():  # finite lots whose cell's sum overflows
         lots, power = _rescaled(amounts)
@@ -237,8 +240,11 @@ def _scan_csv(path: Path) -> tuple[_Coded, bool] | None:
     their checks are those of one process, whatever W is. The labels are
     then ranked once, over the blocks' distinct labels. The columns are
     those ``_read_csv`` reads, bit for bit; the legs of a file without a
-    sign column are a read-only zero-stride view of False.
+    sign column are a read-only zero-stride view of False. Without
+    ``os.pread`` every file is left to ``_read_csv``.
     """
+    if not hasattr(os, "pread"):
+        return None
     try:
         with open(path, "rb") as handle:
             fd = handle.fileno()
@@ -424,13 +430,7 @@ def _block_labels(
 def _merged_labels(
     labels: tuple[np.ndarray, ...], codes: tuple[np.ndarray, ...]
 ) -> tuple[list[str], np.ndarray]:
-    """A label column as ``_coded`` gives it, from each block's distinct labels and codes.
-
-    A lone block's labels are already distinct and ranked, and its codes
-    already have the narrowest dtype, so they are taken as they are.
-    """
-    if len(labels) == 1:
-        return [label.decode("ascii") for label in labels[0].tolist()], codes[0]
+    """A label column as ``_coded`` gives it, from each block's distinct labels and codes."""
     distinct, index = _ranked(np.concatenate(labels))
     index = index.astype(_code_type(distinct.size))
     out = np.empty(sum(block.size for block in codes), index.dtype)

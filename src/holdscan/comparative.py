@@ -16,7 +16,7 @@ from itertools import compress
 import numpy as np
 
 from .core import (
-    _EXACT_TOL, OwnershipMatrix, _agree, _dense_row, _index, _unique_label,
+    _EXACT_TOL, OwnershipMatrix, _agree, _dense_row, _index, _summed_cells, _unique_label,
     held_cells, marginals, require_active, restrict_active,
 )
 from .dependence import dependence_index, merger_delta, _row_pair
@@ -113,8 +113,7 @@ def merge_investors(matrix: OwnershipMatrix, a: int, b: int) -> OperationDelta:
     # rows below hi move up one
     lo_start, lo_stop, hi_start, hi_stop = np.searchsorted(rows, (lo, lo + 1, hi, hi + 1))
     pair = np.r_[lo_start:lo_stop, hi_start:hi_stop]
-    union, where = np.unique(cols[pair], return_inverse=True)
-    summed = np.bincount(where, values[pair], minlength=union.size)
+    _, union, summed, _ = _summed_cells(cols[pair], values[pair], (1, m))
 
     def spliced(column: np.ndarray, merged: np.ndarray) -> np.ndarray:
         return np.concatenate(
@@ -127,7 +126,7 @@ def merge_investors(matrix: OwnershipMatrix, a: int, b: int) -> OperationDelta:
     labels = matrix.investor_labels
     rest = labels[:lo] + labels[lo + 1 : hi] + labels[hi + 1 :]
     label = _unique_label(labels[a] + "+" + labels[b], rest)
-    merged = OwnershipMatrix._derived(
+    merged = OwnershipMatrix._from_cells(
         (n - 1, m), rows, cols, values, rest[:lo] + (label,) + rest[lo:], matrix.stock_labels
     )
 
@@ -179,11 +178,9 @@ def remove_stock(matrix: OwnershipMatrix, stock: int) -> OperationDelta:
     values /= weight
     keep_rows = np.bincount(rows, minlength=n) > 0
     dropped = tuple(compress(matrix.investor_labels, ~keep_rows))
-    if dropped:
-        kept = keep_rows[rows]
-        rows, cols, values = (np.cumsum(keep_rows) - 1)[rows[kept]], cols[kept], values[kept]
-        del kept
-    after_matrix = OwnershipMatrix._derived(
+    if dropped:  # a dropped investor has no cell left: renumber the rows
+        rows = (np.cumsum(keep_rows) - 1)[rows]
+    after_matrix = OwnershipMatrix._from_cells(
         (int(keep_rows.sum()), m - 1),
         rows,
         cols,
@@ -233,7 +230,7 @@ def dilute(matrix: OwnershipMatrix, weight: float) -> OperationDelta:
     scaled = np.empty(values.size + m)
     np.multiply(values, 1.0 - weight, out=scaled[: values.size])
     np.multiply(marg.s, weight, out=scaled[values.size :])
-    diluted = OwnershipMatrix._derived(
+    diluted = OwnershipMatrix._from_cells(
         (n + 1, m),
         np.concatenate([rows, np.full(m, n)]),
         np.concatenate([cols, np.arange(m)]),

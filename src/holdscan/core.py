@@ -213,7 +213,6 @@ class OwnershipMatrix:
     ) -> None:
         shape, rows, cols, values = _nonzero_cells(entries, "entries")
         self._store(shape, rows, cols, _checked(values, "entries"), investor_labels, stock_labels)
-        self._check_labels()
 
     @classmethod
     def _from_cells(
@@ -225,32 +224,12 @@ class OwnershipMatrix:
         pass fresh arrays, or the read-only store of another matrix. The
         labels are checked as the public constructor checks them.
         """
-        matrix = cls._derived(shape, rows, cols, values, investor_labels, stock_labels)
-        matrix._check_labels()
-        return matrix
-
-    @classmethod
-    def _derived(
-        cls, shape, rows, cols, values, investor_labels, stock_labels
-    ) -> "OwnershipMatrix":
-        """``_from_cells`` for a matrix built from a checked one, its labels taken as given.
-
-        Each label tuple must hold as many distinct strings as its side has
-        lines, as a checked matrix's do, and so any subset of them; none is
-        looked at.
-        """
         matrix = cls.__new__(cls)
         matrix._store(shape, rows, cols, values, investor_labels, stock_labels)
         return matrix
 
-    def _check_labels(self) -> None:
-        """Keep the labels as ``_label_tuple`` checks them: the default ones for None."""
-        for name, count, side in (("investor_labels", self.n, "investor"),
-                                  ("stock_labels", self.m, "stock")):
-            object.__setattr__(self, name, _label_tuple(getattr(self, name), count, side))
-
     def _store(self, shape, rows, cols, values, investor_labels, stock_labels) -> None:
-        """Check the values' sum in O(nnz), keep the cells and labels; ``entries`` is left unbuilt.
+        """Check the values' sum in O(nnz) and the labels, keep both; ``entries`` is left unbuilt.
 
         Each array is kept as it is, made read-only, when it already has the
         store's dtype (``intp`` indices, ``float`` values) and owns its memory;
@@ -274,8 +253,8 @@ class OwnershipMatrix:
             ("_shape", (n, m)),
             ("_cells", (_owned(rows, np.intp), _owned(cols, np.intp), _owned(values, float))),
             ("_derived", {}),
-            ("investor_labels", investor_labels),
-            ("stock_labels", stock_labels),
+            ("investor_labels", _label_tuple(investor_labels, n, "investor")),
+            ("stock_labels", _label_tuple(stock_labels, m, "stock")),
         ):
             object.__setattr__(self, name, value)
 
@@ -439,29 +418,42 @@ def _rescaled(values: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _summed_cells(
-    keys: np.ndarray, values: np.ndarray, m: int
+    keys: np.ndarray, values: np.ndarray, shape: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Add up ``values`` by cell, where ``keys`` numbers cell (i, j) as ``i * m + j``.
+    """Add up ``values`` by cell of a ``shape`` book, where ``keys`` numbers cell (i, j) as ``i * m + j``.
 
-    Returns the rows, columns and sums of the distinct cells in row-major
-    order, and for each value the position of its cell. Each cell adds its
-    values one by one in the order given. ``keys`` must be a fresh int64
-    array: it is sorted in place and returned as the positions, so beside
-    it only the sort order and the narrow ranks are held, never a copy.
+    Returns the rows, columns and sums of the cells some value falls in (a
+    zero value too), in row-major order, and for each value the position of
+    its cell. Each cell adds its values one by one in the order given.
+    ``keys`` must be a fresh int64 array: it is overwritten with the
+    positions and returned. A book of at most twice as many cells as values
+    marks the cells its keys fall in and ranks them by one ``cumsum``, in
+    O(values) time and 8 bytes a cell; otherwise the keys are sorted in place, and beside them
+    only the sort order and the narrow ranks are held, never a copy. Both
+    give the same arrays, bit for bit.
     """
-    # np.unique(keys, return_inverse=True), in the keys' own buffer
-    order = keys.argsort()
-    keys.sort()
-    first = np.empty(keys.size, bool)  # where a new cell starts, in key order
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    cells = keys[first]
-    ranks = first.astype(np.min_scalar_type(keys.size))
-    del first
-    np.cumsum(ranks, out=ranks)  # in place: cumsum to a dtype would buffer int64
-    ranks -= 1
-    keys[order] = ranks
-    del order, ranks
+    size, m = shape
+    if size * m <= 2 * keys.size:
+        ranks = np.zeros(size * m, np.intp)
+        ranks[keys] = 1
+        cells = np.flatnonzero(ranks)
+        np.cumsum(ranks, out=ranks)
+        ranks -= 1
+        ranks.take(keys, out=keys, mode="clip")  # unbuffered, so in place
+    else:  # np.unique(keys, return_inverse=True), in the keys' own buffer
+        order = keys.argsort()
+        keys.sort()
+        first = np.empty(keys.size, bool)  # where a new cell starts, in key order
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        cells = keys[first]
+        ranks = first.astype(np.min_scalar_type(keys.size))
+        del first
+        np.cumsum(ranks, out=ranks)  # in place: cumsum to a dtype would buffer int64
+        ranks -= 1
+        keys[order] = ranks
+        del order
+    del ranks
     rows, cols = np.divmod(cells, m)
     return rows, cols, np.bincount(keys, values, minlength=cells.size), keys
 
@@ -527,7 +519,7 @@ def restrict_active(matrix: OwnershipMatrix) -> OwnershipMatrix:
         return matrix
     # every held cell lies on a kept row and column; renumber them in order
     rows, cols, values = held_cells(matrix)
-    return OwnershipMatrix._derived(
+    return OwnershipMatrix._from_cells(
         (int(keep_rows.sum()), int(keep_cols.sum())),
         (np.cumsum(keep_rows) - 1)[rows],
         (np.cumsum(keep_cols) - 1)[cols],

@@ -253,7 +253,7 @@ def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit
     keys = group.astype(np.int64).take(rows)
     keys *= m
     keys += cols
-    g_rows, g_cols, summed, where = _grouped_cells(keys, e, (size, m))
+    g_rows, g_cols, summed, where = _summed_cells(keys, e, (size, m))
     del keys  # overwritten with ``where``
     mass = np.bincount(group, p, minlength=size)
     # scratch, which take fills unbuffered in mode "clip" over the writable g_rows and where
@@ -292,34 +292,10 @@ def aggregate(matrix: OwnershipMatrix, partition: Partition) -> AggregationSplit
         label = _unique_label("+".join(map(matrix.investor_labels.__getitem__, members)), taken)
         merged_labels.append(label)
         taken.add(label)
-    merged = OwnershipMatrix._derived(
+    merged = OwnershipMatrix._from_cells(
         (size, m), g_rows, g_cols, summed, tuple(merged_labels), matrix.stock_labels
     )
     return AggregationSplit(between=between, within=within, merged=merged)
-
-
-def _grouped_cells(
-    keys: np.ndarray, values: np.ndarray, shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_summed_cells(keys, values, m)`` for positive values on cells of a ``shape`` book.
-
-    Returns the same arrays, bit for bit, and likewise consumes ``keys``.
-    When the book has at most twice as many cells as there are values, one
-    ``bincount`` over all its cells sums them, each cell adding its values
-    in the order given; past that, ``_summed_cells`` sorts the keys. Either
-    way time and memory are O(values + n + m).
-    """
-    size, m = shape
-    if size * m > 2 * keys.size:
-        return _summed_cells(keys, values, m)
-    sums = np.bincount(keys, values, minlength=size * m)
-    cells = np.flatnonzero(sums > 0)  # the cells held: each sums positive values
-    summed = sums[cells]
-    del sums
-    ranks = np.empty(size * m, np.intp)  # each cell's position, read at held cells only
-    ranks[cells] = np.arange(cells.size)
-    rows, cols = np.divmod(cells, m)
-    return rows, cols, summed, ranks.take(keys, out=keys, mode="clip")
 
 
 def merger_delta(matrix: OwnershipMatrix, a: int, b: int) -> float:

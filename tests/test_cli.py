@@ -773,6 +773,10 @@ PARSE_ERROR_CASES = [
      "{path}: investor 'h1' is both long and short stock 's2'; net the book before ingestion"),
     ("signed-all-zero", "signed", "investor,stock,amount,sign\nh1,s1,0,+\nh1,s2,0,-\n",
      AllZeroMatrix, "{path}: all amounts are zero"),
+    # a cell is held when a lot falls in it, whatever the lots sum to
+    ("signed-zero-lots-on-both-legs", "signed", "investor,stock,amount,sign\nh1,s1,0,+\nh1,s1,0,-\n",
+     ParseError,
+     "{path}: investor 'h1' is both long and short stock 's1'; net the book before ingestion"),
     ("vector-bad-header", "vector", "label,amount\na,1\nb,2\n", ParseError,
      "{path}:1: header must be label,value"),
     ("vector-empty-file", "vector", "", ParseError, "{path}:1: header must be label,value"),

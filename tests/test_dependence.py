@@ -149,47 +149,22 @@ def sparse_book():
 def test_aggregate_checks_the_aggregation_law(golden, monkeypatch):
     # a quarter of the second merged cell's mass moved to the first: the
     # merged book still sums to one, but between + within no longer equals X.
-    # The fault goes in after the grouping both paths share: the golden
-    # book's 2 x 2 group cells are summed by slots, the sparse book's 6 x 7
-    # by the sort
-    grouped_cells, summed_cells, sorts = dependence._grouped_cells, dependence._summed_cells, []
+    # The golden book's 2 x 2 group cells are summed by marking every cell,
+    # the sparse book's 6 x 7 by the sort
+    summed_cells = dependence._summed_cells
 
     def skewed(keys, values, shape):
-        rows, cols, sums, where = grouped_cells(keys, values, shape)
+        rows, cols, sums, where = summed_cells(keys, values, shape)
         delta = min(sums[:2]) / 4
         sums[0] += delta
         sums[1] -= delta
         return rows, cols, sums, where
 
-    def sort(*args):
-        sorts.append(args)
-        return summed_cells(*args)
-
-    monkeypatch.setattr(dependence, "_grouped_cells", skewed)
-    monkeypatch.setattr(dependence, "_summed_cells", sort)
+    monkeypatch.setattr(dependence, "_summed_cells", skewed)
     sparse = sparse_book()
-    for matrix, groups, sorted_ in (
-        (golden, ((0, 1), (2,)), 0),
-        (sparse, tuple((i,) for i in range(sparse.n)), 1),
-    ):
+    for matrix, groups in ((golden, ((0, 1), (2,))), (sparse, tuple((i,) for i in range(sparse.n)))):
         with pytest.raises(InternalConsistencyError, match="between \\+ within"):
             hs.aggregate(matrix, hs.Partition(groups))
-        assert len(sorts) == sorted_
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=60)
-def test_grouped_cells_match_the_sort_bit_for_bit(seed):
-    # the slot path against _summed_cells on the same keys, where both apply
-    rng = np.random.default_rng(seed)
-    size, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-    count = int(rng.integers(1, 3 * size * m))
-    keys = rng.integers(0, size * m, count)
-    values = rng.random(count) + 1e-3
-    sorted_ = dependence._summed_cells(keys.copy(), values, m)
-    grouped = dependence._grouped_cells(keys.copy(), values, (size, m))
-    for a, b in zip(sorted_, grouped):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_aggregate_on_the_sort_path_splits_exactly():

@@ -19,7 +19,7 @@ from holdscan import _digest, cli
 
 from conftest import count_forks, count_reads, refuse_fork, use_workers
 
-pytestmark = pytest.mark.skipif(not hasattr(os, "preadv"), reason="no os.preadv: one part only")
+pytestmark = pytest.mark.skipif(not hasattr(os, "preadv"), reason="no os.preadv: no file has a key")
 
 #: Bytes in a part of the files here, and the CPUs this process is made to see.
 PART, CPUS = 256, 3
@@ -48,7 +48,7 @@ def tree_key(data: bytes, parts: int, size: int | None = None) -> bytes:
         start.to_bytes(8, "big") + (end - start).to_bytes(8, "big") + hashlib.sha256(data[start:end]).digest()
         for start, end in zip(starts, starts[1:])
     )
-    return hashlib.sha256(parts.to_bytes(8, "big") + tree).digest() + parts.to_bytes(4, "big")
+    return hashlib.sha256(parts.to_bytes(8, "big") + tree).digest()
 
 
 def lots(count: int) -> bytes:
@@ -56,7 +56,7 @@ def lots(count: int) -> bytes:
         f"i{k % 97},s{k % 89},{1 + k % 7}\n" for k in range(count))).encode("utf-8")
 
 
-def test_a_file_of_one_part_is_keyed_by_its_sha256(tmp_path):
+def test_a_file_of_one_part_is_keyed_by_its_one_part_tree(tmp_path):
     # under two parts whatever the CPUs, or any size on one CPU
     cases = (0, 1 << 20, 8), (5000, 1 << 20, 8), ((2 << 20) - 1, 1 << 20, 8), (40 * PART, PART, 1)
     for size, part, cpus in cases:
@@ -64,7 +64,7 @@ def test_a_file_of_one_part_is_keyed_by_its_sha256(tmp_path):
         path = tmp_path / f"{size}.bin"
         path.write_bytes(data)
         with in_parts(part, cpus):
-            assert _digest.regular_file_sha256(path) == hashlib.sha256(data).digest()
+            assert _digest.regular_file_sha256(path) == tree_key(data, 1)
 
 
 def test_a_file_of_many_parts_is_keyed_by_its_tree(tmp_path, parts):
@@ -74,21 +74,7 @@ def test_a_file_of_many_parts_is_keyed_by_its_tree(tmp_path, parts):
         path.write_bytes(data)
         key = _digest.regular_file_sha256(path)
         assert key == tree_key(data, count)
-        assert len(key) == 36 and key != hashlib.sha256(data).digest()
-
-
-def test_a_small_file_holding_a_tree_message_does_not_share_its_key(tmp_path, parts):
-    data = os.urandom(10 * PART)
-    (tmp_path / "large.bin").write_bytes(data)
-    starts = [len(data) * k // CPUS for k in range(CPUS)] + [len(data)]
-    message = CPUS.to_bytes(8, "big") + b"".join(
-        s.to_bytes(8, "big") + (e - s).to_bytes(8, "big") + hashlib.sha256(data[s:e]).digest()
-        for s, e in zip(starts, starts[1:])
-    )
-    (tmp_path / "small.bin").write_bytes(message)
-    assert len(message) < 2 * PART
-    large, small = (_digest.regular_file_sha256(tmp_path / name) for name in ("large.bin", "small.bin"))
-    assert small == hashlib.sha256(message).digest() and large[:32] == small and large != small
+        assert len(key) == 32 and key != tree_key(data, 1)
 
 
 @pytest.mark.parametrize("where", ["first part", "last part", "appended"])
@@ -146,7 +132,7 @@ def test_hashing_in_parts_leaves_no_thread_or_process_behind(tmp_path, monkeypat
     threads, tasks = threading.active_count(), os_tasks()
     forks = count_forks(monkeypatch)
     with in_parts(part=1 << 16):
-        assert len(_digest.regular_file_sha256(path)) == 36  # in parts
+        assert _digest.regular_file_sha256(path) == tree_key(path.read_bytes(), CPUS)  # in parts
         book = cli.ingest(path)  # a miss: hashed, scanned by two processes, hashed again
         assert len(forks) == 1
         refuse_fork(monkeypatch)

@@ -170,15 +170,34 @@ def test_held_cell_sums_match_dense_oracles(seed, n, m, density, delta):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(1, 60))
 @settings(max_examples=60, deadline=None)
 def test_summed_cells_match_numpy_unique(seed, size, cells):
-    # np.unique and a bincount over its inverse are the reference, bit for bit
+    # np.unique and a bincount over its inverse are the reference, bit for
+    # bit, on books of at most twice as many cells as values and of more; a
+    # cell whose values are all zero is held as any other
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 9))
     keys = rng.integers(0, cells, size) * int(rng.integers(1, 5))
-    values = rng.lognormal(size=size)
+    values = rng.lognormal(size=size) * (rng.random(size) < 0.7)
+    lines = int(keys.max()) // m + 1 + int(rng.integers(0, 3 * size // m + 2))
     unique, where = np.unique(keys, return_inverse=True)
     expected = (*np.divmod(unique, m), np.bincount(where, values), where)
-    for got, want in zip(_summed_cells(keys, values, m), expected):
+    for got, want in zip(_summed_cells(keys, values, (lines, m)), expected):
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_summed_cells_branches_agree_bit_for_bit(seed):
+    # the same keys on a book of at most twice as many cells as values, which
+    # marks every cell, and on one with more lines, which sorts the keys
+    rng = np.random.default_rng(seed)
+    size, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    count = int(rng.integers(-(-size * m // 2), 3 * size * m))
+    keys = rng.integers(0, size * m, count)
+    values = rng.random(count) * (rng.random(count) < 0.8)
+    marked = _summed_cells(keys.copy(), values, (size, m))
+    sorted_ = _summed_cells(keys.copy(), values, (2 * count + 1, m))
+    for a, b in zip(marked, sorted_):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_full_lines_add_no_rounding_noise():

@@ -128,3 +128,26 @@ def test_a_pipe_is_read_as_a_file_is_and_never_kept(golden_csv, capsys):
         os.close(read_end)
     assert capsys.readouterr() == expected
     assert cli._kept is None
+
+
+@pytest.mark.parametrize("missing, kept", [("pread", True), ("preadv", False), ("O_NONBLOCK", False)])
+def test_a_platform_without_positional_reads_gives_the_same_books(
+    tmp_path, golden_csv, monkeypatch, missing, kept
+):
+    # without os.pread the scan leaves the file to the record reader; without
+    # os.preadv or os.O_NONBLOCK no file has a digest, so each call reads it
+    lots = tmp_path / "lots.csv"
+    lots.write_text("investor,stock,amount\n" + "".join(
+        f"i{k % 97},s{k % 89},{1 + k % 7}\n" for k in range(3 * cli._BLOCK // 12)
+    ), encoding="utf-8")
+    assert lots.stat().st_size > cli._BLOCK
+    books = [cli._read_book(path, "csv", False) for path in (golden_csv, lots)]
+    monkeypatch.delattr(os, missing)
+    reads = count_reads(monkeypatch)
+    for path, book in zip((golden_csv, lots), books):
+        for _ in range(2):
+            again = cli.ingest(path)
+            assert cells(again) == cells(book)
+            assert (again.investor_labels, again.stock_labels) == (book.investor_labels, book.stock_labels)
+            assert (cli._kept is not None) == kept
+    assert len(reads) == (2 if kept else 4)
