@@ -920,8 +920,7 @@ def _headline_payload(delta: hs.comparative.OperationDelta) -> dict:
     return payload
 
 
-def _cmd_dashboard(args) -> str:
-    matrix = ingest(args.file, args.input_format)
+def _cmd_dashboard(matrix, args) -> str:
     dash = dashboard(matrix, compute_psi=args.psi, max_budget=args.max_budget, seed=args.seed)
     flags = {
         "psi": args.psi,
@@ -933,8 +932,7 @@ def _cmd_dashboard(args) -> str:
     return report(matrix, dash, dep, args.format, args.seed, flags)
 
 
-def _cmd_decompose(args) -> str:
-    matrix = ingest(args.file, args.input_format)
+def _cmd_decompose(matrix, args) -> dict | str:
     marg = marginals(matrix)
     dec = hs.indices.micro_decomposition(matrix)
     dep = hs.dependence.dependence_index(matrix)
@@ -953,11 +951,10 @@ def _cmd_decompose(args) -> str:
         )),
     )
     if args.format == "json":
-        payload = {
+        return {
             f"{side}s": _Rows(("label", "mass", conc, "dependence_contribution"), columns)
             for side, conc, columns in sides
         }
-        return _render(payload, args.format)
     lines = ["side     label        mass     conc     dependence"]
     for side, _, columns in sides:
         for label, mass, conc, x in zip(*columns):
@@ -965,35 +962,30 @@ def _cmd_decompose(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_psi(args) -> str:
-    matrix = ingest(args.file, args.input_format)
+def _cmd_psi(matrix, args) -> dict:
     score = hs.transport.sparsity_score(matrix, budget=args.max_budget, seed=args.seed)
-    payload = {
+    return {
         "psi": score.psi,
         "m_min": score.m_min,
         "m_max": score.m_max,
         "m_observed": score.m_observed,
         "certified": score.certified,
     }
-    return _render(payload, args.format)
 
 
-def _cmd_shock(args) -> str:
-    matrix = ingest(args.file, args.input_format)
+def _cmd_shock(matrix, args) -> dict:
     delta = _read_vector(args.shocks, matrix.investor_labels, "investor")
     result = hs.dynamics.fire_sale(matrix, delta)
-    payload = {
+    return {
         "severity": result.severity,
         "parallel_term": result.parallel_term,
         "perp_term": result.perp_term,
         "bound": result.bound,
         "impact": dict(zip(matrix.stock_labels, result.impact.tolist())),
     }
-    return _render(payload, args.format)
 
 
-def _cmd_alpha(args) -> str:
-    matrix = ingest(args.file, args.input_format)
+def _cmd_alpha(matrix, args) -> dict:
     returns = _read_vector(args.returns, matrix.stock_labels, "stock")
     result = hs.dynamics.active_variance(
         matrix, returns, project=args.project_returns, dispersion=args.dispersion
@@ -1005,11 +997,10 @@ def _cmd_alpha(args) -> str:
     }
     if result.isotropic_capacity is not None:
         payload["isotropic_capacity"] = result.isotropic_capacity
-    return _render(payload, args.format)
+    return payload
 
 
-def _cmd_merge(args) -> str:
-    matrix = ingest(args.file, args.input_format)
+def _cmd_merge(matrix, args) -> dict:
     try:
         tokens = next(csv.reader([args.pair], skipinitialspace=True))
         first, second = (tok.strip() for tok in tokens)
@@ -1018,59 +1009,49 @@ def _cmd_merge(args) -> str:
     a, b = matrix.investor_index(first), matrix.investor_index(second)
     if a == b:
         raise SameInvestor(f"--pair needs two distinct investors, got {first!r} twice")
-    delta = hs.comparative.merge_investors(matrix, a, b)
-    return _render(_headline_payload(delta), args.format)
+    return _headline_payload(hs.comparative.merge_investors(matrix, a, b))
 
 
-def _cmd_drop_stock(args) -> str:
-    matrix = ingest(args.file, args.input_format)
-    delta = hs.comparative.remove_stock(matrix, matrix.stock_index(args.stock))
-    return _render(_headline_payload(delta), args.format)
+def _cmd_drop_stock(matrix, args) -> dict:
+    return _headline_payload(hs.comparative.remove_stock(matrix, matrix.stock_index(args.stock)))
 
 
-def _cmd_dilute(args) -> str:
-    matrix = ingest(args.file, args.input_format)
-    delta = hs.comparative.dilute(matrix, args.mass)
-    return _render(_headline_payload(delta), args.format)
+def _cmd_dilute(matrix, args) -> dict:
+    return _headline_payload(hs.comparative.dilute(matrix, args.mass))
 
 
-def _cmd_aggregate(args) -> str:
-    matrix = ingest(args.file, args.input_format)
+def _cmd_aggregate(matrix, args) -> dict:
     partition = _read_partition(args.groups, matrix)
     split = hs.dependence.aggregate(matrix, partition)
-    payload = {
+    return {
         "between": split.between,
         "within": split.within,
         "total": split.between + split.within,
         "groups": split.merged.investor_labels,
     }
-    return _render(payload, args.format)
 
 
-def _cmd_family(args) -> str:
+def _cmd_family(_, args) -> dict:
     if args.kind == "2x2":
         if args.a is None or args.b is None:
             raise ParseError("family 2x2 needs --a and --b")
         fam = hs.transport.family_2x2(args.a, args.b)
         mat_min = hs.transport.transport_matrix_2x2(args.a, args.b, fam.x_min_constrained)
-        payload = {
+        return {
             "interval": fam.interval,
             "x_star": fam.x_star,
             "x_min_constrained": fam.x_min_constrained,
             "m_min": np.sum(mat_min * mat_min),
         }
-        return _render(payload, args.format)
     if args.t is None:
         raise ParseError("family nonid needs --t")
     matrix, micro_formula, dependence_formula = hs.comparative.nonid_family(args.t)
-    payload = {"entries": matrix.entries, "M": micro_formula, "X": dependence_formula}
-    return _render(payload, args.format)
+    return {"entries": matrix.entries, "M": micro_formula, "X": dependence_formula}
 
 
-def _cmd_renyi(args) -> str:
-    matrix = ingest(args.file, args.input_format)
+def _cmd_renyi(matrix, args) -> dict:
     summary = hs.extensions.renyi_summary(matrix, args.alpha)
-    payload = {
+    return {
         "alpha": summary.alpha,
         "H_I_alpha": summary.investor_power_sum,
         "H_S_alpha": summary.stock_power_sum,
@@ -1079,19 +1060,15 @@ def _cmd_renyi(args) -> str:
         "N_S_alpha": summary.effective_stocks,
         "N_M_alpha": summary.effective_cells,
     }
-    return _render(payload, args.format)
 
 
-def _cmd_signed(args) -> str:
-    book = ingest(args.file, args.input_format, signed=True)
-    value = hs.extensions.signed_dependence(book)
-    payload = {
+def _cmd_signed(book, args) -> dict:
+    return {
         "eta": book.net_exposure,
-        "X_signed": value,
+        "X_signed": hs.extensions.signed_dependence(book),
         "gross_marginals": {"p": book.gross_investor_marginals, "s": book.gross_stock_marginals},
         "net_marginals": {"p": book.net_investor_marginals, "s": book.net_stock_marginals},
     }
-    return _render(payload, args.format)
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -1115,19 +1092,25 @@ _SEARCH = (
     _arg("--max-budget", type=int, default=64, help="restarts for the maximum search"),
 )
 
-#: The subcommands in ``--help`` order: (name, help, handler, arguments).
+#: What ``main`` reads from a subcommand's ``file`` for its handler: no book,
+#: a share matrix, or a signed book (the ``signed`` of ``ingest``).
+_NO_BOOK, _SHARES, _SIGNED = None, False, True
+
+#: The subcommands in ``--help`` order: (name, help, handler, book, arguments).
+#: A handler takes the book and the parsed arguments, and returns a payload
+#: for ``_render`` or, for a report with its own layout, the finished text.
 _SUBCOMMANDS = (
-    ("dashboard", "full six-number diagnostic dashboard", _cmd_dashboard, (
+    ("dashboard", "full six-number diagnostic dashboard", _cmd_dashboard, _SHARES, (
         *_BOOK, *_SEARCH,
         _arg("--psi", action=argparse.BooleanOptionalAction, default=None,
              help="force the sparsity score on/off (default: auto by size)"),
     )),
-    ("decompose", "per-investor and per-stock contributions", _cmd_decompose, _BOOK),
-    ("psi", "feasible-range sparsity score", _cmd_psi, _BOOK + _SEARCH),
-    ("shock", "fire-sale impact of a liquidation shock", _cmd_shock, (
+    ("decompose", "per-investor and per-stock contributions", _cmd_decompose, _SHARES, _BOOK),
+    ("psi", "feasible-range sparsity score", _cmd_psi, _SHARES, _BOOK + _SEARCH),
+    ("shock", "fire-sale impact of a liquidation shock", _cmd_shock, _SHARES, (
         *_BOOK, _arg("--shocks", required=True, help="CSV of label,value liquidation rates"),
     )),
-    ("alpha", "benchmark-relative active variance", _cmd_alpha, (
+    ("alpha", "benchmark-relative active variance", _cmd_alpha, _SHARES, (
         *_BOOK,
         _arg("--returns", required=True, help="CSV of label,value excess returns"),
         _arg("--project-returns", action="store_true",
@@ -1135,32 +1118,32 @@ _SUBCOMMANDS = (
         _arg("--dispersion", type=float, default=None,
              help="also report the isotropic capacity at this dispersion scale"),
     )),
-    ("merge", "merge two investors", _cmd_merge, (
+    ("merge", "merge two investors", _cmd_merge, _SHARES, (
         *_BOOK, _arg("--pair", required=True, help="two investor labels, comma-separated"),
     )),
-    ("drop-stock", "remove a stock and renormalize", _cmd_drop_stock, (
+    ("drop-stock", "remove a stock and renormalize", _cmd_drop_stock, _SHARES, (
         *_BOOK, _arg("--stock", required=True, help="stock label to remove"),
     )),
-    ("dilute", "add a market-weight investor", _cmd_dilute, (
+    ("dilute", "add a market-weight investor", _cmd_dilute, _SHARES, (
         *_BOOK,
         _arg("--mass", type=float, required=True, help="mass of the new investor in (0,1)"),
     )),
-    ("aggregate", "between/within dependence split", _cmd_aggregate, (
+    ("aggregate", "between/within dependence split", _cmd_aggregate, _SHARES, (
         *_BOOK,
         _arg("--groups", required=True,
              help="partition file: one comma-separated group per line"),
     )),
-    ("family", "closed-form 2x2 families", _cmd_family, (
+    ("family", "closed-form 2x2 families", _cmd_family, _NO_BOOK, (
         _arg("kind", choices=("2x2", "nonid")),
         _arg("--a", type=float, default=None, help="first marginal mass (2x2)"),
         _arg("--b", type=float, default=None, help="second marginal mass (2x2)"),
         _arg("--t", type=float, default=None, help="free cell (nonid)"),
         *_FORMAT,
     )),
-    ("renyi", "power-sum concentration of one order", _cmd_renyi, (
+    ("renyi", "power-sum concentration of one order", _cmd_renyi, _SHARES, (
         *_BOOK, _arg("--alpha", type=float, required=True, help="power-sum order"),
     )),
-    ("signed", "gross-whitened dependence of a signed book", _cmd_signed, _BOOK),
+    ("signed", "gross-whitened dependence of a signed book", _cmd_signed, _SIGNED, _BOOK),
 )
 
 
@@ -1172,11 +1155,11 @@ def build_parser() -> argparse.ArgumentParser:
         "for holdings matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, handler, arguments in _SUBCOMMANDS:
+    for name, help_text, handler, book, arguments in _SUBCOMMANDS:
         command = sub.add_parser(name, help=help_text)
         for flags, options in arguments:
             command.add_argument(*flags, **options)
-        command.set_defaults(func=handler)
+        command.set_defaults(func=handler, signed=book)
     return parser
 
 
@@ -1194,7 +1177,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        output = args.func(args)
+        # the book is read before any other file the command names
+        book = None if args.signed is None else ingest(args.file, args.input_format, args.signed)
+        output = args.func(book, args)
+        if isinstance(output, dict):
+            output = _render(output, args.format)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,18 +8,24 @@ the two sides, grouping every investor alone must keep the whole
 dependence between the groups, and merging an investor with its double
 must keep the dependence. The reports go through ``decompose``,
 ``aggregate`` and ``merge``, which never whiten. The golden book, scaled
-until its sums overflow, must print the bytes of the golden book.
+until its sums overflow, must print the bytes of the golden book. On the
+golden book and a seeded 12x9 one, every command that reads a book must
+print the same bytes when every amount is scaled by a power of two that
+keeps it normal and the total finite.
 """
 
 import contextlib
 import io
 import json
+import math
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as nptest
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holdscan as hs
 from holdscan import cli
@@ -237,3 +243,107 @@ def test_golden_book_beyond_the_float_range_keeps_its_bytes(tmp_path, golden_csv
             warnings.simplefilter("error")
             report = run([command[0], str(huge), *command[1:], "--format", "json"])
         assert report == run([command[0], str(golden_csv), *command[1:], "--format", "json"])
+
+
+#: Every subcommand that reads a book; ``@name`` stands for the path of the
+#: book's file ``name``, or for its ``pair`` or ``stock`` label.
+SCALED_COMMANDS = [
+    ["dashboard", "@book.csv", "--max-budget", "4"],
+    ["decompose", "@book.csv"],
+    ["psi", "@book.csv", "--max-budget", "4"],
+    ["shock", "@book.csv", "--shocks", "@shocks.csv"],
+    ["alpha", "@book.csv", "--returns", "@returns.csv", "--project-returns",
+      "--dispersion", "2"],
+    ["merge", "@book.csv", "--pair", "@pair"],
+    ["drop-stock", "@book.csv", "--stock", "@stock"],
+    ["dilute", "@book.csv", "--mass", "0.25"],
+    ["aggregate", "@book.csv", "--groups", "@groups.txt"],
+    ["renyi", "@book.csv", "--alpha", "3"],
+    ["signed", "@signed.csv"],
+]
+
+
+def seeded_lots() -> list[tuple[str, str, float]]:
+    """A seeded 12x9 book as (investor, stock, amount) lots, one to three a cell, shuffled."""
+    rng = np.random.default_rng(44)
+    n, m = 12, 9
+    held = rng.random((n, m)) < 0.35
+    held[np.arange(n), rng.integers(0, m, n)] = True
+    held[rng.integers(0, n, m), np.arange(m)] = True
+    lots = [(f"I{i:02d}", f"S{j}", float(a))
+            for i, j in zip(*np.nonzero(held))
+            for a in rng.lognormal(0.0, 2.0, rng.integers(1, 4))]
+    return [lots[k] for k in rng.permutation(len(lots))]
+
+
+def write_scaled(folder, lots, k):
+    """The book's lots times 2**k as ``book.csv``, and its signed variant as ``signed.csv``.
+
+    In the signed variant a cell is short when its labels' last digits sum to an odd number.
+    """
+    plain, signed = ["investor,stock,amount"], ["investor,stock,amount,sign"]
+    for investor, stock, amount in lots:
+        scaled = repr(math.ldexp(amount, k))
+        plain.append(f"{investor},{stock},{scaled}")
+        short = (int(investor[-1]) + int(stock[-1])) % 2
+        signed.append(f"{investor},{stock},{scaled},{'+-'[short]}")
+    for name, lines in (("book.csv", plain), ("signed.csv", signed)):
+        (folder / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def scaled_reports(folder, fields) -> list[str]:
+    """Every command's text and JSON report on the book in ``folder``."""
+    return [
+        run([fields.get(arg, arg) for arg in argv] + ["--format", fmt])
+        for argv in SCALED_COMMANDS
+        for fmt in ("text", "json")
+    ]
+
+
+@pytest.fixture(scope="module")
+def scalable(tmp_path_factory):
+    """Per book: its folder, its lots, the range of k to draw, the files' names and its reports.
+
+    Within that range every scaled lot is a normal float, so it reads back
+    exactly, and the total stays below 2**1023, so no sum overflows.
+    """
+    golden = [tuple(lot.split(",")) for lot in GOLDEN_CSV.splitlines()[1:]]
+    books = {}
+    for name, lots in (("golden", [(i, s, float(a)) for i, s, a in golden]),
+                       ("seeded", seeded_lots())):
+        folder = tmp_path_factory.mktemp(f"scaled-{name}")
+        investors = sorted({lot[0] for lot in lots})
+        stocks = sorted({lot[1] for lot in lots})
+        half = len(investors) // 2
+        files = {
+            "shocks.csv": ["label,value"] + [f"{label},{(i % 5 - 2) / 4}"
+                                             for i, label in enumerate(investors)],
+            "returns.csv": ["label,value"] + [f"{label},{(j % 3 - 1) / 2}"
+                                              for j, label in enumerate(stocks)],
+            "groups.txt": [",".join(investors[:half]), ",".join(investors[half:])],
+        }
+        fields = {"@pair": f"{investors[0]},{investors[-1]}", "@stock": stocks[-1]}
+        for file, lines in files.items():
+            (folder / file).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        fields.update({f"@{file}": str(folder / file)
+                       for file in ("book.csv", "signed.csv", *files)})
+        write_scaled(folder, lots, 0)
+        amounts = [amount for _, _, amount in lots]
+        span = (-1021 - min(math.frexp(a)[1] for a in amounts),
+                1023 - math.frexp(math.fsum(amounts))[1])
+        books[name] = SimpleNamespace(folder=folder, lots=lots, span=span, fields=fields,
+                                      reports=scaled_reports(folder, fields))
+    return books
+
+
+@pytest.mark.parametrize("name", ["golden", "seeded"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_power_of_two_scaling_keeps_every_report(scalable, name, data):
+    # 2**k commutes with every rounding while no lot, sum or share leaves the
+    # normal range, so every report of every command keeps its bytes; the
+    # ends of that range are drawn often
+    book = scalable[name]
+    k = data.draw(st.sampled_from(book.span) | st.integers(*book.span).filter(bool), label="k")
+    write_scaled(book.folder, book.lots, k)
+    assert scaled_reports(book.folder, book.fields) == book.reports
