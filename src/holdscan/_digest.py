@@ -1,10 +1,12 @@
 """The digest of a holdings file's bytes, which ``cli.ingest`` keys its kept book by.
 
 A file is cut into W parts, W the CPUs this process may run on and at most
-one per ``_PART`` bytes (one part at least), which W threads hash at once;
-its key is the SHA-256 of W and of each part's offset, byte count and
-SHA-256. Without ``os.preadv`` or ``os.O_NONBLOCK`` no file gets a key. A
-module of its own, so ``hashlib`` loads with the first read.
+one per ``_PART`` bytes (one part at least); its key is the SHA-256 of W and
+of each part's offset, byte count and SHA-256. ``regular_file_sha256`` reads
+a file's parts in W threads at once. ``bytes_sha256`` keys bytes a reader
+already holds whole, cut into the same parts, so a file and the bytes read
+from it have one key. Without ``os.preadv`` or ``os.O_NONBLOCK`` nothing
+gets a key. A module of its own, so ``hashlib`` loads with the first read.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ def regular_file_sha256(path: str | os.PathLike) -> bytes | None:
     FIFO is never opened, so nothing is taken from it: the path is checked
     first, and the opened file again, which is opened without blocking.
     """
-    if not (hasattr(os, "preadv") and hasattr(os, "O_NONBLOCK")):
+    if not _keyed():
         return None
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
@@ -35,13 +37,12 @@ def regular_file_sha256(path: str | os.PathLike) -> bytes | None:
             status = os.fstat(fd := handle.fileno())
             if not stat.S_ISREG(status.st_mode):
                 return None
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-            parts = max(1, min(cpus, status.st_size // _PART))
-            starts, hashed = [status.st_size * k // parts for k in range(parts)] + [None], [None] * parts
+            starts = _starts(status.st_size)
+            starts[-1], hashed = None, [None] * (len(starts) - 1)  # the last part reads to EOF
             def hash_part(k: int) -> None:
                 with suppress(OSError):  # leaves hashed[k] None
                     hashed[k] = _hashed(fd, *starts[k:k + 2])
-            threads = [threading.Thread(target=hash_part, args=(k,)) for k in range(1, parts)]
+            threads = [threading.Thread(target=hash_part, args=(k,)) for k in range(1, len(hashed))]
             try:
                 for thread in threads:
                     thread.start()
@@ -49,12 +50,39 @@ def regular_file_sha256(path: str | os.PathLike) -> bytes | None:
             finally:
                 for thread in filter(threading.Thread.is_alive, threads):
                     thread.join()
-            if None in hashed:
-                return None
-            tree = b"".join(s.to_bytes(8, "big") + n.to_bytes(8, "big") + d for s, n, d in hashed)
-            return hashlib.sha256(parts.to_bytes(8, "big") + tree).digest()
+            return None if None in hashed else _tree(hashed)
     except (OSError, RuntimeError):  # RuntimeError: a thread could not start
         return None
+
+
+def bytes_sha256(data: bytes, fd: int) -> bytes | None:
+    """The digest ``regular_file_sha256`` gives the file open as ``fd`` while it holds ``data``.
+
+    None when that file is not regular, or where no file has a key. The
+    parts are hashed one after another, in this thread.
+    """
+    if not (_keyed() and stat.S_ISREG(os.fstat(fd).st_mode)):
+        return None
+    starts, view = _starts(len(data)), memoryview(data)
+    return _tree([(a, b - a, hashlib.sha256(view[a:b]).digest()) for a, b in zip(starts, starts[1:])])
+
+
+def _keyed() -> bool:
+    """Whether a file can be hashed without taking bytes from a pipe."""
+    return hasattr(os, "preadv") and hasattr(os, "O_NONBLOCK")
+
+
+def _starts(size: int) -> list[int]:
+    """Where each part of ``size`` bytes starts, then ``size``."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    parts = max(1, min(cpus, size // _PART))
+    return [size * k // parts for k in range(parts)] + [size]
+
+
+def _tree(hashed: list[tuple[int, int, bytes]]) -> bytes:
+    """The key of the parts ``hashed``: each one's offset, byte count and SHA-256."""
+    tree = b"".join(s.to_bytes(8, "big") + n.to_bytes(8, "big") + d for s, n, d in hashed)
+    return hashlib.sha256(len(hashed).to_bytes(8, "big") + tree).digest()
 
 
 def _hashed(fd: int, start: int, end: int | None) -> tuple[int, int, bytes]:

@@ -85,7 +85,8 @@ _Coded = tuple[list[str], np.ndarray, list[str], np.ndarray, np.ndarray, np.ndar
 
 
 #: The last book ``ingest`` read: its key (the path as given, the format
-#: and ``signed``), the digest of the file's bytes (``_digest``), and the book.
+#: and ``signed``), the digest of the bytes it was read from (``_digest``),
+#: and the book.
 _kept: tuple[tuple, bytes, object] | None = None
 
 
@@ -93,28 +94,41 @@ def ingest(path: str | Path, fmt: str = "csv", signed: bool = False):
     """Read a holdings file into a share matrix or a signed book (see ``_read_book``).
 
     A process keeps the last book it read. A call with the same path (as
-    given), ``fmt`` and ``signed`` gets that book again, the same object
-    with all that ``_per_book`` has kept on it, while the path names a
-    regular file whose bytes have the same digest. Any other call drops
-    the kept book before it reads, so no two books are held, and keeps its
-    own only if the file's bytes hashed the same before and after the read;
-    a read that raises keeps nothing. A pipe or any other file that is not
-    regular is read as ``_read_book`` reads it, and never kept.
+    given), ``fmt`` and ``signed`` hashes the file, and gets that book
+    again, the same object with all that ``_per_book`` has kept on it, while
+    the path names a regular file whose bytes have the digest the book was
+    kept under. Any other call drops the kept book before it reads, so no
+    two books are held, and keeps its own under the digest its reader gives
+    (``_read_book``), if it gives one and the path's ``os.stat`` (device,
+    inode, size, mtime and ctime) is the same after the read as before it.
+    A reader that holds the whole file gives the digest of the bytes it
+    read, so such a miss hashes no file. A read that raises keeps nothing.
+    A pipe or any other file that is not regular is read as ``_read_book``
+    reads it, and never kept.
     """
     global _kept
     key, kept, _kept = (path, fmt, signed), _kept, None
-    digest = hs._digest.regular_file_sha256(path)
-    if digest is not None and kept is not None and kept[:2] == (key, digest):
+    if kept is not None and kept[0] == key and hs._digest.regular_file_sha256(path) == kept[1]:
         _kept = kept
         return kept[2]
     del kept
-    book = _read_book(path, fmt, signed)
-    if digest is not None and hs._digest.regular_file_sha256(path) == digest:
-        _kept = key, digest, book
+    digest, status = [None], _status(path)
+    book = _read_book(path, fmt, signed, digest)
+    if digest[0] is not None and _status(path) == status:
+        _kept = key, digest[0], book
     return book
 
 
-def _read_book(path: str | Path, fmt: str, signed: bool):
+def _status(path: str | Path) -> tuple[int, ...] | None:
+    """What ``os.stat`` says of the file at ``path`` that a write or a rename changes, or None."""
+    try:
+        status = os.stat(path)
+    except OSError:
+        return None
+    return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns, status.st_ctime_ns
+
+
+def _read_book(path: str | Path, fmt: str, signed: bool, digest: list | None = None):
     """Read a holdings file into a share matrix or a signed book, every call.
 
     Duplicate (investor, stock) rows are summed in file order; labels are
@@ -133,12 +147,17 @@ def _read_book(path: str | Path, fmt: str, signed: bool):
     plain CSV of more than one block is scanned by one forked process per
     CPU, to the same columns; a child that dies first raises
     ``InternalConsistencyError``.
+
+    ``digest``, if given, is a list of one item, which the reader sets to
+    the ``_digest`` key of the bytes the book is read from, when they have
+    one (``_scan_csv``, ``_read_text``).
     """
     # a plain CSV is scanned in numpy; csv.reader or json reads any other
     # file, to the same columns, and words every error
     source = Path(path)
     (investors, rows, stocks, cols, amounts, legs), has_sign_column = (
-        (_scan_csv(source) or _read_csv(source)) if fmt == "csv" else _read_json(source)
+        (_scan_csv(source, digest) or _read_csv(source, digest)) if fmt == "csv"
+        else _read_json(source, digest)
     )
     if has_sign_column and not signed:
         raise MixedSignWithoutFlag(
@@ -223,7 +242,7 @@ _BLOCK = 1 << 19
 _Block = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]
 
 
-def _scan_csv(path: Path) -> tuple[_Coded, bool] | None:
+def _scan_csv(path: Path, digest: list | None = None) -> tuple[_Coded, bool] | None:
     """The coded columns of a plain holdings CSV, or None to leave the file to ``_read_csv``.
 
     Plain means ASCII without NUL, quote or bare carriage return, the exact
@@ -233,7 +252,8 @@ def _scan_csv(path: Path) -> tuple[_Coded, bool] | None:
     (``_blocks``) and each block gets every check; what a block leaves
     behind is its coded columns (``_Block``), so no field becomes a Python
     object and peak memory is about the coded columns plus one block per
-    worker. A file of more than one ``_BLOCK`` is shared among W processes,
+    worker. A file of one ``_BLOCK`` or less is read whole, in one read,
+    and scanned here. A larger file is shared among W processes,
     W = ``_fork.worker_count(reads)``: each scans the blocks of a run of
     consecutive reads, the caller the first run, and forked children send
     theirs back. The caller takes the runs in file order, so the blocks and
@@ -242,21 +262,34 @@ def _scan_csv(path: Path) -> tuple[_Coded, bool] | None:
     those ``_read_csv`` reads, bit for bit; the legs of a file without a
     sign column are a read-only zero-stride view of False. Without
     ``os.pread`` every file is left to ``_read_csv``.
+
+    Given ``digest``, a file read whole sets ``digest[0]`` to the key of
+    the bytes read (``_digest.bytes_sha256``). A larger file is hashed
+    before and after its scan (``_digest.regular_file_sha256``), and sets
+    it to that digest if the two are equal.
     """
     if not hasattr(os, "pread"):
         return None
     try:
         with open(path, "rb") as handle:
             fd = handle.fileno()
-            header, newline, _ = os.pread(fd, 64, 0).partition(b"\n")
+            size = os.fstat(fd).st_size
+            whole = os.pread(fd, size, 0) if size <= _BLOCK else None
+            header, newline, _ = (os.pread(fd, 64, 0) if whole is None else whole[:64]).partition(b"\n")
             width = _HEADER_WIDTHS.get(header.removesuffix(b"\r")) if newline else None
             if width is None:
                 return None
             head = len(header) + 1  # the records start here
-            reads = -(-os.fstat(fd).st_size // _BLOCK)
-            if reads <= 1:  # scanned here, without loading the fork module
-                return _coded_blocks(_scanned_run(fd, width, head, 0, None), width)
-            return _scanned_runs(fd, width, head, reads)
+            if whole is not None:  # scanned here, without loading the fork module
+                scanned = _coded_blocks(_scanned_run(whole, width, head, 0, None), width)
+                if scanned is not None and digest is not None:
+                    digest[0] = hs._digest.bytes_sha256(whole, fd)
+                return scanned
+            before = None if digest is None else hs._digest.regular_file_sha256(path)
+            scanned = _scanned_runs(fd, width, head, -(-size // _BLOCK))
+            if scanned is not None and before is not None:
+                digest[0] = before if hs._digest.regular_file_sha256(path) == before else None
+            return scanned
     except OSError:
         return None
 
@@ -297,14 +330,14 @@ def _coded_blocks(parts: list[_Block] | None, width: int) -> tuple[_Coded, bool]
 
 
 def _scanned_run(
-    fd: int, width: int, head: int, first: int, stop: int | None
+    source: int | bytes, width: int, head: int, first: int, stop: int | None
 ) -> list[_Block] | None:
-    """The coded columns of ``_blocks(fd, first, stop)``, or None to decline the file.
+    """The coded columns of ``_blocks(source, first, stop)``, or None to decline the file.
 
     ``head`` is the size of the header line, which starts the file's first block.
     """
     parts, header = [], first * _BLOCK < head
-    for text in _blocks(fd, first, stop):
+    for text in _blocks(source, first, stop):
         if text is None:
             return None
         start = text.find(b"\n") + 1 if header else 0
@@ -318,8 +351,8 @@ def _scanned_run(
     return parts
 
 
-def _blocks(fd: int, first: int = 0, stop: int | None = None) -> Iterator[bytes | None]:
-    """The bytes of the file open as ``fd``, ``\\r\\n`` read as ``\\n``, a block at a time.
+def _blocks(source: int | bytes, first: int = 0, stop: int | None = None) -> Iterator[bytes | None]:
+    """The bytes of the file open as ``source``, ``\\r\\n`` read as ``\\n``, a block at a time.
 
     A block is what one ``os.pread`` of ``_BLOCK`` bytes adds to the
     partial line the last block left, up to its last line end, so it holds
@@ -331,16 +364,20 @@ def _blocks(fd: int, first: int = 0, stop: int | None = None) -> Iterator[bytes 
     one pass. The file's last block gets a line end if it lacks one. A
     pending line longer than any record, 4 × (``csv.field_size_limit()`` +
     1) bytes, gives None, and no block after it. One block is held at a
-    time.
+    time. ``source`` may be the file's bytes instead, read whole: they are
+    cut into blocks as their file's reads would be.
     """
     longest = 4 * (csv.field_size_limit() + 1)
-    size = os.fstat(fd).st_size
+    if isinstance(source, bytes):
+        size, pread = len(source), lambda count, at: source[at : at + count]
+    else:
+        size, pread = os.fstat(source).st_size, lambda count, at: os.pread(source, count, at)
     at = first * _BLOCK
-    rest = os.pread(fd, min(at, longest + 1), at - min(at, longest + 1))
+    rest = pread(min(at, longest + 1), at - min(at, longest + 1))
     rest = rest[rest.rfind(b"\n") + 1 :]
     while len(rest) <= longest:
         at = first * _BLOCK
-        if first == stop or at >= size or not (chunk := os.pread(fd, min(_BLOCK, size - at), at)):
+        if first == stop or at >= size or not (chunk := pread(min(_BLOCK, size - at), at)):
             if rest and stop is None:
                 yield rest.replace(b"\r\n", b"\n") + b"\n"
             return
@@ -470,26 +507,31 @@ def _scanned_amounts(body: np.ndarray, lo: np.ndarray, size: np.ndarray) -> np.n
     return amounts if np.all(np.isfinite(amounts) & (amounts >= 0)) else None
 
 
-def _read_text(path: Path) -> io.StringIO:
-    """The file's text with its line breaks as written, for ``csv.reader``.
+def _read_text(path: Path, digest: list | None = None, newline: str | None = "") -> str:
+    """The file's text, read whole, with its line breaks as ``open`` reads them given ``newline``.
 
-    A leading UTF-8 byte-order mark, as spreadsheet exports write, is dropped.
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is
+    dropped. ``digest[0]`` becomes the key of the file's bytes
+    (``_digest.bytes_sha256``).
     """
     try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            return io.StringIO(handle.read(), newline="")
+        with open(path, "rb") as handle:
+            data = handle.read()
+            if digest is not None:
+                digest[0] = hs._digest.bytes_sha256(data, handle.fileno())
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=newline).read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _csv_records(path: Path, **options) -> Iterator[tuple[int, list[str]]]:
-    """Each CSV record with the physical line it starts on.
+def _csv_records(path: Path, digest: list | None = None, **options) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV record with the physical line it starts on (``digest``: see ``_read_text``).
 
     A quoted line break makes a record span lines, so the line is counted
     from the reader's; a record that fails to parse is a ``ParseError``
     naming the line it starts on.
     """
-    reader = csv.reader(_read_text(path), **options)
+    reader = csv.reader(io.StringIO(_read_text(path, digest), newline=""), **options)
     line = 1
     try:
         for fields in reader:
@@ -499,8 +541,8 @@ def _csv_records(path: Path, **options) -> Iterator[tuple[int, list[str]]]:
         raise ParseError(f"{path}:{line}: {exc}") from exc
 
 
-def _read_csv(path: Path) -> tuple[_Coded, bool]:
-    records = _csv_records(path)
+def _read_csv(path: Path, digest: list | None = None) -> tuple[_Coded, bool]:
+    records = _csv_records(path, digest)
     _, header = next(records, (None, None))
     if header is None:
         raise ParseError(f"{path}: empty file, expected a header line")
@@ -522,11 +564,10 @@ def _read_csv(path: Path) -> tuple[_Coded, bool]:
     return _columns(rows), has_sign
 
 
-def _read_json(path: Path) -> tuple[_Coded, bool]:
+def _read_json(path: Path, digest: list | None = None) -> tuple[_Coded, bool]:
+    text = _read_text(path, digest, newline=None)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8-sig"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(payload, list):
